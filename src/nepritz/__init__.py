@@ -10,8 +10,10 @@ eigenvector.
 
 from .bounds_lab import (
     BoundReport,
+    CaseContext,
     DerivativeProfile,
     angle_sandwich,
+    build_case_context,
     jordan_block_order,
     perturbation_norm_bound,
     projected_sigma_bound,
@@ -21,7 +23,6 @@ from .bounds_lab import (
     residual_ratio_sandwich,
     ritz_value_bound,
     ritz_vector_angle_bound,
-    schur_complement_L,
     sigma_min_profile,
 )
 from .dense_kernels import (

@@ -8,6 +8,14 @@ alpha) are estimated by disc sampling -- maxima get a 1.5x safety factor,
 minima none -- and the estimates are recorded so a report can be audited
 from its serialized form alone.
 
+Every bound is a formula over a few quantities of one case: T(l*) and its
+singular values, ||T'(l*)||, ||T(mu)||, the projected function B at l* and
+mu, the complement function L = X_perp^H T X_perp at l* and mu, and the
+remainder constants gamma, beta, gamma_B.  build_case_context derives each
+of them once into a frozen CaseContext, and the evaluators read them from
+there instead of re-evaluating T; a test that needs hand-picked constants
+applies dataclasses.replace to a built context.
+
 Hypothesis violations raise HypothesisFailed (or a sibling of
 InapplicableBound); suite runners catch those and record the bound as
 inapplicable rather than failed.
@@ -175,6 +183,8 @@ def sigma_min_profile(
     hw = _HALFWIDTH[max_order]
     if disc_radius is not None and disc_radius <= 0:
         raise ValueError("disc_radius must be positive")
+    if tau_deriv <= 0:
+        raise ValueError("tau_deriv must be positive")
     if h is None:
         if disc_radius is None:
             h = 1e-3
@@ -205,8 +215,6 @@ def sigma_min_profile(
     floors = [eps_g * sum(abs(c) for c in _STENCILS[j].values()) / h**j for j in orders]
     reliable = [j == 0 or abs(ests[j]) > 5.0 * floors[j] for j in orders]
 
-    if tau_deriv <= 0:
-        raise ValueError("tau_deriv must be positive")
     detected = None
     for j in range(1, max_order + 1):
         if not reliable[j]:
@@ -278,7 +286,7 @@ def jordan_block_order(m, mu: complex) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Schur-like complements against a fixed vector
+# per-case context: every quantity at lambda_star and mu, derived once
 # ---------------------------------------------------------------------------
 
 def eigvec_complement_function(
@@ -292,15 +300,6 @@ def eigvec_complement_function(
     x = as_vector(x_star)
     x_perp = householder_complement(x)
     return x_perp, t.compress(x_perp)
-
-
-def schur_complement_L(
-    t: MatrixFunction, mu: complex, x_star
-) -> tuple[np.ndarray, float]:
-    """Trailing block X_perp^H T(mu) X_perp and its smallest singular value."""
-    _, lfn = eigvec_complement_function(t, x_star)
-    lmat = eval_T(lfn, mu, 0)
-    return lmat, float(singular_values(lmat)[-1])
 
 
 def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> float:
@@ -317,52 +316,108 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
     return r
 
 
+@dataclass(frozen=True)
+class CaseContext:
+    """The quantities every bound is a formula over, for one case.
+
+    T is the full function, B its projection onto the subspace and
+    L = X_perp^H T X_perp its compression against the complement of x_star.
+    Compression keeps the scalar terms, so T, B and L share their poles and
+    hence one remainder sampling radius.  gamma, beta and gamma_b are the
+    sampled second-order Taylor remainder constants of T, L and B.
+    """
+
+    x_star: np.ndarray
+    mu_dist: float              # r = |mu - lambda_star|
+    radius: float               # remainder sampling radius
+    t_star_svals: np.ndarray    # singular values of T(l*), descending
+    norm_T_prime: float         # ||T'(l*)||
+    norm_T_mu: float            # ||T(mu)||
+    b_star: np.ndarray          # B(l*)
+    sigma_min_B_star: float
+    b_mu: np.ndarray            # B(mu)
+    x_perp: np.ndarray          # n x (n-1) complement of x_star
+    sigma_min_L_star: float     # sigma_min(L(l*))
+    norm_L_prime: float         # ||L'(l*)||
+    sigma_min_L_mu: float       # sigma_min(L(mu))
+    gamma: float
+    beta: float
+    gamma_b: float
+
+    @property
+    def norm_T_star(self) -> float:
+        return float(self.t_star_svals[0])
+
+
+def build_case_context(
+    t: MatrixFunction, b: MatrixFunction, x_star, lambda_star: complex, mu: complex
+) -> CaseContext:
+    """Evaluate T, B and L at lambda_star and mu once, plus the remainder constants.
+
+    b must be a compression of t (``project(t, s)``), so that both share the
+    remainder radius.
+    """
+    if b.domain_poles != t.domain_poles:
+        raise ValueError("b is not a compression of t: their poles differ")
+    lam, mu = complex(lambda_star), complex(mu)
+    x = as_vector(x_star)
+    x_perp, lfn = eigvec_complement_function(t, x)
+    radius = remainder_radius(t, lam, mu)
+    b_star = eval_T(b, lam, 0)
+    return CaseContext(
+        x_star=x,
+        mu_dist=abs(mu - lam),
+        radius=radius,
+        t_star_svals=singular_values(eval_T(t, lam, 0)),
+        norm_T_prime=norm2(eval_T(t, lam, 1)),
+        norm_T_mu=norm2(eval_T(t, mu, 0)),
+        b_star=b_star,
+        sigma_min_B_star=float(singular_values(b_star)[-1]),
+        b_mu=eval_T(b, mu, 0),
+        x_perp=x_perp,
+        sigma_min_L_star=float(singular_values(eval_T(lfn, lam, 0))[-1]),
+        norm_L_prime=norm2(eval_T(lfn, lam, 1)),
+        sigma_min_L_mu=float(singular_values(eval_T(lfn, mu, 0))[-1]),
+        gamma=taylor_remainder_const(t, lam, radius),
+        beta=taylor_remainder_const(lfn, lam, radius),
+        gamma_b=taylor_remainder_const(b, lam, radius),
+    )
+
+
 # ---------------------------------------------------------------------------
 # bound evaluators
 # ---------------------------------------------------------------------------
 
 def perturbation_norm_bound(
-    witness: PerturbationWitness,
-    t: MatrixFunction,
-    lambda_star: complex,
-    slack: float | None = None,
+    ctx: CaseContext, witness: PerturbationWitness, slack: float | None = None
 ) -> BoundReport:
     """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the constructed witness."""
     eps = witness.epsilon
-    t_norm = norm2(eval_T(t, lambda_star, 0))
     lhs = norm2(witness.E_at_lambda_star)
-    rhs = eps / math.sqrt(1.0 - eps**2) * t_norm
+    rhs = eps / math.sqrt(1.0 - eps**2) * ctx.norm_T_star
     rel = 1e-10 if slack is None else slack
     return _report(
         "perturbation_norm", lhs, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": eps, "norm_T_star": t_norm},
+        {"epsilon": eps, "norm_T_star": ctx.norm_T_star},
     )
 
 
 def projected_sigma_bound(
-    b: MatrixFunction,
-    lambda_star: complex,
-    epsilon: float,
-    t: MatrixFunction,
-    slack: float | None = None,
+    ctx: CaseContext, epsilon: float, slack: float | None = None
 ) -> BoundReport:
     """sigma_min(B(l*)) <= eps/sqrt(1-eps^2) ||T(l*)||."""
-    lhs = float(singular_values(eval_T(b, lambda_star, 0))[-1])
-    t_norm = norm2(eval_T(t, lambda_star, 0))
-    rhs = epsilon / math.sqrt(1.0 - epsilon**2) * t_norm
+    rhs = epsilon / math.sqrt(1.0 - epsilon**2) * ctx.norm_T_star
     rel = 1e-10 if slack is None else slack
     return _report(
-        "projected_sigma_min", lhs, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": epsilon, "norm_T_star": t_norm},
+        "projected_sigma_min", ctx.sigma_min_B_star, rhs, rel, DEFAULT_FLOOR,
+        {"epsilon": epsilon, "norm_T_star": ctx.norm_T_star},
     )
 
 
 def ritz_value_bound(
+    ctx: CaseContext,
     profile: DerivativeProfile | None,
     epsilon: float,
-    t: MatrixFunction,
-    lambda_star: complex,
-    mu: complex,
     slack: float | None = None,
 ) -> BoundReport:
     """|mu - l*| <= (eps/sqrt(1-eps^2) * m! / alpha * ||T(l*)||)^(1/m).
@@ -370,8 +425,7 @@ def ritz_value_bound(
     m and alpha come from the derivative profile; when mu coincides with
     lambda_star the bound is a trivial 0 <= 0 and no profile is needed.
     """
-    r = abs(complex(mu) - complex(lambda_star))
-    t_norm = norm2(eval_T(t, lambda_star, 0))
+    r, t_norm = ctx.mu_dist, ctx.norm_T_star
     if r < 1e-13:
         return _report(
             "ritz_value_rate", r, 0.0, 0.0, DEFAULT_FLOOR,
@@ -395,13 +449,9 @@ def ritz_value_bound(
 
 
 def residual_angle_bound(
-    t: MatrixFunction,
-    lambda_star: complex,
-    mu: complex,
-    x_star,
+    ctx: CaseContext,
     candidate,
     rho: float,
-    gamma: float,
     slack: float | None = None,
     theorem_id: str = "residual_to_angle",
 ) -> BoundReport:
@@ -411,12 +461,11 @@ def residual_angle_bound(
     10 gamma |mu-l*|^2 / sigma_min(L(mu)) absorbs it, gamma being the sampled
     remainder bound.
     """
-    lmat, sig_l = schur_complement_L(t, mu, x_star)
+    sig_l = ctx.sigma_min_L_mu
     if sig_l <= 1e-12:
         raise HypothesisFailed("sigma_min(L(mu)) is not positive")
-    r = abs(complex(mu) - complex(lambda_star))
-    tprime = norm2(eval_T(t, lambda_star, 1))
-    lhs = sin_angle(x_star, candidate)
+    r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
+    lhs = sin_angle(ctx.x_star, candidate)
     rhs = (rho + tprime * r) / sig_l
     rel = slack if slack is not None else \
         10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
@@ -428,15 +477,9 @@ def residual_angle_bound(
 
 
 def ritz_vector_angle_bound(
-    t: MatrixFunction,
-    b: MatrixFunction,
-    lambda_star: complex,
-    mu: complex,
-    s: Subspace,
+    ctx: CaseContext,
     ritz: RitzExtraction,
     epsilon: float,
-    x_star,
-    gamma_b: float | None = None,
     slack: float | None = None,
 ) -> BoundReport:
     """A-priori angle bound for a *simple* extracted vector.
@@ -452,40 +495,30 @@ def ritz_vector_angle_bound(
             f"extracted value has geometric multiplicity "
             f"{ritz.geometric_multiplicity}; vector not unique"
         )
-    m = s.dim
-    if m < 2:
+    if ctx.b_star.shape[0] < 2:
         raise HypothesisFailed("one-dimensional projection has no complement block")
     z_perp = householder_complement(ritz.z)
-    c_star = z_perp.conj().T @ eval_T(b, lambda_star, 0) @ z_perp
+    c_star = z_perp.conj().T @ ctx.b_star @ z_perp
     sig_c = float(singular_values(c_star)[-1])
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
-    r = abs(complex(mu) - complex(lambda_star))
-    t_norm = norm2(eval_T(t, lambda_star, 0))
-    tprime = norm2(eval_T(t, lambda_star, 1))
+    r, t_norm, tprime = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime
     denom = math.sqrt(1.0 - epsilon**2)
-    lhs = sin_angle(x_star, ritz.x_tilde)
+    lhs = sin_angle(ctx.x_star, ritz.x_tilde)
     rhs = (1.0 + t_norm / (denom * sig_c)) * epsilon + tprime * r / sig_c
-    if gamma_b is None:
-        gamma_b = taylor_remainder_const(b, lambda_star, remainder_radius(b, lambda_star, mu))
     rel = slack if slack is not None else \
-        10.0 * gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
+        10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
     return _report(
         "ritz_vector_angle", lhs, rhs, rel, DEFAULT_FLOOR,
         {"epsilon": epsilon, "norm_T_star": t_norm, "norm_T_prime": tprime,
-         "mu_dist": r, "sigma_min_C_star": sig_c, "gamma_B": gamma_b},
+         "mu_dist": r, "sigma_min_C_star": sig_c, "gamma_B": ctx.gamma_b},
     )
 
 
 def refined_bounds(
-    t: MatrixFunction,
-    lambda_star: complex,
-    mu: complex,
+    ctx: CaseContext,
     epsilon: float,
     refined: RefinedExtraction,
-    gamma: float,
-    beta: float,
-    x_star,
     slack: float | None = None,
 ) -> list[BoundReport]:
     """Residual and angle bounds for the refined vector.
@@ -499,25 +532,20 @@ def refined_bounds(
     a ||T(mu) x*||-sized term the stated bound folds away; the slack
     (||T'(l*)|| r + 10 gamma r^2) / lower-estimate absorbs it.
     """
-    r = abs(complex(mu) - complex(lambda_star))
+    r, gamma, beta = ctx.mu_dist, ctx.gamma, ctx.beta
     denom = math.sqrt(1.0 - epsilon**2)
-    x_perp, lfn = eigvec_complement_function(t, x_star)
-    l_star = eval_T(lfn, lambda_star, 0)
-    sig_l_star = float(singular_values(l_star)[-1])
-    lprime = norm2(eval_T(lfn, lambda_star, 1))
-    lower_est = sig_l_star - lprime * r - beta * r**2
+    lower_est = ctx.sigma_min_L_star - ctx.norm_L_prime * r - beta * r**2
     if lower_est <= 0.0:
         raise HypothesisFailed(
             "sigma_min(L(l*)) - ||L'(l*)|| r - beta r^2 <= 0; refined-vector "
             "hypothesis fails at this distance"
         )
-    t_mu_norm = norm2(eval_T(t, mu, 0))
-    tprime = norm2(eval_T(t, lambda_star, 1))
-    numerator = t_mu_norm * epsilon + tprime * r + gamma * r**2
+    tprime = ctx.norm_T_prime
+    numerator = ctx.norm_T_mu * epsilon + tprime * r + gamma * r**2
     inter = {
-        "epsilon": epsilon, "mu_dist": r, "norm_T_mu": t_mu_norm,
+        "epsilon": epsilon, "mu_dist": r, "norm_T_mu": ctx.norm_T_mu,
         "norm_T_prime": tprime, "gamma": gamma, "beta": beta,
-        "sigma_min_L_star": sig_l_star, "norm_L_prime": lprime,
+        "sigma_min_L_star": ctx.sigma_min_L_star, "norm_L_prime": ctx.norm_L_prime,
         "sigma_min_L_lower_est": lower_est,
     }
     res_rel = 1e-8 if slack is None else slack
@@ -529,18 +557,15 @@ def refined_bounds(
     ang_rel = slack if slack is not None else \
         (tprime * r + 10.0 * gamma * r**2) / (lower_est * max(rhs_angle, 1e-30))
     angle_report = _report(
-        "refined_angle", sin_angle(x_star, refined.x_hat), rhs_angle,
+        "refined_angle", sin_angle(ctx.x_star, refined.x_hat), rhs_angle,
         ang_rel, DEFAULT_FLOOR, inter,
     )
     return [residual_report, angle_report]
 
 
 def refined_uniqueness_check(
-    t: MatrixFunction,
-    lambda_star: complex,
-    mu: complex,
+    ctx: CaseContext,
     refined: RefinedExtraction,
-    gamma: float,
     slack: float | None = None,
 ) -> BoundReport:
     """Certify simplicity of the refined minimizer when the hypotheses hold.
@@ -551,10 +576,9 @@ def refined_uniqueness_check(
     the reported inequality (predicted gap on the left, measured gap on the
     right).  Failed hypotheses make the check vacuous, never failed.
     """
-    r = abs(complex(mu) - complex(lambda_star))
-    svals = singular_values(eval_T(t, lambda_star, 0))
+    r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
+    svals = ctx.t_star_svals
     sigma2 = float(svals[-2]) if svals.size >= 2 else float(svals[-1])
-    tprime = norm2(eval_T(t, lambda_star, 1))
     hyp1 = refined.sigma_hat_1 < 0.5 * sigma2 - tprime * r
     hyp2 = sigma2 > 2.0 * gamma * r**2
     # the simplicity condition on sigma_min(T(mu)) alone
@@ -576,8 +600,7 @@ def refined_uniqueness_check(
 
 
 def angle_sandwich(
-    b: MatrixFunction,
-    mu: complex,
+    ctx: CaseContext,
     s: Subspace,
     ritz: RitzExtraction,
     refined: RefinedExtraction,
@@ -603,7 +626,7 @@ def angle_sandwich(
             _report("angle_identity", zero, 0.0, 0.0, IDENTITY_TOL, inter),
         ]
     z_perp = householder_complement(ritz.z)
-    c_mu = z_perp.conj().T @ eval_T(b, mu, 0) @ z_perp
+    c_mu = z_perp.conj().T @ ctx.b_mu @ z_perp
     svals = singular_values(c_mu)
     sig_min_c, sig_max_c = float(svals[-1]), float(svals[0])
     if sig_min_c <= 1e-12:

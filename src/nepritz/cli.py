@@ -80,6 +80,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["eps"] = _parse_eps_list(merged["eps"])
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
+    try:
+        tau_deriv, sigma = float(merged["tau_deriv"]), float(merged["sigma"])
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError("tau_deriv and sigma must be numbers")
+    # the negated comparisons also reject NaN
+    if not tau_deriv > 0:
+        raise argparse.ArgumentTypeError("tau_deriv must be positive")
+    if not sigma >= 0:
+        raise argparse.ArgumentTypeError("sigma must be nonnegative")
     return merged
 
 
@@ -251,8 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _merge_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _merge_config(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     handler = {
         "example1": _cmd_example1,
         "example2": _cmd_example2,

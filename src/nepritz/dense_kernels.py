@@ -94,35 +94,6 @@ def orthonormalize(m) -> np.ndarray:
     return phase_fix(q)
 
 
-def complete_basis(v: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the orthogonal complement of span(V).
-
-    Sweeps the standard basis in index order, keeping each vector whose
-    residual after projection against V and the columns already kept is
-    nonnegligible.  V must have orthonormal columns.
-    """
-    v = as_matrix(v)
-    n, k = v.shape
-    out = np.zeros((n, n - k), dtype=complex)
-    got = 0
-    for idx in range(n):
-        if got == n - k:
-            break
-        w = np.zeros(n, dtype=complex)
-        w[idx] = 1.0
-        for _ in range(2):
-            w -= v @ (v.conj().T @ w)
-            if got:
-                w -= out[:, :got] @ (out[:, :got].conj().T @ w)
-        r = np.linalg.norm(w)
-        if r > 1e-8:
-            out[:, got] = w / r
-            got += 1
-    if got != n - k:
-        raise RankDeficient("could not complete an orthonormal basis")
-    return phase_fix(out)
-
-
 def householder_complement(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of a single unit vector.
 

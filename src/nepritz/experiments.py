@@ -30,7 +30,6 @@ from .nep_model import (
     Rational,
     ReferencePair,
     eval_T,
-    taylor_remainder_const,
 )
 from .projection import Subspace, deviation, perturbation_witness, project
 from .small_nep_solver import SpectrumResult, select_ritz_value, solve_projected
@@ -219,12 +218,8 @@ def analyze_case(
         mu = select_ritz_value(spectrum, target=target)
     ritz = ritz_vector(t, mu, s, projected=b)
     refined = refined_vector(t, mu, s)
-    r = abs(mu - lam_star)
-
-    gamma = taylor_remainder_const(t, lam_star, bl.remainder_radius(t, lam_star, mu))
-    _, lfn = bl.eigvec_complement_function(t, ref.x_star)
-    beta = taylor_remainder_const(lfn, lam_star, bl.remainder_radius(lfn, lam_star, mu))
-    gamma_b = taylor_remainder_const(b, lam_star, bl.remainder_radius(b, lam_star, mu))
+    ctx = bl.build_case_context(t, b, ref.x_star, lam_star, mu)
+    r = ctx.mu_dist
 
     reports: list[bl.BoundReport] = []
     inapplicable: list[tuple[str, str]] = []
@@ -242,9 +237,9 @@ def analyze_case(
 
     witness = perturbation_witness(t, s, ref)
     run("perturbation_norm",
-        lambda: bl.perturbation_norm_bound(witness, t, lam_star, slack=slack))
+        lambda: bl.perturbation_norm_bound(ctx, witness, slack=slack))
     run("projected_sigma_min",
-        lambda: bl.projected_sigma_bound(b, lam_star, eps, t, slack=slack))
+        lambda: bl.projected_sigma_bound(ctx, eps, slack=slack))
 
     def rate_bound():
         profile = None
@@ -253,29 +248,25 @@ def analyze_case(
                 b, lam_star, direction=(mu - lam_star) / r,
                 max_order=max_order, disc_radius=r, tau_deriv=tau_deriv,
             )
-        return bl.ritz_value_bound(profile, eps, t, lam_star, mu, slack=slack)
+        return bl.ritz_value_bound(ctx, profile, eps, slack=slack)
 
     run("ritz_value_rate", rate_bound)
     run("residual_to_angle_ritz",
         lambda: bl.residual_angle_bound(
-            t, lam_star, mu, ref.x_star, ritz.x_tilde, ritz.residual_norm,
-            gamma, slack=slack, theorem_id="residual_to_angle_ritz"))
+            ctx, ritz.x_tilde, ritz.residual_norm, slack=slack,
+            theorem_id="residual_to_angle_ritz"))
     run("residual_to_angle_refined",
         lambda: bl.residual_angle_bound(
-            t, lam_star, mu, ref.x_star, refined.x_hat, refined.sigma_hat_1,
-            gamma, slack=slack, theorem_id="residual_to_angle_refined"))
+            ctx, refined.x_hat, refined.sigma_hat_1, slack=slack,
+            theorem_id="residual_to_angle_refined"))
     run("ritz_vector_angle",
-        lambda: bl.ritz_vector_angle_bound(
-            t, b, lam_star, mu, s, ritz, eps, ref.x_star,
-            gamma_b=gamma_b, slack=slack))
+        lambda: bl.ritz_vector_angle_bound(ctx, ritz, eps, slack=slack))
     run("refined_residual",
-        lambda: bl.refined_bounds(
-            t, lam_star, mu, eps, refined, gamma, beta, ref.x_star, slack=slack))
+        lambda: bl.refined_bounds(ctx, eps, refined, slack=slack))
     run("refined_uniqueness",
-        lambda: bl.refined_uniqueness_check(
-            t, lam_star, mu, refined, gamma, slack=slack))
+        lambda: bl.refined_uniqueness_check(ctx, refined, slack=slack))
     run("angle_sandwich",
-        lambda: bl.angle_sandwich(b, mu, s, ritz, refined, slack=slack))
+        lambda: bl.angle_sandwich(ctx, s, ritz, refined, slack=slack))
     run("residual_ratio",
         lambda: bl.residual_ratio_sandwich(ritz, refined, slack=slack))
 
@@ -289,8 +280,8 @@ def analyze_case(
         sin_refined=sin_angle(ref.x_star, refined.x_hat),
         sin_between=sin_angle(ritz.x_tilde, refined.x_hat),
         spectrum=spectrum,
-        gamma=gamma,
-        beta=beta,
+        gamma=ctx.gamma,
+        beta=ctx.beta,
         reports=reports,
         inapplicable=inapplicable,
     )

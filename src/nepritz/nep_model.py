@@ -193,11 +193,6 @@ class MatrixFunction:
             [(fn, v.conj().T @ a @ v) for fn, a in self.terms]
         )
 
-    def concat(self, other: "MatrixFunction") -> "MatrixFunction":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return MatrixFunction.from_terms(list(self.terms) + list(other.terms))
-
 
 def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
     """sum_i f_i^(order)(lam) A_i; propagates PoleHit from rational terms."""

@@ -3,7 +3,9 @@
 The deviation eps = sin of the angle between the target eigenvector and the
 projection subspace is the convergence parameter of the whole theory; the
 perturbation witness materializes the rank-one perturbation that makes the
-target an exact eigenvalue of the perturbed projected problem.
+target an exact eigenvalue of the perturbed projected problem.  Both need
+only the component of x_star outside the subspace, x - W W^H x, so no basis
+of the orthogonal complement is ever formed.
 """
 
 from __future__ import annotations
@@ -12,45 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_kernels import as_matrix, as_vector, complete_basis, norm2
+from .dense_kernels import as_matrix, as_vector, norm2
 from .errors import DegenerateDeviation
 from .nep_model import MatrixFunction, ReferencePair, eval_T
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Orthonormal basis W plus an explicit orthonormal complement.
-
-    The complement is materialized (cheap at desk scale) so the deviation
-    formula ||W_perp^H x|| is literal, not implicit.
-    """
+    """Orthonormal basis W (n x m) of the projection subspace."""
 
     basis: np.ndarray        # n x m
-    complement: np.ndarray   # n x (n - m)
 
     @classmethod
     def from_basis(cls, w) -> "Subspace":
-        w = as_matrix(w)
-        n, m = w.shape
-        if m > n:
-            raise ValueError("subspace dimension exceeds ambient dimension")
-        if norm2(w.conj().T @ w - np.eye(m)) > 1e-12:
-            raise ValueError("basis columns are not orthonormal to 1e-12")
-        w_perp = complete_basis(w) if m < n else np.zeros((n, 0), dtype=complex)
-        return cls(basis=w, complement=w_perp)
+        return cls(basis=as_matrix(w))
 
     def __post_init__(self):
-        w, wp = self.basis, self.complement
-        n, m = w.shape
-        if wp.shape != (n, n - m):
-            raise ValueError("complement has the wrong shape")
-        eye_m = np.eye(m)
-        checks = [norm2(w.conj().T @ w - eye_m)]
-        if n > m:
-            checks.append(norm2(wp.conj().T @ wp - np.eye(n - m)))
-            checks.append(norm2(w.conj().T @ wp))
-        if max(checks) > 1e-12:
-            raise ValueError("subspace blocks fail orthonormality checks")
+        n, m = self.basis.shape
+        if m > n:
+            raise ValueError("subspace dimension exceeds ambient dimension")
+        if norm2(self.basis.conj().T @ self.basis - np.eye(m)) > 1e-12:
+            raise ValueError("basis columns are not orthonormal to 1e-12")
 
     @property
     def ambient_dim(self) -> int:
@@ -62,19 +46,11 @@ class Subspace:
 
 
 def deviation(s: Subspace, x_star) -> float:
-    """sin of the angle between x_star and the subspace: ||W_perp^H x_star||.
-
-    Cross-checked against the projector form ||(I - W W^H) x_star||; a
-    disagreement beyond 1e-12 indicates corrupted inputs.
-    """
+    """sin of the angle between x_star and the subspace: ||(I - W W^H) x_star||."""
     x = as_vector(x_star)
     if abs(np.linalg.norm(x) - 1.0) > 1e-10:
         raise ValueError("x_star must be unit norm")
-    via_perp = float(np.linalg.norm(s.complement.conj().T @ x))
-    via_proj = float(np.linalg.norm(x - s.basis @ (s.basis.conj().T @ x)))
-    if abs(via_perp - via_proj) > 1e-12:
-        raise RuntimeError("deviation cross-check failed; subspace blocks inconsistent")
-    return min(max(via_perp, 0.0), 1.0)
+    return min(float(np.linalg.norm(x - s.basis @ (s.basis.conj().T @ x))), 1.0)
 
 
 def project(t: MatrixFunction, s: Subspace) -> MatrixFunction:
@@ -107,20 +83,24 @@ class PerturbationWitness:
 def perturbation_witness(
     t: MatrixFunction, s: Subspace, ref: ReferencePair
 ) -> PerturbationWitness:
-    """Construct the witness E(l*), u_hat, r for a given subspace and target."""
+    """Construct the witness E(l*), u_hat, r for a given subspace and target.
+
+    With u = W^H x and x_out = x - W u, E(l*) = (W^H T(l*) x_out) u_hat^H /
+    sqrt(1 - eps^2), since x = W u + x_out and B(l*) u = W^H T(l*) W u.
+    """
     eps = deviation(s, ref.x_star)
     if eps >= 1.0 - 1e-10:
         raise DegenerateDeviation("x_star is numerically orthogonal to the subspace")
-    w, wp = s.basis, s.complement
+    w = s.basis
     x = ref.x_star
     u = w.conj().T @ x
-    u_perp = wp.conj().T @ x
+    x_out = x - w @ u
     denom = np.sqrt(1.0 - eps**2)
     u_hat = u / denom
     t_star = eval_T(t, ref.lambda_star, 0)
     b_star = w.conj().T @ t_star @ w
     r = b_star @ u_hat
-    e_star = (w.conj().T @ t_star @ wp @ u_perp)[:, None] @ u_hat.conj()[None, :] / denom
+    e_star = (w.conj().T @ t_star @ x_out)[:, None] @ u_hat.conj()[None, :] / denom
     # verify the two witness invariants before handing the object out; the
     # absolute term covers the B(l*) = 0 edge where rounding scales with ||T||
     tol = 1e-10 * norm2(b_star) + 1e-13 * norm2(t_star)

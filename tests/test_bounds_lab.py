@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from nepritz.experiments import (
     perturb_subspace,
 )
 from nepritz.extraction import refined_vector, ritz_vector
-from nepritz.nep_model import MatrixFunction, Polynomial
+from nepritz.nep_model import MatrixFunction, Polynomial, eval_T
 from nepritz.projection import Subspace, deviation, perturbation_witness, project
 
 
@@ -36,6 +37,14 @@ def jordan_block(mu, k):
     for i in range(k - 1):
         j[i, i + 1] = 1.0
     return j
+
+
+def fixture_context(mu=0.0, x_star=None, w=None):
+    """Context of the fixture problem at lambda* = 0 and the given mu."""
+    t, ref, w_fix = fixture_problem()
+    b = project(t, Subspace.from_basis(w_fix if w is None else w))
+    return bl.build_case_context(
+        t, b, ref.x_star if x_star is None else x_star, 0.0, mu)
 
 
 def fixture_perturbed_case(seed=0, sigma=1e-4):
@@ -77,6 +86,12 @@ class TestSigmaMinProfile:
         with pytest.raises(DegenerateSigma):
             bl.sigma_min_profile(b, 0.5, disc_radius=1e-3)
 
+    def test_tau_deriv_checked_before_evaluation(self):
+        # the singular center would raise DegenerateSigma once B is evaluated
+        b = linear_fn(np.diag([0.5, 2.0]).astype(complex))
+        with pytest.raises(ValueError, match="tau_deriv"):
+            bl.sigma_min_profile(b, 0.5, disc_radius=1e-3, tau_deriv=0.0)
+
     def test_multiplicity_reading_recorded(self):
         delta = 1e-3
         b = linear_fn(np.diag([delta, 2.0]).astype(complex))
@@ -93,7 +108,7 @@ class TestSigmaMinProfile:
         assert prof.detected_m_mu is None
         assert prof.alpha_estimate is None
         with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(prof, 1e-4, b, 0.0, 1e-2)
+            bl.ritz_value_bound(fixture_context(mu=1e-2), prof, 1e-4)
 
 
 class TestJordanBlockOrder:
@@ -138,22 +153,24 @@ class TestJordanBlockOrder:
 
 class TestSchurComplement:
     def test_fixture_complement_block(self):
-        t, ref, _ = fixture_problem()
-        lmat, sig = bl.schur_complement_L(t, 0.0, ref.x_star)
+        t, _, _ = fixture_problem()
+        ctx = fixture_context()
+        lmat = ctx.x_perp.conj().T @ eval_T(t, 0.0, 0) @ ctx.x_perp
         assert np.allclose(lmat, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
-        assert sig == pytest.approx(1.0, abs=1e-12)
+        assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
+        assert ctx.sigma_min_L_star == ctx.sigma_min_L_mu
 
     def test_linear_diagonal(self):
         t = linear_fn(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        lmat, sig = bl.schur_complement_L(t, 1.0, np.array([1, 0, 0], dtype=complex))
+        ctx = bl.build_case_context(t, t, np.array([1, 0, 0], dtype=complex), 1.0, 1.0)
+        lmat = ctx.x_perp.conj().T @ eval_T(t, 1.0, 0) @ ctx.x_perp
         assert np.allclose(sorted(np.abs(np.diag(lmat))), [1.0, 2.0], atol=1e-12)
-        assert sig == pytest.approx(1.0, abs=1e-12)
+        assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
+        assert ctx.norm_L_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_toward_target(self):
-        t, ref, _ = fixture_problem()
-        _, sig_star = bl.schur_complement_L(t, 0.0, ref.x_star)
-        sigs = [bl.schur_complement_L(t, m, ref.x_star)[1]
-                for m in (1e-2, 1e-3, 1e-4, 1e-5)]
+        sig_star = fixture_context().sigma_min_L_star
+        sigs = [fixture_context(mu=m).sigma_min_L_mu for m in (1e-2, 1e-3, 1e-4, 1e-5)]
         errs = [abs(s - sig_star) for s in sigs]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
@@ -163,13 +180,14 @@ class TestPerturbationBounds:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         wit = perturbation_witness(t, s, ref)
-        rep = bl.perturbation_norm_bound(wit, t, 0.0)
+        rep = bl.perturbation_norm_bound(fixture_context(), wit)
         assert rep.holds and rep.lhs <= 1e-13 and rep.rhs == 0.0
 
     def test_perturbed_fixture_holds(self):
         t, ref, s, case = fixture_perturbed_case(seed=1)
         wit = perturbation_witness(t, s, ref)
-        rep = bl.perturbation_norm_bound(wit, t, 0.0)
+        ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, case.mu)
+        rep = bl.perturbation_norm_bound(ctx, wit)
         assert rep.holds and rep.margin >= 0.0
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -177,10 +195,9 @@ class TestPerturbationBounds:
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, eps, seed=13)
         wit = perturbation_witness(t, s, ref)
-        assert bl.perturbation_norm_bound(wit, t, 0.0).holds
-        b = project(t, s)
-        rep = bl.projected_sigma_bound(b, 0.0, wit.epsilon, t)
-        assert rep.holds
+        ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, 0.0)
+        assert bl.perturbation_norm_bound(ctx, wit).holds
+        assert bl.projected_sigma_bound(ctx, wit.epsilon).holds
 
     def test_projected_sigma_rhs_closed_form(self):
         # rhs is exactly eps/sqrt(1-eps^2) * ||T(l*)||, so scaled deviations
@@ -189,8 +206,8 @@ class TestPerturbationBounds:
         rhs = {}
         for eps in (1e-3, 1e-5):
             s = build_subspace_eps(ref.x_star, 2, eps, seed=13)
-            b = project(t, s)
-            rep = bl.projected_sigma_bound(b, 0.0, eps, t)
+            ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, 0.0)
+            rep = bl.projected_sigma_bound(ctx, eps)
             rhs[eps] = rep.rhs / (eps / math.sqrt(1 - eps**2))
             assert rep.holds
         assert rhs[1e-3] == pytest.approx(rhs[1e-5], rel=1e-12)
@@ -198,7 +215,7 @@ class TestPerturbationBounds:
 
 class TestRitzValueBound:
     def test_trivial_when_mu_equals_target(self):
-        rep = bl.ritz_value_bound(None, 0.0, fixture_problem()[0], 0.0, 0.0)
+        rep = bl.ritz_value_bound(fixture_context(), None, 0.0)
         assert rep.holds and rep.lhs == 0.0
 
     def test_simple_case_holds(self):
@@ -211,14 +228,14 @@ class TestRitzValueBound:
 
     def test_missing_profile_raises(self):
         with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(None, 1e-4, fixture_problem()[0], 0.0, 1e-3)
+            bl.ritz_value_bound(fixture_context(mu=1e-3), None, 1e-4)
 
 
 class TestResidualAngleBound:
     def test_exact_pair_trivially_holds(self):
-        t, ref, _ = fixture_problem()
-        rep = bl.residual_angle_bound(
-            t, 0.0, 0.0, ref.x_star, ref.x_star, rho=0.0, gamma=1.0)
+        _, ref, _ = fixture_problem()
+        ctx = replace(fixture_context(), gamma=1.0)
+        rep = bl.residual_angle_bound(ctx, ref.x_star, rho=0.0)
         assert rep.holds and rep.lhs <= 1e-12 and rep.rhs <= 1e-12
 
     def test_perturbed_refined_pair_tight(self):
@@ -239,10 +256,10 @@ class TestResidualAngleBound:
 
     def test_singular_complement_rejected(self):
         # target vector whose complement block is exactly singular at mu
-        t, ref, _ = fixture_problem()
         x = np.array([0.0, 1.0, 0.0], dtype=complex)
+        ctx = fixture_context(x_star=x)
         with pytest.raises(HypothesisFailed):
-            bl.residual_angle_bound(t, 0.0, 0.0, x, x, rho=0.0, gamma=1.0)
+            bl.residual_angle_bound(ctx, x, rho=0.0)
 
 
 class TestRitzVectorAngleBound:
@@ -252,8 +269,7 @@ class TestRitzVectorAngleBound:
         b = project(t, s)
         ritz = ritz_vector(t, 0.0, s, projected=b)
         with pytest.raises(HypothesisFailed):
-            bl.ritz_vector_angle_bound(t, b, 0.0, 0.0, s, ritz, 0.0, ref.x_star,
-                                       gamma_b=0.0)
+            bl.ritz_vector_angle_bound(fixture_context(), ritz, 0.0)
 
     def test_perturbed_fixture_holds_and_explains(self):
         t, ref, s, case = fixture_perturbed_case(seed=4)
@@ -281,8 +297,8 @@ class TestRefinedBounds:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         refined = refined_vector(t, 0.0, s)
-        reports = bl.refined_bounds(t, 0.0, 0.0, 0.0, refined,
-                                    gamma=1.0, beta=1.0, x_star=ref.x_star)
+        ctx = replace(fixture_context(), gamma=1.0, beta=1.0)
+        reports = bl.refined_bounds(ctx, 0.0, refined)
         assert all(r.holds for r in reports)
         res = next(r for r in reports if r.theorem_id == "refined_residual")
         ang = next(r for r in reports if r.theorem_id == "refined_angle")
@@ -301,10 +317,10 @@ class TestRefinedBounds:
         t, ref, _ = fixture_problem()
         s = Subspace.from_basis(fixture_problem()[2])
         refined = refined_vector(t, 0.9, s)
+        ctx = replace(fixture_context(mu=0.9), gamma=1.0, beta=10.0)
         with pytest.raises(HypothesisFailed):
             # |mu - l*| approx 0.9 with beta large: lower estimate goes negative
-            bl.refined_bounds(t, 0.0, 0.9, 0.0, refined,
-                              gamma=1.0, beta=10.0, x_star=ref.x_star)
+            bl.refined_bounds(ctx, 0.0, refined)
 
 
 class TestUniquenessCheck:
@@ -312,7 +328,7 @@ class TestUniquenessCheck:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         refined = refined_vector(t, 0.0, s)
-        rep = bl.refined_uniqueness_check(t, 0.0, 0.0, refined, gamma=0.0)
+        rep = bl.refined_uniqueness_check(replace(fixture_context(), gamma=0.0), refined)
         assert rep.intermediates["sigma2_T_star"] == pytest.approx(1.0, abs=1e-12)
         assert rep.intermediates["hypotheses_hold"] == 1.0
         assert rep.holds
@@ -324,7 +340,8 @@ class TestUniquenessCheck:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         refined = refined_vector(t, 0.45, s)
-        rep = bl.refined_uniqueness_check(t, 0.0, 0.45, refined, gamma=50.0)
+        ctx = replace(fixture_context(mu=0.45), gamma=50.0)
+        rep = bl.refined_uniqueness_check(ctx, refined)
         assert rep.intermediates["hypotheses_hold"] == 0.0
         assert rep.holds  # vacuous, never failed
 
@@ -344,7 +361,7 @@ class TestAngleSandwich:
         ritz = ritz_vector(t, 0.0, s, projected=b)
         refined = refined_vector(t, 0.0, s)
         with pytest.raises(HypothesisFailed):
-            bl.angle_sandwich(b, 0.0, s, ritz, refined)
+            bl.angle_sandwich(fixture_context(), s, ritz, refined)
 
     def test_perturbed_fixture_brackets_tightly(self):
         t, ref, s, case = fixture_perturbed_case(seed=7)
@@ -366,7 +383,7 @@ class TestAngleSandwich:
         b = project(t, s)
         ritz = ritz_vector(t, 0.0, s, projected=b)
         refined = refined_vector(t, 0.0, s)
-        reports = bl.angle_sandwich(b, 0.0, s, ritz, refined)
+        reports = bl.angle_sandwich(fixture_context(w=w), s, ritz, refined)
         assert all(r.holds for r in reports)
 
 

@@ -110,3 +110,38 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"sigmaa": 1.0}))
         with pytest.raises(SystemExit):
             main(["example2", "--config", str(cfg)])
+
+
+_OUT_OF_RANGE = [
+    ("example1", "tau_deriv", 0.0),
+    ("example1", "tau_deriv", -1.0),
+    ("verify-all", "tau_deriv", 0.0),
+    ("example2", "sigma", -1.0),
+]
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize("command,key,value", _OUT_OF_RANGE)
+    def test_flag_rejected_as_usage_error(self, command, key, value, capsys):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, str(value)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", _OUT_OF_RANGE)
+    def test_config_value_rejected_as_usage_error(self, command, key, value,
+                                                  tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
+    def test_bad_selection_in_config_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"selection": "nearest"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["example1", "--config", str(cfg)])
+        assert exc.value.code == 2

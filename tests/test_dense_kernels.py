@@ -3,7 +3,6 @@ import pytest
 from helpers import complex_randn, mgs_oracle, power_iteration_norm, seeded_unitary
 
 from nepritz.dense_kernels import (
-    complete_basis,
     eig_dense,
     householder_complement,
     norm2,
@@ -57,14 +56,6 @@ class TestOrthonormalize:
 
 
 class TestComplements:
-    def test_complete_basis_is_complement(self):
-        rng = np.random.default_rng(10)
-        w = orthonormalize(complex_randn(rng, 6, 2))
-        wp = complete_basis(w)
-        assert wp.shape == (6, 4)
-        assert norm2(w.conj().T @ wp) < 1e-12
-        assert norm2(wp.conj().T @ wp - np.eye(4)) < 1e-12
-
     def test_householder_complement(self):
         rng = np.random.default_rng(11)
         x = complex_randn(rng, 5)

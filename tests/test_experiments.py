@@ -44,7 +44,6 @@ class TestBuildSubspaceEps:
         a = ex.build_subspace_eps(x, 2, 1e-3, seed=9)
         b = ex.build_subspace_eps(x, 2, 1e-3, seed=9)
         assert np.array_equal(a.basis, b.basis)
-        assert np.array_equal(a.complement, b.complement)
 
     def test_single_column_closed_form(self):
         x = unit([1, 0, 0])
@@ -147,6 +146,35 @@ class TestRunExample2:
         assert rec["sigma_hat_1"] <= 1e-12
 
 
+class TestAnalyzeCase:
+    def test_each_case_quantity_is_derived_once(self, monkeypatch):
+        # B and L are each compressed once, L comes from one complement, and
+        # gamma, beta, gamma_B are one remainder estimate each
+        import nepritz.bounds_lab as bl
+        from nepritz import nep_model
+
+        calls = {"eigvec_complement_function": 0, "compress": 0,
+                 "taylor_remainder_const": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("eigvec_complement_function", "taylor_remainder_const"):
+            for mod in (nep_model, bl, ex):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        monkeypatch.setattr(nep_model.MatrixFunction, "compress",
+                            counted("compress", nep_model.MatrixFunction.compress))
+        inst = ex.builtin_suite()[0]
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert case.all_hold
+        assert calls == {"eigvec_complement_function": 1, "compress": 2,
+                         "taylor_remainder_const": 3}
+
+
 class TestRandomPlantedNep:
     @pytest.mark.parametrize("name,n,degree,seed,lam,pole,m", ex._SUITE_BASES)
     def test_suite_bases_are_valid(self, name, n, degree, seed, lam, pole, m):
@@ -221,19 +249,15 @@ class TestVerifyAll:
         ])
         x_star = np.array([1, 0, 0], dtype=complex)
         mu = 0.05
-        x_perp, lfn = bl.eigvec_complement_function(t, x_star)
-        lmu = eval_T(lfn, mu, 0)
-        v = x_perp.conj().T @ eval_T(t, mu, 0) @ x_star
-        w = np.linalg.solve(lmu, v)
+        ctx = bl.build_case_context(t, t, x_star, 0.0, mu)
+        x_perp, t_mu = ctx.x_perp, eval_T(t, mu, 0)
+        w = np.linalg.solve(x_perp.conj().T @ t_mu @ x_perp,
+                            x_perp.conj().T @ t_mu @ x_star)
         cand = x_star - x_perp @ w
         cand = cand / np.linalg.norm(cand)
-        from nepritz.nep_model import taylor_remainder_const
-
-        rho = float(np.linalg.norm(eval_T(t, mu, 0) @ cand))
-        gamma = taylor_remainder_const(t, 0.0, bl.remainder_radius(t, 0.0, mu))
-        bare = bl.residual_angle_bound(t, 0.0, mu, x_star, cand, rho, gamma,
-                                       slack=0.0)
-        slacked = bl.residual_angle_bound(t, 0.0, mu, x_star, cand, rho, gamma)
+        rho = float(np.linalg.norm(t_mu @ cand))
+        bare = bl.residual_angle_bound(ctx, cand, rho, slack=0.0)
+        slacked = bl.residual_angle_bound(ctx, cand, rho)
         assert not bare.holds
         assert slacked.holds
 

@@ -130,7 +130,7 @@ class TestEvalT:
                                          complex_randn(rng, 2, 2))])
         t2 = MatrixFunction.from_terms([(Exponential(1.0), complex_randn(rng, 2, 2))])
         lam = 0.3 + 0.4j
-        both = t1.concat(t2)
+        both = MatrixFunction.from_terms(list(t1.terms) + list(t2.terms))
         assert np.max(np.abs(eval_T(both, lam, 0)
                              - (eval_T(t1, lam, 0) + eval_T(t2, lam, 0)))) < 1e-14
 

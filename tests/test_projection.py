@@ -24,18 +24,26 @@ def random_subspace(n, m, seed):
 class TestSubspace:
     def test_blocks_orthonormal(self):
         s = random_subspace(6, 2, 0)
-        n, m = 6, 2
-        assert s.basis.shape == (n, m) and s.complement.shape == (n, n - m)
-        assert norm2(s.basis.conj().T @ s.complement) < 1e-12
+        assert s.basis.shape == (6, 2) and (s.ambient_dim, s.dim) == (6, 2)
+        assert norm2(s.basis.conj().T @ s.basis - np.eye(2)) < 1e-12
 
     def test_rejects_skewed_basis(self):
         w = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ValueError):
             Subspace.from_basis(w)
+        # direct construction is checked the same way
+        with pytest.raises(ValueError):
+            Subspace(basis=w)
+
+    def test_rejects_too_many_columns(self):
+        with pytest.raises(ValueError, match="exceeds ambient"):
+            Subspace.from_basis(np.ones((2, 3), dtype=complex))
 
     def test_full_space_allowed(self):
         s = Subspace.from_basis(np.eye(3, dtype=complex))
-        assert s.complement.shape == (3, 0)
+        assert s.dim == s.ambient_dim == 3
+        x = np.array([0.6, 0.8j, 0.0], dtype=complex)
+        assert deviation(s, x) < 1e-15
 
 
 class TestDeviation:
@@ -47,7 +55,10 @@ class TestDeviation:
 
     def test_orthogonal_vector(self):
         s = random_subspace(5, 2, 2)
-        x = s.complement[:, 0]
+        rng = np.random.default_rng(3)
+        x = complex_randn(rng, 5)
+        x -= s.basis @ (s.basis.conj().T @ x)
+        x /= np.linalg.norm(x)
         assert deviation(s, x) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixture_capture_is_exact(self):
