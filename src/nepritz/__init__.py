@@ -27,10 +27,8 @@ from .bounds_lab import (
 )
 from .dense_kernels import (
     SvdResult,
-    eig_dense,
     norm2,
     orthonormalize,
-    sigma_min,
     singular_values,
     solve_linear,
     svd,

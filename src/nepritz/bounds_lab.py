@@ -144,18 +144,6 @@ class DerivativeProfile:
     tau_deriv: float
 
 
-def _stencil_profile(g, h: float, orders: range) -> tuple[list[float], float]:
-    """Evaluate all requested stencils on cached g values; return (ests, gmax)."""
-    offsets = sorted({o for j in orders for o in _STENCILS[j]})
-    values = {o: g(o * h) for o in offsets}
-    gmax = max(abs(v) for v in values.values())
-    ests = []
-    for j in orders:
-        acc = sum(c * values[o] for o, c in _STENCILS[j].items())
-        ests.append(acc / h**j)
-    return ests, gmax
-
-
 def sigma_min_profile(
     b: MatrixFunction,
     lambda_star: complex,
@@ -172,6 +160,12 @@ def sigma_min_profile(
     default step max(1e-3, disc_radius/10) is clamped so no stencil point
     crosses the singular dip at distance disc_radius, where sigma_min kinks
     and finite differences turn meaningless.
+
+    B is evaluated and decomposed once per distinct stencil offset: the
+    offset-0 singular values give sigma_min(B(lambda_star)) and its
+    multiplicity, and the largest sigma_max over the offsets sets the
+    rounding-noise scale.  The alpha estimate adds one evaluation per
+    disc-sample stencil point.
     """
     if not 1 <= max_order <= 5:
         raise ValueError("max_order must be in 1..5")
@@ -193,15 +187,10 @@ def sigma_min_profile(
     if disc_radius is None:
         disc_radius = 10.0 * h
 
-    sig_scale = 1.0
-
-    def g(t: float) -> float:
-        nonlocal sig_scale
-        s = singular_values(eval_T(b, lam0 + t * d, 0))
-        sig_scale = max(sig_scale, float(s[0]))
-        return float(s[-1])
-
-    s0 = singular_values(eval_T(b, lam0, 0))
+    orders = range(0, max_order + 1)
+    offsets = sorted({o for j in orders for o in _STENCILS[j]})
+    svals = {o: singular_values(eval_T(b, lam0 + (o * h) * d, 0)) for o in offsets}
+    s0 = svals[0]
     if s0[-1] <= 1e-13:
         raise DegenerateSigma(
             "sigma_min(B(lambda_star)) vanishes; singular values are not "
@@ -209,9 +198,9 @@ def sigma_min_profile(
         )
     mult = int(np.sum(np.abs(s0 - s0[-1]) <= 1e-8 * max(1.0, s0[0])))
 
-    orders = range(0, max_order + 1)
-    ests, gmax = _stencil_profile(g, h, orders)
-    eps_g = 2e-15 * max(1.0, sig_scale)
+    ests = [sum(c * float(svals[o][-1]) for o, c in _STENCILS[j].items()) / h**j
+            for j in orders]
+    eps_g = 2e-15 * max(1.0, *(float(sv[0]) for sv in svals.values()))
     floors = [eps_g * sum(abs(c) for c in _STENCILS[j].values()) / h**j for j in orders]
     reliable = [j == 0 or abs(ests[j]) > 5.0 * floors[j] for j in orders]
 
@@ -256,8 +245,9 @@ def jordan_block_order(m, mu: complex) -> int:
     """Size of the largest Jordan block of mu, by the rank staircase.
 
     Ranks of (M - mu I)^k are counted with singular-value threshold
-    1e-8 * max(1, ||M - mu I||)^k; the answer is the largest k at which the
-    rank still drops.
+    1e-8 * max(1, ||M - mu I||)^k, the norm being the largest of the k = 1
+    singular values; the answer is the largest k at which the rank still
+    drops.
     """
     a = as_matrix(m)
     n = a.shape[0]
@@ -267,13 +257,15 @@ def jordan_block_order(m, mu: complex) -> int:
     # eigenvalues of a defective matrix scatter like eps^(1/k) and would
     # reject exact Jordan blocks, while sigma_min(M - mu I) stays at eps
     shifted = a - complex(mu) * np.eye(n)
-    base = max(1.0, norm2(shifted))
-    power = np.eye(n, dtype=complex)
+    power = shifted
+    s = singular_values(shifted)
+    base = max(1.0, float(s[0]))
     rank_prev = n
     largest = 0
     for k in range(1, n + 1):
-        power = power @ shifted
-        s = singular_values(power)
+        if k > 1:
+            power = power @ shifted
+            s = singular_values(power)
         rank_k = int(np.sum(s > 1e-8 * base**k))
         if rank_k < rank_prev:
             largest = k

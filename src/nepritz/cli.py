@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import bounds_lab as bl
 from . import experiments as ex
 from .errors import NepRitzError
 from .nep_model import load_problem
@@ -57,7 +58,6 @@ _GLOBAL_DEFAULTS = {
     "eps": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
     "trials": 5,
     "subspace_dim": 2,
-    "suite": "builtin",
     "out": None,
     "problem": None,
 }
@@ -89,19 +89,32 @@ def _merge_config(args: argparse.Namespace) -> dict:
         raise argparse.ArgumentTypeError("tau_deriv must be positive")
     if not sigma >= 0:
         raise argparse.ArgumentTypeError("sigma must be nonnegative")
+    for key in ("seeds", "trials", "subspace_dim"):
+        val = merged[key]
+        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            raise argparse.ArgumentTypeError(f"{key} must be a positive integer")
     return merged
 
 
-def _emit(doc: dict, json_path, csv_path, csv_rows=None) -> None:
+def _emit(doc: dict, json_path, csv_path, csv_rows: list[dict]) -> None:
     if json_path:
         Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if csv_path and csv_rows is not None:
+    if csv_path:
         header = sorted({k for row in csv_rows for k in row})
         with open(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header, restval="")
             writer.writeheader()
             for row in csv_rows:
                 writer.writerow(row)
+
+
+def _check_rows(checks: list[dict]) -> list[dict]:
+    return [{"name": c["name"], "ok": int(c["ok"]), "value": repr(c["value"])}
+            for c in checks]
+
+
+def _verdict_columns(verdicts: dict) -> dict:
+    return {f"verdict_{tid}": "" if v is None else int(v) for tid, v in verdicts.items()}
 
 
 def _record_rows(records: list[dict]) -> list[dict]:
@@ -118,8 +131,7 @@ def _record_rows(records: list[dict]) -> list[dict]:
             "rho_ritz": repr(r["rho_ritz"]),
             "sigma_hat_1": repr(r["sigma_hat_1"]),
         }
-        for tid, verdict in r["verdicts"].items():
-            row[f"verdict_{tid}"] = "" if verdict is None else int(verdict)
+        row.update(_verdict_columns(r["verdicts"]))
         rows.append(row)
     rows.sort(key=lambda row: (row["epsilon"], row["seed"]))
     return rows
@@ -144,19 +156,22 @@ def _cmd_example1(cfg: dict) -> int:
             "verdicts": case.verdicts(),
         }
         print(f"selected value {case.mu:.6g} for target {target:.6g}")
-        _emit(doc, cfg["json"], cfg["csv"], [])
+        row = {"mu_re": repr(case.mu.real), "mu_im": repr(case.mu.imag),
+               "sin_refined": repr(case.sin_refined)}
+        row.update(_verdict_columns(case.verdicts()))
+        _emit(doc, cfg["json"], cfg["csv"], [row])
         return 0
     result = ex.run_example1(slack=cfg["slack"], tau_deriv=float(cfg["tau_deriv"]))
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
-    _emit(result, cfg["json"], cfg["csv"], [])
+    _emit(result, cfg["json"], cfg["csv"], _check_rows(result["checks"]))
     return 0 if result["ok"] else 1
 
 
 def _cmd_example2(cfg: dict) -> int:
     result = ex.run_example2(
         sigma=float(cfg["sigma"]),
-        seeds=tuple(range(int(cfg["seeds"]))),
+        seeds=tuple(range(cfg["seeds"])),
         seed_base=int(cfg["seed_base"]),
         slack=cfg["slack"],
         tau_deriv=float(cfg["tau_deriv"]),
@@ -175,12 +190,15 @@ def _cmd_sweep(cfg: dict) -> int:
     t, ref = load_problem(cfg["problem"])
     if ref is None:
         raise SystemExit("sweep needs a problem file with a 'reference' block")
+    if cfg["subspace_dim"] >= t.n:
+        raise argparse.ArgumentTypeError(
+            f"subspace_dim must be below the problem dimension {t.n}")
     _, target = cfg["selection"]
     result = ex.run_sweep(
         t, ref,
         eps_list=cfg["eps"],
-        trials=int(cfg["trials"]),
-        m=int(cfg["subspace_dim"]),
+        trials=cfg["trials"],
+        m=cfg["subspace_dim"],
         seed_base=int(cfg["seed_base"]),
         slack=cfg["slack"],
         tau_deriv=float(cfg["tau_deriv"]),
@@ -197,10 +215,9 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_verify_all(cfg: dict) -> int:
-    if cfg["suite"] != "builtin":
-        raise SystemExit(f"unknown suite {cfg['suite']!r}; only 'builtin' exists")
     result = ex.verify_all(out_dir=cfg["out"], slack=cfg["slack"],
                            tau_deriv=float(cfg["tau_deriv"]))
+    tagged = result.pop("reports")
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "
         f"{result['n_inapplicable']} inapplicable"
@@ -211,7 +228,9 @@ def _cmd_verify_all(cfg: dict) -> int:
         print(f"[error] {inst}: {msg}")
     if result["ok"]:
         print("all applicable bounds hold")
-    _emit(result, cfg["json"], cfg["csv"], None)
+    _emit(result, cfg["json"], None, [])
+    if cfg["csv"]:
+        bl.write_summary_csv(tagged, cfg["csv"])
     return 0 if result["ok"] else 1
 
 
@@ -225,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tau-deriv", dest="tau_deriv", type=float,
                         help="derivative-signature detection threshold")
     common.add_argument("--json", help="write the result document to this path")
-    common.add_argument("--csv", help="write per-record CSV to this path")
+    common.add_argument("--csv", help="write one CSV row per record, check or report")
     common.add_argument("--grid-density", dest="grid_density", type=int,
                         help="Newton grid density for exponential problems")
 
@@ -253,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p4 = sub.add_parser("verify-all", parents=[common],
                         help="run every bound over the built-in suite")
-    p4.add_argument("--suite", help="suite name (builtin)")
     p4.add_argument("--out", help="directory for reports.jsonl / summary.csv")
 
     return p
@@ -262,10 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _merge_config(args)
-    except argparse.ArgumentTypeError as exc:
-        parser.error(str(exc))
     handler = {
         "example1": _cmd_example1,
         "example2": _cmd_example2,
@@ -273,7 +287,9 @@ def main(argv=None) -> int:
         "verify-all": _cmd_verify_all,
     }[args.command]
     try:
-        return handler(cfg)
+        return handler(_merge_config(args))
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
     except NepRitzError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,8 @@
 """Dense complex linear-algebra primitives used by every other module.
 
-All routines work on plain ``numpy`` arrays of ``complex128`` at desk scale
-(n <= 64 for eigensolves) and follow a deterministic phase convention: in any
-returned orthonormal column, the entry of largest magnitude is made real and
-positive.  This keeps vector-valued regression tests bit-stable; the
+All routines work on plain ``numpy`` arrays of ``complex128`` and follow a
+deterministic phase convention: in any returned orthonormal column, the entry
+of largest magnitude is made real and positive.  This keeps vector-valued regression tests bit-stable; the
 underlying decompositions are only unique up to a unit scalar per column.
 """
 
@@ -13,15 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DimensionGuard,
-    NearSingular,
-    RankDeficient,
-)
+from .errors import ConvergenceFailure, NearSingular, RankDeficient
 
 ORTHO_TOL = 1e-12
-EIG_DIM_MAX = 64
 
 
 def as_matrix(m) -> np.ndarray:
@@ -181,54 +174,25 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(as_matrix(m), compute_uv=False).astype(float)
 
 
-def sigma_min(m) -> float:
-    return float(singular_values(m)[-1])
-
-
-def eig_dense(m) -> list[tuple[complex, np.ndarray]]:
-    """All eigenpairs of a square matrix, n <= 64.
-
-    Pairs are sorted ascending by |lambda|, ties by argument; eigenvectors are
-    unit norm and phase fixed.  Residuals ||Mv - lambda v|| are checked
-    against 1e-9 * ||M||.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("eig_dense expects a square matrix")
-    if n > EIG_DIM_MAX:
-        raise DimensionGuard(f"n = {n} exceeds the desk-scale limit {EIG_DIM_MAX}")
-    try:
-        w, v = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from None
-    v = phase_fix(v)
-    order = sorted(range(n), key=lambda i: (abs(w[i]), np.angle(w[i])))
-    scale = max(norm2(a), 1e-300)
-    pairs = []
-    for i in order:
-        vec = v[:, i] / np.linalg.norm(v[:, i])
-        if np.linalg.norm(a @ vec - w[i] * vec) > 1e-9 * scale:
-            raise ConvergenceFailure("eigenpair residual check failed")
-        pairs.append((complex(w[i]), vec))
-    return pairs
-
-
 def solve_linear(m, b) -> np.ndarray:
-    """Solve M x = b for square M that is not numerically singular.
+    """Solve M X = B for square M that is not numerically singular.
 
-    Raises NearSingular when sigma_min(M) <= 1e-14 * sigma_max(M); the
-    residual of the returned solution is checked.
+    B is one right-hand side (a vector) or several (the columns of a matrix);
+    the result has B's shape.  One set of singular values serves both the
+    singularity test, which raises NearSingular when
+    sigma_min(M) <= 1e-14 * sigma_max(M), and the per-column residual check
+    ||M x - b|| <= 1e-10 (||M|| ||x|| + ||b||), which reads ||M|| = sigma_max.
     """
     a = as_matrix(m)
-    rhs = as_vector(b)
-    if a.shape[0] != a.shape[1] or a.shape[0] != rhs.size:
+    rhs = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)
+    if a.shape[0] != a.shape[1] or a.shape[0] != rhs.shape[0]:
         raise ValueError("incompatible shapes in solve_linear")
     s = singular_values(a)
     if s[-1] <= 1e-14 * s[0]:
         raise NearSingular(f"sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}")
     x = np.linalg.solve(a, rhs)
-    res = np.linalg.norm(a @ x - rhs)
-    if res > 1e-10 * (norm2(a) * np.linalg.norm(x) + np.linalg.norm(rhs)):
+    res = np.linalg.norm(a @ x - rhs, axis=0)
+    tol = 1e-10 * (s[0] * np.linalg.norm(x, axis=0) + np.linalg.norm(rhs, axis=0))
+    if np.any(res > tol):
         raise ConvergenceFailure("linear solve residual check failed")
     return x

@@ -34,6 +34,9 @@ from .nep_model import (
 from .projection import Subspace, deviation, perturbation_witness, project
 from .small_nep_solver import SpectrumResult, select_ritz_value, solve_projected
 
+# highest derivative order of the sigma_min profile behind the rate bound
+PROFILE_MAX_ORDER = 3
+
 # ---------------------------------------------------------------------------
 # subspace construction
 # ---------------------------------------------------------------------------
@@ -192,7 +195,6 @@ def analyze_case(
     target: complex | None = None,
     slack: float | None = None,
     tau_deriv: float = 1e-2,
-    max_order: int = 3,
     grid_density: int = 12,
 ) -> CaseResult:
     """Project, solve, extract both vectors, and evaluate every bound.
@@ -246,7 +248,7 @@ def analyze_case(
         if r >= 1e-13:
             profile = bl.sigma_min_profile(
                 b, lam_star, direction=(mu - lam_star) / r,
-                max_order=max_order, disc_radius=r, tau_deriv=tau_deriv,
+                max_order=PROFILE_MAX_ORDER, disc_radius=r, tau_deriv=tau_deriv,
             )
         return bl.ritz_value_bound(ctx, profile, eps, slack=slack)
 
@@ -389,6 +391,8 @@ def run_example2(
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    if not seeds:
+        raise ValueError("seeds must be nonempty")
     t, ref, w = fixture_problem()
     s0 = Subspace.from_basis(w)
     records: list[SweepRecord] = []
@@ -662,7 +666,8 @@ def verify_all(
     """Run every bound evaluator over the suite; ok iff all applicable hold.
 
     Writes reports.jsonl and summary.csv into out_dir when given.  Returns
-    the failing (instance, theorem) pairs so a nonzero exit can name them.
+    the failing (instance, theorem) pairs so a nonzero exit can name them,
+    and under "reports" every (instance id, BoundReport) pair.
     """
     instances = builtin_suite() if suite is None else suite
     tagged: list[tuple[str, bl.BoundReport]] = []
@@ -697,4 +702,5 @@ def verify_all(
         "failures": [list(f) for f in failures],
         "errors": [list(e) for e in errored],
         "inapplicable": [list(s) for s in skipped],
+        "reports": tagged,
     }

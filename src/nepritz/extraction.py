@@ -61,14 +61,13 @@ def ritz_vector(
     mu: complex,
     s: Subspace,
     projected: MatrixFunction | None = None,
-    gm_tol: float = GEOM_MULT_TOL,
 ) -> RitzExtraction:
     """Extract the canonical Ritz vector at an eigenvalue mu of the projection.
 
     Requires sigma_min(B(mu)) <= 1e-6 max(1, ||B(mu)||); z is the smallest
     right singular vector of B(mu) under the deterministic phase convention,
     and the geometric multiplicity counts singular values below
-    gm_tol * max(1, ||B(mu)||).
+    GEOM_MULT_TOL * max(1, ||B(mu)||).
     """
     b = projected if projected is not None else project(t, s)
     bmu = eval_T(b, mu, 0)
@@ -81,7 +80,7 @@ def ritz_vector(
     z = dec.right_vectors[:, -1]
     x_tilde = s.basis @ z
     x_tilde = x_tilde / np.linalg.norm(x_tilde)
-    gm = int(np.sum(dec.singular_values < gm_tol * scale))
+    gm = int(np.sum(dec.singular_values < GEOM_MULT_TOL * scale))
     gm = max(gm, 1)
     return RitzExtraction(
         mu=complex(mu),

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.polynomial import polynomial as npoly
 
 from .dense_kernels import norm2, singular_values, solve_linear
@@ -151,6 +150,8 @@ def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
     for k in range(d):
         a[(d - 1) * m:, k * m:(k + 1) * m] = -coeffs[k]
     e[(d - 1) * m:, (d - 1) * m:] = coeffs[d]
+    import scipy.linalg as sla  # deferred: the only scipy call in the package
+
     w = sla.eig(a, e, right=False)
     return [complex(z) for z in w if np.isfinite(z.real) and np.isfinite(z.imag)]
 
@@ -160,31 +161,29 @@ def newton_trace_refine(
 ) -> complex:
     """Polish a root of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
 
-    Stops as soon as sigma_min(B(lam)) <= tol * max(1, ||B(lam)||); raises
-    NonConverged after max_iter steps, and propagates PoleHit if an iterate
-    lands on a pole.
+    Each step takes one solve_linear(B(lam), B'(lam)) with B' as a matrix of
+    right-hand sides.  Stops as soon as sigma_min(B(lam)) <= tol *
+    max(1, ||B(lam)||), testing the start and each of the max_iter iterates;
+    raises NonConverged when the last of them fails, and propagates PoleHit
+    if an iterate lands on a pole.
     """
     lam = complex(lam0)
-    m = b.n
-    for _ in range(max_iter):
+    for step in range(max_iter + 1):
         bk = eval_T(b, lam, 0)
         s = singular_values(bk)
         if s[-1] <= tol * max(1.0, s[0]):
             return lam
-        dbk = eval_T(b, lam, 1)
+        if step == max_iter:
+            break
         try:
-            tr = sum(solve_linear(bk, dbk[:, i])[i] for i in range(m))
+            x = solve_linear(bk, eval_T(b, lam, 1))
         except NearSingular:
             # numerically singular but above the sigma target: no usable step
             raise NonConverged(f"B({lam}) is singular but off-target") from None
-        tr = complex(tr)
+        tr = complex(sum(np.diagonal(x)))
         if abs(tr) < 1e-300:
             raise NonConverged("vanishing trace; stationary point of det B")
         lam = lam - 1.0 / tr
-    bk = eval_T(b, lam, 0)
-    s = singular_values(bk)
-    if s[-1] <= tol * max(1.0, s[0]):
-        return lam
     raise NonConverged(f"no convergence after {max_iter} Newton steps (from {lam0})")
 
 

@@ -81,6 +81,23 @@ class TestSigmaMinProfile:
         assert prof.estimates[0] == pytest.approx(delta**2 / c, rel=1e-6)
         assert abs(prof.estimates[1]) < 0.1  # first derivative is O(delta)
 
+    def test_one_evaluation_per_stencil_offset(self, monkeypatch):
+        delta = 1e-3
+        b = linear_fn(np.diag([delta, 2.0]).astype(complex))
+        evals = []
+
+        def counted(fn, lam, order):
+            evals.append(lam)
+            return eval_T(fn, lam, order)
+
+        monkeypatch.setattr(bl, "eval_T", counted)
+        prof = bl.sigma_min_profile(b, 0.0, disc_radius=delta)
+        assert prof.detected_m_mu == 1
+        # offsets -2..2 of the order-3 stencils, then the two-point order-1
+        # stencil at each of the 24 disc samples
+        assert len(evals) == 5 + 24 * 2
+        assert len(set(evals[:5])) == 5
+
     def test_degenerate_center_rejected(self):
         b = linear_fn(np.diag([0.5, 2.0]).astype(complex))
         with pytest.raises(DegenerateSigma):

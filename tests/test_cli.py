@@ -21,15 +21,26 @@ class TestExample1Command:
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
 
+    def test_csv_output(self, tmp_path):
+        cpath = tmp_path / "checks.csv"
+        assert main(["example1", "--csv", str(cpath)]) == 0
+        lines = cpath.read_text().splitlines()
+        assert lines[0] == "name,ok,value"
+        assert len(lines) == 8 and lines[1].startswith("ritz_value_zero,1,")
+
     def test_json_output(self, tmp_path):
         jpath = tmp_path / "out.json"
         assert main(["example1", "--json", str(jpath)]) == 0
         doc = json.loads(jpath.read_text())
         assert doc["ok"] is True
 
-    def test_target_selection(self, capsys):
-        assert main(["example1", "--selection", "target=-0.9"]) == 0
+    def test_target_selection(self, tmp_path, capsys):
+        cpath = tmp_path / "case.csv"
+        assert main(["example1", "--selection", "target=-0.9",
+                     "--csv", str(cpath)]) == 0
         assert "-1" in capsys.readouterr().out
+        lines = cpath.read_text().splitlines()
+        assert len(lines) == 2 and "verdict_refined_residual" in lines[0]
 
     def test_bad_selection_rejected(self):
         with pytest.raises(SystemExit):
@@ -55,14 +66,23 @@ class TestExample2Command:
 
 class TestSweepCommand:
     def test_sweep_runs(self, problem_file, tmp_path, capsys):
-        jpath = tmp_path / "sweep.json"
+        jpath, cpath = tmp_path / "sweep.json", tmp_path / "sweep.csv"
         code = main(["sweep", "--problem", str(problem_file),
                      "--eps", "1e-2,1e-3,1e-4,1e-5,1e-6",
-                     "--trials", "2", "--json", str(jpath)])
+                     "--trials", "2", "--json", str(jpath), "--csv", str(cpath)])
         assert code == 0
         doc = json.loads(jpath.read_text())
         assert abs(doc["slope_mu"] - 1.0) < 0.2
         assert "slope" in capsys.readouterr().out
+        lines = cpath.read_text().splitlines()
+        assert "sin_refined" in lines[0] and len(lines) == 1 + 5 * 2
+
+    def test_subspace_dim_must_be_below_problem_dimension(self, problem_file,
+                                                         capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--problem", str(problem_file), "--subspace-dim", "99"])
+        assert exc.value.code == 2
+        assert "subspace_dim" in capsys.readouterr().err
 
     def test_requires_problem(self):
         with pytest.raises(SystemExit):
@@ -80,11 +100,15 @@ class TestSweepCommand:
 class TestVerifyAllCommand:
     def test_builtin_suite_passes(self, tmp_path, capsys):
         out = tmp_path / "reports"
-        code = main(["verify-all", "--out", str(out)])
+        cpath = tmp_path / "flag.csv"
+        code = main(["verify-all", "--out", str(out), "--csv", str(cpath)])
         assert code == 0
         assert (out / "reports.jsonl").exists()
         assert (out / "summary.csv").exists()
         assert "all applicable bounds hold" in capsys.readouterr().out
+        # --csv writes the summary.csv table: a header and one row per report
+        assert cpath.read_bytes() == (out / "summary.csv").read_bytes()
+        assert len(cpath.read_text().splitlines()) > 1
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):
@@ -117,6 +141,11 @@ _OUT_OF_RANGE = [
     ("example1", "tau_deriv", -1.0),
     ("verify-all", "tau_deriv", 0.0),
     ("example2", "sigma", -1.0),
+    ("example2", "seeds", 0),
+    ("example2", "seeds", -3),
+    ("example2", "seeds", 2.5),
+    ("sweep", "trials", 0),
+    ("sweep", "subspace_dim", 0),
 ]
 
 

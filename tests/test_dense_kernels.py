@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
-from helpers import complex_randn, mgs_oracle, power_iteration_norm, seeded_unitary
+from helpers import complex_randn, mgs_oracle, power_iteration_norm
 
 from nepritz.dense_kernels import (
-    eig_dense,
     householder_complement,
     norm2,
     orthonormalize,
-    sigma_min,
     singular_values,
     solve_linear,
     svd,
 )
-from nepritz.errors import DimensionGuard, NearSingular, RankDeficient
+from nepritz.errors import NearSingular, RankDeficient
 
 
 class TestOrthonormalize:
@@ -123,48 +121,6 @@ class TestSvd:
         assert abs(norm2(m) - power_iteration_norm(m, seed=seed)) <= 1e-8 * norm2(m)
 
 
-class TestEigDense:
-    def test_symmetric_flip(self):
-        pairs = eig_dense(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-        vals = sorted(w.real for w, _ in pairs)
-        assert np.allclose(vals, [-1.0, 1.0], atol=1e-14)
-
-    def test_companion_of_quadratic(self):
-        # companion of lambda^2 - 1
-        c = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        vals = sorted(w.real for w, _ in eig_dense(c))
-        assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
-
-    def test_companion_of_double_root(self):
-        # companion of lambda^2: double eigenvalue 0
-        c = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-        vals = [w for w, _ in eig_dense(c)]
-        assert len(vals) == 2 and all(abs(w) < 1e-8 for w in vals)
-
-    def test_ordering_and_residuals(self):
-        rng = np.random.default_rng(8)
-        m = complex_randn(rng, 7, 7)
-        pairs = eig_dense(m)
-        mags = [abs(w) for w, _ in pairs]
-        assert mags == sorted(mags)
-        for w, v in pairs:
-            assert np.linalg.norm(m @ v - w * v) <= 1e-9 * norm2(m)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_recovers_known_spectrum(self, seed):
-        rng = np.random.default_rng(seed)
-        d = rng.uniform(-2, 2, size=6) + 1j * rng.uniform(-2, 2, size=6)
-        u = seeded_unitary(6, seed + 50)
-        m = u @ np.diag(d) @ u.conj().T
-        got = sorted((w for w, _ in eig_dense(m)), key=lambda z: (z.real, z.imag))
-        want = sorted(d, key=lambda z: (z.real, z.imag))
-        assert all(abs(g - w) <= 1e-8 for g, w in zip(got, want))
-
-    def test_dimension_guard(self):
-        with pytest.raises(DimensionGuard):
-            eig_dense(np.eye(65, dtype=complex))
-
-
 class TestSolveLinear:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0], dtype=complex)
@@ -189,8 +145,16 @@ class TestSolveLinear:
         with pytest.raises(NearSingular):
             solve_linear(m, np.array([1.0, 1.0], dtype=complex))
 
+    def test_matrix_rhs_matches_column_solves(self):
+        rng = np.random.default_rng(23)
+        m = complex_randn(rng, 5, 5)
+        b = complex_randn(rng, 5, 3)
+        x = solve_linear(m, b)
+        assert x.shape == (5, 3)
+        for i in range(3):
+            assert np.allclose(x[:, i], solve_linear(m, b[:, i]), rtol=1e-13, atol=0)
 
-def test_sigma_min_shortcut():
-    rng = np.random.default_rng(2)
-    m = complex_randn(rng, 5, 3)
-    assert abs(sigma_min(m) - svd(m).sigma_min) < 1e-14
+    def test_matrix_rhs_near_singular_raises(self):
+        m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]], dtype=complex)
+        with pytest.raises(NearSingular):
+            solve_linear(m, np.eye(2, dtype=complex))

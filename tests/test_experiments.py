@@ -145,6 +145,11 @@ class TestRunExample2:
         assert abs(complex(*rec["mu"])) <= 1e-10
         assert rec["sigma_hat_1"] <= 1e-12
 
+    def test_empty_seeds_rejected(self):
+        # medians and the per-seed check over zero records mean nothing
+        with pytest.raises(ValueError, match="seeds"):
+            ex.run_example2(seeds=())
+
 
 class TestAnalyzeCase:
     def test_each_case_quantity_is_derived_once(self, monkeypatch):

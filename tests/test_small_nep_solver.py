@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,9 @@ from helpers import (
     poly_roots_ascending,
 )
 
-from nepritz.dense_kernels import singular_values
+import nepritz
+import nepritz.small_nep_solver as sns
+from nepritz.dense_kernels import singular_values, solve_linear
 from nepritz.errors import DimensionGuard, EmptySpectrum, NonConverged
 from nepritz.experiments import fixture_problem, perturb_subspace
 from nepritz.nep_model import (
@@ -152,6 +158,42 @@ class TestNewtonTraceRefine:
         ])
         with pytest.raises(NonConverged):
             newton_trace_refine(b, 100.0, max_iter=2)
+
+    def test_one_solve_per_step(self, monkeypatch):
+        # B(lam) = diag(1, 2, 3) - lam I: one step from 0.9 lands near 0.988,
+        # off the root, so max_iter = 1 ends in NonConverged
+        b = MatrixFunction.from_terms([
+            (Polynomial([1]), np.diag([1.0, 2.0, 3.0]).astype(complex)),
+            (Polynomial([0, -1]), np.eye(3, dtype=complex)),
+        ])
+        solves, orders = [], []
+
+        def counted_solve(m, rhs):
+            solves.append(np.shape(rhs))
+            return solve_linear(m, rhs)
+
+        def counted_eval(fn, lam, order):
+            orders.append(order)
+            return eval_T(fn, lam, order)
+
+        monkeypatch.setattr(sns, "solve_linear", counted_solve)
+        monkeypatch.setattr(sns, "eval_T", counted_eval)
+        with pytest.raises(NonConverged):
+            newton_trace_refine(b, 0.9, max_iter=1)
+        # one solve with B' as a 3 x 3 right-hand side; a stop test before
+        # and after the single step
+        assert solves == [(3, 3)]
+        assert orders == [0, 1, 0]
+
+
+def test_import_defers_scipy():
+    # scipy.linalg serves only the companion pencil, so importing the
+    # package must not load it
+    src = str(Path(nepritz.__file__).resolve().parents[1])
+    code = "import sys, nepritz; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestSolveProjected:
