@@ -32,7 +32,8 @@ print(f"\nprojected eigenvalues in |lambda| <= 0.5: {spectrum.eigenvalues}")
 print(f"algebraic multiplicities: {spectrum.multiplicities}")
 
 mu = nr.select_ritz_value(spectrum, lambda_star=ref.lambda_star)
-ritz = nr.ritz_vector(t, mu, s, projected=b)
+t_mu = nr.eval_T(t, mu)
+ritz = nr.ritz_vector(t_mu, nr.eval_T(b, mu), mu, s)
 print(f"\nselected value mu = {mu}")
 print(f"null-space dimension of B(mu): {ritz.geometric_multiplicity}"
       f"  (non-unique extraction: {ritz.nonunique_flag})")
@@ -44,7 +45,7 @@ print(f"\nresidual of the symmetric choice z = (1,1)/sqrt(2): {rho:.6f}"
       f"  (= 1/sqrt(2): meaningless answer)")
 
 # -- the refined vector is unique and exact here ------------------------------
-refined = nr.refined_vector(t, mu, s)
+refined = nr.refined_vector(t_mu, mu, s)
 print(f"\nrefined vector x^ = {np.round(refined.x_hat.real, 10)}")
 print(f"refined residual ||T(mu) x^|| = {refined.sigma_hat_1:.2e}")
 print(f"angle to the target: {nr.sin_angle(ref.x_star, refined.x_hat):.2e}")

@@ -161,11 +161,12 @@ def sigma_min_profile(
     crosses the singular dip at distance disc_radius, where sigma_min kinks
     and finite differences turn meaningless.
 
-    B is evaluated and decomposed once per distinct stencil offset: the
-    offset-0 singular values give sigma_min(B(lambda_star)) and its
-    multiplicity, and the largest sigma_max over the offsets sets the
-    rounding-noise scale.  The alpha estimate adds one evaluation per
-    disc-sample stencil point.
+    B is evaluated once per distinct stencil offset, and the offsets share
+    one batched singular-value call: the offset-0 singular values give
+    sigma_min(B(lambda_star)) and its multiplicity, and the largest
+    sigma_max over the offsets sets the rounding-noise scale.  The alpha
+    estimate adds one evaluation per disc-sample stencil point and one
+    batched call per ring of disc samples.
     """
     if not 1 <= max_order <= 5:
         raise ValueError("max_order must be in 1..5")
@@ -189,7 +190,8 @@ def sigma_min_profile(
 
     orders = range(0, max_order + 1)
     offsets = sorted({o for j in orders for o in _STENCILS[j]})
-    svals = {o: singular_values(eval_T(b, lam0 + (o * h) * d, 0)) for o in offsets}
+    svals = dict(zip(offsets, singular_values(
+        np.stack([eval_T(b, lam0 + (o * h) * d, 0) for o in offsets]))))
     s0 = svals[0]
     if s0[-1] <= 1e-13:
         raise DegenerateSigma(
@@ -218,11 +220,12 @@ def sigma_min_profile(
         samples = [abs(ests[detected])]
         stencil = _STENCILS[detected]
         for frac in (0.2, 0.4, 0.6, 0.8):
-            for k in range(6):
-                center = lam0 + disc_radius * frac * d * np.exp(2j * np.pi * k / 6)
-                vals = {o: float(singular_values(
-                    eval_T(b, center + o * h * d, 0))[-1]) for o in stencil}
-                est = sum(c * vals[o] for o, c in stencil.items()) / h**detected
+            centers = [lam0 + disc_radius * frac * d * np.exp(2j * np.pi * k / 6)
+                       for k in range(6)]
+            ring = singular_values(np.stack(
+                [eval_T(b, center + o * h * d, 0) for center in centers for o in stencil]))
+            for vals in ring[:, -1].reshape(len(centers), len(stencil)).tolist():
+                est = sum(c * v for c, v in zip(stencil.values(), vals)) / h**detected
                 samples.append(abs(est))
         alpha = float(min(samples))
 
@@ -316,7 +319,9 @@ class CaseContext:
     L = X_perp^H T X_perp its compression against the complement of x_star.
     Compression keeps the scalar terms, so T, B and L share their poles and
     hence one remainder sampling radius.  gamma, beta and gamma_b are the
-    sampled second-order Taylor remainder constants of T, L and B.
+    sampled second-order Taylor remainder constants of T, L and B.  T(mu)
+    and B(mu) are kept whole because the Ritz and refined extractions read
+    them too.
     """
 
     x_star: np.ndarray
@@ -324,6 +329,7 @@ class CaseContext:
     radius: float               # remainder sampling radius
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
+    t_mu: np.ndarray            # T(mu)
     norm_T_mu: float            # ||T(mu)||
     b_star: np.ndarray          # B(l*)
     sigma_min_B_star: float
@@ -347,7 +353,8 @@ def build_case_context(
     """Evaluate T, B and L at lambda_star and mu once, plus the remainder constants.
 
     b must be a compression of t (``project(t, s)``), so that both share the
-    remainder radius.
+    remainder radius.  The extractions at mu read T(mu) and B(mu) from the
+    context instead of evaluating them again.
     """
     if b.domain_poles != t.domain_poles:
         raise ValueError("b is not a compression of t: their poles differ")
@@ -356,13 +363,15 @@ def build_case_context(
     x_perp, lfn = eigvec_complement_function(t, x)
     radius = remainder_radius(t, lam, mu)
     b_star = eval_T(b, lam, 0)
+    t_mu = eval_T(t, mu, 0)
     return CaseContext(
         x_star=x,
         mu_dist=abs(mu - lam),
         radius=radius,
         t_star_svals=singular_values(eval_T(t, lam, 0)),
         norm_T_prime=norm2(eval_T(t, lam, 1)),
-        norm_T_mu=norm2(eval_T(t, mu, 0)),
+        t_mu=t_mu,
+        norm_T_mu=norm2(t_mu),
         b_star=b_star,
         sigma_min_B_star=float(singular_values(b_star)[-1]),
         b_mu=eval_T(b, mu, 0),

@@ -17,6 +17,10 @@ from .errors import ConvergenceFailure, NearSingular, RankDeficient
 ORTHO_TOL = 1e-12
 
 
+def _finite(a: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag)))
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite 2-D complex array; reject NaN/Inf entries."""
     a = np.asarray(m, dtype=complex)
@@ -24,14 +28,14 @@ def as_matrix(m) -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not _finite(a):
         raise ValueError("matrix has NaN/Inf entries")
     return a
 
 
 def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.size < 1 or not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if a.size < 1 or not _finite(a):
         raise ValueError("expected a finite nonempty vector")
     return a
 
@@ -170,8 +174,17 @@ def svd(m) -> SvdResult:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values only (descending); cheaper than a full svd()."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False).astype(float)
+    """Singular values only (descending); cheaper than a full svd().
+
+    m is one matrix or a stack of equally shaped matrices (..., rows, cols);
+    a stack gets one batched LAPACK call and one row of values per matrix.
+    """
+    a = np.asarray(m, dtype=complex)
+    if a.ndim <= 2:
+        a = as_matrix(a)
+    elif a.size == 0 or not _finite(a):
+        raise ValueError("expected a nonempty finite stack of matrices")
+    return np.linalg.svd(a, compute_uv=False).astype(float)
 
 
 def solve_linear(m, b) -> np.ndarray:

@@ -218,9 +218,9 @@ def analyze_case(
         mu = select_ritz_value(spectrum, lambda_star=lam_star)
     else:
         mu = select_ritz_value(spectrum, target=target)
-    ritz = ritz_vector(t, mu, s, projected=b)
-    refined = refined_vector(t, mu, s)
     ctx = bl.build_case_context(t, b, ref.x_star, lam_star, mu)
+    ritz = ritz_vector(ctx.t_mu, ctx.b_mu, mu, s)
+    refined = refined_vector(ctx.t_mu, mu, s)
     r = ctx.mu_dist
 
     reports: list[bl.BoundReport] = []

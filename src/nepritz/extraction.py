@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_kernels import as_vector, svd
+from .dense_kernels import as_matrix, as_vector, svd
 from .errors import NotAnEigenvalue
 from .nep_model import MatrixFunction, eval_T
-from .projection import Subspace, project
+from .projection import Subspace
 
 GEOM_MULT_TOL = 1e-8
 RITZ_SIGMA_PRE = 1e-6
@@ -56,22 +56,17 @@ class RefinedExtraction:
     gap_certificate: bool
 
 
-def ritz_vector(
-    t: MatrixFunction,
-    mu: complex,
-    s: Subspace,
-    projected: MatrixFunction | None = None,
-) -> RitzExtraction:
+def ritz_vector(t_mu, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
     """Extract the canonical Ritz vector at an eigenvalue mu of the projection.
 
-    Requires sigma_min(B(mu)) <= 1e-6 max(1, ||B(mu)||); z is the smallest
-    right singular vector of B(mu) under the deterministic phase convention,
-    and the geometric multiplicity counts singular values below
+    t_mu and b_mu are T(mu) and the projected B(mu) = W^H T(mu) W, evaluated
+    by the caller, which needs them again for the refined vector and the
+    bounds.  Requires sigma_min(B(mu)) <= 1e-6 max(1, ||B(mu)||); z is the
+    smallest right singular vector of B(mu) under the deterministic phase
+    convention, and the geometric multiplicity counts singular values below
     GEOM_MULT_TOL * max(1, ||B(mu)||).
     """
-    b = projected if projected is not None else project(t, s)
-    bmu = eval_T(b, mu, 0)
-    dec = svd(bmu)
+    dec = svd(b_mu)
     scale = max(1.0, dec.sigma_max)
     if dec.sigma_min > RITZ_SIGMA_PRE * scale:
         raise NotAnEigenvalue(
@@ -86,7 +81,7 @@ def ritz_vector(
         mu=complex(mu),
         z=z,
         x_tilde=x_tilde,
-        residual_norm=float(np.linalg.norm(eval_T(t, mu, 0) @ x_tilde)),
+        residual_norm=float(np.linalg.norm(as_matrix(t_mu) @ x_tilde)),
         geometric_multiplicity=gm,
         nonunique_flag=gm > 1,
     )
@@ -104,13 +99,14 @@ def ritz_residual_for(t: MatrixFunction, mu: complex, s: Subspace, z_custom) -> 
     return float(np.linalg.norm(eval_T(t, mu, 0) @ (s.basis @ z)))
 
 
-def refined_vector(t: MatrixFunction, mu: complex, s: Subspace) -> RefinedExtraction:
+def refined_vector(t_mu, mu: complex, s: Subspace) -> RefinedExtraction:
     """Minimize ||T(mu) v|| over unit v in the subspace via the SVD of T(mu) W.
 
-    Always well defined; near-nonuniqueness surfaces as a revoked gap
-    certificate (sigma_hat_2 - sigma_hat_1 <= 1e-10) instead of an error.
+    t_mu is T(mu), evaluated by the caller.  Always well defined;
+    near-nonuniqueness surfaces as a revoked gap certificate
+    (sigma_hat_2 - sigma_hat_1 <= 1e-10) instead of an error.
     """
-    tw = eval_T(t, mu, 0) @ s.basis
+    tw = as_matrix(t_mu) @ s.basis
     dec = svd(tw)
     m = s.dim
     ascending = dec.singular_values[::-1].copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import norm2, singular_values, solve_linear
+from .dense_kernels import singular_values, solve_linear
 from .errors import (
     DimensionGuard,
     EmptySpectrum,
@@ -114,19 +114,21 @@ def polynomialize(b: MatrixFunction):
 
     poles = [complex(r) for r in npoly.polyroots(full)] if full.size > 1 else []
 
-    # sample check: P(lam) must match q(lam) B(lam) away from the poles
+    # sample check: P(lam) must match q(lam) B(lam) away from the poles, at
+    # 20 points whose residual norms come from one batched call
     rng = np.random.default_rng(20240925)
-    checked = 0
-    scale = max(max(norm2(c) for c in out), 1e-300)
-    while checked < 20:
+    points: list[complex] = []
+    while len(points) < 20:
         lam = complex(*rng.uniform(-1.5, 1.5, size=2))
-        if any(abs(lam - p) < 1e-3 for p in poles):
-            continue
-        pval = sum(c * lam**k for k, c in enumerate(out))
-        qval = complex(npoly.polyval(lam, full))
-        if norm2(pval - qval * eval_T(b, lam, 0)) > 1e-10 * scale * max(1.0, abs(qval)):
-            raise RuntimeError("polynomialize self-check failed")
-        checked += 1
+        if all(abs(lam - p) >= 1e-3 for p in poles):
+            points.append(lam)
+    qvals = [complex(npoly.polyval(lam, full)) for lam in points]
+    residuals = [sum(c * lam**k for k, c in enumerate(out)) - qval * eval_T(b, lam, 0)
+                 for lam, qval in zip(points, qvals)]
+    norms = singular_values(np.stack(residuals))[:, 0]
+    scale = max(float(singular_values(np.stack(out))[:, 0].max()), 1e-300)
+    if any(nrm > 1e-10 * scale * max(1.0, abs(qval)) for nrm, qval in zip(norms, qvals)):
+        raise RuntimeError("polynomialize self-check failed")
     return out, poles
 
 

@@ -284,7 +284,7 @@ class TestRitzVectorAngleBound:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         b = project(t, s)
-        ritz = ritz_vector(t, 0.0, s, projected=b)
+        ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
         with pytest.raises(HypothesisFailed):
             bl.ritz_vector_angle_bound(fixture_context(), ritz, 0.0)
 
@@ -313,7 +313,7 @@ class TestRefinedBounds:
     def test_exact_capture_degenerate_case(self):
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
-        refined = refined_vector(t, 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         ctx = replace(fixture_context(), gamma=1.0, beta=1.0)
         reports = bl.refined_bounds(ctx, 0.0, refined)
         assert all(r.holds for r in reports)
@@ -333,7 +333,7 @@ class TestRefinedBounds:
     def test_far_value_hypothesis_fails(self):
         t, ref, _ = fixture_problem()
         s = Subspace.from_basis(fixture_problem()[2])
-        refined = refined_vector(t, 0.9, s)
+        refined = refined_vector(eval_T(t, 0.9), 0.9, s)
         ctx = replace(fixture_context(mu=0.9), gamma=1.0, beta=10.0)
         with pytest.raises(HypothesisFailed):
             # |mu - l*| approx 0.9 with beta large: lower estimate goes negative
@@ -344,7 +344,7 @@ class TestUniquenessCheck:
     def test_fixture_certificate(self):
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
-        refined = refined_vector(t, 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         rep = bl.refined_uniqueness_check(replace(fixture_context(), gamma=0.0), refined)
         assert rep.intermediates["sigma2_T_star"] == pytest.approx(1.0, abs=1e-12)
         assert rep.intermediates["hypotheses_hold"] == 1.0
@@ -356,7 +356,7 @@ class TestUniquenessCheck:
     def test_far_value_vacuous(self):
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
-        refined = refined_vector(t, 0.45, s)
+        refined = refined_vector(eval_T(t, 0.45), 0.45, s)
         ctx = replace(fixture_context(mu=0.45), gamma=50.0)
         rep = bl.refined_uniqueness_check(ctx, refined)
         assert rep.intermediates["hypotheses_hold"] == 0.0
@@ -375,8 +375,8 @@ class TestAngleSandwich:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         b = project(t, s)
-        ritz = ritz_vector(t, 0.0, s, projected=b)
-        refined = refined_vector(t, 0.0, s)
+        ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         with pytest.raises(HypothesisFailed):
             bl.angle_sandwich(fixture_context(), s, ritz, refined)
 
@@ -398,8 +398,8 @@ class TestAngleSandwich:
         w[2, 0] = 1.0
         s = Subspace.from_basis(w)
         b = project(t, s)
-        ritz = ritz_vector(t, 0.0, s, projected=b)
-        refined = refined_vector(t, 0.0, s)
+        ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         reports = bl.angle_sandwich(fixture_context(w=w), s, ritz, refined)
         assert all(r.holds for r in reports)
 
@@ -409,8 +409,8 @@ class TestResidualRatioSandwich:
         t, ref, w = fixture_problem()
         s = Subspace.from_basis(w)
         b = project(t, s)
-        ritz = ritz_vector(t, 0.0, s, projected=b)
-        refined = refined_vector(t, 0.0, s)
+        ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         with pytest.raises(DegenerateRatio):
             bl.residual_ratio_sandwich(ritz, refined)
 
@@ -432,7 +432,7 @@ class TestResidualRatioSandwich:
         s = Subspace.from_basis(w)
         b = project(t, s)
         mu = 1e-4  # not an exact eigenvalue: residual positive, ratio is 1
-        refined = refined_vector(t, mu, s)
+        refined = refined_vector(eval_T(t, mu), mu, s)
         from nepritz.extraction import RitzExtraction
 
         ritz = RitzExtraction(

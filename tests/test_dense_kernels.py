@@ -114,6 +114,20 @@ class TestSvd:
         again = singular_values(rebuilt)
         assert np.allclose(again, res.singular_values, atol=1e-10)
 
+    def test_stack_matches_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(6)
+        stack = complex_randn(rng, 5, 4, 3)
+        got = singular_values(stack)
+        assert got.shape == (5, 3)
+        for m, row in zip(stack, got):
+            assert np.array_equal(row, singular_values(m))
+
+    def test_stack_rejects_nonfinite(self):
+        stack = np.zeros((3, 2, 2), dtype=complex)
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError):
+            singular_values(stack)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_norm_matches_power_iteration(self, seed):
         rng = np.random.default_rng(100 + seed)

@@ -5,6 +5,7 @@ from helpers import complex_randn
 import nepritz.experiments as ex
 from nepritz.dense_kernels import norm2
 from nepritz.errors import ConstructionFailed
+from nepritz.nep_model import eval_T
 from nepritz.projection import Subspace, deviation
 
 
@@ -178,6 +179,33 @@ class TestAnalyzeCase:
         assert case.all_hold
         assert calls == {"eigvec_complement_function": 1, "compress": 2,
                          "taylor_remainder_const": 3}
+
+
+    def test_each_matrix_at_mu_is_evaluated_once(self, monkeypatch):
+        # the context evaluates T(mu) and B(mu); both extractions read them
+        # from there and evaluate nothing themselves
+        import nepritz.bounds_lab as bl
+        import nepritz.extraction as extraction
+
+        inst = ex.builtin_suite()[0]
+        mu = ex.analyze_case(inst.t, inst.ref, inst.subspace).mu
+        at_mu = []
+
+        def counted(fn, lam, order=0):
+            if lam == mu:
+                at_mu.append((fn.n, order))
+            return eval_T(fn, lam, order)
+
+        def forbidden(*args):
+            raise AssertionError("extraction evaluated T itself")
+
+        monkeypatch.setattr(bl, "eval_T", counted)
+        monkeypatch.setattr(extraction, "eval_T", forbidden)
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert case.mu == mu and case.all_hold
+        # T(mu), B(mu) and L(mu), of sizes n, m and n - 1, once each
+        n, m = inst.t.n, inst.subspace.dim
+        assert sorted(at_mu) == sorted([(n, 0), (m, 0), (n - 1, 0)])
 
 
 class TestRandomPlantedNep:

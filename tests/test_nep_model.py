@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 from helpers import complex_randn, quotient_rule_derivative
 
+import nepritz.nep_model as nep_model
+from nepritz.dense_kernels import norm2, singular_values
 from nepritz.errors import PoleHit
 from nepritz.experiments import fixture_problem
 from nepritz.nep_model import (
+    PHI2_SERIES_RADIUS,
     Exponential,
     MatrixFunction,
     Polynomial,
@@ -150,6 +153,81 @@ class TestTaylorRemainder:
         ])
         assert taylor_remainder_const(t, 0.2, 0.5) == pytest.approx(0.0, abs=1e-13)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1e-7])
+    def test_linear_function_is_exactly_zero(self, radius):
+        # the matrix difference T(lam) - T(l*) - T'(l*) h read about
+        # u ||T|| / radius^2 here: 3.6e-9 at 1e-3 and 0.36 at 1e-7
+        rng = np.random.default_rng(1)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 3, 3)),
+            (Polynomial([0.5, 2.0 - 1.0j]), complex_randn(rng, 3, 3)),
+        ])
+        assert taylor_remainder_const(t, 0.2 + 0.3j, radius) == 0.0
+
+    @pytest.mark.parametrize("radius", [1e-9, 1e-3, 0.3, 10.0])
+    def test_quadratic_is_exactly_scaled_leading_norm(self, radius):
+        rng = np.random.default_rng(2)
+        a2 = complex_randn(rng, 4, 4)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 4, 4)),
+            (Polynomial([0, 1]), complex_randn(rng, 4, 4)),
+            (Polynomial([0, 0, 1]), a2),
+        ])
+        assert taylor_remainder_const(t, -0.4 + 0.7j, radius) == 1.5 * norm2(a2)
+
+    def test_matches_matrix_difference_loop(self):
+        # reference: 1.5 max ||T(lam) - T(l*) - T'(l*) h|| / |h|^2 over the
+        # same 3 x 16 samples, one full matrix and one 2-norm per sample; at
+        # this radius its cancellation error is far below the tolerance
+        rng = np.random.default_rng(3)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 3, 3)),
+            (Polynomial([0, 0, 1]), complex_randn(rng, 3, 3)),
+            (Polynomial([0, 0, 0, 1]), complex_randn(rng, 3, 3)),
+            (Rational([1.0], [-1.5, 1.0]), complex_randn(rng, 3, 3)),
+            (Exponential(-0.8 + 0.3j), complex_randn(rng, 3, 3)),
+        ])
+        lam, radius = 0.1 - 0.2j, 0.4
+        t0, t1 = eval_T(t, lam, 0), eval_T(t, lam, 1)
+        worst = 0.0
+        for r in (radius / 4, radius / 2, radius):
+            for k in range(16):
+                h = r * np.exp(2j * np.pi * k / 16)
+                rem = eval_T(t, lam + h, 0) - t0 - t1 * h
+                worst = max(worst, norm2(rem) / abs(h) ** 2)
+        assert taylor_remainder_const(t, lam, radius) == pytest.approx(1.5 * worst, rel=1e-12)
+
+    @pytest.mark.parametrize("nonlinear", [
+        Polynomial([0.3, -1.0, 0.5j]),
+        Exponential(-1.0),
+        Rational([1.0], [-2.0, 1.0]),
+    ])
+    def test_one_nonlinear_term_costs_one_norm(self, monkeypatch, nonlinear):
+        # affine terms drop out and every sample shares the direction (1)
+        rng = np.random.default_rng(4)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 5, 5)),
+            (Polynomial([0, 1]), complex_randn(rng, 5, 5)),
+            (nonlinear, complex_randn(rng, 5, 5)),
+        ])
+        norms, evals = [], []
+
+        def counted_svals(m):
+            out = singular_values(m)
+            norms.append(1 if np.ndim(m) == 2 else len(m))
+            return out
+
+        def counted_eval(*args):
+            evals.append(args)
+            return eval_T(*args)
+
+        monkeypatch.setattr(nep_model, "singular_values", counted_svals)
+        monkeypatch.setattr(nep_model, "eval_T", counted_eval)
+        monkeypatch.setattr(nep_model, "norm2", None)
+        gamma = taylor_remainder_const(t, 0.3 + 0.1j, 0.2)
+        assert gamma > 0
+        assert sum(norms) == 1 and evals == []
+
     def test_pure_quadratic(self):
         t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), np.eye(2, dtype=complex))])
         # remainder is exactly lam^2 I, so the ratio is 1 and the factor 1.5 shows
@@ -178,6 +256,68 @@ class TestTaylorRemainder:
         t = MatrixFunction.from_terms([(Polynomial([1]), np.eye(2, dtype=complex))])
         with pytest.raises(ValueError):
             taylor_remainder_const(t, 0.0, 0.5, samples=4)
+
+
+LAM_STAR = 0.2 + 0.1j
+_rng = np.random.default_rng(42)
+# every term class: polynomials of degree 0-5, a rational term with a pole
+# 0.5 from LAM_STAR, and exponentials with |a h| at |h| = 0.3 on both sides
+# of the series switch of phi_2
+SCALAR_TERMS = {
+    **{f"poly{d}": Polynomial(complex_randn(_rng, d + 1)) for d in range(6)},
+    "rational_pole": Rational([1.0, 0.5j, 2.0], [-(LAM_STAR + 0.5j), 1.0]),
+    "exp_series": Exponential(1.2 - 0.5j),
+    "exp_direct": Exponential(3.0 + 1.0j),
+}
+
+
+def direct_remainder(fn, lam, h):
+    """(f(lam + h) - f(lam) - f'(lam) h) / h^2 straight from the definition."""
+    return np.array([
+        (eval_fn(fn, lam + dh, 0) - eval_fn(fn, lam, 0) - eval_fn(fn, lam, 1) * dh) / dh**2
+        for dh in h
+    ])
+
+
+def is_affine(fn):
+    return isinstance(fn, Polynomial) and fn.degree <= 1
+
+
+class TestScalarRemainders:
+    def test_exponentials_straddle_series_switch(self):
+        steps = [abs(SCALAR_TERMS[k].scale) * 0.3 for k in ("exp_series", "exp_direct")]
+        assert steps[0] < PHI2_SERIES_RADIUS < steps[1]
+
+    @pytest.mark.parametrize("name", SCALAR_TERMS)
+    def test_agrees_with_direct_difference(self, name):
+        fn = SCALAR_TERMS[name]
+        h = 0.3 * np.exp(2j * np.pi * (np.arange(8) + 0.25) / 8)
+        got = fn.remainder(LAM_STAR, h)
+        want = direct_remainder(fn, LAM_STAR, h)
+        if is_affine(fn):
+            assert np.all(got == 0.0)
+            assert np.max(np.abs(want)) < 1e-13
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("name", SCALAR_TERMS)
+    def test_small_step_tends_to_half_second_derivative(self, name):
+        # the remainder is f''/2 + f''' h/6 + O(h^2); the h term is kept
+        # because |f'''/(3 f'')| h alone exceeds 1e-10 for several terms
+        fn = SCALAR_TERMS[name]
+        h = 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
+        got = fn.remainder(LAM_STAR, h)
+        limit = eval_fn(fn, LAM_STAR, 2) / 2
+        want = limit + eval_fn(fn, LAM_STAR, 3) * h / 6
+        if is_affine(fn):
+            assert limit == 0.0 and np.all(got == 0.0)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-10 * abs(limit))
+
+    def test_remainder_at_pole_raises(self):
+        fn = SCALAR_TERMS["rational_pole"]
+        with pytest.raises(PoleHit):
+            fn.remainder(LAM_STAR + 0.5j, np.array([0.1]))
 
 
 class TestReferencePair:

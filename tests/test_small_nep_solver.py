@@ -85,6 +85,20 @@ class TestPolynomialize:
         assert len(poles) == 1 and abs(poles[0]) < 1e-12
         assert companion_eigs(coeffs) == []
 
+    def test_corrupted_coefficient_fails_self_check(self, monkeypatch):
+        # the self-check compares P(lam) with q(lam) B(lam); an error of
+        # 1e-6 in one entry of B is far above its 1e-10 relative tolerance
+        b = fixture_projected()
+
+        def corrupted(fn, lam, order=0):
+            out = eval_T(fn, lam, order)
+            out[0, 1] += 1e-6
+            return out
+
+        monkeypatch.setattr(sns, "eval_T", corrupted)
+        with pytest.raises(RuntimeError, match="polynomialize self-check failed"):
+            polynomialize(b)
+
     def test_exponential_term_rejected(self):
         from nepritz.errors import UnsupportedTerm
         from nepritz.nep_model import Exponential
