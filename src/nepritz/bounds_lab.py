@@ -8,13 +8,13 @@ alpha) are estimated by disc sampling -- maxima get a 1.5x safety factor,
 minima none -- and the estimates are recorded so a report can be audited
 from its serialized form alone.
 
-Every bound is a formula over a few quantities of one case: T(l*) and its
-singular values, ||T'(l*)||, ||T(mu)||, the projected function B at l* and
-mu, the complement function L = X_perp^H T X_perp at l* and mu, and the
-remainder constants gamma, beta, gamma_B.  build_case_context derives each
-of them once into a frozen CaseContext, and the evaluators read them from
-there instead of re-evaluating T; a test that needs hand-picked constants
-applies dataclasses.replace to a built context.
+Every bound is a formula over a few quantities of one case: the deviation
+eps, T(l*) and its singular values, ||T'(l*)||, ||T(mu)||, the projected
+function B at l* and mu, the complement function L = X_perp^H T X_perp at
+l* and mu, and the remainder constants gamma, beta, gamma_B.
+build_case_context derives each of them once into a frozen CaseContext, and
+the evaluators read them from there instead of re-evaluating T; a test that
+needs hand-picked constants applies dataclasses.replace to a built context.
 
 Hypothesis violations raise HypothesisFailed (or a sibling of
 InapplicableBound); suite runners catch those and record the bound as
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .extraction import RefinedExtraction, RitzExtraction, sin_angle
 from .nep_model import MatrixFunction, eval_T, taylor_remainder_const
-from .projection import PerturbationWitness, Subspace
+from .projection import PerturbationWitness, Subspace, deviation
 
 DEFAULT_FLOOR = 1e-12
 SANDWICH_ABS_SLACK = 1e-8
@@ -149,7 +149,6 @@ def sigma_min_profile(
     lambda_star: complex,
     direction: complex = 1.0,
     max_order: int = 3,
-    h: float | None = None,
     disc_radius: float | None = None,
     tau_deriv: float = 1e-2,
 ) -> DerivativeProfile:
@@ -157,9 +156,10 @@ def sigma_min_profile(
 
     disc_radius is the radius of the disc over which the detected-order
     derivative is minimized to estimate alpha (callers pass |mu - l*|).  The
-    default step max(1e-3, disc_radius/10) is clamped so no stencil point
-    crosses the singular dip at distance disc_radius, where sigma_min kinks
-    and finite differences turn meaningless.
+    step max(1e-3, disc_radius/10) is clamped so no stencil point crosses
+    the singular dip at distance disc_radius, where sigma_min kinks and
+    finite differences turn meaningless; without a disc the step is 1e-3
+    and the disc 10 steps wide.
 
     B is evaluated once per distinct stencil offset, and the offsets share
     one batched singular-value call: the offset-0 singular values give
@@ -180,13 +180,10 @@ def sigma_min_profile(
         raise ValueError("disc_radius must be positive")
     if tau_deriv <= 0:
         raise ValueError("tau_deriv must be positive")
-    if h is None:
-        if disc_radius is None:
-            h = 1e-3
-        else:
-            h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
     if disc_radius is None:
-        disc_radius = 10.0 * h
+        h, disc_radius = 1e-3, 1e-2
+    else:
+        h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
 
     orders = range(0, max_order + 1)
     offsets = sorted({o for j in orders for o in _STENCILS[j]})
@@ -319,20 +316,22 @@ class CaseContext:
     L = X_perp^H T X_perp its compression against the complement of x_star.
     Compression keeps the scalar terms, so T, B and L share their poles and
     hence one remainder sampling radius.  gamma, beta and gamma_b are the
-    sampled second-order Taylor remainder constants of T, L and B.  T(mu)
-    and B(mu) are kept whole because the Ritz and refined extractions read
-    them too.
+    sampled second-order Taylor remainder constants of T, L and B.  T(l*),
+    B(l*), T(mu) and B(mu) are kept whole because the perturbation witness
+    and the Ritz and refined extractions read them too.
     """
 
     x_star: np.ndarray
+    eps: float                  # deviation of x_star from the subspace
     mu_dist: float              # r = |mu - lambda_star|
     radius: float               # remainder sampling radius
+    t_star: np.ndarray          # T(l*)
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
     t_mu: np.ndarray            # T(mu)
     norm_T_mu: float            # ||T(mu)||
     b_star: np.ndarray          # B(l*)
-    sigma_min_B_star: float
+    b_star_svals: np.ndarray    # singular values of B(l*), descending
     b_mu: np.ndarray            # B(mu)
     x_perp: np.ndarray          # n x (n-1) complement of x_star
     sigma_min_L_star: float     # sigma_min(L(l*))
@@ -343,18 +342,38 @@ class CaseContext:
     gamma_b: float
 
     @property
+    def eps_cos(self) -> float:
+        """sqrt(1 - eps^2), the cosine of the angle of x_star to the subspace."""
+        return math.sqrt(1.0 - self.eps**2)
+
+    @property
+    def eps_ratio(self) -> float:
+        """eps/sqrt(1-eps^2); times ||T(l*)|| it bounds ||E(l*)||, sigma_min(B(l*))."""
+        return self.eps / self.eps_cos
+
+    @property
     def norm_T_star(self) -> float:
         return float(self.t_star_svals[0])
 
+    @property
+    def norm_B_star(self) -> float:
+        return float(self.b_star_svals[0])
+
+    @property
+    def sigma_min_B_star(self) -> float:
+        return float(self.b_star_svals[-1])
+
 
 def build_case_context(
-    t: MatrixFunction, b: MatrixFunction, x_star, lambda_star: complex, mu: complex
+    t: MatrixFunction, s: Subspace, b: MatrixFunction, x_star,
+    lambda_star: complex, mu: complex,
 ) -> CaseContext:
-    """Evaluate T, B and L at lambda_star and mu once, plus the remainder constants.
+    """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
-    b must be a compression of t (``project(t, s)``), so that both share the
-    remainder radius.  The extractions at mu read T(mu) and B(mu) from the
-    context instead of evaluating them again.
+    b must be the projection of t onto s (``project(t, s)``), so that both
+    share the remainder radius.  The perturbation witness reads T(l*) and
+    B(l*), and the extractions at mu read T(mu) and B(mu), from the context
+    instead of evaluating them again.
     """
     if b.domain_poles != t.domain_poles:
         raise ValueError("b is not a compression of t: their poles differ")
@@ -362,18 +381,21 @@ def build_case_context(
     x = as_vector(x_star)
     x_perp, lfn = eigvec_complement_function(t, x)
     radius = remainder_radius(t, lam, mu)
+    t_star = eval_T(t, lam, 0)
     b_star = eval_T(b, lam, 0)
     t_mu = eval_T(t, mu, 0)
     return CaseContext(
         x_star=x,
+        eps=deviation(s, x),
         mu_dist=abs(mu - lam),
         radius=radius,
-        t_star_svals=singular_values(eval_T(t, lam, 0)),
+        t_star=t_star,
+        t_star_svals=singular_values(t_star),
         norm_T_prime=norm2(eval_T(t, lam, 1)),
         t_mu=t_mu,
         norm_T_mu=norm2(t_mu),
         b_star=b_star,
-        sigma_min_B_star=float(singular_values(b_star)[-1]),
+        b_star_svals=singular_values(b_star),
         b_mu=eval_T(b, mu, 0),
         x_perp=x_perp,
         sigma_min_L_star=float(singular_values(eval_T(lfn, lam, 0))[-1]),
@@ -393,32 +415,27 @@ def perturbation_norm_bound(
     ctx: CaseContext, witness: PerturbationWitness, slack: float | None = None
 ) -> BoundReport:
     """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the constructed witness."""
-    eps = witness.epsilon
-    lhs = norm2(witness.E_at_lambda_star)
-    rhs = eps / math.sqrt(1.0 - eps**2) * ctx.norm_T_star
+    rhs = ctx.eps_ratio * ctx.norm_T_star
     rel = 1e-10 if slack is None else slack
     return _report(
-        "perturbation_norm", lhs, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": eps, "norm_T_star": ctx.norm_T_star},
+        "perturbation_norm", witness.norm_E, rhs, rel, DEFAULT_FLOOR,
+        {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
     )
 
 
-def projected_sigma_bound(
-    ctx: CaseContext, epsilon: float, slack: float | None = None
-) -> BoundReport:
+def projected_sigma_bound(ctx: CaseContext, slack: float | None = None) -> BoundReport:
     """sigma_min(B(l*)) <= eps/sqrt(1-eps^2) ||T(l*)||."""
-    rhs = epsilon / math.sqrt(1.0 - epsilon**2) * ctx.norm_T_star
+    rhs = ctx.eps_ratio * ctx.norm_T_star
     rel = 1e-10 if slack is None else slack
     return _report(
         "projected_sigma_min", ctx.sigma_min_B_star, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": epsilon, "norm_T_star": ctx.norm_T_star},
+        {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
     )
 
 
 def ritz_value_bound(
     ctx: CaseContext,
     profile: DerivativeProfile | None,
-    epsilon: float,
     slack: float | None = None,
 ) -> BoundReport:
     """|mu - l*| <= (eps/sqrt(1-eps^2) * m! / alpha * ||T(l*)||)^(1/m).
@@ -426,11 +443,11 @@ def ritz_value_bound(
     m and alpha come from the derivative profile; when mu coincides with
     lambda_star the bound is a trivial 0 <= 0 and no profile is needed.
     """
-    r, t_norm = ctx.mu_dist, ctx.norm_T_star
+    r, t_norm, eps = ctx.mu_dist, ctx.norm_T_star, ctx.eps
     if r < 1e-13:
         return _report(
             "ritz_value_rate", r, 0.0, 0.0, DEFAULT_FLOOR,
-            {"epsilon": epsilon, "norm_T_star": t_norm, "m_mu": 0, "alpha": 0.0},
+            {"epsilon": eps, "norm_T_star": t_norm, "m_mu": 0, "alpha": 0.0},
         )
     if profile is None or profile.detected_m_mu is None:
         raise DegenerateSigma("no usable derivative signature at lambda_star")
@@ -438,13 +455,11 @@ def ritz_value_bound(
     alpha = profile.alpha_estimate
     if alpha is None or alpha <= 0.0:
         raise DegenerateSigma("derivative floor alpha vanished over the disc")
-    rhs = (
-        epsilon / math.sqrt(1.0 - epsilon**2) * math.factorial(m) / alpha * t_norm
-    ) ** (1.0 / m)
+    rhs = (ctx.eps_ratio * math.factorial(m) / alpha * t_norm) ** (1.0 / m)
     rel = RATE_REL_SLACK if slack is None else slack
     return _report(
         "ritz_value_rate", r, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": epsilon, "norm_T_star": t_norm, "m_mu": m, "alpha": alpha,
+        {"epsilon": eps, "norm_T_star": t_norm, "m_mu": m, "alpha": alpha,
          "profile_h": profile.h},
     )
 
@@ -480,7 +495,6 @@ def residual_angle_bound(
 def ritz_vector_angle_bound(
     ctx: CaseContext,
     ritz: RitzExtraction,
-    epsilon: float,
     slack: float | None = None,
 ) -> BoundReport:
     """A-priori angle bound for a *simple* extracted vector.
@@ -503,22 +517,20 @@ def ritz_vector_angle_bound(
     sig_c = float(singular_values(c_star)[-1])
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
-    r, t_norm, tprime = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime
-    denom = math.sqrt(1.0 - epsilon**2)
+    r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
     lhs = sin_angle(ctx.x_star, ritz.x_tilde)
-    rhs = (1.0 + t_norm / (denom * sig_c)) * epsilon + tprime * r / sig_c
+    rhs = (1.0 + t_norm / (ctx.eps_cos * sig_c)) * eps + tprime * r / sig_c
     rel = slack if slack is not None else \
         10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
     return _report(
         "ritz_vector_angle", lhs, rhs, rel, DEFAULT_FLOOR,
-        {"epsilon": epsilon, "norm_T_star": t_norm, "norm_T_prime": tprime,
+        {"epsilon": eps, "norm_T_star": t_norm, "norm_T_prime": tprime,
          "mu_dist": r, "sigma_min_C_star": sig_c, "gamma_B": ctx.gamma_b},
     )
 
 
 def refined_bounds(
     ctx: CaseContext,
-    epsilon: float,
     refined: RefinedExtraction,
     slack: float | None = None,
 ) -> list[BoundReport]:
@@ -533,8 +545,8 @@ def refined_bounds(
     a ||T(mu) x*||-sized term the stated bound folds away; the slack
     (||T'(l*)|| r + 10 gamma r^2) / lower-estimate absorbs it.
     """
-    r, gamma, beta = ctx.mu_dist, ctx.gamma, ctx.beta
-    denom = math.sqrt(1.0 - epsilon**2)
+    r, gamma, beta, eps = ctx.mu_dist, ctx.gamma, ctx.beta, ctx.eps
+    denom = ctx.eps_cos
     lower_est = ctx.sigma_min_L_star - ctx.norm_L_prime * r - beta * r**2
     if lower_est <= 0.0:
         raise HypothesisFailed(
@@ -542,9 +554,9 @@ def refined_bounds(
             "hypothesis fails at this distance"
         )
     tprime = ctx.norm_T_prime
-    numerator = ctx.norm_T_mu * epsilon + tprime * r + gamma * r**2
+    numerator = ctx.norm_T_mu * eps + tprime * r + gamma * r**2
     inter = {
-        "epsilon": epsilon, "mu_dist": r, "norm_T_mu": ctx.norm_T_mu,
+        "epsilon": eps, "mu_dist": r, "norm_T_mu": ctx.norm_T_mu,
         "norm_T_prime": tprime, "gamma": gamma, "beta": beta,
         "sigma_min_L_star": ctx.sigma_min_L_star, "norm_L_prime": ctx.norm_L_prime,
         "sigma_min_L_lower_est": lower_est,

@@ -51,7 +51,6 @@ _GLOBAL_DEFAULTS = {
     "tau_deriv": 1e-2,
     "json": None,
     "csv": None,
-    "grid_density": 12,
     "sigma": 1e-4,
     "seeds": 20,
     "seed_base": 42,
@@ -202,7 +201,6 @@ def _cmd_sweep(cfg: dict) -> int:
         seed_base=int(cfg["seed_base"]),
         slack=cfg["slack"],
         tau_deriv=float(cfg["tau_deriv"]),
-        grid_density=int(cfg["grid_density"]),
         target=target,
     )
     print(f"slope |mu - lambda*| vs eps: {result['slope_mu']:.3f}")
@@ -237,16 +235,16 @@ def _cmd_verify_all(cfg: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    common.add_argument("--selection", type=_parse_selection,
-                        help="oracle | target=<complex>")
     common.add_argument("--slack", type=float,
                         help="override the relative slack of every bound check")
     common.add_argument("--tau-deriv", dest="tau_deriv", type=float,
                         help="derivative-signature detection threshold")
     common.add_argument("--json", help="write the result document to this path")
     common.add_argument("--csv", help="write one CSV row per record, check or report")
-    common.add_argument("--grid-density", dest="grid_density", type=int,
-                        help="Newton grid density for exponential problems")
+    # only example1 and sweep select among several Ritz values
+    selection = argparse.ArgumentParser(add_help=False)
+    selection.add_argument("--selection", type=_parse_selection,
+                           help="oracle | target=<complex>")
 
     p = argparse.ArgumentParser(
         prog="nepritz",
@@ -254,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("example1", parents=[common],
+    sub.add_parser("example1", parents=[common, selection],
                    help="exact-capture degenerate projection checks")
 
     p2 = sub.add_parser("example2", parents=[common],
@@ -263,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p2.add_argument("--seeds", type=int, help="number of seeds")
     p2.add_argument("--seed-base", dest="seed_base", type=int)
 
-    p3 = sub.add_parser("sweep", parents=[common], help="deviation sweep on a problem")
+    p3 = sub.add_parser("sweep", parents=[common, selection],
+                        help="deviation sweep on a problem")
     p3.add_argument("--problem", help="problem JSON file")
     p3.add_argument("--eps", type=_parse_eps_list, help="comma-separated deviations")
     p3.add_argument("--trials", type=int)

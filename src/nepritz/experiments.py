@@ -170,8 +170,6 @@ class CaseResult:
     sin_refined: float
     sin_between: float
     spectrum: SpectrumResult
-    gamma: float
-    beta: float
     reports: list[bl.BoundReport] = field(default_factory=list)
     inapplicable: list[tuple[str, str]] = field(default_factory=list)
 
@@ -195,7 +193,6 @@ def analyze_case(
     target: complex | None = None,
     slack: float | None = None,
     tau_deriv: float = 1e-2,
-    grid_density: int = 12,
 ) -> CaseResult:
     """Project, solve, extract both vectors, and evaluate every bound.
 
@@ -205,7 +202,6 @@ def analyze_case(
     """
     lam_star = ref.lambda_star
     center = lam_star if region_center is None else complex(region_center)
-    eps = deviation(s, ref.x_star)
     b = project(t, s)
     # shrink the region slightly if a pole sits on its boundary circle
     radius = float(region_radius)
@@ -213,12 +209,12 @@ def analyze_case(
         if all(abs(abs(p - center) - radius) > 1e-6 for p in b.domain_poles):
             break
         radius *= 0.97
-    spectrum = solve_projected(b, center, radius, grid_density=grid_density)
+    spectrum = solve_projected(b, center, radius)
     if target is None:
         mu = select_ritz_value(spectrum, lambda_star=lam_star)
     else:
         mu = select_ritz_value(spectrum, target=target)
-    ctx = bl.build_case_context(t, b, ref.x_star, lam_star, mu)
+    ctx = bl.build_case_context(t, s, b, ref.x_star, lam_star, mu)
     ritz = ritz_vector(ctx.t_mu, ctx.b_mu, mu, s)
     refined = refined_vector(ctx.t_mu, mu, s)
     r = ctx.mu_dist
@@ -237,11 +233,11 @@ def analyze_case(
         else:
             reports.append(out)
 
-    witness = perturbation_witness(t, s, ref)
+    witness = perturbation_witness(ctx, s)
     run("perturbation_norm",
         lambda: bl.perturbation_norm_bound(ctx, witness, slack=slack))
     run("projected_sigma_min",
-        lambda: bl.projected_sigma_bound(ctx, eps, slack=slack))
+        lambda: bl.projected_sigma_bound(ctx, slack=slack))
 
     def rate_bound():
         profile = None
@@ -250,7 +246,7 @@ def analyze_case(
                 b, lam_star, direction=(mu - lam_star) / r,
                 max_order=PROFILE_MAX_ORDER, disc_radius=r, tau_deriv=tau_deriv,
             )
-        return bl.ritz_value_bound(ctx, profile, eps, slack=slack)
+        return bl.ritz_value_bound(ctx, profile, slack=slack)
 
     run("ritz_value_rate", rate_bound)
     run("residual_to_angle_ritz",
@@ -262,9 +258,9 @@ def analyze_case(
             ctx, refined.x_hat, refined.sigma_hat_1, slack=slack,
             theorem_id="residual_to_angle_refined"))
     run("ritz_vector_angle",
-        lambda: bl.ritz_vector_angle_bound(ctx, ritz, eps, slack=slack))
+        lambda: bl.ritz_vector_angle_bound(ctx, ritz, slack=slack))
     run("refined_residual",
-        lambda: bl.refined_bounds(ctx, eps, refined, slack=slack))
+        lambda: bl.refined_bounds(ctx, refined, slack=slack))
     run("refined_uniqueness",
         lambda: bl.refined_uniqueness_check(ctx, refined, slack=slack))
     run("angle_sandwich",
@@ -273,7 +269,7 @@ def analyze_case(
         lambda: bl.residual_ratio_sandwich(ritz, refined, slack=slack))
 
     return CaseResult(
-        epsilon=eps,
+        epsilon=ctx.eps,
         mu=mu,
         mu_dist=r,
         ritz=ritz,
@@ -282,8 +278,6 @@ def analyze_case(
         sin_refined=sin_angle(ref.x_star, refined.x_hat),
         sin_between=sin_angle(ritz.x_tilde, refined.x_hat),
         spectrum=spectrum,
-        gamma=ctx.gamma,
-        beta=ctx.beta,
         reports=reports,
         inapplicable=inapplicable,
     )
@@ -557,7 +551,6 @@ def run_sweep(
     subspace_factory=None,
     slack: float | None = None,
     tau_deriv: float = 1e-2,
-    grid_density: int = 12,
     target: complex | None = None,
 ) -> dict:
     """Deviation sweep: records, bound verdicts, and log-log rate fits.
@@ -581,7 +574,7 @@ def run_sweep(
                 s = subspace_factory(eps, seed)
             try:
                 case = analyze_case(t, ref, s, target=target, slack=slack,
-                                    tau_deriv=tau_deriv, grid_density=grid_density)
+                                    tau_deriv=tau_deriv)
             except NepRitzError as exc:
                 failures.append(f"eps={eps} seed={seed}: {type(exc).__name__}: {exc}")
                 continue

@@ -23,6 +23,8 @@ from .errors import PoleHit
 
 MAX_POLY_DEGREE = 32
 MAX_DERIV_ORDER = 8
+# points per circle of the Taylor-remainder estimate
+REMAINDER_SAMPLES = 16
 # phi_2(z) = (e^z - 1 - z)/z^2 comes from its Taylor series below this |z|;
 # 17 terms leave a truncation error under 1e-20 there
 PHI2_SERIES_RADIUS = 0.5
@@ -267,14 +269,12 @@ def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
     return out
 
 
-def taylor_remainder_const(
-    t: MatrixFunction, lambda_star: complex, radius: float, samples: int = 16
-) -> float:
+def taylor_remainder_const(t: MatrixFunction, lambda_star: complex, radius: float) -> float:
     """Estimate a uniform bound on the second-order Taylor remainder.
 
     Takes the largest ||T(lam) - T(l*) - T'(l*) h|| / |h|^2, h = lam - l*,
-    over `samples` points on each of three concentric circles (radius/4,
-    radius/2, radius) and returns 1.5x it.  The 1.5 safety factor
+    over REMAINDER_SAMPLES points on each of three concentric circles
+    (radius/4, radius/2, radius) and returns 1.5x it.  The 1.5 safety factor
     compensates for angular gaps between samples and is recorded by callers
     in their reports.
 
@@ -282,22 +282,20 @@ def taylor_remainder_const(
     remainders of the terms, which are exact rather than differences of
     matrices: a linear T gives exactly 0, with no u ||T|| / radius^2
     cancellation floor.  Terms whose rho_i is zero at every sample (the
-    affine ones, where it vanishes identically) are dropped.  Each sample's row c = (rho_i(h)) is written as
-    piv * d with piv its entry of largest modulus, so
-    ||sum c_i A_i|| = |piv| ||sum d_i A_i||, and samples with the same
-    direction d share one 2-norm; the directions a circle adds go through
-    one batched singular-value call.  With one nonlinear term every d is
-    (1), and the estimate costs a single 2-norm.
+    affine ones, where it vanishes identically) are dropped.  Each sample's
+    row c = (rho_i(h)) is written as piv * d with piv its entry of largest
+    modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||, and samples with
+    the same direction d share one 2-norm; the directions a circle adds go
+    through one batched singular-value call.  With one nonlinear term every
+    d is (1), and the estimate costs a single 2-norm.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if samples < 8:
-        raise ValueError("need at least 8 samples per circle")
     lambda_star = complex(lambda_star)
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
             raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
-    unit = np.exp(2j * np.pi * np.arange(samples) / samples)
+    unit = np.exp(2j * np.pi * np.arange(REMAINDER_SAMPLES) / REMAINDER_SAMPLES)
     h = np.concatenate([r * unit for r in (radius / 4.0, radius / 2.0, radius)])
     rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
     kept = np.flatnonzero(np.any(rho != 0, axis=0))

@@ -31,6 +31,8 @@ PENCIL_DIM_MAX = 64
 CLUSTER_RADIUS = 1e-8
 SIGMA_ACCEPT = 1e-8
 POLE_GUARD = 1e-8
+# Newton starting points per side of the square grid over the region disc
+GRID_DENSITY = 12
 
 
 @dataclass(frozen=True)
@@ -189,17 +191,14 @@ def newton_trace_refine(
     raise NonConverged(f"no convergence after {max_iter} Newton steps (from {lam0})")
 
 
-def _grid_seeds(center: complex, radius: float, density: int) -> list[complex]:
-    ticks = np.linspace(-radius, radius, density)
+def _grid_seeds(center: complex, radius: float) -> list[complex]:
+    ticks = np.linspace(-radius, radius, GRID_DENSITY)
     seeds = [center + complex(x, y) for x in ticks for y in ticks]
     return [z for z in seeds if abs(z - center) <= radius]
 
 
 def solve_projected(
-    b: MatrixFunction,
-    region_center: complex,
-    region_radius: float,
-    grid_density: int = 12,
+    b: MatrixFunction, region_center: complex, region_radius: float
 ) -> SpectrumResult:
     """Find the eigenvalues of B inside a closed disc.
 
@@ -225,7 +224,7 @@ def solve_projected(
             "companion-rationalized" if poles else "companion-polynomial"
         )
     except UnsupportedTerm:
-        raw = _grid_seeds(center, radius, grid_density)
+        raw = _grid_seeds(center, radius)
         poles = list(b.domain_poles)
         method = "newton-only"
 

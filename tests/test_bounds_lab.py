@@ -42,9 +42,9 @@ def jordan_block(mu, k):
 def fixture_context(mu=0.0, x_star=None, w=None):
     """Context of the fixture problem at lambda* = 0 and the given mu."""
     t, ref, w_fix = fixture_problem()
-    b = project(t, Subspace.from_basis(w_fix if w is None else w))
+    s = Subspace.from_basis(w_fix if w is None else w)
     return bl.build_case_context(
-        t, b, ref.x_star if x_star is None else x_star, 0.0, mu)
+        t, s, project(t, s), ref.x_star if x_star is None else x_star, 0.0, mu)
 
 
 def fixture_perturbed_case(seed=0, sigma=1e-4):
@@ -125,7 +125,7 @@ class TestSigmaMinProfile:
         assert prof.detected_m_mu is None
         assert prof.alpha_estimate is None
         with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(fixture_context(mu=1e-2), prof, 1e-4)
+            bl.ritz_value_bound(replace(fixture_context(mu=1e-2), eps=1e-4), prof)
 
 
 class TestJordanBlockOrder:
@@ -179,7 +179,8 @@ class TestSchurComplement:
 
     def test_linear_diagonal(self):
         t = linear_fn(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        ctx = bl.build_case_context(t, t, np.array([1, 0, 0], dtype=complex), 1.0, 1.0)
+        full = Subspace.from_basis(np.eye(3, dtype=complex))
+        ctx = bl.build_case_context(t, full, t, np.array([1, 0, 0], dtype=complex), 1.0, 1.0)
         lmat = ctx.x_perp.conj().T @ eval_T(t, 1.0, 0) @ ctx.x_perp
         assert np.allclose(sorted(np.abs(np.diag(lmat))), [1.0, 2.0], atol=1e-12)
         assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
@@ -194,27 +195,25 @@ class TestSchurComplement:
 
 class TestPerturbationBounds:
     def test_exact_capture_trivial(self):
-        t, ref, w = fixture_problem()
-        s = Subspace.from_basis(w)
-        wit = perturbation_witness(t, s, ref)
-        rep = bl.perturbation_norm_bound(fixture_context(), wit)
+        _, _, w = fixture_problem()
+        ctx = fixture_context()
+        wit = perturbation_witness(ctx, Subspace.from_basis(w))
+        rep = bl.perturbation_norm_bound(ctx, wit)
         assert rep.holds and rep.lhs <= 1e-13 and rep.rhs == 0.0
 
     def test_perturbed_fixture_holds(self):
         t, ref, s, case = fixture_perturbed_case(seed=1)
-        wit = perturbation_witness(t, s, ref)
-        ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, case.mu)
-        rep = bl.perturbation_norm_bound(ctx, wit)
+        ctx = bl.build_case_context(t, s, project(t, s), ref.x_star, 0.0, case.mu)
+        rep = bl.perturbation_norm_bound(ctx, perturbation_witness(ctx, s))
         assert rep.holds and rep.margin >= 0.0
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
     def test_eps_sweep_both_bounds(self, eps):
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, eps, seed=13)
-        wit = perturbation_witness(t, s, ref)
-        ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, 0.0)
-        assert bl.perturbation_norm_bound(ctx, wit).holds
-        assert bl.projected_sigma_bound(ctx, wit.epsilon).holds
+        ctx = bl.build_case_context(t, s, project(t, s), ref.x_star, 0.0, 0.0)
+        assert bl.perturbation_norm_bound(ctx, perturbation_witness(ctx, s)).holds
+        assert bl.projected_sigma_bound(ctx).holds
 
     def test_projected_sigma_rhs_closed_form(self):
         # rhs is exactly eps/sqrt(1-eps^2) * ||T(l*)||, so scaled deviations
@@ -223,8 +222,8 @@ class TestPerturbationBounds:
         rhs = {}
         for eps in (1e-3, 1e-5):
             s = build_subspace_eps(ref.x_star, 2, eps, seed=13)
-            ctx = bl.build_case_context(t, project(t, s), ref.x_star, 0.0, 0.0)
-            rep = bl.projected_sigma_bound(ctx, eps)
+            ctx = bl.build_case_context(t, s, project(t, s), ref.x_star, 0.0, 0.0)
+            rep = bl.projected_sigma_bound(replace(ctx, eps=eps))
             rhs[eps] = rep.rhs / (eps / math.sqrt(1 - eps**2))
             assert rep.holds
         assert rhs[1e-3] == pytest.approx(rhs[1e-5], rel=1e-12)
@@ -232,7 +231,7 @@ class TestPerturbationBounds:
 
 class TestRitzValueBound:
     def test_trivial_when_mu_equals_target(self):
-        rep = bl.ritz_value_bound(fixture_context(), None, 0.0)
+        rep = bl.ritz_value_bound(fixture_context(), None)
         assert rep.holds and rep.lhs == 0.0
 
     def test_simple_case_holds(self):
@@ -245,7 +244,7 @@ class TestRitzValueBound:
 
     def test_missing_profile_raises(self):
         with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(fixture_context(mu=1e-3), None, 1e-4)
+            bl.ritz_value_bound(replace(fixture_context(mu=1e-3), eps=1e-4), None)
 
 
 class TestResidualAngleBound:
@@ -286,7 +285,7 @@ class TestRitzVectorAngleBound:
         b = project(t, s)
         ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
         with pytest.raises(HypothesisFailed):
-            bl.ritz_vector_angle_bound(fixture_context(), ritz, 0.0)
+            bl.ritz_vector_angle_bound(fixture_context(), ritz)
 
     def test_perturbed_fixture_holds_and_explains(self):
         t, ref, s, case = fixture_perturbed_case(seed=4)
@@ -315,7 +314,7 @@ class TestRefinedBounds:
         s = Subspace.from_basis(w)
         refined = refined_vector(eval_T(t, 0.0), 0.0, s)
         ctx = replace(fixture_context(), gamma=1.0, beta=1.0)
-        reports = bl.refined_bounds(ctx, 0.0, refined)
+        reports = bl.refined_bounds(ctx, refined)
         assert all(r.holds for r in reports)
         res = next(r for r in reports if r.theorem_id == "refined_residual")
         ang = next(r for r in reports if r.theorem_id == "refined_angle")
@@ -337,7 +336,7 @@ class TestRefinedBounds:
         ctx = replace(fixture_context(mu=0.9), gamma=1.0, beta=10.0)
         with pytest.raises(HypothesisFailed):
             # |mu - l*| approx 0.9 with beta large: lower estimate goes negative
-            bl.refined_bounds(ctx, 0.0, refined)
+            bl.refined_bounds(ctx, refined)
 
 
 class TestUniquenessCheck:

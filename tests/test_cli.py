@@ -115,6 +115,28 @@ class TestVerifyAllCommand:
             main(["verify-all", "--suite", "gigantic"])
 
 
+class TestFlagScope:
+    # --selection means something only where a Ritz value is selected, and
+    # the Newton grid density is a fixed constant of the solver
+    @pytest.mark.parametrize("argv", [
+        ["example2", "--selection", "target=5"],
+        ["verify-all", "--selection", "target=0.5"],
+        ["sweep", "--grid-density", "12"],
+        ["verify-all", "--grid-density", "12"],
+    ])
+    def test_flag_rejected_as_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_grid_density_config_key_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_density": 12}))
+        with pytest.raises(SystemExit, match="grid_density"):
+            main(["example1", "--config", str(cfg)])
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -207,6 +207,37 @@ class TestAnalyzeCase:
         n, m = inst.t.n, inst.subspace.dim
         assert sorted(at_mu) == sorted([(n, 0), (m, 0), (n - 1, 0)])
 
+    def test_target_quantities_are_derived_once(self, monkeypatch):
+        # T(l*), T'(l*) and eps live in the case context; the witness and
+        # the bound evaluators read them from there
+        import sys
+
+        import nepritz.bounds_lab as bl
+        import nepritz.projection as projection
+
+        inst = ex.builtin_suite()[0]
+        n, lam = inst.t.n, inst.ref.lambda_star
+        t_at_star, deviations = [], []
+
+        def counted_eval(fn, z, order=0):
+            if fn.n == n and z == lam:
+                t_at_star.append(order)
+            return eval_T(fn, z, order)
+
+        def counted_deviation(*args):
+            deviations.append(args)
+            return deviation(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("nepritz") and hasattr(mod, "eval_T"):
+                monkeypatch.setattr(mod, "eval_T", counted_eval)
+        for mod in (bl, projection, ex):
+            monkeypatch.setattr(mod, "deviation", counted_deviation)
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert case.all_hold
+        assert sorted(t_at_star) == [0, 1]
+        assert len(deviations) == 1
+
 
 class TestRandomPlantedNep:
     @pytest.mark.parametrize("name,n,degree,seed,lam,pole,m", ex._SUITE_BASES)
@@ -282,7 +313,8 @@ class TestVerifyAll:
         ])
         x_star = np.array([1, 0, 0], dtype=complex)
         mu = 0.05
-        ctx = bl.build_case_context(t, t, x_star, 0.0, mu)
+        full = Subspace.from_basis(np.eye(3, dtype=complex))
+        ctx = bl.build_case_context(t, full, t, x_star, 0.0, mu)
         x_perp, t_mu = ctx.x_perp, eval_T(t, mu, 0)
         w = np.linalg.solve(x_perp.conj().T @ t_mu @ x_perp,
                             x_perp.conj().T @ t_mu @ x_star)

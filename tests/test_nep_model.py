@@ -252,11 +252,6 @@ class TestTaylorRemainder:
         with pytest.raises(PoleHit):
             taylor_remainder_const(t, 0.0, 1.5)
 
-    def test_sample_guard(self):
-        t = MatrixFunction.from_terms([(Polynomial([1]), np.eye(2, dtype=complex))])
-        with pytest.raises(ValueError):
-            taylor_remainder_const(t, 0.0, 0.5, samples=4)
-
 
 LAM_STAR = 0.2 + 0.1j
 _rng = np.random.default_rng(42)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from helpers import complex_randn
 
+from nepritz.bounds_lab import build_case_context
 from nepritz.dense_kernels import norm2, orthonormalize, singular_values
 from nepritz.errors import DegenerateDeviation
 from nepritz.experiments import build_subspace_eps, fixture_problem
@@ -14,6 +15,13 @@ from nepritz.projection import (
     perturbation_witness,
     project,
 )
+
+
+def witness_case(t, s, ref):
+    """(witness, context) of the target pair at mu = lambda_star."""
+    lam = ref.lambda_star
+    ctx = build_case_context(t, s, project(t, s), ref.x_star, lam, lam)
+    return perturbation_witness(ctx, s), ctx
 
 
 def random_subspace(n, m, seed):
@@ -120,8 +128,8 @@ class TestProject:
 class TestPerturbationWitness:
     def test_exact_capture_gives_zero_witness(self):
         t, ref, w = fixture_problem()
-        wit = perturbation_witness(t, Subspace.from_basis(w), ref)
-        assert wit.epsilon == 0.0
+        wit, ctx = witness_case(t, Subspace.from_basis(w), ref)
+        assert ctx.eps == 0.0
         assert norm2(wit.E_at_lambda_star) < 1e-14
         assert np.linalg.norm(wit.residual) < 1e-14
 
@@ -130,20 +138,21 @@ class TestPerturbationWitness:
 
         t, ref, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=3)
-        wit = perturbation_witness(t, s, ref)
+        wit, ctx = witness_case(t, s, ref)
         t_norm = float(singular_values(eval_T(t, 0.0, 0))[0])
         assert t_norm == pytest.approx(1.0, abs=1e-12)
-        bound = wit.epsilon / math.sqrt(1 - wit.epsilon**2) * t_norm
+        bound = ctx.eps / math.sqrt(1 - ctx.eps**2) * t_norm
         assert np.linalg.norm(wit.residual) <= bound + 1e-12
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
     def test_norm_bound_across_deviations(self, eps):
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, eps, seed=7)
-        wit = perturbation_witness(t, s, ref)
+        wit, ctx = witness_case(t, s, ref)
         t_norm = norm2(eval_T(t, ref.lambda_star, 0))
-        rhs = wit.epsilon / math.sqrt(1 - wit.epsilon**2) * t_norm
+        rhs = ctx.eps / math.sqrt(1 - ctx.eps**2) * t_norm
         assert norm2(wit.E_at_lambda_star) <= rhs + 1e-12
+        assert wit.norm_E == norm2(wit.E_at_lambda_star)
         # the projected function is this close to singular at the target
         smin = float(singular_values(
             eval_T(project(t, s), ref.lambda_star, 0))[-1])
@@ -156,4 +165,4 @@ class TestPerturbationWitness:
         s = Subspace.from_basis(w)
         ref = ReferencePair(0.0, np.array([0, 0, 1], dtype=complex))
         with pytest.raises(DegenerateDeviation):
-            perturbation_witness(t, s, ref)
+            witness_case(t, s, ref)
