@@ -46,6 +46,7 @@ from .experiments import (
     fit_loglog_slope,
     perturb_subspace,
     run_example1,
+    run_example1_target,
     run_example2,
     run_sweep,
     simple_rate_instance,
@@ -66,6 +67,7 @@ from .nep_model import (
     Rational,
     ReferencePair,
     eval_T,
+    eval_T_many,
     eval_fn,
     load_problem,
     save_problem,

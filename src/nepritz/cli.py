@@ -70,6 +70,10 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(merged)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        # the key follows its flag, which only some subcommands declare
+        if "selection" in loaded and not hasattr(args, "selection"):
+            raise argparse.ArgumentTypeError(
+                f"selection is not an option of {args.command}")
         merged.update(loaded)
     for key in merged:
         val = getattr(args, key, None)
@@ -139,25 +143,13 @@ def _record_rows(records: list[dict]) -> list[dict]:
 def _cmd_example1(cfg: dict) -> int:
     mode, target = cfg["selection"]
     if mode == "target":
-        # full-space variant: the projected spectrum has two points to choose from
-        import numpy as np
-
-        from .projection import Subspace
-
-        t, ref, _ = ex.fixture_problem()
-        s = Subspace.from_basis(np.eye(3, dtype=complex))
-        case = ex.analyze_case(t, ref, s, region_center=target, region_radius=1.0,
-                               target=target, slack=cfg["slack"])
-        doc = {
-            "ok": True,
-            "mu": [case.mu.real, case.mu.imag],
-            "sin_refined": case.sin_refined,
-            "verdicts": case.verdicts(),
-        }
-        print(f"selected value {case.mu:.6g} for target {target:.6g}")
-        row = {"mu_re": repr(case.mu.real), "mu_im": repr(case.mu.imag),
-               "sin_refined": repr(case.sin_refined)}
-        row.update(_verdict_columns(case.verdicts()))
+        doc = ex.run_example1_target(target, slack=cfg["slack"],
+                                     tau_deriv=float(cfg["tau_deriv"]))
+        mu_re, mu_im = doc["mu"]
+        print(f"selected value {complex(mu_re, mu_im):.6g} for target {target:.6g}")
+        row = {"mu_re": repr(mu_re), "mu_im": repr(mu_im),
+               "sin_refined": repr(doc["sin_refined"])}
+        row.update(_verdict_columns(doc["verdicts"]))
         _emit(doc, cfg["json"], cfg["csv"], [row])
         return 0
     result = ex.run_example1(slack=cfg["slack"], tau_deriv=float(cfg["tau_deriv"]))

@@ -187,25 +187,51 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False).astype(float)
 
 
+def near_singular(s) -> np.ndarray:
+    """solve_linear's singularity test, sigma_min <= 1e-14 * sigma_max.
+
+    s holds descending singular values along its last axis, so a stack of
+    them gets one flag per matrix.
+    """
+    s = np.asarray(s)
+    return s[..., -1] <= 1e-14 * s[..., 0]
+
+
+def solve_with_svals(a: np.ndarray, rhs: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = B and run solve_linear's residual check from A's singular values.
+
+    A is one square matrix, with B a vector or a matrix of right-hand sides,
+    or a stack (k, m, m) with B of shape (k, m, r).  s are A's descending
+    singular values, so ||A|| = s[..., 0] needs no decomposition here.
+    Returns X and, per system, whether every column passes
+    ||A x - b|| <= 1e-10 (||A|| ||x|| + ||b||).  The caller has already
+    ruled out near_singular(s).
+    """
+    x = np.linalg.solve(a, rhs)
+    axis = -1 if rhs.ndim < a.ndim else -2
+    res = np.linalg.norm(a @ x - rhs, axis=axis)
+    tol = 1e-10 * (np.asarray(s)[..., :1] * np.linalg.norm(x, axis=axis)
+                   + np.linalg.norm(rhs, axis=axis))
+    return x, ~np.any(res > tol, axis=-1)
+
+
 def solve_linear(m, b) -> np.ndarray:
     """Solve M X = B for square M that is not numerically singular.
 
     B is one right-hand side (a vector) or several (the columns of a matrix);
     the result has B's shape.  One set of singular values serves both the
-    singularity test, which raises NearSingular when
-    sigma_min(M) <= 1e-14 * sigma_max(M), and the per-column residual check
-    ||M x - b|| <= 1e-10 (||M|| ||x|| + ||b||), which reads ||M|| = sigma_max.
+    singularity test, which raises NearSingular when near_singular holds,
+    and the residual check of solve_with_svals, which raises
+    ConvergenceFailure.
     """
     a = as_matrix(m)
     rhs = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)
     if a.shape[0] != a.shape[1] or a.shape[0] != rhs.shape[0]:
         raise ValueError("incompatible shapes in solve_linear")
     s = singular_values(a)
-    if s[-1] <= 1e-14 * s[0]:
+    if near_singular(s):
         raise NearSingular(f"sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}")
-    x = np.linalg.solve(a, rhs)
-    res = np.linalg.norm(a @ x - rhs, axis=0)
-    tol = 1e-10 * (s[0] * np.linalg.norm(x, axis=0) + np.linalg.norm(rhs, axis=0))
-    if np.any(res > tol):
+    x, ok = solve_with_svals(a, rhs, s)
+    if not ok:
         raise ConvergenceFailure("linear solve residual check failed")
     return x

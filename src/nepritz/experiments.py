@@ -336,6 +336,26 @@ def run_example1(slack: float | None = None, tau_deriv: float = 1e-2) -> dict:
     }
 
 
+def run_example1_target(
+    target: complex, slack: float | None = None, tau_deriv: float = 1e-2
+) -> dict:
+    """The fixture in the full space, selecting the Ritz value nearest target.
+
+    Projected onto the whole space, the fixture keeps both of its eigenvalues
+    -1 and 0 in a unit disc around the target, so the selection has a choice.
+    """
+    t, ref, _ = fixture_problem()
+    s = Subspace.from_basis(np.eye(3, dtype=complex))
+    case = analyze_case(t, ref, s, region_center=target, region_radius=1.0,
+                        target=target, slack=slack, tau_deriv=tau_deriv)
+    return {
+        "ok": True,
+        "mu": [case.mu.real, case.mu.imag],
+        "sin_refined": case.sin_refined,
+        "verdicts": case.verdicts(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # canned experiment 2: perturbed subspace statistics
 # ---------------------------------------------------------------------------

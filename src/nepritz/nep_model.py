@@ -57,11 +57,22 @@ class Polynomial:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
-    def eval(self, lam: complex, order: int = 0) -> complex:
+    def _derivative(self, order: int) -> np.ndarray:
         c = self.coefficients
         for _ in range(order):
             c = npoly.polyder(c)
-        return complex(npoly.polyval(lam, c))
+        return c
+
+    def eval(self, lam: complex, order: int = 0) -> complex:
+        return complex(npoly.polyval(lam, self._derivative(order)))
+
+    def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
+        """eval at each point of lams: npoly.polyval's Horner steps with scalar products."""
+        c = self._derivative(order)
+        acc = np.full(lams.shape, c[-1], dtype=complex)
+        for ck in c[-2::-1]:
+            acc = ck + _cmul(acc, lams)
+        return acc
 
     def remainder(self, lam: complex, h) -> np.ndarray:
         """(f(lam + h) - f(lam) - f'(lam) h) / h^2 for each step in h.
@@ -116,6 +127,10 @@ class Rational:
             f.append(acc / qd[0])
         return f[order]
 
+    def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
+        """eval at each point of lams, one scalar call per point."""
+        return np.array([self.eval(complex(lam), order) for lam in lams], dtype=complex)
+
     def remainder(self, lam: complex, h) -> np.ndarray:
         """(f(lam + h) - f(lam) - f'(lam) h) / h^2 for each step in h.
 
@@ -156,6 +171,10 @@ class Exponential:
     def eval(self, lam: complex, order: int = 0) -> complex:
         return self.scale ** order * np.exp(self.scale * lam)
 
+    def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
+        """eval at each point of lams, with scalar products."""
+        return _cmul(self.scale ** order, np.exp(_cmul(self.scale, lams)))
+
     def remainder(self, lam: complex, h) -> np.ndarray:
         """(f(lam + h) - f(lam) - f'(lam) h) / h^2 = e^(a lam) a^2 phi_2(a h)."""
         a = self.scale
@@ -166,6 +185,21 @@ class Exponential:
 
 
 ScalarAnalyticFn = Polynomial | Rational | Exponential
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b elementwise (a or b an array), rounded as a scalar complex product.
+
+    Each real product and sum is rounded on its own, as in Python's (and
+    numpy's scalar) complex product.  numpy's vectorized complex multiply may
+    fuse multiply-adds and differ in the last bit; this keeps each eval_many
+    entry equal to its eval call.
+    """
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _nth_der(coeffs: np.ndarray, order: int) -> np.ndarray:
@@ -266,6 +300,22 @@ def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
     out = np.zeros((t.n, t.n), dtype=complex)
     for fn, a in t.terms:
         out += eval_fn(fn, lam, order) * a
+    return out
+
+
+def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
+    """eval_T at each of the points lams, stacked to shape (len(lams), n, n).
+
+    The term loop and per-term arithmetic are eval_T's, so slice j is
+    bit-equal to eval_T(t, lams[j], order).  A point on a pole of a rational
+    term raises PoleHit for the whole stack.
+    """
+    if not 0 <= order <= MAX_DERIV_ORDER:
+        raise ValueError(f"order must be in [0, {MAX_DERIV_ORDER}]")
+    lams = np.asarray(lams, dtype=complex).reshape(-1)
+    out = np.zeros((lams.size, t.n, t.n), dtype=complex)
+    for fn, a in t.terms:
+        out += fn.eval_many(lams, order)[:, None, None] * a
     return out
 
 

@@ -6,7 +6,10 @@ candidate root is polished by a Newton-trace iteration and then filtered:
 cluster-deduplication gives algebraic multiplicity, and candidates parked at
 cleared poles or failing the sigma_min test are recorded as spurious, not
 returned.  Problems with exponential terms skip linearization and run the
-Newton iteration from a coarse grid of starting points instead.
+Newton iteration from a coarse grid of starting points instead.  Either
+way, all starts of a solve are polished in lockstep: each Newton step is one
+stacked evaluation, one stacked SVD and one stacked solve over the starts
+still running, and each start ends exactly as a lone run from it would.
 """
 
 from __future__ import annotations
@@ -16,16 +19,23 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import singular_values, solve_linear
+from .dense_kernels import near_singular, singular_values, solve_with_svals
 from .errors import (
+    ConvergenceFailure,
     DimensionGuard,
     EmptySpectrum,
-    NearSingular,
     NonConverged,
     PoleHit,
     UnsupportedTerm,
 )
-from .nep_model import Exponential, MatrixFunction, Polynomial, Rational, eval_T
+from .nep_model import (
+    Exponential,
+    MatrixFunction,
+    Polynomial,
+    Rational,
+    eval_T,
+    eval_T_many,
+)
 
 PENCIL_DIM_MAX = 64
 CLUSTER_RADIUS = 1e-8
@@ -117,19 +127,20 @@ def polynomialize(b: MatrixFunction):
     poles = [complex(r) for r in npoly.polyroots(full)] if full.size > 1 else []
 
     # sample check: P(lam) must match q(lam) B(lam) away from the poles, at
-    # 20 points whose residual norms come from one batched call
+    # 20 points evaluated as one stack on each side
     rng = np.random.default_rng(20240925)
     points: list[complex] = []
     while len(points) < 20:
         lam = complex(*rng.uniform(-1.5, 1.5, size=2))
         if all(abs(lam - p) >= 1e-3 for p in poles):
             points.append(lam)
-    qvals = [complex(npoly.polyval(lam, full)) for lam in points]
-    residuals = [sum(c * lam**k for k, c in enumerate(out)) - qval * eval_T(b, lam, 0)
-                 for lam, qval in zip(points, qvals)]
-    norms = singular_values(np.stack(residuals))[:, 0]
-    scale = max(float(singular_values(np.stack(out))[:, 0].max()), 1e-300)
-    if any(nrm > 1e-10 * scale * max(1.0, abs(qval)) for nrm, qval in zip(norms, qvals)):
+    lams = np.array(points)
+    qvals = npoly.polyval(lams, full)
+    stacked = np.stack(out)
+    p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)
+    norms = singular_values(p_vals - qvals[:, None, None] * eval_T_many(b, lams, 0))[:, 0]
+    scale = max(float(singular_values(stacked)[:, 0].max()), 1e-300)
+    if np.any(norms > 1e-10 * scale * np.maximum(1.0, np.abs(qvals))):
         raise RuntimeError("polynomialize self-check failed")
     return out, poles
 
@@ -161,34 +172,106 @@ def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
 
 
 def newton_trace_refine(
-    b: MatrixFunction, lam0: complex, max_iter: int = 50, tol: float = 1e-10
-) -> complex:
-    """Polish a root of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
+    b: MatrixFunction, starts: list[complex], max_iter: int = 50, tol: float = 1e-10
+) -> list[complex | NonConverged | PoleHit]:
+    """Polish roots of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
 
-    Each step takes one solve_linear(B(lam), B'(lam)) with B' as a matrix of
-    right-hand sides.  Stops as soon as sigma_min(B(lam)) <= tol *
-    max(1, ||B(lam)||), testing the start and each of the max_iter iterates;
-    raises NonConverged when the last of them fails, and propagates PoleHit
-    if an iterate lands on a pole.
+    All starts advance in lockstep.  Each iteration takes one stacked
+    evaluation of B at the active iterates and one stacked singular-value
+    call for the stop test sigma_min(B(lam)) <= tol * max(1, ||B(lam)||);
+    then, for the iterates that go on, one stacked evaluation of B' and one
+    stacked solve of B X = B', whose singularity test and residual check
+    reuse those singular values.  Each start keeps the rules of a lone run:
+    it stops at the first of its start and max_iter iterates that passes the
+    test, and gets NonConverged when the last one fails, when B is singular
+    but off-target, or when the trace vanishes, and PoleHit when an iterate
+    lands on a pole.  The update divides Python complex scalars, since numpy's
+    vectorized complex division can differ in the last bit, so a start's
+    outcome does not depend on the starts that share its stack.
+
+    Returns one outcome per start, in order: the root, or the NonConverged
+    or PoleHit instance.  A non-finite B or B' (ValueError) or a failed
+    residual check (ConvergenceFailure) is raised, for the first start that
+    meets one.
     """
-    lam = complex(lam0)
+    first = np.array([complex(z) for z in starts], dtype=complex)
+    lams = first.copy()
+    out: list = [None] * lams.size
+    idx = np.arange(lams.size)
     for step in range(max_iter + 1):
-        bk = eval_T(b, lam, 0)
-        s = singular_values(bk)
-        if s[-1] <= tol * max(1.0, s[0]):
-            return lam
-        if step == max_iter:
+        if not idx.size:
             break
-        try:
-            x = solve_linear(bk, eval_T(b, lam, 1))
-        except NearSingular:
+        bk, idx = _eval_at_iterates(b, lams, idx, out)
+        bad = ~np.isfinite(bk).all(axis=(1, 2))
+        for i in idx[bad]:
+            out[i] = ValueError(f"B({lams[i]}) has NaN/Inf entries")
+        bk, idx = bk[~bad], idx[~bad]
+        if not idx.size:
+            break
+        s = singular_values(bk)
+        done = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
+        for i, lam in zip(idx[done], lams[idx[done]].tolist()):
+            out[i] = lam
+        if step == max_iter:
+            for i in idx[~done]:
+                out[i] = NonConverged(
+                    f"no convergence after {max_iter} Newton steps (from {first[i]})")
+            break
+        bk, s, idx = bk[~done], s[~done], idx[~done]
+        if not idx.size:
+            break
+        dk = eval_T_many(b, lams[idx], 1)
+        # a lone run checks B' for NaN/Inf before B for singularity
+        bad = ~np.isfinite(dk).all(axis=(1, 2))
+        singular = near_singular(s) & ~bad
+        for i in idx[bad]:
+            out[i] = ValueError(f"B'({lams[i]}) has NaN/Inf entries")
+        for i in idx[singular]:
             # numerically singular but above the sigma target: no usable step
-            raise NonConverged(f"B({lam}) is singular but off-target") from None
-        tr = complex(sum(np.diagonal(x)))
-        if abs(tr) < 1e-300:
-            raise NonConverged("vanishing trace; stationary point of det B")
-        lam = lam - 1.0 / tr
-    raise NonConverged(f"no convergence after {max_iter} Newton steps (from {lam0})")
+            out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
+        go = ~(bad | singular)
+        x, ok = solve_with_svals(bk[go], dk[go], s[go])
+        idx = idx[go]
+        for i in idx[~ok]:
+            out[i] = ConvergenceFailure("linear solve residual check failed")
+        # sum(np.diagonal(x)) of a lone run, term by term from 0
+        diag = np.diagonal(x[ok], axis1=1, axis2=2)
+        tr = np.zeros(diag.shape[0], dtype=complex)
+        for k in range(diag.shape[1]):
+            tr = tr + diag[:, k]
+        idx, moved = idx[ok], []
+        for i, lam, t in zip(idx.tolist(), lams[idx].tolist(), tr.tolist()):
+            if abs(t) < 1e-300:
+                out[i] = NonConverged("vanishing trace; stationary point of det B")
+            else:
+                lams[i] = lam - 1.0 / t
+                moved.append(i)
+        idx = np.array(moved, dtype=int)
+    for o in out:
+        if isinstance(o, (ValueError, ConvergenceFailure)):
+            raise o
+    return out
+
+
+def _eval_at_iterates(b: MatrixFunction, lams: np.ndarray, idx: np.ndarray, out: list):
+    """One stacked B at lams[i] for i in idx, and the indices it covers.
+
+    An iterate on a pole gets PoleHit in out: the stack then is rebuilt one
+    point at a time to find which iterate it was.
+    """
+    try:
+        return eval_T_many(b, lams[idx], 0), idx
+    except PoleHit:
+        pass
+    kept, mats = [], [np.zeros((0, b.n, b.n), dtype=complex)]
+    for i in idx:
+        try:
+            mats.append(eval_T_many(b, [lams[i]], 0))
+        except PoleHit as exc:
+            out[i] = exc
+        else:
+            kept.append(i)
+    return np.concatenate(mats), np.array(kept, dtype=int)
 
 
 def _grid_seeds(center: complex, radius: float) -> list[complex]:
@@ -230,18 +313,14 @@ def solve_projected(
 
     spurious: list[complex] = []
     polished: list[complex] = []
-    for z in raw:
-        if abs(z - center) > radius * (1 + 1e-12):
-            continue
-        try:
-            r = newton_trace_refine(b, z)
-        except (NonConverged, PoleHit):
+    inside = [z for z in raw if abs(z - center) <= radius * (1 + 1e-12)]
+    for z, r in zip(inside, newton_trace_refine(b, inside)):
+        if isinstance(r, (NonConverged, PoleHit)):
             spurious.append(z)
-            continue
-        if abs(r - center) > radius * (1 + 1e-6):
+        elif abs(r - center) > radius * (1 + 1e-6):
             spurious.append(r)
-            continue
-        polished.append(r)
+        else:
+            polished.append(r)
 
     polished.sort(key=lambda z: (z.real, z.imag))
     clusters: list[list[complex]] = []

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nepritz.experiments as ex
 from nepritz.cli import main
 from nepritz.experiments import fixture_problem, simple_rate_instance
 from nepritz.nep_model import save_problem
@@ -45,6 +46,19 @@ class TestExample1Command:
     def test_bad_selection_rejected(self):
         with pytest.raises(SystemExit):
             main(["example1", "--selection", "nearest"])
+
+    def test_target_selection_passes_tau_deriv(self, monkeypatch):
+        seen = []
+        real = ex.analyze_case
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tau_deriv"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "analyze_case", spy)
+        assert main(["example1", "--selection", "target=-0.9",
+                     "--tau-deriv", "0.05"]) == 0
+        assert seen == [0.05]
 
 
 class TestExample2Command:
@@ -129,6 +143,16 @@ class TestFlagScope:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["example2", "verify-all"])
+    def test_selection_config_key_rejected_as_usage_error(self, command, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"selection": "target=5"}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "selection" in capsys.readouterr().err
 
     def test_grid_density_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,10 +4,12 @@ from helpers import complex_randn, mgs_oracle, power_iteration_norm
 
 from nepritz.dense_kernels import (
     householder_complement,
+    near_singular,
     norm2,
     orthonormalize,
     singular_values,
     solve_linear,
+    solve_with_svals,
     svd,
 )
 from nepritz.errors import NearSingular, RankDeficient
@@ -172,3 +174,34 @@ class TestSolveLinear:
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]], dtype=complex)
         with pytest.raises(NearSingular):
             solve_linear(m, np.eye(2, dtype=complex))
+
+    def test_stacked_solve_bit_equal_single_solves(self):
+        rng = np.random.default_rng(29)
+        for m in (3, 16):
+            a = complex_randn(rng, 6, m, m)
+            rhs = complex_randn(rng, 6, m, m)
+            s = singular_values(a)
+            assert not near_singular(s).any()
+            x, ok = solve_with_svals(a, rhs, s)
+            assert ok.shape == (6,) and ok.all()
+            for k in range(6):
+                assert x[k].tobytes() == solve_linear(a[k], rhs[k]).tobytes()
+
+    def test_near_singular_flags_each_matrix(self):
+        a = np.stack([np.eye(2), np.diag([1.0, 1e-15]), np.diag([1.0, 1e-13])]).astype(complex)
+        assert near_singular(singular_values(a)).tolist() == [False, True, False]
+
+    def test_residual_check_flags_each_system(self):
+        # cond(A) = 1e13 passes the singularity test; with ||A|| given as 0
+        # the check tolerates only 1e-10 ||b||, which the rounding error of
+        # x ~ 1e13 b does not meet
+        rng = np.random.default_rng(31)
+        a = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13])]).astype(complex)
+        b = complex_randn(rng, 2, 3, 3)
+        a[1] = a[1] @ np.linalg.qr(complex_randn(rng, 3, 3))[0]
+        s = singular_values(a)
+        _, ok = solve_with_svals(a, b, s)
+        assert ok.tolist() == [True, True]
+        s[1, 0] = 0.0
+        _, ok = solve_with_svals(a, b, s)
+        assert ok.tolist() == [True, False]

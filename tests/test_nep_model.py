@@ -17,6 +17,7 @@ from nepritz.nep_model import (
     Rational,
     ReferencePair,
     eval_T,
+    eval_T_many,
     eval_fn,
     load_problem,
     problem_from_dict,
@@ -141,6 +142,47 @@ class TestEvalT:
         t, _, _ = fixture_problem()
         assert len(t.domain_poles) == 1
         assert abs(t.domain_poles[0] - 1.0) < 1e-12
+
+
+class TestEvalTMany:
+    # scalar products with rounding that numpy's vectorized complex multiply
+    # may fuse: complex coefficients, degrees up to 5, a complex exponential
+    # scale and a rational term
+    @staticmethod
+    def problem(seed):
+        rng = np.random.default_rng(seed)
+        fns = [Polynomial(complex_randn(rng, 6)), Polynomial([0, 0, 1]),
+               Rational(complex_randn(rng, 2), np.array([2.0, 0, 1.0])),
+               Exponential(-0.8 + 0.3j), Exponential(-1.0)]
+        return MatrixFunction.from_terms([(f, complex_randn(rng, 4, 4)) for f in fns])
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 5])
+    def test_slices_bit_equal_single_points(self, order):
+        t = self.problem(order)
+        rng = np.random.default_rng(100 + order)
+        lams = complex_randn(rng, 40) * 2.0
+        stack = eval_T_many(t, lams, order)
+        assert stack.shape == (40, 4, 4)
+        for lam, got in zip(lams, stack):
+            assert got.tobytes() == eval_T(t, lam, order).tobytes()
+
+    def test_term_values_equal_scalar_calls(self):
+        rng = np.random.default_rng(7)
+        lams = complex_randn(rng, 200) * 3.0
+        for fn, _ in self.problem(7).terms:
+            for order in (0, 1, 3):
+                many = fn.eval_many(lams, order)
+                assert all(m == eval_fn(fn, lam, order) for m, lam in zip(many, lams))
+
+    def test_pole_in_stack_raises(self):
+        t, _, _ = fixture_problem()
+        with pytest.raises(PoleHit):
+            eval_T_many(t, [0.0, 1.0, 0.5j], 0)
+
+    def test_order_out_of_range(self):
+        t, _, _ = fixture_problem()
+        with pytest.raises(ValueError):
+            eval_T_many(t, [0.0], nep_model.MAX_DERIV_ORDER + 1)
 
 
 class TestTaylorRemainder:

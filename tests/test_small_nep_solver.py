@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +17,16 @@ from helpers import (
 
 import nepritz
 import nepritz.small_nep_solver as sns
-from nepritz.dense_kernels import singular_values, solve_linear
-from nepritz.errors import DimensionGuard, EmptySpectrum, NonConverged
-from nepritz.experiments import fixture_problem, perturb_subspace
+from nepritz.dense_kernels import singular_values, solve_linear, solve_with_svals
+from nepritz.errors import DimensionGuard, EmptySpectrum, NearSingular, NonConverged, PoleHit
+from nepritz.experiments import build_subspace_eps, fixture_problem, perturb_subspace
 from nepritz.nep_model import (
+    Exponential,
     MatrixFunction,
     Polynomial,
     Rational,
     eval_T,
+    eval_T_many,
 )
 from nepritz.projection import Subspace, project
 from nepritz.small_nep_solver import (
@@ -90,12 +94,12 @@ class TestPolynomialize:
         # 1e-6 in one entry of B is far above its 1e-10 relative tolerance
         b = fixture_projected()
 
-        def corrupted(fn, lam, order=0):
-            out = eval_T(fn, lam, order)
-            out[0, 1] += 1e-6
+        def corrupted(fn, lams, order=0):
+            out = eval_T_many(fn, lams, order)
+            out[:, 0, 1] += 1e-6
             return out
 
-        monkeypatch.setattr(sns, "eval_T", corrupted)
+        monkeypatch.setattr(sns, "eval_T_many", corrupted)
         with pytest.raises(RuntimeError, match="polynomialize self-check failed"):
             polynomialize(b)
 
@@ -149,29 +153,92 @@ class TestCompanionEigs:
                                 1e-8)
 
 
+def lone_newton(b, lam0, max_iter=50, tol=1e-10):
+    """The per-start Newton-trace loop the lockstep kernel replaced: its oracle."""
+    lam = complex(lam0)
+    for step in range(max_iter + 1):
+        bk = eval_T(b, lam, 0)
+        s = singular_values(bk)
+        if s[-1] <= tol * max(1.0, s[0]):
+            return lam
+        if step == max_iter:
+            break
+        try:
+            x = solve_linear(bk, eval_T(b, lam, 1))
+        except NearSingular:
+            raise NonConverged(f"B({lam}) is singular but off-target") from None
+        tr = complex(sum(np.diagonal(x)))
+        if abs(tr) < 1e-300:
+            raise NonConverged("vanishing trace; stationary point of det B")
+        lam = lam - 1.0 / tr
+    raise NonConverged(f"no convergence after {max_iter} Newton steps (from {lam0})")
+
+
+def lone_outcomes(b, starts, **kwargs):
+    out = []
+    for z in starts:
+        try:
+            out.append(lone_newton(b, z, **kwargs))
+        except (NonConverged, PoleHit) as exc:
+            out.append(exc)
+    return out
+
+
+def bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def assert_same_outcomes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w)
+        else:
+            assert type(g) is complex and bits(g) == bits(w)
+
+
+def planted_delay_projection(n=8, m=3, eps=1e-5, seed=31):
+    # A0 + lam A1 + 0.1 lam^2 A2 + exp(-(0.8 - 0.3i) lam) A3 with a planted
+    # pair at 0.2 + 0.1i, projected onto a subspace at deviation eps; the
+    # complex exponential scale and the quadratic make every scalar product
+    # of the evaluation a genuine one
+    rng = np.random.default_rng(seed)
+    lam_star = 0.2 + 0.1j
+    mats = [complex_randn(rng, n, n) / math.sqrt(n) for _ in range(4)]
+    fns = [Polynomial([1]), Polynomial([0, 1]), Polynomial([0, 0, 0.1]),
+           Exponential(-0.8 + 0.3j)]
+    x = complex_randn(rng, n)
+    x /= np.linalg.norm(x)
+    defect = eval_T(MatrixFunction.from_terms(list(zip(fns, mats))), lam_star, 0) @ x
+    mats[0] = mats[0] - np.outer(defect, np.conj(x))
+    t = MatrixFunction.from_terms(list(zip(fns, mats)))
+    return project(t, build_subspace_eps(x, m, eps, seed)), lam_star
+
+
 class TestNewtonTraceRefine:
     def test_linear_scalar_exact_in_one_step(self):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        assert newton_trace_refine(b, 0.0, max_iter=2) == pytest.approx(2.0)
+        assert newton_trace_refine(b, [0.0], max_iter=2) == [pytest.approx(2.0)]
 
     def test_fixture_double_root(self):
-        mu = newton_trace_refine(fixture_projected(), 0.1)
+        [mu] = newton_trace_refine(fixture_projected(), [0.1])
         assert abs(mu) <= 1e-10
 
     def test_sqrt_two(self):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        assert newton_trace_refine(b, 1.0) == pytest.approx(math.sqrt(2.0), abs=1e-10)
+        [root] = newton_trace_refine(b, [1.0])
+        assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
 
     def test_nonconverged(self):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        with pytest.raises(NonConverged):
-            newton_trace_refine(b, 100.0, max_iter=2)
+        [out] = newton_trace_refine(b, [100.0], max_iter=2)
+        assert isinstance(out, NonConverged)
 
     def test_one_solve_per_step(self, monkeypatch):
         # B(lam) = diag(1, 2, 3) - lam I: one step from 0.9 lands near 0.988,
@@ -182,22 +249,110 @@ class TestNewtonTraceRefine:
         ])
         solves, orders = [], []
 
-        def counted_solve(m, rhs):
-            solves.append(np.shape(rhs))
-            return solve_linear(m, rhs)
+        def counted_solve(m, rhs, s):
+            solves.append(np.shape(m))
+            return solve_with_svals(m, rhs, s)
 
-        def counted_eval(fn, lam, order):
+        def counted_eval(fn, lams, order):
             orders.append(order)
-            return eval_T(fn, lam, order)
+            return eval_T_many(fn, lams, order)
 
-        monkeypatch.setattr(sns, "solve_linear", counted_solve)
-        monkeypatch.setattr(sns, "eval_T", counted_eval)
-        with pytest.raises(NonConverged):
-            newton_trace_refine(b, 0.9, max_iter=1)
-        # one solve with B' as a 3 x 3 right-hand side; a stop test before
-        # and after the single step
-        assert solves == [(3, 3)]
+        monkeypatch.setattr(sns, "solve_with_svals", counted_solve)
+        monkeypatch.setattr(sns, "eval_T_many", counted_eval)
+        [out] = newton_trace_refine(b, [0.9], max_iter=1)
+        assert isinstance(out, NonConverged)
+        # one stacked solve with B' as a 3 x 3 right-hand side; a stop test
+        # before and after the single step
+        assert solves == [(1, 3, 3)]
         assert orders == [0, 1, 0]
+
+
+class TestLockstepMatchesLoneRuns:
+    def test_delay_grid_seeds(self):
+        b, lam_star = planted_delay_projection()
+        seeds = sns._grid_seeds(lam_star, 1.0)
+        assert len(seeds) == 88
+        got = newton_trace_refine(b, seeds)
+        assert_same_outcomes(got, lone_outcomes(b, seeds))
+        assert any(abs(r - lam_star) < 1e-3 for r in got if isinstance(r, complex))
+
+    def test_fixture_double_root_among_companion_starts(self):
+        b = fixture_projected()
+        coeffs, _ = polynomialize(b)
+        starts = [0.1, 0.3 - 0.2j] + [z for z in companion_eigs(coeffs) if abs(z) < 0.9]
+        assert_same_outcomes(newton_trace_refine(b, starts), lone_outcomes(b, starts))
+
+    def test_max_iter_exhaustion(self):
+        b = MatrixFunction.from_terms([
+            (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
+        ])
+        starts = [100.0, 1.4, 1e6j, 1.0]
+        got = newton_trace_refine(b, starts, max_iter=3)
+        assert_same_outcomes(got, lone_outcomes(b, starts, max_iter=3))
+        assert [isinstance(r, NonConverged) for r in got] == [True, False, True, True]
+
+    def test_near_singular_off_target(self):
+        # sigma_min(B) = 1e-15 is below the solve's 1e-14 singularity test but
+        # above tol = 1e-20, so the start can neither stop nor step
+        b = MatrixFunction.from_terms([
+            (Polynomial([1]), np.diag([1.0, 1e-15]).astype(complex)),
+            (Polynomial([0, 1]), np.diag([1.0, 0.0]).astype(complex)),
+        ])
+        starts = [0.5, -0.9]
+        got = newton_trace_refine(b, starts, tol=1e-20)
+        assert_same_outcomes(got, lone_outcomes(b, starts, tol=1e-20))
+        assert isinstance(got[0], NonConverged) and "off-target" in str(got[0])
+
+    def test_vanishing_trace(self):
+        # det B = 1 - lam^2 is stationary at 0: trace(B^-1 B') = 1 - 1 = 0
+        b = MatrixFunction.from_terms([
+            (Polynomial([1, 1]), np.diag([1.0, 0.0]).astype(complex)),
+            (Polynomial([1, -1]), np.diag([0.0, 1.0]).astype(complex)),
+        ])
+        starts = [0.5, 0.0, -0.5]
+        got = newton_trace_refine(b, starts)
+        assert_same_outcomes(got, lone_outcomes(b, starts))
+        assert isinstance(got[1], NonConverged) and "vanishing trace" in str(got[1])
+        assert got[0] == pytest.approx(1.0) and got[2] == pytest.approx(-1.0)
+
+    def test_only_the_start_on_a_pole_fails(self):
+        b = fixture_projected()  # a rational term with its pole at 1
+        starts = [0.1, 1.0, -0.3 + 0.1j, 0.6j]
+        got = newton_trace_refine(b, starts)
+        assert_same_outcomes(got, lone_outcomes(b, starts))
+        assert [isinstance(r, PoleHit) for r in got] == [False, True, False, False]
+
+    def test_non_finite_b_raises_like_a_lone_run(self):
+        b = MatrixFunction.from_terms([
+            (Exponential(800.0), np.array([[1.0]], dtype=complex)),
+            (Polynomial([-2.0]), np.array([[1.0]], dtype=complex)),
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                lone_newton(b, 1.0)
+            with pytest.raises(ValueError, match="NaN/Inf"):
+                newton_trace_refine(b, [0.0, 1.0])
+
+    @pytest.mark.parametrize("center,radius", [(0.2 + 0.1j, 1.0), (-0.5, 2.0)])
+    def test_spectrum_equals_oracle_run(self, monkeypatch, center, radius):
+        b, _ = planted_delay_projection(eps=1e-2)
+        got = solve_projected(b, center, radius)
+        monkeypatch.setattr(sns, "newton_trace_refine", lone_outcomes)
+        want = solve_projected(b, center, radius)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        for f in ("eigenvalues", "filtered_spurious"):
+            assert [bits(z) for z in getattr(got, f)] == [bits(z) for z in getattr(want, f)]
+        assert [struct.pack("<d", r) for r in got.residuals] == \
+            [struct.pack("<d", r) for r in want.residuals]
+
+    def test_companion_spectrum_equals_oracle_run(self, monkeypatch):
+        t, _, w = fixture_problem()
+        b = project(t, perturb_subspace(Subspace.from_basis(w), 1e-4, seed=12))
+        got = solve_projected(b, 0.0, 1e6)
+        monkeypatch.setattr(sns, "newton_trace_refine", lone_outcomes)
+        want = solve_projected(b, 0.0, 1e6)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+        assert [bits(z) for z in got.eigenvalues] == [bits(z) for z in want.eigenvalues]
 
 
 def test_import_defers_scipy():
