@@ -222,7 +222,8 @@ def solve_linear(m, b) -> np.ndarray:
     the result has B's shape.  One set of singular values serves both the
     singularity test, which raises NearSingular when near_singular holds,
     and the residual check of solve_with_svals, which raises
-    ConvergenceFailure.
+    ConvergenceFailure.  small_nep_solver.companion_eigs calls it for the
+    shift-and-invert solve of the companion pencil.
     """
     a = as_matrix(m)
     rhs = as_vector(b) if np.ndim(b) == 1 else as_matrix(b)

@@ -57,18 +57,12 @@ class Polynomial:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
-    def _derivative(self, order: int) -> np.ndarray:
-        c = self.coefficients
-        for _ in range(order):
-            c = npoly.polyder(c)
-        return c
-
     def eval(self, lam: complex, order: int = 0) -> complex:
-        return complex(npoly.polyval(lam, self._derivative(order)))
+        return complex(npoly.polyval(lam, _nth_der(self.coefficients, order)))
 
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
         """eval at each point of lams: npoly.polyval's Horner steps with scalar products."""
-        c = self._derivative(order)
+        c = _nth_der(self.coefficients, order)
         acc = np.full(lams.shape, c[-1], dtype=complex)
         for ck in c[-2::-1]:
             acc = ck + _cmul(acc, lams)
@@ -203,10 +197,9 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def _nth_der(coeffs: np.ndarray, order: int) -> np.ndarray:
+    """Ascending coefficients of the order-th derivative, by repeated polyder."""
     c = coeffs
     for _ in range(order):
-        if c.size == 1:
-            return np.zeros(1, dtype=complex)
         c = npoly.polyder(c)
     return c
 

@@ -1,8 +1,13 @@
 """Solve the projected problem B(lambda) z = 0 inside a region.
 
 Rational problems are cleared to polynomial form (denominator product), the
-polynomial problem is linearized to a block companion pencil, and every
-candidate root is polished by a Newton-trace iteration and then filtered:
+polynomial problem is linearized to a block companion pencil A - lambda E,
+whose finite eigenvalues come from shift-and-invert: the eigenvalues theta of
+(A - sigma E)^-1 E give lambda = sigma + 1/theta for a fixed shift sigma.  An
+eigenvalue more than 1e13 times farther from the shift than the one nearest
+it counts as infinite, and a singular pencil (det P identically zero)
+raises.  Every candidate root is polished by a Newton-trace iteration and
+then filtered:
 cluster-deduplication gives algebraic multiplicity, and candidates parked at
 cleared poles or failing the sigma_min test are recorded as spurious, not
 returned.  Problems with exponential terms skip linearization and run the
@@ -19,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import near_singular, singular_values, solve_with_svals
+from .dense_kernels import near_singular, singular_values, solve_linear, solve_with_svals
 from .errors import (
     ConvergenceFailure,
     DimensionGuard,
     EmptySpectrum,
+    NearSingular,
     NonConverged,
     PoleHit,
     UnsupportedTerm,
@@ -43,6 +49,12 @@ SIGMA_ACCEPT = 1e-8
 POLE_GUARD = 1e-8
 # Newton starting points per side of the square grid over the region disc
 GRID_DENSITY = 12
+# shifts sigma of the companion solve, tried in order until A - sigma E is
+# nonsingular; fixed, so a pencil always gets the same eigenvalues
+COMPANION_SHIFTS = (0.1235 + 0.0988j, -0.2713 + 0.1921j, 0.0649 - 0.3377j)
+# theta = 1/(lambda - sigma) with |theta| <= INFINITE_CUT * max |theta| is an
+# infinite eigenvalue of the pencil
+INFINITE_CUT = 1e-13
 
 
 @dataclass(frozen=True)
@@ -146,10 +158,16 @@ def polynomialize(b: MatrixFunction):
 
 
 def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
-    """Finite eigenvalues of the block companion pencil of P(lambda).
+    """Finite eigenvalues of the block companion pencil A - lambda E of P(lambda).
 
-    Infinite eigenvalues (singular leading block) are dropped; the caller can
-    recover their count as d*m - len(result).
+    Shift-and-invert: for the first shift sigma of COMPANION_SHIFTS with
+    A - sigma E nonsingular, the eigenvalues theta of (A - sigma E)^-1 E give
+    lambda = sigma + 1/theta.  An eigenvalue more than 1/INFINITE_CUT = 1e13
+    times farther from sigma than the one nearest it counts as infinite and is
+    dropped (a singular leading block gives such eigenvalues); the caller can
+    recover their count as d*m - len(result).  Raises NearSingular if
+    A - sigma E is singular at every shift: the pencil is singular (det P
+    vanishes identically) and has no well-defined eigenvalues.
     """
     m = coeffs[0].shape[0]
     d = len(coeffs) - 1
@@ -165,10 +183,15 @@ def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
     for k in range(d):
         a[(d - 1) * m:, k * m:(k + 1) * m] = -coeffs[k]
     e[(d - 1) * m:, (d - 1) * m:] = coeffs[d]
-    import scipy.linalg as sla  # deferred: the only scipy call in the package
-
-    w = sla.eig(a, e, right=False)
-    return [complex(z) for z in w if np.isfinite(z.real) and np.isfinite(z.imag)]
+    for sigma in COMPANION_SHIFTS:
+        try:
+            x = solve_linear(a - sigma * e, e)
+        except NearSingular:
+            continue
+        theta = np.linalg.eigvals(x)
+        finite = np.abs(theta) > INFINITE_CUT * np.abs(theta).max()
+        return [sigma + 1.0 / t for t in theta[finite].tolist()]
+    raise NearSingular("singular pencil: det P(lambda) vanishes identically")
 
 
 def newton_trace_refine(
@@ -354,7 +377,7 @@ def solve_projected(
         multiplicities=[multiplicities[i] for i in order],
         method=method,
         filtered_spurious=spurious,
-        dropped_infinite=max(dropped, 0),
+        dropped_infinite=dropped,
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import struct
@@ -141,7 +142,7 @@ class TestCompanionEigs:
 
     @pytest.mark.parametrize("seed,m,degree", [
         (0, 2, 2), (1, 3, 2), (2, 4, 3), (3, 2, 3), (4, 3, 3), (5, 4, 1),
-        (6, 4, 2), (7, 3, 1),
+        (6, 4, 2), (7, 3, 1), (8, 2, 4), (9, 3, 4), (10, 2, 5), (11, 3, 5),
     ])
     def test_matches_determinant_oracle(self, seed, m, degree):
         rng = np.random.default_rng(9000 + seed)
@@ -151,6 +152,42 @@ class TestCompanionEigs:
         assert match_point_sets(sorted(got, key=lambda z: (z.real, z.imag)),
                                 sorted(want, key=lambda z: (z.real, z.imag)),
                                 1e-8)
+
+    def test_rank_one_leading_block(self):
+        # a rank-1 C_3 of a 3 x 3 cubic: det P has degree 7, so two of the
+        # nine eigenvalues of the pencil are infinite
+        rng = np.random.default_rng(9100)
+        coeffs = [complex_randn(rng, 3, 3) for _ in range(3)]
+        coeffs.append(np.outer(complex_randn(rng, 3), complex_randn(rng, 3)))
+        got = companion_eigs(coeffs)
+        want = poly_roots_ascending(det_poly_coeffs(coeffs))
+        assert len(want) == 7 and 3 * 3 - len(got) == 2
+        assert match_point_sets(sorted(got, key=lambda z: (z.real, z.imag)),
+                                sorted(want, key=lambda z: (z.real, z.imag)),
+                                1e-8)
+
+    def test_eigenvalue_at_the_first_shift(self, monkeypatch):
+        # A - sigma E is exactly singular at the first shift, so the solve
+        # moves on to the second one
+        sigma = sns.COMPANION_SHIFTS[0]
+        coeffs = [-np.diag([sigma, 2.0, -1.0 + 1.0j]), np.eye(3, dtype=complex)]
+        shifted = []
+
+        def counted_solve(m, rhs):
+            shifted.append(m)
+            return solve_linear(m, rhs)
+
+        monkeypatch.setattr(sns, "solve_linear", counted_solve)
+        roots = companion_eigs(coeffs)
+        assert len(shifted) == 2
+        assert match_point_sets(sorted(roots, key=lambda z: (z.real, z.imag)),
+                                [-1.0 + 1.0j, sigma, 2.0], 1e-10)
+
+    def test_singular_pencil_raises(self):
+        # P(lam) = (1 + lam) diag(1, 0): det P vanishes for every lam
+        coeffs = [np.diag([1.0, 0.0]).astype(complex)] * 2
+        with pytest.raises(NearSingular, match="singular pencil"):
+            companion_eigs(coeffs)
 
 
 def lone_newton(b, lam0, max_iter=50, tol=1e-10):
@@ -355,14 +392,31 @@ class TestLockstepMatchesLoneRuns:
         assert [bits(z) for z in got.eigenvalues] == [bits(z) for z in want.eigenvalues]
 
 
-def test_import_defers_scipy():
-    # scipy.linalg serves only the companion pencil, so importing the
-    # package must not load it
+NO_SCIPY_RUN = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from nepritz.cli import main
+codes = [main(["example1"]), main(["verify-all"])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(k for k in sys.modules if k.startswith("scipy"))}))
+"""
+
+
+def test_runs_without_scipy():
+    # numpy is the only dependency: with scipy unimportable, example1 (whose
+    # projected pencil has a singular leading block) and verify-all (the
+    # whole suite) both pass, and no scipy module is ever loaded
     src = str(Path(nepritz.__file__).resolve().parents[1])
-    code = "import sys, nepritz; print('scipy.linalg' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0], "scipy": []}
 
 
 class TestSolveProjected:
