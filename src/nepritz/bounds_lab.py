@@ -45,7 +45,7 @@ from .errors import (
     NotAnEigenvalue,
 )
 from .extraction import RefinedExtraction, RitzExtraction, sin_angle
-from .nep_model import MatrixFunction, eval_T, taylor_remainder_const
+from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
 from .projection import PerturbationWitness, Subspace, deviation
 
 DEFAULT_FLOOR = 1e-12
@@ -62,7 +62,6 @@ _STENCILS = {
     4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0},
     5: {-3: -0.5, -2: 2.0, -1: -2.5, 1: 2.5, 2: -2.0, 3: 0.5},
 }
-_HALFWIDTH = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3}
 
 
 @dataclass(frozen=True)
@@ -161,12 +160,12 @@ def sigma_min_profile(
     finite differences turn meaningless; without a disc the step is 1e-3
     and the disc 10 steps wide.
 
-    B is evaluated once per distinct stencil offset, and the offsets share
-    one batched singular-value call: the offset-0 singular values give
+    B is evaluated at the distinct stencil offsets as one eval_T_many stack
+    with one batched singular-value call: the offset-0 singular values give
     sigma_min(B(lambda_star)) and its multiplicity, and the largest
     sigma_max over the offsets sets the rounding-noise scale.  The alpha
-    estimate adds one evaluation per disc-sample stencil point and one
-    batched call per ring of disc samples.
+    estimate takes the stencil points of all 24 disc samples (6 on each of
+    4 rings) as one more stack and one more call.
     """
     if not 1 <= max_order <= 5:
         raise ValueError("max_order must be in 1..5")
@@ -175,7 +174,7 @@ def sigma_min_profile(
     if abs(d) == 0:
         raise ValueError("direction must be nonzero")
     d = d / abs(d)
-    hw = _HALFWIDTH[max_order]
+    hw = max(_STENCILS[max_order])  # the widest stencil up to max_order
     if disc_radius is not None and disc_radius <= 0:
         raise ValueError("disc_radius must be positive")
     if tau_deriv <= 0:
@@ -188,7 +187,7 @@ def sigma_min_profile(
     orders = range(0, max_order + 1)
     offsets = sorted({o for j in orders for o in _STENCILS[j]})
     svals = dict(zip(offsets, singular_values(
-        np.stack([eval_T(b, lam0 + (o * h) * d, 0) for o in offsets]))))
+        eval_T_many(b, [lam0 + (o * h) * d for o in offsets], 0))))
     s0 = svals[0]
     if s0[-1] <= 1e-13:
         raise DegenerateSigma(
@@ -216,14 +215,13 @@ def sigma_min_profile(
     if detected is not None:
         samples = [abs(ests[detected])]
         stencil = _STENCILS[detected]
-        for frac in (0.2, 0.4, 0.6, 0.8):
-            centers = [lam0 + disc_radius * frac * d * np.exp(2j * np.pi * k / 6)
-                       for k in range(6)]
-            ring = singular_values(np.stack(
-                [eval_T(b, center + o * h * d, 0) for center in centers for o in stencil]))
-            for vals in ring[:, -1].reshape(len(centers), len(stencil)).tolist():
-                est = sum(c * v for c, v in zip(stencil.values(), vals)) / h**detected
-                samples.append(abs(est))
+        centers = [lam0 + disc_radius * frac * d * np.exp(2j * np.pi * k / 6)
+                   for frac in (0.2, 0.4, 0.6, 0.8) for k in range(6)]
+        disc = singular_values(eval_T_many(
+            b, [center + o * h * d for center in centers for o in stencil], 0))
+        for vals in disc[:, -1].reshape(len(centers), len(stencil)).tolist():
+            est = sum(c * v for c, v in zip(stencil.values(), vals)) / h**detected
+            samples.append(abs(est))
         alpha = float(min(samples))
 
     return DerivativeProfile(

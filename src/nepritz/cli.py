@@ -3,9 +3,9 @@
 Subcommands map onto the canned experiments: ``example1`` (exact-capture
 degenerate projection), ``example2`` (perturbed-subspace statistics),
 ``sweep`` (deviation ladder on a user problem file), and ``verify-all``
-(every bound evaluator over the built-in suite).  The exit code is 0 exactly
-when every check or applicable bound holds, so the harness doubles as a CI
-gate.  A JSON config file can mirror any flag; explicit flags win.
+(every bound evaluator over the built-in suite).  Exit code 0 means every
+check or applicable bound holds and 2 a usage error, so the harness doubles
+as a CI gate.  A JSON config file can mirror any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -66,10 +67,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """config-file values fill unset flags; built-in defaults fill the rest."""
     merged = dict(_GLOBAL_DEFAULTS)
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"cannot read config {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise argparse.ArgumentTypeError("config file must hold a JSON object")
         unknown = set(loaded) - set(merged)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise argparse.ArgumentTypeError(f"unknown config keys: {sorted(unknown)}")
         # the key follows its flag, which only some subcommands declare
         if "selection" in loaded and not hasattr(args, "selection"):
             raise argparse.ArgumentTypeError(
@@ -83,19 +89,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["eps"] = _parse_eps_list(merged["eps"])
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
-    try:
-        tau_deriv, sigma = float(merged["tau_deriv"]), float(merged["sigma"])
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError("tau_deriv and sigma must be numbers")
-    # the negated comparisons also reject NaN
-    if not tau_deriv > 0:
-        raise argparse.ArgumentTypeError("tau_deriv must be positive")
-    if not sigma >= 0:
-        raise argparse.ArgumentTypeError("sigma must be nonnegative")
-    for key in ("seeds", "trials", "subspace_dim"):
+    # each test is a comparison that NaN fails
+    for key, what, ok in (("tau_deriv", "positive", lambda v: v > 0),
+                          ("sigma", "finite and nonnegative", lambda v: 0 <= v < math.inf),
+                          ("slack", "finite and nonnegative", lambda v: 0 <= v < math.inf)):
+        if merged[key] is None:  # slack: each bound keeps its own
+            continue
+        try:
+            merged[key] = float(merged[key])
+        except (TypeError, ValueError):
+            raise argparse.ArgumentTypeError(f"{key} must be a number")
+        if not ok(merged[key]):
+            raise argparse.ArgumentTypeError(f"{key} must be {what}")
+    for key, least in (("seeds", 1), ("trials", 1), ("subspace_dim", 1), ("seed_base", 0)):
         val = merged[key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < 1:
-            raise argparse.ArgumentTypeError(f"{key} must be a positive integer")
+        if isinstance(val, bool) or not isinstance(val, int) or val < least:
+            raise argparse.ArgumentTypeError(f"{key} must be an integer >= {least}")
     return merged
 
 
@@ -144,7 +153,7 @@ def _cmd_example1(cfg: dict) -> int:
     mode, target = cfg["selection"]
     if mode == "target":
         doc = ex.run_example1_target(target, slack=cfg["slack"],
-                                     tau_deriv=float(cfg["tau_deriv"]))
+                                     tau_deriv=cfg["tau_deriv"])
         mu_re, mu_im = doc["mu"]
         print(f"selected value {complex(mu_re, mu_im):.6g} for target {target:.6g}")
         row = {"mu_re": repr(mu_re), "mu_im": repr(mu_im),
@@ -152,7 +161,7 @@ def _cmd_example1(cfg: dict) -> int:
         row.update(_verdict_columns(doc["verdicts"]))
         _emit(doc, cfg["json"], cfg["csv"], [row])
         return 0
-    result = ex.run_example1(slack=cfg["slack"], tau_deriv=float(cfg["tau_deriv"]))
+    result = ex.run_example1(slack=cfg["slack"], tau_deriv=cfg["tau_deriv"])
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
     _emit(result, cfg["json"], cfg["csv"], _check_rows(result["checks"]))
@@ -161,11 +170,11 @@ def _cmd_example1(cfg: dict) -> int:
 
 def _cmd_example2(cfg: dict) -> int:
     result = ex.run_example2(
-        sigma=float(cfg["sigma"]),
+        sigma=cfg["sigma"],
         seeds=tuple(range(cfg["seeds"])),
-        seed_base=int(cfg["seed_base"]),
+        seed_base=cfg["seed_base"],
         slack=cfg["slack"],
-        tau_deriv=float(cfg["tau_deriv"]),
+        tau_deriv=cfg["tau_deriv"],
     )
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
@@ -177,10 +186,13 @@ def _cmd_example2(cfg: dict) -> int:
 
 def _cmd_sweep(cfg: dict) -> int:
     if not cfg["problem"]:
-        raise SystemExit("sweep requires --problem pointing to a problem JSON file")
-    t, ref = load_problem(cfg["problem"])
+        raise argparse.ArgumentTypeError("sweep requires --problem, a problem JSON file")
+    try:
+        t, ref = load_problem(cfg["problem"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot load problem {cfg['problem']}: {exc}")
     if ref is None:
-        raise SystemExit("sweep needs a problem file with a 'reference' block")
+        raise argparse.ArgumentTypeError("sweep needs a problem with a 'reference' block")
     if cfg["subspace_dim"] >= t.n:
         raise argparse.ArgumentTypeError(
             f"subspace_dim must be below the problem dimension {t.n}")
@@ -190,9 +202,9 @@ def _cmd_sweep(cfg: dict) -> int:
         eps_list=cfg["eps"],
         trials=cfg["trials"],
         m=cfg["subspace_dim"],
-        seed_base=int(cfg["seed_base"]),
+        seed_base=cfg["seed_base"],
         slack=cfg["slack"],
-        tau_deriv=float(cfg["tau_deriv"]),
+        tau_deriv=cfg["tau_deriv"],
         target=target,
     )
     print(f"slope |mu - lambda*| vs eps: {result['slope_mu']:.3f}")
@@ -206,7 +218,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
 def _cmd_verify_all(cfg: dict) -> int:
     result = ex.verify_all(out_dir=cfg["out"], slack=cfg["slack"],
-                           tau_deriv=float(cfg["tau_deriv"]))
+                           tau_deriv=cfg["tau_deriv"])
     tagged = result.pop("reports")
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "

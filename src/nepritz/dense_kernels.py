@@ -18,7 +18,7 @@ ORTHO_TOL = 1e-12
 
 
 def _finite(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag)))
+    return bool(np.isfinite(a).all())
 
 
 def as_matrix(m) -> np.ndarray:
@@ -41,11 +41,9 @@ def as_vector(v) -> np.ndarray:
 
 
 def norm2(m) -> float:
-    """Operator 2-norm (largest singular value)."""
+    """Operator 2-norm: the largest singular value, as np.linalg.norm(a, 2) takes it."""
     a = np.atleast_2d(np.asarray(m, dtype=complex))
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(singular_values(a)[0]) if a.size else 0.0
 
 
 def phase_fix(v: np.ndarray) -> np.ndarray:

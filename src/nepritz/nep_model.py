@@ -197,10 +197,10 @@ def _cmul(a, b) -> np.ndarray:
 
 
 def _nth_der(coeffs: np.ndarray, order: int) -> np.ndarray:
-    """Ascending coefficients of the order-th derivative, by repeated polyder."""
+    """Ascending coefficients of the order-th derivative, k c_k as polyder forms them."""
     c = coeffs
     for _ in range(order):
-        c = npoly.polyder(c)
+        c = c[1:] * np.arange(1, c.size) if c.size > 1 else c[:1] * 0
     return c
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,11 +16,12 @@ from nepritz.errors import (
 from nepritz.experiments import (
     analyze_case,
     build_subspace_eps,
+    builtin_suite,
     fixture_problem,
     perturb_subspace,
 )
 from nepritz.extraction import refined_vector, ritz_vector
-from nepritz.nep_model import MatrixFunction, Polynomial, eval_T
+from nepritz.nep_model import MatrixFunction, Polynomial, eval_T, eval_T_many
 from nepritz.projection import Subspace, deviation, perturbation_witness, project
 
 
@@ -51,6 +52,77 @@ def fixture_perturbed_case(seed=0, sigma=1e-4):
     t, ref, w = fixture_problem()
     s = perturb_subspace(Subspace.from_basis(w), sigma, seed)
     return t, ref, s, analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
+
+
+def per_point_profile(b, lambda_star, direction, max_order, disc_radius, tau_deriv=1e-2):
+    """sigma_min_profile with one eval_T and one singular-value call per point."""
+    lam0, d = complex(lambda_star), complex(direction) / abs(direction)
+    hw = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3}[max_order]
+    h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
+    orders = range(0, max_order + 1)
+    offsets = sorted({o for j in orders for o in bl._STENCILS[j]})
+    svals = {o: singular_values(eval_T(b, lam0 + (o * h) * d, 0)) for o in offsets}
+    s0 = svals[0]
+    if s0[-1] <= 1e-13:
+        raise DegenerateSigma("sigma_min(B(lambda_star)) vanishes")
+    mult = int(np.sum(np.abs(s0 - s0[-1]) <= 1e-8 * max(1.0, s0[0])))
+    ests = [sum(c * float(svals[o][-1]) for o, c in bl._STENCILS[j].items()) / h**j
+            for j in orders]
+    eps_g = 2e-15 * max(1.0, *(float(sv[0]) for sv in svals.values()))
+    floors = [eps_g * sum(abs(c) for c in bl._STENCILS[j].values()) / h**j for j in orders]
+    reliable = [j == 0 or abs(ests[j]) > 5.0 * floors[j] for j in orders]
+    detected = None
+    for j in range(1, max_order + 1):
+        if not reliable[j]:
+            continue
+        nxt = abs(ests[j + 1]) if j + 1 <= max_order and reliable[j + 1] else 0.0
+        if abs(ests[j]) > disc_radius * nxt / (tau_deriv * (j + 1)):
+            detected = j
+            break
+    alpha = None
+    if detected is not None:
+        samples = [abs(ests[detected])]
+        stencil = bl._STENCILS[detected]
+        for frac in (0.2, 0.4, 0.6, 0.8):
+            for k in range(6):
+                center = lam0 + disc_radius * frac * d * np.exp(2j * np.pi * k / 6)
+                vals = [float(singular_values(eval_T(b, center + o * h * d, 0))[-1])
+                        for o in stencil]
+                est = sum(c * v for c, v in zip(stencil.values(), vals)) / h**detected
+                samples.append(abs(est))
+        alpha = float(min(samples))
+    return bl.DerivativeProfile(
+        center=lam0, direction=d, h=float(h), estimates=[float(e) for e in ests],
+        noise_floors=[float(f) for f in floors], reliable=reliable,
+        detected_m_mu=detected, alpha_estimate=alpha, sigma_min_multiplicity=mult,
+        readings_agree=None if detected is None else (mult == detected),
+        tau_deriv=float(tau_deriv),
+    )
+
+
+def profile_bytes(profile_fn, *args):
+    """Every DerivativeProfile field, floats and complexes as their bytes."""
+    def as_bytes(x):
+        if isinstance(x, list):
+            return [as_bytes(v) for v in x]
+        return np.asarray(x).tobytes() if isinstance(x, (float, complex)) else x
+
+    try:
+        prof = profile_fn(*args)
+    except DegenerateSigma:
+        return "DegenerateSigma"
+    return [as_bytes(getattr(prof, f.name)) for f in fields(prof)]
+
+
+@pytest.fixture(scope="module")
+def suite_rays():
+    """(instance id, B, lambda*, mu) of every built-in suite case."""
+    out = []
+    for inst in builtin_suite():
+        mu = analyze_case(inst.t, inst.ref, inst.subspace).mu
+        out.append((inst.instance_id, project(inst.t, inst.subspace),
+                    inst.ref.lambda_star, mu))
+    return out
 
 
 class TestSigmaMinProfile:
@@ -84,19 +156,28 @@ class TestSigmaMinProfile:
     def test_one_evaluation_per_stencil_offset(self, monkeypatch):
         delta = 1e-3
         b = linear_fn(np.diag([delta, 2.0]).astype(complex))
-        evals = []
+        stacks = []
 
-        def counted(fn, lam, order):
-            evals.append(lam)
-            return eval_T(fn, lam, order)
+        def counted(fn, lams, order):
+            stacks.append(list(lams))
+            return eval_T_many(fn, lams, order)
 
-        monkeypatch.setattr(bl, "eval_T", counted)
+        monkeypatch.setattr(bl, "eval_T_many", counted)
+        monkeypatch.setattr(bl, "eval_T", None)
         prof = bl.sigma_min_profile(b, 0.0, disc_radius=delta)
         assert prof.detected_m_mu == 1
-        # offsets -2..2 of the order-3 stencils, then the two-point order-1
-        # stencil at each of the 24 disc samples
-        assert len(evals) == 5 + 24 * 2
-        assert len(set(evals[:5])) == 5
+        # one stack of the offsets -2..2 of the order-3 stencils, then one of
+        # the two-point order-1 stencil at each of the 24 disc samples
+        assert [len(s) for s in stacks] == [5, 24 * 2]
+        assert len(set(stacks[0])) == 5
+
+    @pytest.mark.parametrize("max_order", [1, 2, 3, 4, 5])
+    def test_equals_per_point_profile_on_suite(self, suite_rays, max_order):
+        for name, b, lam, mu in suite_rays:
+            r = abs(mu - lam)
+            args = (b, lam, (mu - lam) / r, max_order, r)
+            assert profile_bytes(bl.sigma_min_profile, *args) == \
+                profile_bytes(per_point_profile, *args), name
 
     def test_degenerate_center_rejected(self):
         b = linear_fn(np.diag([0.5, 2.0]).astype(complex))

@@ -98,17 +98,31 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "subspace_dim" in capsys.readouterr().err
 
-    def test_requires_problem(self):
-        with pytest.raises(SystemExit):
+    def test_requires_problem(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--eps", "1e-2,1e-3,1e-4,1e-5,1e-6"])
+        assert exc.value.code == 2
+        assert "--problem" in capsys.readouterr().err
 
-    def test_requires_reference_block(self, tmp_path):
+    def test_requires_reference_block(self, tmp_path, capsys):
         t, _, _ = fixture_problem()
         path = tmp_path / "noref.json"
         save_problem(path, t)  # no reference
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["sweep", "--problem", str(path),
                   "--eps", "1e-2,1e-3,1e-4,1e-5,1e-6"])
+        assert exc.value.code == 2
+        assert "reference" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json", '{"n": 3}'])
+    def test_unreadable_problem_is_usage_error(self, tmp_path, capsys, content):
+        path = tmp_path / "problem.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--problem", str(path)])
+        assert exc.value.code == 2
+        assert "cannot load problem" in capsys.readouterr().err
 
 
 class TestVerifyAllCommand:
@@ -154,11 +168,13 @@ class TestFlagScope:
         assert exc.value.code == 2
         assert "selection" in capsys.readouterr().err
 
-    def test_grid_density_config_key_rejected(self, tmp_path):
+    def test_grid_density_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid_density": 12}))
-        with pytest.raises(SystemExit, match="grid_density"):
+        with pytest.raises(SystemExit) as exc:
             main(["example1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "grid_density" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -175,11 +191,23 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(jpath.read_text())["n_seeds"] == 2
 
-    def test_unknown_config_keys_rejected(self, tmp_path):
+    def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sigmaa": 1.0}))
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["example2", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "sigmaa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["example1", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config" in capsys.readouterr().err
 
 
 _OUT_OF_RANGE = [
@@ -187,11 +215,18 @@ _OUT_OF_RANGE = [
     ("example1", "tau_deriv", -1.0),
     ("verify-all", "tau_deriv", 0.0),
     ("example2", "sigma", -1.0),
+    ("example2", "sigma", float("inf")),
     ("example2", "seeds", 0),
     ("example2", "seeds", -3),
     ("example2", "seeds", 2.5),
     ("sweep", "trials", 0),
     ("sweep", "subspace_dim", 0),
+    ("example1", "slack", -2.0),
+    ("example2", "slack", float("nan")),
+    ("verify-all", "slack", float("inf")),
+    ("sweep", "slack", -1e-3),
+    ("example2", "seed_base", -5),
+    ("sweep", "seed_base", -1),
 ]
 
 
@@ -207,6 +242,21 @@ class TestOutOfRangeInput:
     @pytest.mark.parametrize("command,key,value", _OUT_OF_RANGE)
     def test_config_value_rejected_as_usage_error(self, command, key, value,
                                                   tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("example1", "slack", "loose"),
+        ("verify-all", "slack", [0.1]),
+        ("example2", "seed_base", 1.5),
+        ("sweep", "seed_base", "42"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, command, key, value,
+                                                 tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit) as exc:

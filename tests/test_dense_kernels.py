@@ -3,6 +3,8 @@ import pytest
 from helpers import complex_randn, mgs_oracle, power_iteration_norm
 
 from nepritz.dense_kernels import (
+    _finite,
+    as_matrix,
     householder_complement,
     near_singular,
     norm2,
@@ -135,6 +137,28 @@ class TestSvd:
         rng = np.random.default_rng(100 + seed)
         m = complex_randn(rng, 6, 5)
         assert abs(norm2(m) - power_iteration_norm(m, seed=seed)) <= 1e-8 * norm2(m)
+
+    def test_norm_bit_equal_numpy_norm(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            rows, cols = rng.integers(1, 17, size=2)
+            m = complex_randn(rng, rows, cols) * 10.0 ** rng.uniform(-8, 8)
+            assert np.float64(norm2(m)).tobytes() == np.linalg.norm(m, 2).tobytes()
+        v = complex_randn(rng, 7)
+        assert norm2(v) == np.linalg.norm(np.atleast_2d(v), 2)
+
+    @pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(np.inf, 1.0),
+                                       complex(1.0, -np.inf)])
+    def test_finite_rejects_nan_and_signed_inf(self, entry):
+        m = np.ones((3, 3), dtype=complex)
+        m[1, 2] = entry
+        stack = np.stack([np.ones((3, 3), dtype=complex), m])
+        assert not _finite(m) and not _finite(stack)
+        assert _finite(np.ones((2, 3, 3), dtype=complex))
+        with pytest.raises(ValueError):
+            as_matrix(m)
+        with pytest.raises(ValueError):
+            singular_values(stack)
 
 
 class TestSolveLinear:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from helpers import complex_randn, quotient_rule_derivative
+from numpy.polynomial import polynomial as npoly
 
 import nepritz.nep_model as nep_model
 from nepritz.dense_kernels import norm2, singular_values
@@ -183,6 +184,22 @@ class TestEvalTMany:
         t, _, _ = fixture_problem()
         with pytest.raises(ValueError):
             eval_T_many(t, [0.0], nep_model.MAX_DERIV_ORDER + 1)
+
+
+class TestNthDerivative:
+    def test_bit_equal_repeated_polyder(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            c = complex_randn(rng, int(rng.integers(1, 34)))
+            c *= 10.0 ** rng.uniform(-8, 8, size=c.size)
+            # signed zeros in either part
+            c[rng.random(c.size) < 0.2] *= 0.0
+            c[rng.random(c.size) < 0.2] *= -1.0
+            want = c
+            for order in range(nep_model.MAX_DERIV_ORDER + 1):
+                got = nep_model._nth_der(c, order)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                want = npoly.polyder(want)
 
 
 class TestTaylorRemainder:

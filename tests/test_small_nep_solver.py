@@ -476,6 +476,31 @@ class TestSolveProjected:
         with pytest.raises(ValueError):
             solve_projected(b, 0.0, 1.0)
 
+    def test_one_acceptance_stack_keeps_spurious_order(self, monkeypatch):
+        # B = (lam - 0.5)/(lam - 0.2); the polished roots are planted: one on
+        # the pole guard, one where sigma_min(B) = 2, and the true root
+        b = MatrixFunction.from_terms([
+            (Rational([-0.5, 1], [-0.2, 1]), np.array([[1.0]], dtype=complex)),
+        ])
+        planted = [0.5 + 0j, 0.3 + 0j, 0.2 + 1e-10 + 0j]
+        monkeypatch.setattr(sns, "companion_eigs", lambda coeffs: list(planted))
+        monkeypatch.setattr(sns, "newton_trace_refine", lambda b, starts: list(starts))
+        stacks = []
+
+        def counted(fn, lams, order):
+            stacks.append(list(np.asarray(lams, dtype=complex).reshape(-1)))
+            return eval_T_many(fn, lams, order)
+
+        monkeypatch.setattr(sns, "eval_T_many", counted)
+        spec = solve_projected(b, 0.4, 0.3)
+        # polynomialize's 20-point self-check, then one acceptance stack over
+        # the off-pole cluster means in ascending order
+        assert [len(s) for s in stacks] == [20, 2]
+        assert stacks[1] == [0.3, 0.5]
+        assert spec.eigenvalues == [0.5] and spec.residuals == [0.0]
+        # the pole-guarded mean sorts first and is filtered first
+        assert spec.filtered_spurious == [planted[2], 0.3]
+
 
 class TestSelectRitzValue:
     def test_oracle_picks_nearest(self):
