@@ -35,7 +35,6 @@ from .dense_kernels import (
     as_matrix,
     as_vector,
     householder_complement,
-    norm2,
     singular_values,
 )
 from .errors import (
@@ -313,10 +312,13 @@ class CaseContext:
     T is the full function, B its projection onto the subspace and
     L = X_perp^H T X_perp its compression against the complement of x_star.
     Compression keeps the scalar terms, so T, B and L share their poles and
-    hence one remainder sampling radius.  gamma, beta and gamma_b are the
-    sampled second-order Taylor remainder constants of T, L and B.  T(l*),
-    B(l*), T(mu) and B(mu) are kept whole because the perturbation witness
-    and the Ritz and refined extractions read them too.
+    hence one remainder sampling radius, and gamma, beta and gamma_b, the
+    sampled second-order Taylor remainder constants of T, L and B, come from
+    one pass over one sample set.  The singular values of T(l*), T'(l*) and
+    T(mu) come from one batched call, as do those of L(l*), L'(l*) and L(mu);
+    neither stack is kept.  T(l*), B(l*), T(mu) and B(mu) are kept whole
+    because the perturbation witness and the Ritz and refined extractions
+    read them too.
     """
 
     x_star: np.ndarray
@@ -369,12 +371,11 @@ def build_case_context(
     """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
     b must be the projection of t onto s (``project(t, s)``), so that both
-    share the remainder radius.  The perturbation witness reads T(l*) and
-    B(l*), and the extractions at mu read T(mu) and B(mu), from the context
-    instead of evaluating them again.
+    share the scalar terms behind the remainder pass; taylor_remainder_const
+    raises ValueError when they do not.  The perturbation witness reads
+    T(l*) and B(l*), and the extractions at mu read T(mu) and B(mu), from
+    the context instead of evaluating them again.
     """
-    if b.domain_poles != t.domain_poles:
-        raise ValueError("b is not a compression of t: their poles differ")
     lam, mu = complex(lambda_star), complex(mu)
     x = as_vector(x_star)
     x_perp, lfn = eigvec_complement_function(t, x)
@@ -382,26 +383,31 @@ def build_case_context(
     t_star = eval_T(t, lam, 0)
     b_star = eval_T(b, lam, 0)
     t_mu = eval_T(t, mu, 0)
+    # one batched call per matrix shape: T(l*), T'(l*), T(mu), then L(l*), L'(l*), L(mu)
+    t_svals = singular_values(np.stack([t_star, eval_T(t, lam, 1), t_mu]))
+    l_svals = singular_values(np.stack(
+        [eval_T(lfn, lam, 0), eval_T(lfn, lam, 1), eval_T(lfn, mu, 0)]))
+    gamma, beta, gamma_b = taylor_remainder_const(t, lam, radius, lfn, b)
     return CaseContext(
         x_star=x,
         eps=deviation(s, x),
         mu_dist=abs(mu - lam),
         radius=radius,
         t_star=t_star,
-        t_star_svals=singular_values(t_star),
-        norm_T_prime=norm2(eval_T(t, lam, 1)),
+        t_star_svals=t_svals[0],
+        norm_T_prime=float(t_svals[1, 0]),
         t_mu=t_mu,
-        norm_T_mu=norm2(t_mu),
+        norm_T_mu=float(t_svals[2, 0]),
         b_star=b_star,
         b_star_svals=singular_values(b_star),
         b_mu=eval_T(b, mu, 0),
         x_perp=x_perp,
-        sigma_min_L_star=float(singular_values(eval_T(lfn, lam, 0))[-1]),
-        norm_L_prime=norm2(eval_T(lfn, lam, 1)),
-        sigma_min_L_mu=float(singular_values(eval_T(lfn, mu, 0))[-1]),
-        gamma=taylor_remainder_const(t, lam, radius),
-        beta=taylor_remainder_const(lfn, lam, radius),
-        gamma_b=taylor_remainder_const(b, lam, radius),
+        sigma_min_L_star=float(l_svals[0, -1]),
+        norm_L_prime=float(l_svals[1, 0]),
+        sigma_min_L_mu=float(l_svals[2, -1]),
+        gamma=gamma,
+        beta=beta,
+        gamma_b=gamma_b,
     )
 
 

@@ -90,7 +90,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
     # each test is a comparison that NaN fails
-    for key, what, ok in (("tau_deriv", "positive", lambda v: v > 0),
+    for key, what, ok in (("tau_deriv", "finite and positive", lambda v: 0 < v < math.inf),
                           ("sigma", "finite and nonnegative", lambda v: 0 <= v < math.inf),
                           ("slack", "finite and nonnegative", lambda v: 0 <= v < math.inf)):
         if merged[key] is None:  # slack: each bound keeps its own

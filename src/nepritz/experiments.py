@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds_lab as bl
-from .dense_kernels import norm2, orthonormalize, phase_fix, singular_values
+from .dense_kernels import norm2, orthonormalize, phase_fix, singular_values, svd
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -111,14 +111,28 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
 
 
 def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
-    """Add a complex Gaussian of standard deviation sigma and re-orthonormalize."""
+    """Add a complex Gaussian of standard deviation sigma and re-orthonormalize.
+
+    Raises ConstructionFailed when the noisy basis is not finite or its
+    Gram-Schmidt result is not orthonormal, as happens from about
+    sigma = 1e155 up, where the squared column norms overflow.
+    """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if sigma == 0.0:
         return s
     rng = np.random.default_rng(seed)
-    noisy = s.basis + sigma * _complex_randn(rng, *s.basis.shape)
-    return Subspace.from_basis(orthonormalize(noisy))
+    # the checks below report an overflow, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = s.basis + sigma * _complex_randn(rng, *s.basis.shape)
+        if not np.isfinite(noisy).all():
+            raise ConstructionFailed(f"sigma = {sigma:g} overflows the perturbed basis")
+        try:
+            return Subspace.from_basis(orthonormalize(noisy))
+        except ValueError as exc:
+            raise ConstructionFailed(
+                f"the basis perturbed by sigma = {sigma:g} does not re-orthonormalize: {exc}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +523,7 @@ def random_planted_nep(
     if svals[-2] < 1e-6 * max(1.0, svals[0]):
         raise ConstructionFailed(f"seed {seed}: planted eigenvalue is not simple enough")
     # algebraic simplicity: left/right coupling through T'(lambda_star)
-    from .dense_kernels import svd as full_svd
-
-    dec = full_svd(t_star)
-    y_left = dec.left_vectors[:, -1]
+    y_left = svd(t_star).left_vectors[:, -1]
     coupling = abs(np.vdot(y_left, eval_T(t, lambda_star, 1) @ x))
     if coupling < 1e-6 * max(1.0, norm2(eval_T(t, lambda_star, 1))):
         raise ConstructionFailed(f"seed {seed}: eigenvalue derivative vanishes")

@@ -79,6 +79,23 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
+def _check_points(poles: list[complex]) -> np.ndarray:
+    """polynomialize's 20 sample points: uniform in [-1.5, 1.5]^2, 1e-3 off every pole.
+
+    Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
+    rejected point keeps the order of the rest, so the points do not depend
+    on the block size.
+    """
+    rng = np.random.default_rng(20240925)
+    points = np.empty(0, dtype=complex)
+    while points.size < 20:
+        draw = rng.uniform(-1.5, 1.5, size=(20, 2)).view(complex).ravel()
+        for p in poles:
+            draw = draw[np.abs(draw - p) >= 1e-3]
+        points = np.concatenate([points, draw])
+    return points[:20]
+
+
 def polynomialize(b: MatrixFunction):
     """Clear rational denominators: return (C_0..C_d of P = q B, poles of q).
 
@@ -138,13 +155,7 @@ def polynomialize(b: MatrixFunction):
 
     # sample check: P(lam) must match q(lam) B(lam) away from the poles, at
     # 20 points evaluated as one stack on each side
-    rng = np.random.default_rng(20240925)
-    points: list[complex] = []
-    while len(points) < 20:
-        lam = complex(*rng.uniform(-1.5, 1.5, size=2))
-        if all(abs(lam - p) >= 1e-3 for p in poles):
-            points.append(lam)
-    lams = np.array(points)
+    lams = _check_points(poles)
     qvals = npoly.polyval(lams, full)
     stacked = np.stack(out)
     p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)

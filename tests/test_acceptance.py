@@ -145,14 +145,16 @@ def test_criterion_5_kernel_properties():
         a = complex_randn(rng, rows, cols)
         res = nr.svd(a)
         p = min(rows, cols)
-        smat = np.zeros((rows, cols), dtype=complex)
-        smat[:p, :p] = np.diag(res.singular_values)
+        # thin factors: U is rows x p and V cols x p
+        assert res.left_vectors.shape == (rows, p)
+        assert res.right_vectors.shape == (cols, p)
+        smat = np.diag(res.singular_values)
         assert norm2(res.left_vectors @ smat @ res.right_vectors.conj().T - a) \
             <= 1e-12 * max(1.0, norm2(a))
         assert norm2(res.left_vectors.conj().T @ res.left_vectors
-                     - np.eye(rows)) <= 1e-12
+                     - np.eye(p)) <= 1e-12
         assert norm2(res.right_vectors.conj().T @ res.right_vectors
-                     - np.eye(cols)) <= 1e-12
+                     - np.eye(p)) <= 1e-12
 
     matched = 0
     for seed, m, degree in [(0, 2, 2), (1, 3, 2), (2, 4, 3), (3, 2, 3),

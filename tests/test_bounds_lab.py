@@ -6,7 +6,7 @@ import pytest
 from helpers import complex_randn, seeded_unitary
 
 import nepritz.bounds_lab as bl
-from nepritz.dense_kernels import singular_values
+from nepritz.dense_kernels import norm2, singular_values
 from nepritz.errors import (
     DegenerateRatio,
     DegenerateSigma,
@@ -272,6 +272,30 @@ class TestSchurComplement:
         sigs = [fixture_context(mu=m).sigma_min_L_mu for m in (1e-2, 1e-3, 1e-4, 1e-5)]
         errs = [abs(s - sig_star) for s in sigs]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+
+
+class TestCaseContext:
+    def test_stacked_values_equal_one_matrix_at_a_time(self):
+        # the T and L stacks give each matrix's values bit for bit
+        for inst in builtin_suite()[::5]:
+            t, x, lam = inst.t, inst.ref.x_star, inst.ref.lambda_star
+            mu = lam + 1e-3 - 2e-3j
+            ctx = bl.build_case_context(t, inst.subspace, project(t, inst.subspace),
+                                        x, lam, mu)
+            _, lfn = bl.eigvec_complement_function(t, x)
+            assert ctx.t_star_svals.tobytes() == singular_values(eval_T(t, lam, 0)).tobytes()
+            assert ctx.norm_T_prime == norm2(eval_T(t, lam, 1))
+            assert ctx.norm_T_mu == norm2(eval_T(t, mu, 0))
+            assert ctx.sigma_min_L_star == singular_values(eval_T(lfn, lam, 0))[-1]
+            assert ctx.norm_L_prime == norm2(eval_T(lfn, lam, 1))
+            assert ctx.sigma_min_L_mu == singular_values(eval_T(lfn, mu, 0))[-1]
+
+    def test_projection_of_another_function_rejected(self):
+        t, ref, w = fixture_problem()
+        twin, _, _ = fixture_problem()  # equal terms, other objects
+        s = Subspace.from_basis(w)
+        with pytest.raises(ValueError, match="scalar terms"):
+            bl.build_case_context(t, s, project(twin, s), ref.x_star, 0.0, 0.0)
 
 
 class TestPerturbationBounds:

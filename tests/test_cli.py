@@ -71,6 +71,11 @@ class TestExample2Command:
         assert "sin_refined" in header and "verdict_refined_residual" in header
         assert len(cpath.read_text().splitlines()) == 5
 
+    def test_huge_sigma_is_a_construction_failure(self, capsys):
+        # the perturbed basis overflows Gram-Schmidt's norms: exit 2, no traceback
+        assert main(["example2", "--sigma", "1e308", "--seeds", "1"]) == 2
+        assert "error: ConstructionFailed: " in capsys.readouterr().err
+
     def test_deterministic_csv(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["example2", "--seeds", "3", "--csv", str(p1)])
@@ -213,7 +218,10 @@ class TestConfigFile:
 _OUT_OF_RANGE = [
     ("example1", "tau_deriv", 0.0),
     ("example1", "tau_deriv", -1.0),
+    ("example1", "tau_deriv", float("inf")),
     ("verify-all", "tau_deriv", 0.0),
+    ("example2", "tau_deriv", float("inf")),
+    ("sweep", "tau_deriv", float("nan")),
     ("example2", "sigma", -1.0),
     ("example2", "sigma", float("inf")),
     ("example2", "seeds", 0),

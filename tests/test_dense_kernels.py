@@ -89,9 +89,8 @@ class TestSvd:
         rng = np.random.default_rng(42)
         m = complex_randn(rng, 5, 3)
         res = svd(m)
-        smat = np.zeros((5, 3), dtype=complex)
-        smat[:3, :3] = np.diag(res.singular_values)
-        rebuilt = res.left_vectors @ smat @ res.right_vectors.conj().T
+        assert res.left_vectors.shape == (5, 3) and res.right_vectors.shape == (3, 3)
+        rebuilt = res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.conj().T
         assert norm2(rebuilt - m) <= 1e-12 * max(1.0, norm2(m))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -103,20 +102,52 @@ class TestSvd:
         res = svd(m)
         s = res.singular_values
         assert np.all(np.diff(s) <= 1e-15) and np.all(s >= 0)
+        p = min(rows, cols)
+        assert res.left_vectors.shape == (rows, p)
+        assert res.right_vectors.shape == (cols, p)
         assert norm2(res.left_vectors.conj().T @ res.left_vectors
-                     - np.eye(rows)) <= 1e-12
+                     - np.eye(p)) <= 1e-12
         assert norm2(res.right_vectors.conj().T @ res.right_vectors
-                     - np.eye(cols)) <= 1e-12
+                     - np.eye(p)) <= 1e-12
 
     def test_singular_value_idempotence(self):
         rng = np.random.default_rng(5)
         m = complex_randn(rng, 6, 4)
         res = svd(m)
-        smat = np.zeros((6, 4), dtype=complex)
-        smat[:4, :4] = np.diag(res.singular_values)
-        rebuilt = res.left_vectors @ smat @ res.right_vectors.conj().T
+        rebuilt = res.left_vectors @ np.diag(res.singular_values) @ res.right_vectors.conj().T
         again = singular_values(rebuilt)
         assert np.allclose(again, res.singular_values, atol=1e-10)
+
+    @pytest.mark.parametrize("rows,cols", [(3, 3), (12, 3), (5, 8), (128, 16), (120, 40)])
+    def test_thin_factors_are_leading_columns_of_full_ones(self, rows, cols):
+        # bit for bit, also where LAPACK's own thin path rounds differently
+        rng = np.random.default_rng(rows * cols)
+        m = complex_randn(rng, rows, cols)
+        res = svd(m)
+        u, s, vh = np.linalg.svd(m, full_matrices=True)
+        p = s.size
+        u, v = u[:, :p], vh[:p].conj().T
+        for k in range(p):
+            piv = u[int(np.argmax(np.abs(u[:, k]))), k]
+            u[:, k] *= np.conj(piv) / abs(piv)
+            v[:, k] *= np.conj(piv) / abs(piv)
+        assert res.left_vectors.tobytes() == u.tobytes()
+        assert res.right_vectors.tobytes() == v.tobytes()
+        assert res.singular_values.tobytes() == s.tobytes()
+
+    def test_checks_decompose_nothing_of_the_long_side(self, monkeypatch):
+        import nepritz.dense_kernels as dk
+
+        shapes = []
+
+        def recorded(m):
+            shapes.append(np.shape(m))
+            return singular_values(m)
+
+        monkeypatch.setattr(dk, "singular_values", recorded)
+        svd(complex_randn(np.random.default_rng(7), 40, 4))
+        # the reconstruction residual, then U^H U - I and V^H V - I in one stack
+        assert shapes == [(40, 4), (2, 4, 4)]
 
     def test_stack_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(6)

@@ -99,6 +99,16 @@ class TestPerturbSubspace:
         s2 = ex.perturb_subspace(Subspace.from_basis(w), 1e-4, seed=8)
         assert norm2(s2.basis.conj().T @ s2.basis - np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("sigma,seed,message", [
+        (np.finfo(float).max, 2, "overflows the perturbed basis"),
+        (np.finfo(float).max, 0, "does not re-orthonormalize"),
+        (1e200, 0, "does not re-orthonormalize"),
+    ])
+    def test_huge_sigma_raises_construction_failed(self, sigma, seed, message):
+        _, _, w = ex.fixture_problem()
+        with pytest.raises(ConstructionFailed, match=message):
+            ex.perturb_subspace(Subspace.from_basis(w), sigma, seed=seed)
+
 
 class TestRunExample1:
     def test_all_checks_pass(self):
@@ -155,7 +165,7 @@ class TestRunExample2:
 class TestAnalyzeCase:
     def test_each_case_quantity_is_derived_once(self, monkeypatch):
         # B and L are each compressed once, L comes from one complement, and
-        # gamma, beta, gamma_B are one remainder estimate each
+        # gamma, beta, gamma_B come from one remainder pass over T, L and B
         import nepritz.bounds_lab as bl
         from nepritz import nep_model
 
@@ -178,7 +188,7 @@ class TestAnalyzeCase:
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert case.all_hold
         assert calls == {"eigvec_complement_function": 1, "compress": 2,
-                         "taylor_remainder_const": 3}
+                         "taylor_remainder_const": 1}
 
 
     def test_each_matrix_at_mu_is_evaluated_once(self, monkeypatch):

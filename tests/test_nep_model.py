@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 from helpers import complex_randn, quotient_rule_derivative
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import nepritz.nep_model as nep_model
+from nepritz.bounds_lab import eigvec_complement_function, remainder_radius
 from nepritz.dense_kernels import norm2, singular_values
-from nepritz.errors import PoleHit
-from nepritz.experiments import fixture_problem
+from nepritz.errors import ConstructionFailed, PoleHit
+from nepritz.experiments import builtin_suite, fixture_problem, random_planted_nep
 from nepritz.nep_model import (
     PHI2_SERIES_RADIUS,
     Exponential,
@@ -210,7 +213,7 @@ class TestTaylorRemainder:
             (Polynomial([1]), a),
             (Polynomial([0, 1]), -np.eye(3, dtype=complex)),
         ])
-        assert taylor_remainder_const(t, 0.2, 0.5) == pytest.approx(0.0, abs=1e-13)
+        assert taylor_remainder_const(t, 0.2, 0.5) == (pytest.approx(0.0, abs=1e-13),)
 
     @pytest.mark.parametrize("radius", [1e-3, 1e-7])
     def test_linear_function_is_exactly_zero(self, radius):
@@ -221,7 +224,7 @@ class TestTaylorRemainder:
             (Polynomial([1]), complex_randn(rng, 3, 3)),
             (Polynomial([0.5, 2.0 - 1.0j]), complex_randn(rng, 3, 3)),
         ])
-        assert taylor_remainder_const(t, 0.2 + 0.3j, radius) == 0.0
+        assert taylor_remainder_const(t, 0.2 + 0.3j, radius) == (0.0,)
 
     @pytest.mark.parametrize("radius", [1e-9, 1e-3, 0.3, 10.0])
     def test_quadratic_is_exactly_scaled_leading_norm(self, radius):
@@ -232,7 +235,7 @@ class TestTaylorRemainder:
             (Polynomial([0, 1]), complex_randn(rng, 4, 4)),
             (Polynomial([0, 0, 1]), a2),
         ])
-        assert taylor_remainder_const(t, -0.4 + 0.7j, radius) == 1.5 * norm2(a2)
+        assert taylor_remainder_const(t, -0.4 + 0.7j, radius) == (1.5 * norm2(a2),)
 
     def test_matches_matrix_difference_loop(self):
         # reference: 1.5 max ||T(lam) - T(l*) - T'(l*) h|| / |h|^2 over the
@@ -254,7 +257,7 @@ class TestTaylorRemainder:
                 h = r * np.exp(2j * np.pi * k / 16)
                 rem = eval_T(t, lam + h, 0) - t0 - t1 * h
                 worst = max(worst, norm2(rem) / abs(h) ** 2)
-        assert taylor_remainder_const(t, lam, radius) == pytest.approx(1.5 * worst, rel=1e-12)
+        assert taylor_remainder_const(t, lam, radius) == (pytest.approx(1.5 * worst, rel=1e-12),)
 
     @pytest.mark.parametrize("nonlinear", [
         Polynomial([0.3, -1.0, 0.5j]),
@@ -283,18 +286,18 @@ class TestTaylorRemainder:
         monkeypatch.setattr(nep_model, "singular_values", counted_svals)
         monkeypatch.setattr(nep_model, "eval_T", counted_eval)
         monkeypatch.setattr(nep_model, "norm2", None)
-        gamma = taylor_remainder_const(t, 0.3 + 0.1j, 0.2)
+        (gamma,) = taylor_remainder_const(t, 0.3 + 0.1j, 0.2)
         assert gamma > 0
         assert sum(norms) == 1 and evals == []
 
     def test_pure_quadratic(self):
         t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), np.eye(2, dtype=complex))])
         # remainder is exactly lam^2 I, so the ratio is 1 and the factor 1.5 shows
-        assert taylor_remainder_const(t, 0.0, 0.3) == pytest.approx(1.5)
+        assert taylor_remainder_const(t, 0.0, 0.3) == (pytest.approx(1.5),)
 
     def test_fixture_gamma_bounds_fresh_samples(self):
         t, _, _ = fixture_problem()
-        gamma = taylor_remainder_const(t, 0.0, 0.1)
+        (gamma,) = taylor_remainder_const(t, 0.0, 0.1)
         assert gamma > 0
         t0 = eval_T(t, 0.0, 0)
         t1 = eval_T(t, 0.0, 1)
@@ -310,6 +313,128 @@ class TestTaylorRemainder:
         t, _, _ = fixture_problem()
         with pytest.raises(PoleHit):
             taylor_remainder_const(t, 0.0, 1.5)
+
+
+def per_function_remainder(t, lambda_star, radius):
+    """The remainder loop of one function at a time, circle by circle.
+
+    A copy of the single-function estimate that preceded the shared pass:
+    one batched singular-value call per circle over the directions that
+    circle adds.  The shared pass must reproduce it bit for bit.
+    """
+    lambda_star = complex(lambda_star)
+    for pole in t.domain_poles:
+        if abs(pole - lambda_star) <= radius * (1 + 1e-12):
+            raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
+    unit = np.exp(2j * np.pi * np.arange(16) / 16)
+    h = np.concatenate([r * unit for r in (radius / 4.0, radius / 2.0, radius)])
+    rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
+    kept = np.flatnonzero(np.any(rho != 0, axis=0))
+    if kept.size == 0:
+        return 0.0
+    rho = rho[:, kept]
+    coeffs = np.stack([t.terms[i][1] for i in kept])
+    rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
+    piv = rho[rows, big]
+    dirs = rho / np.where(piv == 0, 1.0, piv)[:, None]
+    dirs[rows, big] = 1.0
+    keys = [d.tobytes() for d in dirs]
+    norms = {}
+    for circle in np.split(rows, 3):
+        fresh = {keys[k]: dirs[k] for k in circle if piv[k] != 0 and keys[k] not in norms}
+        if fresh:
+            stack = np.tensordot(np.array(list(fresh.values())), coeffs, axes=1)
+            norms.update(zip(fresh, singular_values(stack)[:, 0].tolist()))
+    worst = max((abs(piv[k]) * norms[keys[k]] for k in rows if piv[k] != 0), default=0.0)
+    return 1.5 * worst
+
+
+def assert_shared_pass_matches_loop(t, x_star, basis, lam, radius):
+    _, lfn = eigvec_complement_function(t, x_star)
+    b = t.compress(basis)
+    got = taylor_remainder_const(t, lam, radius, lfn, b)
+    want = tuple(per_function_remainder(f, lam, radius) for f in (t, lfn, b))
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
+def suite_remainder_cases():
+    for inst in builtin_suite():
+        lam = inst.ref.lambda_star
+        for radius in (1e-3, remainder_radius(inst.t, lam, lam + 0.05)):
+            yield pytest.param(inst, radius, id=f"{inst.instance_id}-r{radius:.3g}")
+
+
+class TestSharedRemainderPass:
+    @pytest.mark.parametrize("inst,radius", suite_remainder_cases())
+    def test_suite_matches_per_function_loop(self, inst, radius):
+        assert_shared_pass_matches_loop(inst.t, inst.ref.x_star, inst.subspace.basis,
+                                        inst.ref.lambda_star, radius)
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.3, 2.0])
+    def test_delay_problem_matches_per_function_loop(self, radius):
+        # exponential phi_2 on both sides of its series switch at radius 2
+        rng = np.random.default_rng(11)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 8, 8)),
+            (Polynomial([0, 1]), complex_randn(rng, 8, 8)),
+            (Exponential(-1.0), complex_randn(rng, 8, 8)),
+        ])
+        x = complex_randn(rng, 8)
+        w, _ = np.linalg.qr(complex_randn(rng, 8, 3))
+        assert_shared_pass_matches_loop(t, x / np.linalg.norm(x), w, 0.2 + 0.1j, radius)
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.4])
+    def test_rational_problem_with_pole_matches_per_function_loop(self, radius):
+        rng = np.random.default_rng(12)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 5, 5)),
+            (Polynomial([0, 0, 1]), complex_randn(rng, 5, 5)),
+            (Polynomial([0, 0, 0, 1]), complex_randn(rng, 5, 5)),
+            (Rational([1.0, 0.5j], [-1.0, 1.0]), complex_randn(rng, 5, 5)),
+        ])
+        x = complex_randn(rng, 5)
+        w, _ = np.linalg.qr(complex_randn(rng, 5, 2))
+        assert_shared_pass_matches_loop(t, x / np.linalg.norm(x), w, 0.3j, radius)
+        # the pole at 1 is inside every disc from radius |1 - 0.3i| on
+        with pytest.raises(PoleHit):
+            taylor_remainder_const(t, 0.3j, 1.1, t.compress(w))
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(3, 10), degree=st.integers(1, 4), seed=st.integers(0, 10**6),
+           pole=st.booleans(), m=st.integers(1, 3))
+    def test_planted_problems_match_per_function_loop(self, n, degree, seed, pole, m):
+        lam = 0.2 + 0.1j
+        try:
+            t, ref = random_planted_nep(n, degree, seed, lam,
+                                        rational_pole=1.1 - 0.4j if pole else None)
+        except ConstructionFailed:
+            assume(False)
+        w, _ = np.linalg.qr(complex_randn(np.random.default_rng(seed), n, m))
+        assert_shared_pass_matches_loop(t, ref.x_star, w, lam,
+                                        remainder_radius(t, lam, lam + 0.05))
+
+    def test_one_constant_per_function(self):
+        rng = np.random.default_rng(13)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 4, 4)),
+            (Polynomial([0, 1]), complex_randn(rng, 4, 4)),
+        ])
+        w, _ = np.linalg.qr(complex_randn(rng, 4, 2))
+        # affine: every constant is exactly 0
+        assert taylor_remainder_const(t, 0.1, 0.5, t.compress(w), t.compress(w)) == (0.0,) * 3
+
+    def test_compression_with_other_scalar_terms_rejected(self):
+        rng = np.random.default_rng(14)
+        a, c = complex_randn(rng, 3, 3), complex_randn(rng, 3, 3)
+        t = MatrixFunction.from_terms([(Polynomial([1]), a), (Polynomial([0, 0, 1]), c)])
+        # equal scalar terms, but not the same objects
+        twin = MatrixFunction.from_terms([(Polynomial([1]), a), (Polynomial([0, 0, 1]), c)])
+        shorter = MatrixFunction.from_terms([t.terms[1]])
+        for other in (twin, shorter):
+            with pytest.raises(ValueError, match="scalar terms"):
+                taylor_remainder_const(t, 0.0, 0.1, other)
+        assert taylor_remainder_const(t, 0.0, 0.1, t.compress(np.eye(3, 2))) \
+            == (1.5 * norm2(c), 1.5 * norm2(c[:2, :2]))
 
 
 LAM_STAR = 0.2 + 0.1j

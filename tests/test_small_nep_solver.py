@@ -104,6 +104,28 @@ class TestPolynomialize:
         with pytest.raises(RuntimeError, match="polynomialize self-check failed"):
             polynomialize(b)
 
+    @staticmethod
+    def one_pair_per_draw(poles, count=20):
+        # the self-check's points as first drawn: one (re, im) pair per draw
+        rng = np.random.default_rng(20240925)
+        points = []
+        while len(points) < count:
+            lam = complex(*rng.uniform(-1.5, 1.5, size=2))
+            if all(abs(lam - p) >= 1e-3 for p in poles):
+                points.append(lam)
+        return np.array(points)
+
+    def test_check_points_drawn_in_blocks_equal_one_pair_per_draw(self):
+        first = self.one_pair_per_draw([], count=25)
+        # no pole; one near the 3rd point; near the 1st, 3rd and 7th points
+        for poles in ([], [first[2] + 5e-4], [first[0], first[2] - 2e-4j, first[6] + 1e-4]):
+            got = sns._check_points(poles)
+            want = self.one_pair_per_draw(poles)
+            assert got.tobytes() == want.tobytes()
+            assert all(abs(lam - p) >= 1e-3 for lam in got for p in poles)
+        # a rejected point pulls the 21st draw of the stream into the set
+        assert sns._check_points([first[2]])[-1] == first[20]
+
     def test_exponential_term_rejected(self):
         from nepritz.errors import UnsupportedTerm
         from nepritz.nep_model import Exponential
