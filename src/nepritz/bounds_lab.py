@@ -31,12 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense_kernels import (
-    as_matrix,
-    as_vector,
-    householder_complement,
-    singular_values,
-)
+from .dense_kernels import as_matrix, as_vector, complement_compress, singular_values
 from .errors import (
     DegenerateRatio,
     DegenerateSigma,
@@ -278,19 +273,6 @@ def jordan_block_order(m, mu: complex) -> int:
 # per-case context: every quantity at lambda_star and mu, derived once
 # ---------------------------------------------------------------------------
 
-def eigvec_complement_function(
-    t: MatrixFunction, x_star
-) -> tuple[np.ndarray, MatrixFunction]:
-    """(X_perp, lambda -> X_perp^H T(lambda) X_perp) for a unit vector x_star.
-
-    X_perp is the deterministic Householder complement, so repeated runs give
-    identical matrices.
-    """
-    x = as_vector(x_star)
-    x_perp = householder_complement(x)
-    return x_perp, t.compress(x_perp)
-
-
 def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> float:
     """Sampling radius for Taylor-remainder estimation around lambda_star.
 
@@ -309,16 +291,15 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
 class CaseContext:
     """The quantities every bound is a formula over, for one case.
 
-    T is the full function, B its projection onto the subspace and
-    L = X_perp^H T X_perp its compression against the complement of x_star.
-    Compression keeps the scalar terms, so T, B and L share their poles and
-    hence one remainder sampling radius, and gamma, beta and gamma_b, the
-    sampled second-order Taylor remainder constants of T, L and B, come from
-    one pass over one sample set.  The singular values of T(l*), T'(l*) and
-    T(mu) come from one batched call, as do those of L(l*), L'(l*) and L(mu);
-    neither stack is kept.  T(l*), B(l*), T(mu) and B(mu) are kept whole
-    because the perturbation witness and the Ritz and refined extractions
-    read them too.
+    T is the full function, B = W^H T W its projection onto the subspace
+    and L = X_perp^H T X_perp its compression against the complement of
+    x_star, never formed as a function: L(l*), L'(l*) and L(mu) are the
+    reflector blocks (dense_kernels.complement_compress) of T(l*), T'(l*)
+    and T(mu), one batched singular-value call per stack.  B and L are
+    linear images of T, so gamma, beta and gamma_b, the sampled remainder
+    constants of T, L and B, come from one pass over T's remainder
+    directions.  T(l*), B(l*), T(mu) and B(mu) are kept whole because the
+    perturbation witness and the Ritz and refined extractions read them too.
     """
 
     x_star: np.ndarray
@@ -333,7 +314,6 @@ class CaseContext:
     b_star: np.ndarray          # B(l*)
     b_star_svals: np.ndarray    # singular values of B(l*), descending
     b_mu: np.ndarray            # B(mu)
-    x_perp: np.ndarray          # n x (n-1) complement of x_star
     sigma_min_L_star: float     # sigma_min(L(l*))
     norm_L_prime: float         # ||L'(l*)||
     sigma_min_L_mu: float       # sigma_min(L(mu))
@@ -370,24 +350,25 @@ def build_case_context(
 ) -> CaseContext:
     """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
-    b must be the projection of t onto s (``project(t, s)``), so that both
-    share the scalar terms behind the remainder pass; taylor_remainder_const
-    raises ValueError when they do not.  The perturbation witness reads
-    T(l*) and B(l*), and the extractions at mu read T(mu) and B(mu), from
-    the context instead of evaluating them again.
+    b must be the projection of t onto s (``project(t, s)``): B(l*) and
+    B(mu) are read from it, while gamma_b compresses T's remainder
+    directions with s.basis.  The perturbation witness reads T(l*) and
+    B(l*), and the extractions at mu read T(mu) and B(mu), from the context
+    instead of evaluating them again.
     """
     lam, mu = complex(lambda_star), complex(mu)
     x = as_vector(x_star)
-    x_perp, lfn = eigvec_complement_function(t, x)
+    w = s.basis
     radius = remainder_radius(t, lam, mu)
+    gamma, beta, gamma_b = taylor_remainder_const(
+        t, lam, radius, lambda d: complement_compress(x, d), lambda d: w.conj().T @ d @ w)
     t_star = eval_T(t, lam, 0)
     b_star = eval_T(b, lam, 0)
     t_mu = eval_T(t, mu, 0)
-    # one batched call per matrix shape: T(l*), T'(l*), T(mu), then L(l*), L'(l*), L(mu)
-    t_svals = singular_values(np.stack([t_star, eval_T(t, lam, 1), t_mu]))
-    l_svals = singular_values(np.stack(
-        [eval_T(lfn, lam, 0), eval_T(lfn, lam, 1), eval_T(lfn, mu, 0)]))
-    gamma, beta, gamma_b = taylor_remainder_const(t, lam, radius, lfn, b)
+    # one batched call per matrix shape: T(l*), T'(l*), T(mu), then their L blocks
+    t_stack = np.stack([t_star, eval_T(t, lam, 1), t_mu])
+    t_svals = singular_values(t_stack)
+    l_svals = singular_values(complement_compress(x, t_stack))
     return CaseContext(
         x_star=x,
         eps=deviation(s, x),
@@ -401,7 +382,6 @@ def build_case_context(
         b_star=b_star,
         b_star_svals=singular_values(b_star),
         b_mu=eval_T(b, mu, 0),
-        x_perp=x_perp,
         sigma_min_L_star=float(l_svals[0, -1]),
         norm_L_prime=float(l_svals[1, 0]),
         sigma_min_L_mu=float(l_svals[2, -1]),
@@ -516,9 +496,7 @@ def ritz_vector_angle_bound(
         )
     if ctx.b_star.shape[0] < 2:
         raise HypothesisFailed("one-dimensional projection has no complement block")
-    z_perp = householder_complement(ritz.z)
-    c_star = z_perp.conj().T @ ctx.b_star @ z_perp
-    sig_c = float(singular_values(c_star)[-1])
+    sig_c = float(singular_values(complement_compress(ritz.z, ctx.b_star))[-1])
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
     r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
@@ -642,21 +620,16 @@ def angle_sandwich(
             _report("angle_sandwich_upper", zero, zero, 0.0, floor, inter),
             _report("angle_identity", zero, 0.0, 0.0, IDENTITY_TOL, inter),
         ]
-    z_perp = householder_complement(ritz.z)
-    c_mu = z_perp.conj().T @ ctx.b_mu @ z_perp
+    c_mu = complement_compress(ritz.z, ctx.b_mu)
     svals = singular_values(c_mu)
     sig_min_c, sig_max_c = float(svals[-1]), float(svals[0])
     if sig_min_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(mu)) is not positive; vector not unique")
     sin_between = sin_angle(ritz.x_tilde, refined.x_hat)
-    wz = s.basis @ z_perp
-    coupling = wz.conj().T @ refined.s
+    ws = s.basis.conj().T @ refined.s
+    coupling = complement_compress(ritz.z, ws)  # (W Z_perp)^H s
     lower = refined.sigma_hat_1 * float(np.linalg.norm(coupling)) / sig_max_c
-    upper = (
-        refined.sigma_hat_1
-        * float(np.linalg.norm(s.basis.conj().T @ refined.s))
-        / sig_min_c
-    )
+    upper = refined.sigma_hat_1 * float(np.linalg.norm(ws)) / sig_min_c
     identity_val = refined.sigma_hat_1 * float(
         np.linalg.norm(np.linalg.solve(c_mu, coupling))
     )

@@ -89,27 +89,36 @@ def orthonormalize(m) -> np.ndarray:
     return phase_fix(q)
 
 
-def householder_complement(x: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the complement of a single unit vector.
+def complement_compress(x, a) -> np.ndarray:
+    """Compress a against the complement of the vector x, through its Householder reflector.
 
-    Built from the Householder reflector mapping x onto a coordinate axis, so
-    the result is a deterministic n x (n-1) matrix with columns orthogonal
-    to x.
+    H = I - 2 v v^H with v = (x/||x|| + phase e_1) / ||.|| is Hermitian and
+    unitary with first column parallel to x, so V = H[:, 1:] is an
+    orthonormal basis of x's complement.  An n x n matrix or a stack
+    (..., n, n) gives V^H A V = (H A H)[..., 1:, 1:], an n-vector
+    V^H a = (H a)[1:].  Each side's reflection is a rank-1 update, so no
+    n x (n-1) basis is formed.  Any other orthonormal basis of the
+    complement is V times a unitary: singular values and norms agree.
     """
     x = as_vector(x)
-    n = x.size
-    if n == 1:
-        return np.zeros((1, 0), dtype=complex)
     nrm = np.linalg.norm(x)
     if nrm == 0.0:
         raise ValueError("cannot complement the zero vector")
-    x = x / nrm
-    phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0
-    v = x + phase * np.eye(n, 1, dtype=complex).ravel()
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1] != x.size or (a.ndim > 1 and a.shape[-2] != x.size):
+        raise ValueError(f"cannot compress shape {a.shape} against a {x.size}-vector")
+    v = x / nrm
+    v[0] += v[0] / abs(v[0]) if abs(v[0]) > 0 else 1.0
     v /= np.linalg.norm(v)
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(v, np.conj(v))
-    # first column of H is parallel to x; the rest span its complement
-    return phase_fix(h[:, 1:])
+    vh = v.conj()
+    if a.ndim == 1:
+        return (a - 2.0 * v * (vh @ a))[1:]
+    # rows = (H A)[1:, :], then (rows H)[:, 1:], each written over its update;
+    # the outer products are matmuls, so a stack equals its matrices bit for bit
+    rows = (2.0 * v[1:, None]) @ (vh @ a)[..., None, :]
+    np.subtract(a[..., 1:, :], rows, out=rows)
+    block = (2.0 * (rows @ v))[..., None] @ vh[None, 1:]
+    return np.subtract(rows[..., 1:], block, out=block)
 
 
 @dataclass(frozen=True)
@@ -136,23 +145,20 @@ class SvdResult:
 def svd(m) -> SvdResult:
     """Thin SVD A = U diag(s) V^H with the deterministic phase convention.
 
-    U is rows x p and V cols x p, p = min(rows, cols): no caller reads the
-    null-space columns a full U or V would add, so none is phase-fixed or
-    checked.  The factors are the leading p columns of LAPACK's full ones:
-    its thin path ('S') rounds differently on tall matrices of about 100
-    rows and more (on a 128 x 16 T(mu) W the refined vector moves in its
-    last bits), and forming the full U costs far less than checking it
-    would.  Verifies
+    U is rows x p and V cols x p, p = min(rows, cols), from LAPACK's thin
+    path: no caller reads the null-space columns a full U or V would add,
+    and on a tall matrix such as the 128 x 16 T(mu) W forming the full U
+    costs more than twice the thin one.  Verifies
     reconstruction and orthogonality (U^H U = V^H V = I_p) to 1e-12 before
     returning, so a violated invariant surfaces as ConvergenceFailure
     (kernel bug), never as silent data corruption.
     """
     a = as_matrix(m)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=True)
+        u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
-    u, v = np.ascontiguousarray(u[:, :s.size]), vh[:s.size].conj().T
+    v = vh.conj().T
     # one unit scalar per coupled pair (u_k, v_k) leaves U S V^H unchanged
     for k in range(s.size):
         i = int(np.argmax(np.abs(u[:, k])))

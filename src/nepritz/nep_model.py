@@ -313,16 +313,19 @@ def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
 
 
 def taylor_remainder_const(
-    t: MatrixFunction, lambda_star: complex, radius: float, *compressions: MatrixFunction,
+    t: MatrixFunction, lambda_star: complex, radius: float, *maps,
 ) -> tuple[float, ...]:
-    """Estimate uniform bounds on the second-order Taylor remainders of t and its compressions.
+    """Estimate uniform bounds on the second-order Taylor remainders of t and of compressions of it.
 
-    For each function F of (t, *compressions), takes the largest
-    ||F(lam) - F(l*) - F'(l*) h|| / |h|^2, h = lam - l*, over
-    REMAINDER_SAMPLES points on each of three concentric circles (radius/4,
-    radius/2, radius) and returns 1.5x it, one constant per function in that
-    order.  The 1.5 safety factor compensates for angular gaps between
-    samples and is recorded by callers in their reports.
+    For t, takes the largest ||T(lam) - T(l*) - T'(l*) h|| / |h|^2,
+    h = lam - l*, over REMAINDER_SAMPLES points on each of three concentric
+    circles (radius/4, radius/2, radius) and returns 1.5x it.  The 1.5
+    safety factor compensates for angular gaps between samples and is
+    recorded by callers in their reports.  Each map is a linear map of
+    n x n matrices that takes a stack (k, n, n) to a stack of its images,
+    such as the compression M -> W^H M W; it gets the same estimate for the
+    function lam -> map(T(lam)), whose remainder is the map of T's.  The
+    result holds one constant for t, then one per map, in that order.
 
     The remainder over h^2 is sum_i rho_i(h) A_i with rho_i the scalar
     remainders of the terms, which are exact rather than differences of
@@ -331,19 +334,14 @@ def taylor_remainder_const(
     affine ones, where it vanishes identically) are dropped.  Each sample's
     row c = (rho_i(h)) is written as piv * d with piv its entry of largest
     modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||, and samples with
-    the same direction d share one 2-norm.  A compression V^H T V (L, B)
-    keeps t's scalar-term objects, so all functions share the samples, rho
-    and the directions; each function then costs one batched singular-value
-    call over the distinct directions.  With one nonlinear term every d is
-    (1), and the estimate costs a single 2-norm per function.  Raises
-    ValueError when a compression's scalar terms are not t's.
+    the same direction d share one 2-norm.  The distinct directions
+    sum_i d_i A_i are formed once as one stack; t and each map then cost
+    one batched singular-value call over it or its image.  With one
+    nonlinear term every d is (1), and the estimate costs a single 2-norm
+    per function.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    for c in compressions:
-        if len(c.terms) != len(t.terms) or any(
-                fc is not ft for (fc, _), (ft, _) in zip(c.terms, t.terms)):
-            raise ValueError("a compression's scalar terms are not those of t")
     lambda_star = complex(lambda_star)
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
@@ -353,7 +351,7 @@ def taylor_remainder_const(
     rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
     kept = np.flatnonzero(np.any(rho != 0, axis=0))
     if kept.size == 0:
-        return (0.0,) * (1 + len(compressions))
+        return (0.0,) * (1 + len(maps))
     rho = rho[:, kept]
     rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
     piv = rho[rows, big]
@@ -363,11 +361,11 @@ def taylor_remainder_const(
     live = [k for k in rows if piv[k] != 0]
     distinct = {keys[k]: dirs[k] for k in live}  # in order of first appearance
     slot = {key: j for j, key in enumerate(distinct)}
-    stack = np.array(list(distinct.values()))
+    stack = np.tensordot(np.array(list(distinct.values())),
+                         np.stack([t.terms[i][1] for i in kept]), axes=1)
     out = []
-    for fn in (t, *compressions):
-        coeffs = np.stack([fn.terms[i][1] for i in kept])
-        norms = singular_values(np.tensordot(stack, coeffs, axes=1))[:, 0].tolist()
+    for f in ((lambda d: d), *maps):
+        norms = singular_values(f(stack))[:, 0].tolist()
         out.append(1.5 * max(abs(piv[k]) * norms[slot[keys[k]]] for k in live))
     return tuple(out)
 

@@ -312,6 +312,24 @@ def _grid_seeds(center: complex, radius: float) -> list[complex]:
     return [z for z in seeds if abs(z - center) <= radius]
 
 
+def _clusters(roots: list[complex]) -> list[list[complex]]:
+    """Group sorted roots: each joins the last cluster when within CLUSTER_RADIUS of its mean.
+
+    The mean is a running sum over the cluster size, which can round away
+    from np.mean's only for a root within rounding of the radius.
+    """
+    clusters: list[list[complex]] = []
+    total = 0j  # sum of the last cluster
+    for z in roots:
+        if clusters and abs(z - total / len(clusters[-1])) <= CLUSTER_RADIUS:
+            clusters[-1].append(z)
+            total += z
+        else:
+            clusters.append([z])
+            total = z
+    return clusters
+
+
 def solve_projected(
     b: MatrixFunction, region_center: complex, region_radius: float
 ) -> SpectrumResult:
@@ -355,12 +373,7 @@ def solve_projected(
             polished.append(r)
 
     polished.sort(key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
-    for z in polished:
-        if clusters and abs(z - np.mean(clusters[-1])) <= CLUSTER_RADIUS:
-            clusters[-1].append(z)
-        else:
-            clusters.append([z])
+    clusters = _clusters(polished)
 
     eigenvalues: list[complex] = []
     residuals: list[float] = []

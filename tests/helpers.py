@@ -23,6 +23,12 @@ def seeded_unitary(n: int, seed: int) -> np.ndarray:
     return q
 
 
+def qr_complement(x: np.ndarray) -> np.ndarray:
+    """n x (n-1) orthonormal basis of the complement of x, from LAPACK's complete QR."""
+    q, _ = np.linalg.qr(np.asarray(x, dtype=complex).reshape(-1, 1), mode="complete")
+    return q[:, 1:]
+
+
 def mgs_oracle(m: np.ndarray) -> np.ndarray:
     """Textbook single-pass modified Gram-Schmidt."""
     a = np.array(m, dtype=complex)

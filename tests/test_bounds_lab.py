@@ -3,11 +3,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import complex_randn, seeded_unitary
+from helpers import complex_randn, qr_complement, seeded_unitary
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nepritz.bounds_lab as bl
-from nepritz.dense_kernels import norm2, singular_values
+from nepritz.dense_kernels import complement_compress, norm2, singular_values
 from nepritz.errors import (
+    ConstructionFailed,
     DegenerateRatio,
     DegenerateSigma,
     HypothesisFailed,
@@ -19,9 +22,16 @@ from nepritz.experiments import (
     builtin_suite,
     fixture_problem,
     perturb_subspace,
+    random_planted_nep,
 )
 from nepritz.extraction import refined_vector, ritz_vector
-from nepritz.nep_model import MatrixFunction, Polynomial, eval_T, eval_T_many
+from nepritz.nep_model import (
+    MatrixFunction,
+    Polynomial,
+    eval_T,
+    eval_T_many,
+    taylor_remainder_const,
+)
 from nepritz.projection import Subspace, deviation, perturbation_witness, project
 
 
@@ -251,18 +261,20 @@ class TestJordanBlockOrder:
 
 class TestSchurComplement:
     def test_fixture_complement_block(self):
-        t, _, _ = fixture_problem()
+        t, ref, _ = fixture_problem()
         ctx = fixture_context()
-        lmat = ctx.x_perp.conj().T @ eval_T(t, 0.0, 0) @ ctx.x_perp
-        assert np.allclose(lmat, [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+        # x* = e3: the reflector's complement basis is e2, -e1
+        lmat = complement_compress(ref.x_star, eval_T(t, 0.0, 0))
+        assert np.allclose(lmat, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-14)
         assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
         assert ctx.sigma_min_L_star == ctx.sigma_min_L_mu
 
     def test_linear_diagonal(self):
         t = linear_fn(np.diag([1.0, 2.0, 3.0]).astype(complex))
         full = Subspace.from_basis(np.eye(3, dtype=complex))
-        ctx = bl.build_case_context(t, full, t, np.array([1, 0, 0], dtype=complex), 1.0, 1.0)
-        lmat = ctx.x_perp.conj().T @ eval_T(t, 1.0, 0) @ ctx.x_perp
+        x = np.array([1, 0, 0], dtype=complex)
+        ctx = bl.build_case_context(t, full, t, x, 1.0, 1.0)
+        lmat = complement_compress(x, eval_T(t, 1.0, 0))
         assert np.allclose(sorted(np.abs(np.diag(lmat))), [1.0, 2.0], atol=1e-12)
         assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
         assert ctx.norm_L_prime == pytest.approx(1.0, abs=1e-12)
@@ -282,20 +294,42 @@ class TestCaseContext:
             mu = lam + 1e-3 - 2e-3j
             ctx = bl.build_case_context(t, inst.subspace, project(t, inst.subspace),
                                         x, lam, mu)
-            _, lfn = bl.eigvec_complement_function(t, x)
+
+            def l_at(z, order):
+                return complement_compress(x, eval_T(t, z, order))
+
             assert ctx.t_star_svals.tobytes() == singular_values(eval_T(t, lam, 0)).tobytes()
             assert ctx.norm_T_prime == norm2(eval_T(t, lam, 1))
             assert ctx.norm_T_mu == norm2(eval_T(t, mu, 0))
-            assert ctx.sigma_min_L_star == singular_values(eval_T(lfn, lam, 0))[-1]
-            assert ctx.norm_L_prime == norm2(eval_T(lfn, lam, 1))
-            assert ctx.sigma_min_L_mu == singular_values(eval_T(lfn, mu, 0))[-1]
+            assert ctx.sigma_min_L_star == singular_values(l_at(lam, 0))[-1]
+            assert ctx.norm_L_prime == norm2(l_at(lam, 1))
+            assert ctx.sigma_min_L_mu == singular_values(l_at(mu, 0))[-1]
 
-    def test_projection_of_another_function_rejected(self):
-        t, ref, w = fixture_problem()
-        twin, _, _ = fixture_problem()  # equal terms, other objects
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(3, 10), degree=st.integers(1, 4), seed=st.integers(0, 10**6),
+           pole=st.booleans(), m=st.integers(1, 3), arg=st.floats(0.0, 6.28))
+    def test_complement_quantities_match_explicit_basis(self, n, degree, seed, pole, m, arg):
+        # L's values and beta from the reflector equal those of the function
+        # X_perp^H T X_perp compressed with LAPACK's complete-QR basis
+        lam = 0.2 + 0.1j
+        try:
+            t, ref = random_planted_nep(n, degree, seed, lam,
+                                        rational_pole=1.1 - 0.4j if pole else None)
+        except ConstructionFailed:
+            assume(False)
+        w, _ = np.linalg.qr(complex_randn(np.random.default_rng(seed), n, m))
         s = Subspace.from_basis(w)
-        with pytest.raises(ValueError, match="scalar terms"):
-            bl.build_case_context(t, s, project(twin, s), ref.x_star, 0.0, 0.0)
+        mu = lam + 0.03 * np.exp(1j * arg)
+        ctx = bl.build_case_context(t, s, project(t, s), ref.x_star, lam, mu)
+        lfn = t.compress(qr_complement(ref.x_star))
+        want = singular_values(np.stack(
+            [eval_T(lfn, lam, 0), eval_T(lfn, lam, 1), eval_T(lfn, mu, 0)]))
+        (beta,) = taylor_remainder_const(lfn, lam, ctx.radius)
+        for got, ref_value in ((ctx.sigma_min_L_star, want[0, -1]),
+                               (ctx.norm_L_prime, want[1, 0]),
+                               (ctx.sigma_min_L_mu, want[2, -1]),
+                               (ctx.beta, beta)):
+            assert math.isclose(got, ref_value, rel_tol=1e-12, abs_tol=0.0), (got, ref_value)
 
 
 class TestPerturbationBounds:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from helpers import complex_randn, mgs_oracle, power_iteration_norm
+from helpers import complex_randn, mgs_oracle, power_iteration_norm, qr_complement
 
 from nepritz.dense_kernels import (
     _finite,
     as_matrix,
-    householder_complement,
+    complement_compress,
     near_singular,
     norm2,
     orthonormalize,
@@ -57,21 +57,64 @@ class TestOrthonormalize:
         assert norm2(q.conj().T @ q - np.eye(5)) < 1e-12
 
 
-class TestComplements:
-    def test_householder_complement(self):
-        rng = np.random.default_rng(11)
-        x = complex_randn(rng, 5)
-        x /= np.linalg.norm(x)
-        xp = householder_complement(x)
-        assert xp.shape == (5, 4)
-        assert np.linalg.norm(xp.conj().T @ x) < 1e-12
-        assert norm2(xp.conj().T @ xp - np.eye(4)) < 1e-12
+class TestComplementCompress:
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 40])
+    def test_matches_explicit_complement_basis(self, n):
+        # the block is V^H A V for the reflector's basis V; any other basis,
+        # here LAPACK's complete QR, gives the same singular values and norms
+        rng = np.random.default_rng(n)
+        x = complex_randn(rng, n)
+        a, u = complex_randn(rng, n, n), complex_randn(rng, n)
+        xp = qr_complement(x / np.linalg.norm(x))
+        block = complement_compress(x, a)
+        assert block.shape == (n - 1, n - 1)
+        want = singular_values(xp.conj().T @ a @ xp)
+        assert np.allclose(singular_values(block), want, rtol=0, atol=1e-14 * want[0])
+        vec = complement_compress(x, u)
+        assert vec.shape == (n - 1,)
+        assert np.linalg.norm(vec) == pytest.approx(np.linalg.norm(xp.conj().T @ u), rel=1e-14)
 
-    def test_householder_deterministic(self):
-        x = np.array([0, 0, 1], dtype=complex)
-        a = householder_complement(x)
-        b = householder_complement(x)
-        assert np.array_equal(a, b)
+    def test_is_the_lower_block_of_the_reflected_matrix(self):
+        # H = I - 2 v v^H maps x onto a multiple of e_1, and the block is (H A H)[1:, 1:]
+        rng = np.random.default_rng(3)
+        x, a = complex_randn(rng, 6), complex_randn(rng, 6, 6)
+        x /= np.linalg.norm(x)
+        v = x + x[0] / abs(x[0]) * np.eye(6)[0]
+        h = np.eye(6) - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v)
+        assert np.linalg.norm((h @ x)[1:]) < 1e-15
+        assert np.allclose(complement_compress(x, a), (h @ a @ h)[1:, 1:], rtol=0, atol=1e-14)
+        assert np.allclose(complement_compress(x, a[:, 0]), (h @ a[:, 0])[1:], rtol=0, atol=1e-14)
+        # the vector itself has no component left, in either form
+        assert np.linalg.norm(complement_compress(x, x)) < 1e-15
+        assert norm2(complement_compress(x, np.outer(x, x.conj()))) < 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 128])
+    def test_stack_matches_one_matrix_at_a_time(self, n):
+        rng = np.random.default_rng(n + 1)
+        x = complex_randn(rng, n)
+        for k in (1, 3, 48):
+            stack = complex_randn(rng, k, n, n)
+            got = complement_compress(x, stack)
+            assert got.shape == (k, n - 1, n - 1)
+            for m, block in zip(stack, got):
+                assert block.tobytes() == complement_compress(x, m).tobytes()
+
+    def test_scale_and_axis_vectors(self):
+        # x = -e_1 takes the real-phase branch, x = e_3 the zero-pivot one
+        rng = np.random.default_rng(4)
+        a = complex_randn(rng, 3, 3)
+        for x in (-np.eye(3)[0], np.eye(3)[2], 1e-30 * np.eye(3)[2]):
+            xp = qr_complement(x / np.linalg.norm(x))
+            assert np.allclose(singular_values(complement_compress(x, a)),
+                               singular_values(xp.conj().T @ a @ xp), rtol=0, atol=1e-14)
+        assert np.array_equal(complement_compress(-np.eye(3)[0], a), a[1:, 1:])
+
+    def test_rejects_zero_vector_and_wrong_shapes(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            complement_compress(np.zeros(3), np.eye(3))
+        for bad in (np.eye(4), np.ones((3, 4)), np.ones(4), np.ones((2, 3, 4))):
+            with pytest.raises(ValueError, match="cannot compress"):
+                complement_compress(np.ones(3), bad)
 
 
 class TestSvd:
@@ -119,21 +162,22 @@ class TestSvd:
         assert np.allclose(again, res.singular_values, atol=1e-10)
 
     @pytest.mark.parametrize("rows,cols", [(3, 3), (12, 3), (5, 8), (128, 16), (120, 40)])
-    def test_thin_factors_are_leading_columns_of_full_ones(self, rows, cols):
-        # bit for bit, also where LAPACK's own thin path rounds differently
+    def test_thin_factor_contract(self, rows, cols):
+        # rows x p and cols x p orthonormal factors with the phase convention
+        # that rebuild the matrix; the values are singular_values' to rounding
         rng = np.random.default_rng(rows * cols)
         m = complex_randn(rng, rows, cols)
         res = svd(m)
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
-        p = s.size
-        u, v = u[:, :p], vh[:p].conj().T
-        for k in range(p):
-            piv = u[int(np.argmax(np.abs(u[:, k]))), k]
-            u[:, k] *= np.conj(piv) / abs(piv)
-            v[:, k] *= np.conj(piv) / abs(piv)
-        assert res.left_vectors.tobytes() == u.tobytes()
-        assert res.right_vectors.tobytes() == v.tobytes()
-        assert res.singular_values.tobytes() == s.tobytes()
+        p = min(rows, cols)
+        u, v = res.left_vectors, res.right_vectors
+        assert u.shape == (rows, p) and v.shape == (cols, p)
+        assert norm2(u.conj().T @ u - np.eye(p)) <= 1e-13
+        assert norm2(v.conj().T @ v - np.eye(p)) <= 1e-13
+        assert norm2((u * res.singular_values) @ v.conj().T - m) <= 1e-13 * res.sigma_max
+        piv = u[np.argmax(np.abs(u), axis=0), np.arange(p)]
+        assert np.all(piv.real > 0) and np.all(np.abs(piv.imag) <= 1e-15 * piv.real)
+        assert np.allclose(res.singular_values, singular_values(m), rtol=0,
+                           atol=1e-14 * res.sigma_max)
 
     def test_checks_decompose_nothing_of_the_long_side(self, monkeypatch):
         import nepritz.dense_kernels as dk

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import complex_randn
+from helpers import complex_randn, qr_complement
 
 import nepritz.experiments as ex
 from nepritz.dense_kernels import norm2
@@ -164,13 +164,13 @@ class TestRunExample2:
 
 class TestAnalyzeCase:
     def test_each_case_quantity_is_derived_once(self, monkeypatch):
-        # B and L are each compressed once, L comes from one complement, and
-        # gamma, beta, gamma_B come from one remainder pass over T, L and B
+        # only B is compressed into a function; L's values come from T's
+        # stack, and gamma, beta, gamma_B from one remainder pass over T's
+        # directions
         import nepritz.bounds_lab as bl
         from nepritz import nep_model
 
-        calls = {"eigvec_complement_function": 0, "compress": 0,
-                 "taylor_remainder_const": 0}
+        calls = {"compress": 0, "taylor_remainder_const": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -178,17 +178,17 @@ class TestAnalyzeCase:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("eigvec_complement_function", "taylor_remainder_const"):
-            for mod in (nep_model, bl, ex):
-                if hasattr(mod, name):
-                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for mod in (nep_model, bl, ex):
+            if hasattr(mod, "taylor_remainder_const"):
+                monkeypatch.setattr(mod, "taylor_remainder_const",
+                                    counted("taylor_remainder_const",
+                                            mod.taylor_remainder_const))
         monkeypatch.setattr(nep_model.MatrixFunction, "compress",
                             counted("compress", nep_model.MatrixFunction.compress))
         inst = ex.builtin_suite()[0]
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert case.all_hold
-        assert calls == {"eigvec_complement_function": 1, "compress": 2,
-                         "taylor_remainder_const": 1}
+        assert calls == {"compress": 1, "taylor_remainder_const": 1}
 
 
     def test_each_matrix_at_mu_is_evaluated_once(self, monkeypatch):
@@ -213,9 +213,9 @@ class TestAnalyzeCase:
         monkeypatch.setattr(extraction, "eval_T", forbidden)
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert case.mu == mu and case.all_hold
-        # T(mu), B(mu) and L(mu), of sizes n, m and n - 1, once each
+        # T(mu) and B(mu), of sizes n and m, once each; L(mu) is T(mu)'s block
         n, m = inst.t.n, inst.subspace.dim
-        assert sorted(at_mu) == sorted([(n, 0), (m, 0), (n - 1, 0)])
+        assert sorted(at_mu) == sorted([(n, 0), (m, 0)])
 
     def test_target_quantities_are_derived_once(self, monkeypatch):
         # T(l*), T'(l*) and eps live in the case context; the witness and
@@ -325,7 +325,7 @@ class TestVerifyAll:
         mu = 0.05
         full = Subspace.from_basis(np.eye(3, dtype=complex))
         ctx = bl.build_case_context(t, full, t, x_star, 0.0, mu)
-        x_perp, t_mu = ctx.x_perp, eval_T(t, mu, 0)
+        x_perp, t_mu = qr_complement(x_star), eval_T(t, mu, 0)
         w = np.linalg.solve(x_perp.conj().T @ t_mu @ x_perp,
                             x_perp.conj().T @ t_mu @ x_star)
         cand = x_star - x_perp @ w

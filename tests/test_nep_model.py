@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import complex_randn, quotient_rule_derivative
+from helpers import complex_randn, qr_complement, quotient_rule_derivative
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import nepritz.nep_model as nep_model
-from nepritz.bounds_lab import eigvec_complement_function, remainder_radius
-from nepritz.dense_kernels import norm2, singular_values
+from nepritz.bounds_lab import remainder_radius
+from nepritz.dense_kernels import complement_compress, norm2, singular_values
 from nepritz.errors import ConstructionFailed, PoleHit
 from nepritz.experiments import builtin_suite, fixture_problem, random_planted_nep
 from nepritz.nep_model import (
@@ -320,7 +320,7 @@ def per_function_remainder(t, lambda_star, radius):
 
     A copy of the single-function estimate that preceded the shared pass:
     one batched singular-value call per circle over the directions that
-    circle adds.  The shared pass must reproduce it bit for bit.
+    circle adds.  The shared pass must reproduce it bit for bit on t itself.
     """
     lambda_star = complex(lambda_star)
     for pole in t.domain_poles:
@@ -350,11 +350,17 @@ def per_function_remainder(t, lambda_star, radius):
 
 
 def assert_shared_pass_matches_loop(t, x_star, basis, lam, radius):
-    _, lfn = eigvec_complement_function(t, x_star)
-    b = t.compress(basis)
-    got = taylor_remainder_const(t, lam, radius, lfn, b)
-    want = tuple(per_function_remainder(f, lam, radius) for f in (t, lfn, b))
-    assert [g.hex() for g in got] == [w.hex() for w in want]
+    # beta and gamma_B map t's directions through the reflector block and
+    # W^H . W; the loop sums terms compressed with an explicit QR basis of
+    # x's complement and with W, so the two agree to rounding only
+    got = taylor_remainder_const(t, lam, radius,
+                                 lambda d: complement_compress(x_star, d),
+                                 lambda d: basis.conj().T @ d @ basis)
+    want = [per_function_remainder(f, lam, radius)
+            for f in (t, t.compress(qr_complement(x_star)), t.compress(basis))]
+    assert got[0].hex() == want[0].hex()
+    for g, w in zip(got[1:], want[1:]):
+        assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (g, w)
 
 
 def suite_remainder_cases():
@@ -397,7 +403,7 @@ class TestSharedRemainderPass:
         assert_shared_pass_matches_loop(t, x / np.linalg.norm(x), w, 0.3j, radius)
         # the pole at 1 is inside every disc from radius |1 - 0.3i| on
         with pytest.raises(PoleHit):
-            taylor_remainder_const(t, 0.3j, 1.1, t.compress(w))
+            taylor_remainder_const(t, 0.3j, 1.1, lambda d: w.conj().T @ d @ w)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(n=st.integers(3, 10), degree=st.integers(1, 4), seed=st.integers(0, 10**6),
@@ -420,21 +426,27 @@ class TestSharedRemainderPass:
             (Polynomial([0, 1]), complex_randn(rng, 4, 4)),
         ])
         w, _ = np.linalg.qr(complex_randn(rng, 4, 2))
-        # affine: every constant is exactly 0
-        assert taylor_remainder_const(t, 0.1, 0.5, t.compress(w), t.compress(w)) == (0.0,) * 3
+        def compress(d):
+            return w.conj().T @ d @ w
 
-    def test_compression_with_other_scalar_terms_rejected(self):
+        # affine: every constant is exactly 0
+        assert taylor_remainder_const(t, 0.1, 0.5, compress, compress) == (0.0,) * 3
+
+    def test_maps_take_the_direction_stack(self):
         rng = np.random.default_rng(14)
         a, c = complex_randn(rng, 3, 3), complex_randn(rng, 3, 3)
         t = MatrixFunction.from_terms([(Polynomial([1]), a), (Polynomial([0, 0, 1]), c)])
-        # equal scalar terms, but not the same objects
-        twin = MatrixFunction.from_terms([(Polynomial([1]), a), (Polynomial([0, 0, 1]), c)])
-        shorter = MatrixFunction.from_terms([t.terms[1]])
-        for other in (twin, shorter):
-            with pytest.raises(ValueError, match="scalar terms"):
-                taylor_remainder_const(t, 0.0, 0.1, other)
-        assert taylor_remainder_const(t, 0.0, 0.1, t.compress(np.eye(3, 2))) \
+        seen = []
+
+        def leading_block(d):
+            seen.append(d)
+            return d[:, :2, :2]
+
+        # one nonlinear term: every direction is (1), so the stack is c alone
+        assert taylor_remainder_const(t, 0.0, 0.1, leading_block) \
             == (1.5 * norm2(c), 1.5 * norm2(c[:2, :2]))
+        assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
+        assert np.array_equal(seen[0][0], c)
 
 
 LAM_STAR = 0.2 + 0.1j

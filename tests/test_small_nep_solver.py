@@ -524,6 +524,55 @@ class TestSolveProjected:
         assert spec.filtered_spurious == [planted[2], 0.3]
 
 
+def np_mean_clusters(roots):
+    """The clustering rule with np.mean of the whole cluster at every root."""
+    clusters = []
+    for z in roots:
+        if clusters and abs(z - np.mean(clusters[-1])) <= sns.CLUSTER_RADIUS:
+            clusters[-1].append(z)
+        else:
+            clusters.append([z])
+    return clusters
+
+
+class TestClusters:
+    def test_boundary_roots_match_np_mean_rule(self):
+        # the means here are exact in both rules, so each root's distance is
+        # the same float: a root at exactly the radius joins, one ulp past it
+        # starts a new cluster
+        r = sns.CLUSTER_RADIUS
+        past = np.nextafter(r, 1.0)
+        lists = [
+            [],
+            [0.5 + 0j],
+            [0j, complex(r)],
+            [0j, complex(past)],
+            [0j, complex(0, r)],
+            [-r + 0j, r + 0j, 3 * r + 0j],
+            [0j, complex(r), complex(r + past)],
+            [1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j, complex(1 + r)],
+            [0.25 + 0j, 0.25 + 0j, complex(0.25, r), complex(0.25, past)],
+        ]
+        for roots in lists:
+            got = sns._clusters(roots)
+            assert got == np_mean_clusters(roots), roots
+        assert [len(c) for c in sns._clusters([0j, complex(r)])] == [2]
+        assert [len(c) for c in sns._clusters([0j, complex(past)])] == [1, 1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_clusters_match_np_mean_rule(self, seed):
+        # up to 40 roots each, spread 1e-10 about centers 1e-6 and more apart
+        rng = np.random.default_rng(seed)
+        roots = []
+        for center in rng.uniform(-1, 1, 12) * 1e-3 + 1j * rng.uniform(-1, 1, 12):
+            k = int(rng.integers(1, 41))
+            roots.extend(complex(center + 1e-10 * z) for z in complex_randn(rng, k))
+        roots.sort(key=lambda z: (z.real, z.imag))
+        got = sns._clusters(roots)
+        assert got == np_mean_clusters(roots)
+        assert sum(map(len, got)) == len(roots)
+
+
 class TestSelectRitzValue:
     def test_oracle_picks_nearest(self):
         spec = solve_projected(fixture_problem()[0], -0.5, 1.0)
