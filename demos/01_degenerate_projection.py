@@ -32,20 +32,20 @@ print(f"\nprojected eigenvalues in |lambda| <= 0.5: {spectrum.eigenvalues}")
 print(f"algebraic multiplicities: {spectrum.multiplicities}")
 
 mu = nr.select_ritz_value(spectrum, lambda_star=ref.lambda_star)
-t_mu = nr.eval_T(t, mu)
-ritz = nr.ritz_vector(t_mu, nr.eval_T(b, mu), mu, s)
+tw = nr.eval_T(t, mu) @ s.basis  # T(mu) W: both extractions read this one product
+ritz = nr.ritz_vector(tw, s.basis.conj().T @ tw, mu, s)
 print(f"\nselected value mu = {mu}")
 print(f"null-space dimension of B(mu): {ritz.geometric_multiplicity}"
       f"  (non-unique extraction: {ritz.nonunique_flag})")
 
 # -- any unit coefficient vector is formally an answer -----------------------
 z_even = np.array([1.0, 1.0]) / math.sqrt(2.0)
-rho = nr.ritz_residual_for(t, mu, s, z_even)
+rho = nr.ritz_residual_for(tw, s, z_even)
 print(f"\nresidual of the symmetric choice z = (1,1)/sqrt(2): {rho:.6f}"
       f"  (= 1/sqrt(2): meaningless answer)")
 
 # -- the refined vector is unique and exact here ------------------------------
-refined = nr.refined_vector(t_mu, mu, s)
+refined = nr.refined_vector(tw, mu, s)
 print(f"\nrefined vector x^ = {np.round(refined.x_hat.real, 10)}")
 print(f"refined residual ||T(mu) x^|| = {refined.sigma_hat_1:.2e}")
 print(f"angle to the target: {nr.sin_angle(ref.x_star, refined.x_hat):.2e}")

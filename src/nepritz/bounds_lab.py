@@ -46,6 +46,8 @@ DEFAULT_FLOOR = 1e-12
 SANDWICH_ABS_SLACK = 1e-8
 IDENTITY_TOL = 1e-8
 RATE_REL_SLACK = 0.05
+# decay-cascade threshold of the derivative-order detection
+TAU_DERIV = 1e-2
 
 # central stencils of second-order accuracy: order -> {offset: coefficient}
 _STENCILS = {
@@ -112,7 +114,7 @@ class DerivativeProfile:
     The vanishing order m makes derivatives below it decay like
     |g^(j)| = O(r^(m-j)) with r the disc radius, so detected_m_mu is the
     smallest reliable j >= 1 that breaks the decay cascade:
-    |g^(j)| > r |g^(j+1)| / (tau_deriv (j+1)).  Normalizing by the largest
+    |g^(j)| > r |g^(j+1)| / (TAU_DERIV (j+1)).  Normalizing by the largest
     derivative instead would misdetect whenever another eigenvalue of B sits
     within a few hundred r of the center, where high orders are genuinely
     huge; None when no reliable signature exists (rate machinery
@@ -134,7 +136,6 @@ class DerivativeProfile:
     alpha_estimate: float | None      # min |g^(m)| over the sampled disc
     sigma_min_multiplicity: int
     readings_agree: bool | None       # derivative order vs singular-value multiplicity
-    tau_deriv: float
 
 
 def sigma_min_profile(
@@ -143,7 +144,6 @@ def sigma_min_profile(
     direction: complex = 1.0,
     max_order: int = 3,
     disc_radius: float | None = None,
-    tau_deriv: float = 1e-2,
 ) -> DerivativeProfile:
     """Profile sigma_min(B(lambda)) derivatives at lambda_star along a ray.
 
@@ -171,8 +171,6 @@ def sigma_min_profile(
     hw = max(_STENCILS[max_order])  # the widest stencil up to max_order
     if disc_radius is not None and disc_radius <= 0:
         raise ValueError("disc_radius must be positive")
-    if tau_deriv <= 0:
-        raise ValueError("tau_deriv must be positive")
     if disc_radius is None:
         h, disc_radius = 1e-3, 1e-2
     else:
@@ -201,7 +199,7 @@ def sigma_min_profile(
         if not reliable[j]:
             continue
         nxt = abs(ests[j + 1]) if j + 1 <= max_order and reliable[j + 1] else 0.0
-        if abs(ests[j]) > disc_radius * nxt / (tau_deriv * (j + 1)):
+        if abs(ests[j]) > disc_radius * nxt / (TAU_DERIV * (j + 1)):
             detected = j
             break
 
@@ -229,7 +227,6 @@ def sigma_min_profile(
         alpha_estimate=alpha,
         sigma_min_multiplicity=mult,
         readings_agree=None if detected is None else (mult == detected),
-        tau_deriv=float(tau_deriv),
     )
 
 
@@ -291,15 +288,18 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
 class CaseContext:
     """The quantities every bound is a formula over, for one case.
 
-    T is the full function, B = W^H T W its projection onto the subspace
-    and L = X_perp^H T X_perp its compression against the complement of
-    x_star, never formed as a function: L(l*), L'(l*) and L(mu) are the
-    reflector blocks (dense_kernels.complement_compress) of T(l*), T'(l*)
-    and T(mu), one batched singular-value call per stack.  B and L are
-    linear images of T, so gamma, beta and gamma_b, the sampled remainder
-    constants of T, L and B, come from one pass over T's remainder
-    directions.  T(l*), B(l*), T(mu) and B(mu) are kept whole because the
-    perturbation witness and the Ritz and refined extractions read them too.
+    T is the full function and the only one evaluated.  B = W^H T W, its
+    projection onto the subspace, is read off T's matrices: B(l*) =
+    W^H T(l*) W and B(mu) = W^H (T(mu) W).  L = X_perp^H T X_perp, its
+    compression against the complement of x_star, is never formed as a
+    function: L(l*), L'(l*) and L(mu) are the reflector blocks
+    (dense_kernels.complement_compress) of T(l*), T'(l*) and T(mu), one
+    batched singular-value call per stack.  B and L are linear images of T,
+    so gamma, beta and gamma_b, the sampled remainder constants of T, L and
+    B, come from one pass over T's remainder directions.  T(l*), B(l*),
+    T(mu) W and B(mu) are kept whole because the perturbation witness and
+    the Ritz and refined extractions read them too; both extractions read
+    the one T(mu) W, so their residuals share its rounding.
     """
 
     x_star: np.ndarray
@@ -309,7 +309,7 @@ class CaseContext:
     t_star: np.ndarray          # T(l*)
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
-    t_mu: np.ndarray            # T(mu)
+    tw: np.ndarray              # T(mu) W
     norm_T_mu: float            # ||T(mu)||
     b_star: np.ndarray          # B(l*)
     b_star_svals: np.ndarray    # singular values of B(l*), descending
@@ -345,26 +345,27 @@ class CaseContext:
 
 
 def build_case_context(
-    t: MatrixFunction, s: Subspace, b: MatrixFunction, x_star,
-    lambda_star: complex, mu: complex,
+    t: MatrixFunction, s: Subspace, x_star, lambda_star: complex, mu: complex,
 ) -> CaseContext:
     """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
-    b must be the projection of t onto s (``project(t, s)``): B(l*) and
-    B(mu) are read from it, while gamma_b compresses T's remainder
-    directions with s.basis.  The perturbation witness reads T(l*) and
-    B(l*), and the extractions at mu read T(mu) and B(mu), from the context
+    Only T is evaluated, at l* (with T'(l*)) and at mu; B(l*) and B(mu) are
+    compressed from those matrices with s.basis, as gamma_b compresses T's
+    remainder directions.  The perturbation witness reads T(l*) and B(l*),
+    and the extractions at mu read T(mu) W and B(mu), from the context
     instead of evaluating them again.
     """
     lam, mu = complex(lambda_star), complex(mu)
     x = as_vector(x_star)
     w = s.basis
+    wh = w.conj().T
     radius = remainder_radius(t, lam, mu)
     gamma, beta, gamma_b = taylor_remainder_const(
-        t, lam, radius, lambda d: complement_compress(x, d), lambda d: w.conj().T @ d @ w)
+        t, lam, radius, lambda d: complement_compress(x, d), lambda d: wh @ d @ w)
     t_star = eval_T(t, lam, 0)
-    b_star = eval_T(b, lam, 0)
     t_mu = eval_T(t, mu, 0)
+    tw = t_mu @ w
+    b_star = wh @ t_star @ w
     # one batched call per matrix shape: T(l*), T'(l*), T(mu), then their L blocks
     t_stack = np.stack([t_star, eval_T(t, lam, 1), t_mu])
     t_svals = singular_values(t_stack)
@@ -377,11 +378,11 @@ def build_case_context(
         t_star=t_star,
         t_star_svals=t_svals[0],
         norm_T_prime=float(t_svals[1, 0]),
-        t_mu=t_mu,
+        tw=tw,
         norm_T_mu=float(t_svals[2, 0]),
         b_star=b_star,
         b_star_svals=singular_values(b_star),
-        b_mu=eval_T(b, mu, 0),
+        b_mu=wh @ tw,
         sigma_min_L_star=float(l_svals[0, -1]),
         norm_L_prime=float(l_svals[1, 0]),
         sigma_min_L_mu=float(l_svals[2, -1]),

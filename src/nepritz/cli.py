@@ -49,7 +49,6 @@ def _parse_eps_list(text: str) -> list[float]:
 _GLOBAL_DEFAULTS = {
     "selection": "oracle",
     "slack": None,
-    "tau_deriv": 1e-2,
     "json": None,
     "csv": None,
     "sigma": 1e-4,
@@ -89,18 +88,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["eps"] = _parse_eps_list(merged["eps"])
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
-    # each test is a comparison that NaN fails
-    for key, what, ok in (("tau_deriv", "finite and positive", lambda v: 0 < v < math.inf),
-                          ("sigma", "finite and nonnegative", lambda v: 0 <= v < math.inf),
-                          ("slack", "finite and nonnegative", lambda v: 0 <= v < math.inf)):
+    for key in ("sigma", "slack"):
         if merged[key] is None:  # slack: each bound keeps its own
             continue
         try:
             merged[key] = float(merged[key])
         except (TypeError, ValueError):
             raise argparse.ArgumentTypeError(f"{key} must be a number")
-        if not ok(merged[key]):
-            raise argparse.ArgumentTypeError(f"{key} must be {what}")
+        # a comparison that NaN fails
+        if not 0 <= merged[key] < math.inf:
+            raise argparse.ArgumentTypeError(f"{key} must be finite and nonnegative")
     for key, least in (("seeds", 1), ("trials", 1), ("subspace_dim", 1), ("seed_base", 0)):
         val = merged[key]
         if isinstance(val, bool) or not isinstance(val, int) or val < least:
@@ -152,8 +149,7 @@ def _record_rows(records: list[dict]) -> list[dict]:
 def _cmd_example1(cfg: dict) -> int:
     mode, target = cfg["selection"]
     if mode == "target":
-        doc = ex.run_example1_target(target, slack=cfg["slack"],
-                                     tau_deriv=cfg["tau_deriv"])
+        doc = ex.run_example1_target(target, slack=cfg["slack"])
         mu_re, mu_im = doc["mu"]
         print(f"selected value {complex(mu_re, mu_im):.6g} for target {target:.6g}")
         row = {"mu_re": repr(mu_re), "mu_im": repr(mu_im),
@@ -161,7 +157,7 @@ def _cmd_example1(cfg: dict) -> int:
         row.update(_verdict_columns(doc["verdicts"]))
         _emit(doc, cfg["json"], cfg["csv"], [row])
         return 0
-    result = ex.run_example1(slack=cfg["slack"], tau_deriv=cfg["tau_deriv"])
+    result = ex.run_example1(slack=cfg["slack"])
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
     _emit(result, cfg["json"], cfg["csv"], _check_rows(result["checks"]))
@@ -174,7 +170,6 @@ def _cmd_example2(cfg: dict) -> int:
         seeds=tuple(range(cfg["seeds"])),
         seed_base=cfg["seed_base"],
         slack=cfg["slack"],
-        tau_deriv=cfg["tau_deriv"],
     )
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
@@ -204,7 +199,6 @@ def _cmd_sweep(cfg: dict) -> int:
         m=cfg["subspace_dim"],
         seed_base=cfg["seed_base"],
         slack=cfg["slack"],
-        tau_deriv=cfg["tau_deriv"],
         target=target,
     )
     print(f"slope |mu - lambda*| vs eps: {result['slope_mu']:.3f}")
@@ -217,8 +211,7 @@ def _cmd_sweep(cfg: dict) -> int:
 
 
 def _cmd_verify_all(cfg: dict) -> int:
-    result = ex.verify_all(out_dir=cfg["out"], slack=cfg["slack"],
-                           tau_deriv=cfg["tau_deriv"])
+    result = ex.verify_all(out_dir=cfg["out"], slack=cfg["slack"])
     tagged = result.pop("reports")
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "
@@ -241,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON file mirroring the flags; flags win")
     common.add_argument("--slack", type=float,
                         help="override the relative slack of every bound check")
-    common.add_argument("--tau-deriv", dest="tau_deriv", type=float,
-                        help="derivative-signature detection threshold")
     common.add_argument("--json", help="write the result document to this path")
     common.add_argument("--csv", help="write one CSV row per record, check or report")
     # only example1 and sweep select among several Ritz values

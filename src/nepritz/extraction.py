@@ -15,7 +15,8 @@ import numpy as np
 
 from .dense_kernels import as_matrix, as_vector, svd
 from .errors import NotAnEigenvalue
-from .nep_model import MatrixFunction, eval_T
+# unused here; perfbench's tracer test checks every layer's alias of eval_T
+from .nep_model import eval_T  # noqa: F401
 from .projection import Subspace
 
 GEOM_MULT_TOL = 1e-8
@@ -29,7 +30,7 @@ class RitzExtraction:
     mu: complex
     z: np.ndarray               # unit m-vector, canonical null vector of B(mu)
     x_tilde: np.ndarray         # W z, unit n-vector
-    residual_norm: float        # ||T(mu) x_tilde||
+    residual_norm: float        # ||T(mu) W z|| / ||W z||
     geometric_multiplicity: int
     nonunique_flag: bool
 
@@ -56,15 +57,25 @@ class RefinedExtraction:
     gap_certificate: bool
 
 
-def ritz_vector(t_mu, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
+def _product(tw, s: Subspace) -> np.ndarray:
+    """tw as a matrix, checked to have the shape of T(mu) W rather than T(mu)."""
+    tw = as_matrix(tw)
+    if tw.shape != s.basis.shape:
+        raise ValueError(f"T(mu) W must be {s.basis.shape}, got {tw.shape}")
+    return tw
+
+
+def ritz_vector(tw, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
     """Extract the canonical Ritz vector at an eigenvalue mu of the projection.
 
-    t_mu and b_mu are T(mu) and the projected B(mu) = W^H T(mu) W, evaluated
-    by the caller, which needs them again for the refined vector and the
-    bounds.  Requires sigma_min(B(mu)) <= 1e-6 max(1, ||B(mu)||); z is the
-    smallest right singular vector of B(mu) under the deterministic phase
+    tw is T(mu) W and b_mu the projected B(mu) = W^H T(mu) W, formed by the
+    caller, which needs them again for the refined vector and the bounds.
+    Requires sigma_min(B(mu)) <= 1e-6 max(1, ||B(mu)||); z is the smallest
+    right singular vector of B(mu) under the deterministic phase
     convention, and the geometric multiplicity counts singular values below
-    GEOM_MULT_TOL * max(1, ||B(mu)||).
+    GEOM_MULT_TOL * max(1, ||B(mu)||).  The residual is read from tw, the
+    product refined_vector decomposes, so both residuals carry the same
+    rounding: at m = 1 they are equal.
     """
     dec = svd(b_mu)
     scale = max(1.0, dec.sigma_max)
@@ -74,21 +85,20 @@ def ritz_vector(t_mu, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
         )
     z = dec.right_vectors[:, -1]
     x_tilde = s.basis @ z
-    x_tilde = x_tilde / np.linalg.norm(x_tilde)
     gm = int(np.sum(dec.singular_values < GEOM_MULT_TOL * scale))
     gm = max(gm, 1)
     return RitzExtraction(
         mu=complex(mu),
         z=z,
-        x_tilde=x_tilde,
-        residual_norm=float(np.linalg.norm(as_matrix(t_mu) @ x_tilde)),
+        x_tilde=x_tilde / np.linalg.norm(x_tilde),
+        residual_norm=ritz_residual_for(tw, s, z),
         geometric_multiplicity=gm,
         nonunique_flag=gm > 1,
     )
 
 
-def ritz_residual_for(t: MatrixFunction, mu: complex, s: Subspace, z_custom) -> float:
-    """||T(mu) W z|| for a caller-chosen unit coefficient vector z.
+def ritz_residual_for(tw, s: Subspace, z_custom) -> float:
+    """||T(mu) W z|| / ||W z|| for a unit coefficient vector z; tw is T(mu) W.
 
     Lets experiments demonstrate how arbitrary the residual becomes when the
     projected null space has dimension > 1.
@@ -96,18 +106,17 @@ def ritz_residual_for(t: MatrixFunction, mu: complex, s: Subspace, z_custom) -> 
     z = as_vector(z_custom)
     if abs(np.linalg.norm(z) - 1.0) > 1e-10:
         raise ValueError("z_custom must be unit norm")
-    return float(np.linalg.norm(eval_T(t, mu, 0) @ (s.basis @ z)))
+    return float(np.linalg.norm(_product(tw, s) @ z) / np.linalg.norm(s.basis @ z))
 
 
-def refined_vector(t_mu, mu: complex, s: Subspace) -> RefinedExtraction:
+def refined_vector(tw, mu: complex, s: Subspace) -> RefinedExtraction:
     """Minimize ||T(mu) v|| over unit v in the subspace via the SVD of T(mu) W.
 
-    t_mu is T(mu), evaluated by the caller.  Always well defined;
+    tw is T(mu) W, formed by the caller.  Always well defined;
     near-nonuniqueness surfaces as a revoked gap certificate
     (sigma_hat_2 - sigma_hat_1 <= 1e-10) instead of an error.
     """
-    tw = as_matrix(t_mu) @ s.basis
-    dec = svd(tw)
+    dec = svd(_product(tw, s))
     m = s.dim
     ascending = dec.singular_values[::-1].copy()
     y = dec.right_vectors[:, m - 1]

@@ -39,7 +39,7 @@ def test_criterion_1_exact_degenerate_projection_reproduction():
     b0 = eval_T(project(t, s), 0.0, 0)
     assert np.all(singular_values(b0) <= 1e-12)
     z = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-    rho = nr.ritz_residual_for(t, case.mu, s, z)
+    rho = nr.ritz_residual_for(eval_T(t, case.mu) @ s.basis, s, z)
     assert abs(rho - 1.0 / math.sqrt(2.0)) <= 1e-10
     e3 = np.array([0, 0, 1], dtype=complex)
     phase = np.vdot(e3, case.refined.x_hat)

@@ -156,6 +156,15 @@ class TestRunExample2:
         assert abs(complex(*rec["mu"])) <= 1e-10
         assert rec["sigma_hat_1"] <= 1e-12
 
+    def test_records_are_the_cases_they_came_from(self):
+        t, ref, w = ex.fixture_problem()
+        s = ex.perturb_subspace(Subspace.from_basis(w), 1e-4, 3)
+        case = ex.analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
+        rec = ex.run_example2(sigma=1e-4, seeds=(3,))["records"][0]
+        assert rec == ex.SweepRecord.from_case(case, 3, epsilon=case.epsilon).to_dict()
+        assert rec["rho_ritz"] == case.ritz.residual_norm
+        assert rec["sigma_hat_1"] == case.refined.sigma_hat_1
+
     def test_empty_seeds_rejected(self):
         # medians and the per-seed check over zero records mean nothing
         with pytest.raises(ValueError, match="seeds"):
@@ -192,8 +201,8 @@ class TestAnalyzeCase:
 
 
     def test_each_matrix_at_mu_is_evaluated_once(self, monkeypatch):
-        # the context evaluates T(mu) and B(mu); both extractions read them
-        # from there and evaluate nothing themselves
+        # the context evaluates T(mu) and nothing else at mu: B(mu) is
+        # W^H (T(mu) W), and both extractions read that one T(mu) W
         import nepritz.bounds_lab as bl
         import nepritz.extraction as extraction
 
@@ -202,6 +211,7 @@ class TestAnalyzeCase:
         at_mu = []
 
         def counted(fn, lam, order=0):
+            assert fn is inst.t, "the case context evaluated a function other than T"
             if lam == mu:
                 at_mu.append((fn.n, order))
             return eval_T(fn, lam, order)
@@ -213,9 +223,15 @@ class TestAnalyzeCase:
         monkeypatch.setattr(extraction, "eval_T", forbidden)
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert case.mu == mu and case.all_hold
-        # T(mu) and B(mu), of sizes n and m, once each; L(mu) is T(mu)'s block
-        n, m = inst.t.n, inst.subspace.dim
-        assert sorted(at_mu) == sorted([(n, 0), (m, 0)])
+        # T(mu) once; L(mu) is its reflector block and B(mu) its compression
+        assert at_mu == [(inst.t.n, 0)]
+
+    def test_case_context_takes_no_projected_function(self):
+        import inspect
+
+        import nepritz.bounds_lab as bl
+        params = inspect.signature(bl.build_case_context).parameters
+        assert list(params) == ["t", "s", "x_star", "lambda_star", "mu"]
 
     def test_target_quantities_are_derived_once(self, monkeypatch):
         # T(l*), T'(l*) and eps live in the case context; the witness and
@@ -281,6 +297,14 @@ class TestRunSweep:
         assert {"epsilon", "seed", "mu", "mu_dist", "sin_ritz", "sin_refined",
                 "rho_ritz", "sigma_hat_1", "verdicts"} <= set(rec)
 
+    def test_records_filed_under_requested_deviation(self):
+        # trials of one eps group together, so a record keeps the requested
+        # deviation, not the one measured on its subspace
+        t, ref, m = ex.simple_rate_instance()
+        res = ex.run_sweep(t, ref, eps_list=[1e-2, 1e-4, 1e-6], trials=2, m=m)
+        assert sorted({r["epsilon"] for r in res["records"]}) == [1e-6, 1e-4, 1e-2]
+        assert res["eps"] == [1e-6, 1e-4, 1e-2]
+
 
 class TestVerifyAll:
     def test_sub_suite_holds_and_writes(self, tmp_path):
@@ -324,7 +348,7 @@ class TestVerifyAll:
         x_star = np.array([1, 0, 0], dtype=complex)
         mu = 0.05
         full = Subspace.from_basis(np.eye(3, dtype=complex))
-        ctx = bl.build_case_context(t, full, t, x_star, 0.0, mu)
+        ctx = bl.build_case_context(t, full, x_star, 0.0, mu)
         x_perp, t_mu = qr_complement(x_star), eval_T(t, mu, 0)
         w = np.linalg.solve(x_perp.conj().T @ t_mu @ x_perp,
                             x_perp.conj().T @ t_mu @ x_star)

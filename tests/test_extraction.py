@@ -32,7 +32,7 @@ def linear_problem(diag):
 class TestRitzVector:
     def test_degenerate_fixture_flags_nonuniqueness(self):
         t, _, s = fixture_case()
-        ritz = ritz_vector(eval_T(t, 0.0), eval_T(project(t, s), 0.0), 0.0, s)
+        ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(project(t, s), 0.0), 0.0, s)
         assert ritz.geometric_multiplicity == 2
         assert ritz.nonunique_flag
         assert abs(np.linalg.norm(ritz.z) - 1.0) < 1e-12
@@ -41,7 +41,7 @@ class TestRitzVector:
     def test_simple_linear_problem(self):
         t = linear_problem([1.0, 2.0])
         s = Subspace.from_basis(np.eye(2, dtype=complex))
-        ritz = ritz_vector(eval_T(t, 1.0), eval_T(project(t, s), 1.0), 1.0, s)
+        ritz = ritz_vector(eval_T(t, 1.0) @ s.basis, eval_T(project(t, s), 1.0), 1.0, s)
         assert ritz.geometric_multiplicity == 1
         assert not ritz.nonunique_flag
         assert np.allclose(ritz.x_tilde, [1.0, 0.0], atol=1e-12)
@@ -51,44 +51,58 @@ class TestRitzVector:
         t = linear_problem([1.0, 2.0])
         s = Subspace.from_basis(np.eye(2, dtype=complex))
         with pytest.raises(NotAnEigenvalue):
-            ritz_vector(eval_T(t, 0.5), eval_T(project(t, s), 0.5), 0.5, s)
+            ritz_vector(eval_T(t, 0.5) @ s.basis, eval_T(project(t, s), 0.5), 0.5, s)
 
     def test_projected_residual_small(self):
         t, _, s = fixture_case()
         b = project(t, s)
-        ritz = ritz_vector(eval_T(t, 0.0), eval_T(b, 0.0), 0.0, s)
+        ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
         bmu = eval_T(b, ritz.mu, 0)
         assert np.linalg.norm(bmu @ ritz.z) <= 1e-8 * max(1.0, np.linalg.norm(bmu, 2))
+
+
+class TestProductShape:
+    # every extraction reads T(mu) W; T(mu) itself is rejected, not misread
+    @pytest.mark.parametrize("call", [
+        lambda t_mu, b_mu, s: ritz_vector(t_mu, b_mu, 0.0, s),
+        lambda t_mu, b_mu, s: refined_vector(t_mu, 0.0, s),
+        lambda t_mu, b_mu, s: ritz_residual_for(t_mu, s, np.array([1.0, 0.0])),
+    ])
+    def test_t_mu_in_place_of_t_mu_w_rejected(self, call):
+        t, _, s = fixture_case()
+        with pytest.raises(ValueError, match="T\\(mu\\) W"):
+            call(eval_T(t, 0.0), eval_T(project(t, s), 0.0), s)
 
 
 class TestRitzResidualFor:
     def test_symmetric_combination(self):
         t, _, s = fixture_case()
         z = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-        assert ritz_residual_for(t, 0.0, s, z) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        rho = ritz_residual_for(eval_T(t, 0.0) @ s.basis, s, z)
+        assert rho == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_first_basis_vector_is_exact(self):
         t, _, s = fixture_case()
         z = np.array([1.0, 0.0], dtype=complex)
-        assert ritz_residual_for(t, 0.0, s, z) == pytest.approx(0.0, abs=1e-14)
+        assert ritz_residual_for(eval_T(t, 0.0) @ s.basis, s, z) == pytest.approx(0.0, abs=1e-14)
 
     def test_refined_coefficients_give_sigma1(self):
         t, ref, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=5)
-        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
-        rho = ritz_residual_for(t, 0.0, s, refined.y)
+        refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
+        rho = ritz_residual_for(eval_T(t, 0.0) @ s.basis, s, refined.y)
         assert rho == pytest.approx(refined.sigma_hat_1, abs=1e-12)
 
     def test_requires_unit_vector(self):
         t, _, s = fixture_case()
         with pytest.raises(ValueError):
-            ritz_residual_for(t, 0.0, s, np.array([1.0, 1.0], dtype=complex))
+            ritz_residual_for(eval_T(t, 0.0) @ s.basis, s, np.array([1.0, 1.0], dtype=complex))
 
 
 class TestRefinedVector:
     def test_fixture_recovers_target_exactly(self):
         t, ref, s = fixture_case()
-        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         assert np.allclose(refined.y, [1.0, 0.0], atol=1e-12)
         phase = np.vdot(ref.x_star, refined.x_hat)
         phase /= abs(phase)
@@ -99,21 +113,21 @@ class TestRefinedVector:
     def test_full_space_at_exact_eigenvalue(self):
         t, ref, _ = fixture_case()
         s = Subspace.from_basis(np.eye(3, dtype=complex))
-        refined = refined_vector(eval_T(t, 0.0), 0.0, s)
+        refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         assert refined.sigma_hat_1 <= 1e-14
         assert sin_angle(ref.x_star, refined.x_hat) < 1e-12
 
     def test_sigma1_equals_residual_of_x_hat(self):
         t, _, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=9)
-        refined = refined_vector(eval_T(t, 1e-5), 1e-5, s)
+        refined = refined_vector(eval_T(t, 1e-5) @ s.basis, 1e-5, s)
         direct = np.linalg.norm(eval_T(t, 1e-5, 0) @ refined.x_hat)
         assert direct == pytest.approx(refined.sigma_hat_1, abs=1e-12)
 
     def test_singular_values_ascending(self):
         t, _, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-3, seed=2)
-        refined = refined_vector(eval_T(t, 0.01), 0.01, s)
+        refined = refined_vector(eval_T(t, 0.01) @ s.basis, 0.01, s)
         sv = refined.singular_values
         assert np.all(np.diff(sv) >= -1e-15)
         assert refined.sigma_hat_1 == sv[0] and refined.sigma_hat_m == sv[-1]
@@ -122,7 +136,7 @@ class TestRefinedVector:
         t, ref, _ = fixture_case()
         w = np.zeros((3, 1), dtype=complex)
         w[2, 0] = 1.0
-        refined = refined_vector(eval_T(t, 0.0), 0.0, Subspace.from_basis(w))
+        refined = refined_vector(eval_T(t, 0.0) @ w, 0.0, Subspace.from_basis(w))
         assert refined.sigma_hat_2 is None
         assert refined.gap_certificate
 
@@ -164,7 +178,7 @@ class TestExtractionProperties:
         t, _, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=20)
         mu = 1e-5
-        refined = refined_vector(eval_T(t, mu), mu, s)
+        refined = refined_vector(eval_T(t, mu) @ s.basis, mu, s)
         tmu = eval_T(t, mu, 0)
         rng = np.random.default_rng(99)
         for _ in range(200):
@@ -181,8 +195,8 @@ class TestExtractionProperties:
 
             spec = solve_projected(b, 0.0, 1e6)
             mu = select_ritz_value(spec, lambda_star=0.0)
-            ritz = ritz_vector(eval_T(t, mu), eval_T(b, mu), mu, s)
-            refined = refined_vector(eval_T(t, mu), mu, s)
+            ritz = ritz_vector(eval_T(t, mu) @ s.basis, eval_T(b, mu), mu, s)
+            refined = refined_vector(eval_T(t, mu) @ s.basis, mu, s)
             assert refined.sigma_hat_1 <= ritz.residual_norm + 1e-12
 
     def test_phase_invariance_of_pipeline_quantities(self):
@@ -192,14 +206,14 @@ class TestExtractionProperties:
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=31)
         spec = solve_projected(project(t, s), 0.0, 1e6)
         mu = select_ritz_value(spec, lambda_star=0.0)
-        base_ritz = ritz_vector(eval_T(t, mu), eval_T(project(t, s), mu), mu, s)
-        base_refined = refined_vector(eval_T(t, mu), mu, s)
+        base_ritz = ritz_vector(eval_T(t, mu) @ s.basis, eval_T(project(t, s), mu), mu, s)
+        base_refined = refined_vector(eval_T(t, mu) @ s.basis, mu, s)
         # rotate one basis column by a unit phase: same subspace
         w2 = s.basis.copy()
         w2[:, 1] *= np.exp(0.7j)
         s2 = Subspace.from_basis(w2)
-        ritz2 = ritz_vector(eval_T(t, mu), eval_T(project(t, s2), mu), mu, s2)
-        refined2 = refined_vector(eval_T(t, mu), mu, s2)
+        ritz2 = ritz_vector(eval_T(t, mu) @ s2.basis, eval_T(project(t, s2), mu), mu, s2)
+        refined2 = refined_vector(eval_T(t, mu) @ s2.basis, mu, s2)
         assert ritz2.residual_norm == pytest.approx(base_ritz.residual_norm, abs=1e-12)
         assert refined2.sigma_hat_1 == pytest.approx(base_refined.sigma_hat_1, abs=1e-12)
         assert sin_angle(ref.x_star, refined2.x_hat) == pytest.approx(

@@ -1,0 +1,67 @@
+"""Whole-pipeline properties over generated problems.
+
+Each case draws a planted problem, a subspace at a requested deviation and
+runs analyze_case on it.  The pinned draws are ones where the Ritz and
+refined residuals, once read from two different products, differed by up
+to 1e-7 at m = 1 although their ratio is exactly 1 there.
+"""
+
+import math
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nepritz.errors import ConstructionFailed, DimensionGuard
+from nepritz.experiments import analyze_case, build_subspace_eps, random_planted_nep
+
+
+def run_case(n, degree, seed, lambda_star, m, eps, pole=None):
+    t, ref = random_planted_nep(n, degree, seed, lambda_star, rational_pole=pole)
+    s = build_subspace_eps(ref.x_star, m, eps, seed)
+    return analyze_case(t, ref, s)
+
+
+@pytest.mark.parametrize("n,degree,seed,lambda_star", [
+    (4, 2, 100, 0.3 + 0.2j),
+    (6, 3, 100, -0.2 + 0.5j),
+    (12, 2, 100, 0.5),
+    (12, 2, 101, 0.5),
+    (6, 3, 102, -0.2 + 0.5j),
+])
+def test_one_dimensional_residual_ratio_is_one(n, degree, seed, lambda_star):
+    case = run_case(n, degree, seed, lambda_star, m=1, eps=1e-9)
+    assert case.all_hold
+    ratio = {r.theorem_id: r for r in case.reports if r.theorem_id.startswith("residual_ratio")}
+    assert sorted(ratio) == ["residual_ratio_lower", "residual_ratio_upper"]
+    for rep in ratio.values():
+        assert abs(rep.lhs - 1.0) <= 1e-14 and abs(rep.rhs - 1.0) <= 1e-14, rep
+
+
+@st.composite
+def planted_cases(draw):
+    n = draw(st.integers(3, 16))
+    lam = complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    # three draws in ten carry a rational term, its pole 1.2 to 2 away
+    pole = None
+    if draw(st.integers(0, 9)) < 3:
+        pole = lam + draw(st.floats(1.2, 2.0)) * complex(
+            math.cos(a := draw(st.floats(0.0, 2 * math.pi))), math.sin(a))
+    return dict(n=n, degree=draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)),
+                lambda_star=lam, m=draw(st.integers(1, n - 1)),
+                eps=10.0 ** draw(st.floats(-10.0, -1.0)), pole=pole)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(draw=planted_cases())
+def test_every_applicable_bound_holds_on_planted_problems(draw):
+    try:
+        case = run_case(**draw)
+    except (ConstructionFailed, DimensionGuard):
+        assume(False)
+    assert case.all_hold, [r.theorem_id for r in case.reports if not r.holds]
+    assert case.refined.sigma_hat_1 <= case.ritz.residual_norm * (1.0 + 1e-12)
+    assert 0.0 <= case.epsilon <= 1.0
+    again = run_case(**draw)
+    assert [r.to_dict() for r in again.reports] == [r.to_dict() for r in case.reports]
+    assert again.inapplicable == case.inapplicable

@@ -20,7 +20,7 @@ from nepritz.projection import (
 def witness_case(t, s, ref):
     """(witness, context) of the target pair at mu = lambda_star."""
     lam = ref.lambda_star
-    ctx = build_case_context(t, s, project(t, s), ref.x_star, lam, lam)
+    ctx = build_case_context(t, s, ref.x_star, lam, lam)
     return perturbation_witness(ctx, s), ctx
 
 
