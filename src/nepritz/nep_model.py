@@ -6,6 +6,13 @@ derivatives are computed analytically term-wise -- never by finite
 differences -- so downstream bound evaluators are not polluted by truncation
 error.  The same holds for the second-order Taylor remainders of the terms,
 which are formed without the cancellation of f(l + h) - f(l) - f'(l) h.
+
+Every term also evaluates a whole point set as one array pass (eval_many),
+and each entry of it is bit-equal to the single-point eval.  The
+scalar-exact helpers _cmul and _cdiv make that hold: they form complex
+products and quotients from real numpy operations rounded one at a time, as
+Python's complex arithmetic rounds them, where numpy's vectorized complex
+multiply and divide may fuse or reorder and differ in the last bit.
 """
 
 from __future__ import annotations
@@ -61,12 +68,8 @@ class Polynomial:
         return complex(npoly.polyval(lam, _nth_der(self.coefficients, order)))
 
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
-        """eval at each point of lams: npoly.polyval's Horner steps with scalar products."""
-        c = _nth_der(self.coefficients, order)
-        acc = np.full(lams.shape, c[-1], dtype=complex)
-        for ck in c[-2::-1]:
-            acc = ck + _cmul(acc, lams)
-        return acc
+        """eval at each point of lams."""
+        return _horner(_nth_der(self.coefficients, order), lams)
 
     def remainder(self, lam: complex, h) -> np.ndarray:
         """(f(lam + h) - f(lam) - f'(lam) h) / h^2 for each step in h.
@@ -96,34 +99,37 @@ class Rational:
             if c.size - 1 > MAX_POLY_DEGREE:
                 raise ValueError("rational degree exceeds desk-scale limit")
 
-    def _check_pole(self, lam: complex) -> complex:
+    def _check_poles(self, lams: np.ndarray) -> np.ndarray:
+        """q at each point of lams; PoleHit names the first point on a pole."""
         q = self.denominator
-        qval = complex(npoly.polyval(lam, q))
-        if abs(qval) < 1e-14 * (1.0 + abs(lam) ** (q.size - 1)):
-            raise PoleHit(f"denominator vanishes at lambda = {lam}")
+        qval = _horner(q, lams)
+        hit = np.abs(qval) < 1e-14 * (1.0 + np.abs(lams) ** (q.size - 1))
+        if hit.any():
+            raise PoleHit(f"denominator vanishes at lambda = {complex(lams[hit.argmax()])}")
         return qval
 
     def eval(self, lam: complex, order: int = 0) -> complex:
-        """Derivative of order k via the Leibniz recurrence on p = f q.
+        return complex(self.eval_many(np.array([lam], dtype=complex), order)[0])
+
+    def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
+        """Derivative of order k at each point of lams, via the Leibniz recurrence on p = f q.
 
         f^(k) = (p^(k) - sum_{j<k} C(k,j) f^(j) q^(k-j)) / q, which avoids the
-        exponential degree growth of the symbolic quotient rule.
+        exponential degree growth of the symbolic quotient rule.  Each entry
+        is rounded as the same recurrence in Python complex arithmetic, where
+        the integer C(k,j) multiplies as the complex C(k,j) + 0j.  A point on
+        a pole raises PoleHit for the whole stack.
         """
-        self._check_pole(lam)
-        p, q = self.numerator, self.denominator
-        pd = [complex(npoly.polyval(lam, _nth_der(p, j))) for j in range(order + 1)]
-        qd = [complex(npoly.polyval(lam, _nth_der(q, j))) for j in range(order + 1)]
-        f = [pd[0] / qd[0]]
+        qd = [self._check_poles(lams)]
+        qd += [_horner(_nth_der(self.denominator, j), lams) for j in range(1, order + 1)]
+        pd = [_horner(_nth_der(self.numerator, j), lams) for j in range(order + 1)]
+        f = [_cdiv(pd[0], qd[0])]
         for k in range(1, order + 1):
             acc = pd[k]
             for j in range(k):
-                acc -= comb(k, j) * f[j] * qd[k - j]
-            f.append(acc / qd[0])
+                acc = acc - _cmul(_cmul(complex(comb(k, j)), f[j]), qd[k - j])
+            f.append(_cdiv(acc, qd[0]))
         return f[order]
-
-    def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
-        """eval at each point of lams, one scalar call per point."""
-        return np.array([self.eval(complex(lam), order) for lam in lams], dtype=complex)
 
     def remainder(self, lam: complex, h) -> np.ndarray:
         """(f(lam + h) - f(lam) - f'(lam) h) / h^2 for each step in h.
@@ -132,7 +138,7 @@ class Rational:
         f_0 + f_1 h the tangent, N = P - (f_0 + f_1 h) Q vanishes to second
         order, so its coefficients from h^2 up, over Q(h), give the remainder.
         """
-        self._check_pole(lam)
+        self._check_poles(np.array([lam], dtype=complex))
         p = _taylor_shift(self.numerator, lam)
         q = _taylor_shift(self.denominator, lam)
         f0 = p[0] / q[0]
@@ -194,6 +200,38 @@ def _cmul(a, b) -> np.ndarray:
     out.real = re
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b elementwise for arrays of one shape, rounded as Python's complex quotient.
+
+    That quotient (CPython 3.10 to 3.13) is Smith's algorithm: divide
+    through by whichever part of b is larger in magnitude (the real part on
+    a tie).  Here the two branches are one pass: ratio = small / big, and
+    the factors r1, r2 are (1, ratio) or (ratio, 1), so every product and
+    sum is the one the branch forms (x * 1.0 is exactly x).  Overflow,
+    underflow and a NaN operand pass silently, as in the scalar quotient;
+    b must be nonzero.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):
+        ratio = np.where(by_real, bi, br) / np.where(by_real, br, bi)
+        r1 = np.where(by_real, 1.0, ratio)
+        r2 = np.where(by_real, ratio, 1.0)
+        denom = br * r1 + bi * r2
+        out = np.empty(denom.shape, dtype=complex)
+        out.real = (ar * r1 + ai * r2) / denom
+        out.imag = (ai * r1 - ar * r2) / denom
+    return out
+
+
+def _horner(c: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """sum_k c_k lam^k at each point of lams: npoly.polyval's Horner steps with scalar products."""
+    acc = np.full(lams.shape, c[-1], dtype=complex)
+    for ck in c[-2::-1]:
+        acc = ck + _cmul(acc, lams)
+    return acc
 
 
 def _nth_der(coeffs: np.ndarray, order: int) -> np.ndarray:

@@ -111,7 +111,7 @@ def polynomialize(b: MatrixFunction):
         if isinstance(fn, Rational):
             q = fn.denominator / fn.denominator[-1]  # monic
             for i, known in enumerate(dens):
-                if known.size == q.size and np.allclose(known, q, atol=1e-12):
+                if known.size == q.size and np.allclose(known, q, rtol=0, atol=1e-12):
                     which_den.append(i)
                     break
             else:

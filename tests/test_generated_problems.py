@@ -1,19 +1,26 @@
 """Whole-pipeline properties over generated problems.
 
 Each case draws a planted problem, a subspace at a requested deviation and
-runs analyze_case on it.  The pinned draws are ones where the Ritz and
-refined residuals, once read from two different products, differed by up
-to 1e-7 at m = 1 although their ratio is exactly 1 there.
+runs analyze_case on it.  The problems are random_planted_nep's polynomial
+and rational ones, and delay problems A0 + lam A1 + exp(-tau lam) A2, which
+send the projected solve down its grid-Newton path.  The pinned draws are
+ones where the Ritz and refined residuals, once read from two different
+products, differed by up to 1e-7 at m = 1 although their ratio is exactly 1
+there.
 """
 
 import math
 
+import numpy as np
 import pytest
+from helpers import complex_randn
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from nepritz.dense_kernels import singular_values
 from nepritz.errors import ConstructionFailed, DimensionGuard
 from nepritz.experiments import analyze_case, build_subspace_eps, random_planted_nep
+from nepritz.nep_model import Exponential, MatrixFunction, Polynomial, ReferencePair, eval_T
 
 
 def run_case(n, degree, seed, lambda_star, m, eps, pole=None):
@@ -52,16 +59,58 @@ def planted_cases(draw):
                 eps=10.0 ** draw(st.floats(-10.0, -1.0)), pole=pole)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(draw=planted_cases())
-def test_every_applicable_bound_holds_on_planted_problems(draw):
+def assert_case_properties(run, draw):
+    """The four invariants, on run(**draw) and a second run of it."""
     try:
-        case = run_case(**draw)
+        case = run(**draw)
     except (ConstructionFailed, DimensionGuard):
         assume(False)
     assert case.all_hold, [r.theorem_id for r in case.reports if not r.holds]
     assert case.refined.sigma_hat_1 <= case.ritz.residual_norm * (1.0 + 1e-12)
     assert 0.0 <= case.epsilon <= 1.0
-    again = run_case(**draw)
+    again = run(**draw)
     assert [r.to_dict() for r in again.reports] == [r.to_dict() for r in case.reports]
     assert again.inapplicable == case.inapplicable
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(draw=planted_cases())
+def test_every_applicable_bound_holds_on_planted_problems(draw):
+    assert_case_properties(run_case, draw)
+
+
+def run_delay_case(n, seed, lambda_star, tau, m, eps):
+    """A0 + lam A1 + exp(-tau lam) A2 with a planted pair, as the exp_delay benchmark builds it.
+
+    A0 gets the rank-one correction -(T(l*) x*) x*^H, so the seeded unit x*
+    is an exact eigenvector at l*; a draw where l* is not simple enough
+    raises ConstructionFailed.
+    """
+    rng = np.random.default_rng(seed)
+    a0, a1, a2 = (complex_randn(rng, n, n) / math.sqrt(n) for _ in range(3))
+    x = complex_randn(rng, n)
+    x /= np.linalg.norm(x)
+    fns = [Polynomial([1]), Polynomial([0, 1]), Exponential(-tau)]
+    defect = eval_T(MatrixFunction.from_terms(list(zip(fns, [a0, a1, a2]))), lambda_star, 0) @ x
+    t = MatrixFunction.from_terms(list(zip(fns, [a0 - np.outer(defect, x.conj()), a1, a2])))
+    ref = ReferencePair(lambda_star, x)
+    ref.validate(t)
+    svals = singular_values(eval_T(t, lambda_star, 0))
+    if svals[-2] < 1e-6 * max(1.0, svals[0]):
+        raise ConstructionFailed("planted eigenvalue is not simple enough")
+    return analyze_case(t, ref, build_subspace_eps(x, m, eps, seed))
+
+
+@st.composite
+def delay_cases(draw):
+    n = draw(st.integers(4, 12))
+    return dict(n=n, seed=draw(st.integers(0, 10**6)),
+                lambda_star=complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),
+                tau=draw(st.floats(0.5, 2.0)), m=draw(st.integers(2, n - 1)),
+                eps=10.0 ** draw(st.floats(-8.0, -2.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(draw=delay_cases())
+def test_every_applicable_bound_holds_on_delay_problems(draw):
+    assert_case_properties(run_delay_case, draw)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,21 +173,90 @@ class TestEvalTMany:
 
     def test_term_values_equal_scalar_calls(self):
         rng = np.random.default_rng(7)
-        lams = complex_randn(rng, 200) * 3.0
-        for fn, _ in self.problem(7).terms:
-            for order in (0, 1, 3):
-                many = fn.eval_many(lams, order)
-                assert all(m == eval_fn(fn, lam, order) for m, lam in zip(many, lams))
+        fns = [fn for fn, _ in self.problem(7).terms]
+        fns += [Rational(complex_randn(rng, 4), complex_randn(rng, 3)),
+                Rational([1.0], [-2.0, 1.0]), Rational(complex_randn(rng, 2), [0.5j, 0, 0, 1])]
+        for fn in fns:
+            if not isinstance(fn, Rational):
+                lams = complex_randn(rng, 200) * 3.0
+                for order in (0, 1, 3):
+                    many = fn.eval_many(lams, order)
+                    assert all(m == eval_fn(fn, lam, order) for m, lam in zip(many, lams))
+                continue
+            # and near each pole but off it: |q| down to about 1e-12 |q'|
+            lams = np.concatenate([complex_randn(rng, 40) * 3.0] + [
+                pole + 10.0 ** -rng.uniform(2, 12, 10) * np.exp(2j * np.pi * rng.random(10))
+                for pole in fn.poles()])
+            for order in range(nep_model.MAX_DERIV_ORDER + 1):
+                want = np.array([leibniz_oracle(fn, lam, order) for lam in lams.tolist()])
+                # + 0 maps -0.0 to 0.0: Horner's start differs from polyval's c[-1] + lam*0
+                # only in the sign of an exact zero, which eval_T's sum drops
+                assert (fn.eval_many(lams, order) + 0).tobytes() == (want + 0).tobytes()
+                assert fn.eval(lams[0], order) == want[0]
 
     def test_pole_in_stack_raises(self):
         t, _, _ = fixture_problem()
         with pytest.raises(PoleHit):
             eval_T_many(t, [0.0, 1.0, 0.5j], 0)
+        # poles at 1 and -2: the error names the first point on one
+        f = Rational([1.0], [-2.0, 1.0, 1.0])
+        for order in (0, 2):
+            with pytest.raises(PoleHit, match=r"lambda = \(-2\+0j\)"):
+                f.eval_many(np.array([0.5, -2.0, 0.1j, 1.0]), order)
 
     def test_order_out_of_range(self):
         t, _, _ = fixture_problem()
         with pytest.raises(ValueError):
             eval_T_many(t, [0.0], nep_model.MAX_DERIV_ORDER + 1)
+
+
+def leibniz_oracle(fn, lam, order):
+    """A Rational's derivative at one point: the Leibniz recurrence in Python complex arithmetic."""
+    pd = [complex(npoly.polyval(lam, npoly.polyder(fn.numerator, j))) for j in range(order + 1)]
+    qd = [complex(npoly.polyval(lam, npoly.polyder(fn.denominator, j))) for j in range(order + 1)]
+    f = [pd[0] / qd[0]]
+    for k in range(1, order + 1):
+        acc = pd[k]
+        for j in range(k):
+            acc -= math.comb(k, j) * f[j] * qd[k - j]
+        f.append(acc / qd[0])
+    return f[order]
+
+
+class TestComplexDivision:
+    @staticmethod
+    def python_quotients(a, b):
+        return np.array([x / y for x, y in zip(a.tolist(), b.tolist())], dtype=complex)
+
+    def test_bit_equal_python_quotient(self):
+        rng = np.random.default_rng(11)
+        k = 20000
+        a, b = (rng.standard_normal((k, 2)) * 10.0 ** rng.uniform(-20, 20, (k, 2))
+                for _ in range(2))
+        for x in (a, b):
+            # signed zeros in either part
+            x[rng.random((k, 2)) < 0.1] *= 0.0
+        # |re| = |im| ties, in every sign combination
+        tie = rng.random(k) < 0.1
+        b[tie, 1] = b[tie, 0] * rng.choice([-1.0, 1.0], tie.sum())
+        a, b = a.view(complex).ravel(), b.view(complex).ravel()
+        b[b == 0] = 1.0
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        assert 1000 < by_real.sum() < k - 1000  # both of Smith's branches
+        assert np.any(tie & (b.real != 0))
+        got = nep_model._cdiv(a, b)
+        assert got.tobytes() == self.python_quotients(a, b).tobytes()
+
+    def test_zero_parts_and_overflow_raise_no_warning(self):
+        # a zero part of b is where the other branch's ratio would divide
+        # by zero; an overflowing quotient is inf, silently, as in Python
+        a = np.array([1 + 2j, -3 + 0j, 1e300 + 1e300j, complex(-0.0, 5)])
+        b = np.array([complex(0.0, -2), complex(-0.0, 4), 1e-300 + 0j, complex(7, -0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nep_model._cdiv(a, b)
+        assert got.tobytes() == self.python_quotients(a, b).tobytes()
+        assert np.isinf(got[2].real)
 
 
 class TestNthDerivative:

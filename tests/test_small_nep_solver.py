@@ -90,6 +90,19 @@ class TestPolynomialize:
         assert len(poles) == 1 and abs(poles[0]) < 1e-12
         assert companion_eigs(coeffs) == []
 
+    def test_close_distinct_poles_both_cleared(self):
+        # denominators 1e-5 apart are two factors of q: a relative
+        # tolerance of 1e-5 would merge them and fail the self-check
+        b = MatrixFunction.from_terms([
+            (Rational([1], [-2, 1]), np.eye(2, dtype=complex)),
+            (Rational([1], [-(2 + 1e-5), 1]), np.diag([1.0, 2.0]).astype(complex)),
+        ])
+        coeffs, poles = polynomialize(b)
+        assert sorted(p.real for p in poles) == pytest.approx([2.0, 2.0 + 1e-5], abs=1e-9)
+        lam = 0.3 + 0.2j
+        want = (lam - 2.0) * (lam - 2.0 - 1e-5) * eval_T(b, lam, 0)
+        assert np.allclose(eval_poly_mats(coeffs, lam), want, atol=1e-12)
+
     def test_corrupted_coefficient_fails_self_check(self, monkeypatch):
         # the self-check compares P(lam) with q(lam) B(lam); an error of
         # 1e-6 in one entry of B is far above its 1e-10 relative tolerance
