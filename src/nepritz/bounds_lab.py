@@ -349,9 +349,10 @@ def build_case_context(
 ) -> CaseContext:
     """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
-    Only T is evaluated, at l* (with T'(l*)) and at mu; B(l*) and B(mu) are
-    compressed from those matrices with s.basis, as gamma_b compresses T's
-    remainder directions.  The perturbation witness reads T(l*) and B(l*),
+    Only T is evaluated: T(l*) and T(mu) as one two-point stack, and
+    T'(l*).  B(l*) and B(mu) are compressed from those matrices with
+    s.basis, as gamma_b compresses T's remainder directions.  The
+    perturbation witness reads T(l*) and B(l*),
     and the extractions at mu read T(mu) W and B(mu), from the context
     instead of evaluating them again.
     """
@@ -362,8 +363,7 @@ def build_case_context(
     radius = remainder_radius(t, lam, mu)
     gamma, beta, gamma_b = taylor_remainder_const(
         t, lam, radius, lambda d: complement_compress(x, d), lambda d: wh @ d @ w)
-    t_star = eval_T(t, lam, 0)
-    t_mu = eval_T(t, mu, 0)
+    t_star, t_mu = eval_T_many(t, [lam, mu], 0)
     tw = t_mu @ w
     b_star = wh @ t_star @ w
     # one batched call per matrix shape: T(l*), T'(l*), T(mu), then their L blocks

@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ConvergenceFailure, NearSingular, RankDeficient
 
 ORTHO_TOL = 1e-12
+# relative allowance between a computed Frobenius norm and a computed 2-norm
+# (see norms_within)
+NORM_ROUNDING = 1e-8
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -151,7 +154,9 @@ def svd(m) -> SvdResult:
     costs more than twice the thin one.  Verifies
     reconstruction and orthogonality (U^H U = V^H V = I_p) to 1e-12 before
     returning, so a violated invariant surfaces as ConvergenceFailure
-    (kernel bug), never as silent data corruption.
+    (kernel bug), never as silent data corruption.  Both checks go through
+    norms_within, so they decompose nothing while the Frobenius norms of
+    the residuals decide them.
     """
     a = as_matrix(m)
     try:
@@ -167,12 +172,10 @@ def svd(m) -> SvdResult:
             c = np.conj(piv) / abs(piv)
             u[:, k] = u[:, k] * c
             v[:, k] = v[:, k] * c
-    scale = max(1.0, float(s[0]))
-    if norm2(a - (u * s) @ v.conj().T) > 1e-12 * scale:
+    if not norms_within(a - (u * s) @ v.conj().T, 1e-12 * max(1.0, float(s[0]))):
         raise ConvergenceFailure("SVD reconstruction check failed")
     eye = np.eye(s.size)
-    gram = np.stack([u.conj().T @ u - eye, v.conj().T @ v - eye])
-    if np.any(singular_values(gram)[:, 0] > 1e-12):
+    if not norms_within(np.stack([u.conj().T @ u - eye, v.conj().T @ v - eye]), 1e-12):
         raise ConvergenceFailure("SVD orthogonality check failed")
     return SvdResult(left_vectors=u, singular_values=s.astype(float), right_vectors=v)
 
@@ -191,6 +194,42 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False).astype(float)
 
 
+def norms_within(a, limit, scale=None) -> bool:
+    """Whether ||A||_2 <= limit for one matrix, or for every matrix of a stack.
+
+    limit is a number or one per matrix.  With scale, a matrix or a stack
+    S, the limit is limit * max(max_k ||S_k||_2, 1e-300), so it scales with
+    the largest 2-norm in S and is never 0.  The answer is that of the plain
+    check, any(singular_values(a)[..., 0] > limit * that scale), but the
+    Frobenius norm decides it where it can: ||A||_2 <= ||A||_F, and
+    ||S||_F / sqrt(min(rows, cols)) <= ||S||_2 since S has at most that
+    many nonzero singular values.  So when every ||A_k||_F is within the
+    limit taken with S's scale bounded from below, every ||A_k||_2 is too,
+    and nothing is decomposed.  Only when the Frobenius norm cannot decide
+    are A (and S) decomposed and the plain check run.  A computed Frobenius
+    norm and a computed largest singular value of one matrix each lie within
+    a few hundred units of rounding of their exact values at the sizes used
+    here, so the Frobenius side is compared with a relative allowance
+    NORM_ROUNDING = 1e-8 above that: a pass it decides is a pass of the
+    plain check.
+    """
+    a = np.asarray(a, dtype=complex)
+    limit = np.asarray(limit, dtype=float)
+    floor = 1.0
+    # an overflowing Frobenius norm only leaves the check to the exact path:
+    # as a bound on the scale from below it counts as 0
+    with np.errstate(over="ignore"):
+        if scale is not None:
+            s = np.asarray(scale, dtype=complex)
+            fro_s = float(np.linalg.norm(s, axis=(-2, -1)).max()) / np.sqrt(min(s.shape[-2:]))
+            floor = max(fro_s * (1 - NORM_ROUNDING) if np.isfinite(fro_s) else 0.0, 1e-300)
+        fro = np.linalg.norm(a, axis=(-2, -1)) * (1 + NORM_ROUNDING)
+    if np.all(fro <= limit * floor):
+        return True
+    exact = 1.0 if scale is None else max(float(singular_values(s)[..., 0].max()), 1e-300)
+    return not np.any(singular_values(a)[..., 0] > limit * exact)
+
+
 def near_singular(s) -> np.ndarray:
     """solve_linear's singularity test, sigma_min <= 1e-14 * sigma_max.
 
@@ -201,20 +240,22 @@ def near_singular(s) -> np.ndarray:
     return s[..., -1] <= 1e-14 * s[..., 0]
 
 
-def solve_with_svals(a: np.ndarray, rhs: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
-    """Solve A X = B and run solve_linear's residual check from A's singular values.
+def solve_with_norm(a: np.ndarray, rhs: np.ndarray, norm_a) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A X = B and run solve_linear's residual check with a given ||A||.
 
     A is one square matrix, with B a vector or a matrix of right-hand sides,
-    or a stack (k, m, m) with B of shape (k, m, r).  s are A's descending
-    singular values, so ||A|| = s[..., 0] needs no decomposition here.
-    Returns X and, per system, whether every column passes
+    or a stack (k, m, m) with B of shape (k, m, r) and norm_a one value per
+    matrix.  norm_a is ||A||_2, typically the largest of the singular values
+    that the singularity test already has, so the check needs no
+    decomposition here; a lower bound on it gives a check that is never
+    looser.  Returns X and, per system, whether every column passes
     ||A x - b|| <= 1e-10 (||A|| ||x|| + ||b||).  The caller has already
-    ruled out near_singular(s).
+    ruled out a singular A.
     """
     x = np.linalg.solve(a, rhs)
     axis = -1 if rhs.ndim < a.ndim else -2
     res = np.linalg.norm(a @ x - rhs, axis=axis)
-    tol = 1e-10 * (np.asarray(s)[..., :1] * np.linalg.norm(x, axis=axis)
+    tol = 1e-10 * (np.asarray(norm_a, dtype=float)[..., None] * np.linalg.norm(x, axis=axis)
                    + np.linalg.norm(rhs, axis=axis))
     return x, ~np.any(res > tol, axis=-1)
 
@@ -225,7 +266,7 @@ def solve_linear(m, b) -> np.ndarray:
     B is one right-hand side (a vector) or several (the columns of a matrix);
     the result has B's shape.  One set of singular values serves both the
     singularity test, which raises NearSingular when near_singular holds,
-    and the residual check of solve_with_svals, which raises
+    and the residual check of solve_with_norm, which raises
     ConvergenceFailure.  small_nep_solver.companion_eigs calls it for the
     shift-and-invert solve of the companion pencil.
     """
@@ -236,7 +277,7 @@ def solve_linear(m, b) -> np.ndarray:
     s = singular_values(a)
     if near_singular(s):
         raise NearSingular(f"sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}")
-    x, ok = solve_with_svals(a, rhs, s)
+    x, ok = solve_with_norm(a, rhs, s[0])
     if not ok:
         raise ConvergenceFailure("linear solve residual check failed")
     return x

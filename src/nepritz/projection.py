@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_kernels import as_matrix, as_vector, norm2
+from .dense_kernels import as_matrix, as_vector, norm2, norms_within
 from .errors import DegenerateDeviation
 # unused here; perfbench's tracer test checks every layer's alias of eval_T
 from .nep_model import MatrixFunction, eval_T  # noqa: F401
@@ -34,7 +34,7 @@ class Subspace:
         n, m = self.basis.shape
         if m > n:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if norm2(self.basis.conj().T @ self.basis - np.eye(m)) > 1e-12:
+        if not norms_within(self.basis.conj().T @ self.basis - np.eye(m), 1e-12):
             raise ValueError("basis columns are not orthonormal to 1e-12")
 
     @property

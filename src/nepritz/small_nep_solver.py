@@ -13,19 +13,31 @@ recorded as spurious, not returned.  The sigma_min test of all off-pole
 means is one stacked evaluation and one stacked SVD.  Problems with
 exponential terms skip linearization and run the Newton iteration from a
 coarse grid of starting points instead.  Either way, all starts of a solve
-are polished in lockstep: each Newton step is one stacked evaluation, one
-stacked SVD and one stacked solve over the starts still running, and each
-start ends exactly as a lone run from it would.
+are polished in lockstep: each Newton step is one stacked evaluation and
+one stacked solve over the starts still running, and each start ends
+exactly as a lone run from it would.  The stop test of a step is screened:
+a batched LU determinant certifies, through sigma_min >= |det B| /
+||B||_F^(m-1), the iterates that are far from a root, and only the others
+get the stacked SVD that decides it exactly (screen_stop_test).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import near_singular, singular_values, solve_linear, solve_with_svals
+from .dense_kernels import (
+    NORM_ROUNDING,
+    near_singular,
+    norms_within,
+    singular_values,
+    solve_linear,
+    solve_with_norm,
+)
 from .errors import (
     ConvergenceFailure,
     DimensionGuard,
@@ -101,7 +113,9 @@ def polynomialize(b: MatrixFunction):
 
     q is the product of the distinct denominators (each used once), so for a
     purely polynomial input the transform is the identity with q = 1.  The
-    construction is verified by comparing P against q*B at 20 sample points.
+    construction is verified by comparing P against q*B at 20 sample points:
+    ||P - q B||_2 <= 1e-10 max(1, |q|) max_k ||C_k||_2 at each, decided by
+    Frobenius norms where they can (dense_kernels.norms_within).
     """
     dens: list[np.ndarray] = []
     which_den: list[int | None] = []
@@ -159,9 +173,8 @@ def polynomialize(b: MatrixFunction):
     qvals = npoly.polyval(lams, full)
     stacked = np.stack(out)
     p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)
-    norms = singular_values(p_vals - qvals[:, None, None] * eval_T_many(b, lams, 0))[:, 0]
-    scale = max(float(singular_values(stacked)[:, 0].max()), 1e-300)
-    if np.any(norms > 1e-10 * scale * np.maximum(1.0, np.abs(qvals))):
+    residual = p_vals - qvals[:, None, None] * eval_T_many(b, lams, 0)
+    if not norms_within(residual, 1e-10 * np.maximum(1.0, np.abs(qvals)), scale=stacked):
         raise RuntimeError("polynomialize self-check failed")
     return out, poles
 
@@ -203,23 +216,94 @@ def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
     raise NearSingular("singular pencil: det P(lambda) vanishes identically")
 
 
+def screen_stop_test(bk: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a square stack certainly fail the Newton stop test, from one LU each.
+
+    The stop test is s[-1] <= tol * max(1, s[0]) on the computed singular
+    values s of B, and a row that fails it is then tested for
+    near_singular(s), s[-1] <= 1e-14 s[0].  A row this screen returns as
+    True fails both, so it needs no decomposition.  Returns the mask and the
+    Frobenius norms F = ||B||_F, which bound ||B||_2 from above and
+    F / sqrt(m) from below.
+
+    The certificate: |det B| = prod_i sigma_i <= sigma_min F^(m-1), so
+    sigma_min >= |det B| / F^(m-1), and np.linalg.slogdet gives log |det B|
+    from one LU.  Its rounding is bounded as follows.
+    - LAPACK's getrf factors B + dB exactly, with
+      |dB| <= gamma_4m |L||U| (Higham, Accuracy and Stability, Thm 9.3;
+      gamma_k = k u / (1 - k u), u = 2^-53, and 4m covers complex
+      arithmetic).  It pivots on |Re| + |Im|, so |l_ij| <= sqrt 2 and
+      |u_ij| <= (1 + sqrt 2)^(m-1) max |b_ij|, and
+      ||dB||_F <= sqrt 2 m^2 (1 + sqrt 2)^(m-1) gamma_4m F.
+    - The computed singular values that the exact test reads are those of
+      B + E, with ||E|| below the same bound (the SVD is backward stable
+      with a smaller constant).
+    - With eta = 2 sqrt 2 m^2 (1 + sqrt 2)^(m-1) gamma_4m covering both,
+      Weyl's inequality gives s[-1] >= |det(B + dB)| / ||B + dB||_F^(m-1)
+      - eta F, and ||B + dB||_F <= (1 + eta) F.
+    - The two thresholds, tol max(1, s[0]) and 1e-14 s[0], are at most
+      (1 + eta) C with C = F max(r, tol / F), r = max(tol, 1e-14), and
+      eta F <= (eta / r) C.
+    So a row whose computed |det B| / F^(m-1) exceeds M C with the margin
+    M = 2 (1 + eta)^m (1 + eta / r) fails both tests: the factor 2 leaves
+    room for the relative rounding of the logarithms and of F, below 1e-12.
+    M is about 2.0 for m = 3, 2.4 for m = 6 and 5.7e4 for m = 16 at
+    tol = 1e-10.  The test runs on logarithms, so no determinant overflows;
+    a singular B (log |det B| = -inf), B = 0 and m = 1 need no special
+    arithmetic, and a singular or zero B, or one whose F overflows or
+    underflows to 0, is never screened out.
+    """
+    logdet = np.linalg.slogdet(bk)[1]
+    with np.errstate(over="ignore"):  # an overflowing F only keeps B on the exact path
+        fro = np.linalg.norm(bk, axis=(-2, -1))
+    ok = np.isfinite(logdet) & np.isfinite(fro) & (fro > 0)
+    log_fro = np.log(np.where(ok, fro, 1.0))
+    log_margin, log_r = _log_screen_margin(bk.shape[-1], tol)
+    log_tol = math.log(tol) if tol > 0 else -math.inf
+    # log(|det B| / F^(m-1)) > log(M C), both sides less log F
+    far = ok & (logdet - bk.shape[-1] * log_fro
+                > log_margin + np.maximum(log_r, log_tol - log_fro))
+    return far, fro
+
+
+@functools.lru_cache(maxsize=None)
+def _log_screen_margin(m: int, tol: float) -> tuple[float, float]:
+    """log M and log r of screen_stop_test for m x m matrices and this tol."""
+    r = max(tol, 1e-14)
+    u = np.finfo(float).eps / 2
+    gamma = 4 * m * u / (1 - 4 * m * u)
+    log_eta = math.log(2 * math.sqrt(2) * m * m * gamma) + (m - 1) * math.log(1 + math.sqrt(2))
+    # log(1 + e^x) as logaddexp(0, x), so a huge eta cannot overflow
+    log_margin = (math.log(2.0) + m * np.logaddexp(0.0, log_eta)
+                  + np.logaddexp(0.0, log_eta - math.log(r)))
+    return float(log_margin), math.log(r)
+
+
 def newton_trace_refine(
     b: MatrixFunction, starts: list[complex], max_iter: int = 50, tol: float = 1e-10
 ) -> list[complex | NonConverged | PoleHit]:
     """Polish roots of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
 
     All starts advance in lockstep.  Each iteration takes one stacked
-    evaluation of B at the active iterates and one stacked singular-value
-    call for the stop test sigma_min(B(lam)) <= tol * max(1, ||B(lam)||);
-    then, for the iterates that go on, one stacked evaluation of B' and one
-    stacked solve of B X = B', whose singularity test and residual check
-    reuse those singular values.  Each start keeps the rules of a lone run:
-    it stops at the first of its start and max_iter iterates that passes the
+    evaluation of B at the active iterates and decides the stop test
+    sigma_min(B(lam)) <= tol * max(1, ||B(lam)||_2) on them.  The test is
+    screened first: screen_stop_test rules out, from one batched LU
+    determinant and one Frobenius norm per iterate, the iterates that
+    certainly fail it, and only the rest (those near a root) get the
+    stacked singular-value call that decides it exactly.  Then, for the
+    iterates that go on, one stacked evaluation of B' and one stacked solve
+    of B X = B'.  Its residual check reads ||B||: the largest singular value
+    where the test computed them, else the lower bound ||B||_F / sqrt(m),
+    which makes the check never looser; an iterate that fails it with the
+    bound is checked again with its exact ||B||_2.  The singularity test of
+    the solve reuses the singular values, and a screened iterate is
+    certified nonsingular.  Each start keeps the rules of a lone run: it
+    stops at the first of its start and max_iter iterates that passes the
     test, and gets NonConverged when the last one fails, when B is singular
     but off-target, or when the trace vanishes, and PoleHit when an iterate
-    lands on a pole.  The update divides Python complex scalars, since numpy's
-    vectorized complex division can differ in the last bit, so a start's
-    outcome does not depend on the starts that share its stack.
+    lands on a pole.  The update divides Python complex scalars, since
+    numpy's vectorized complex division can differ in the last bit, so a
+    start's outcome does not depend on the starts that share its stack.
 
     Returns one outcome per start, in order: the root, or the NonConverged
     or PoleHit instance.  A non-finite B or B' (ValueError) or a failed
@@ -240,8 +324,14 @@ def newton_trace_refine(
         bk, idx = bk[~bad], idx[~bad]
         if not idx.size:
             break
-        s = singular_values(bk)
-        done = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
+        far, fro = screen_stop_test(bk, tol)
+        s = singular_values(bk[~far]) if not far.all() else np.empty((0, b.n))
+        done = np.zeros(idx.size, dtype=bool)
+        singular = np.zeros(idx.size, dtype=bool)
+        done[~far] = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
+        singular[~far] = near_singular(s)
+        norm_b = fro * ((1 - NORM_ROUNDING) / math.sqrt(b.n))
+        norm_b[~far] = s[:, 0]
         for i, lam in zip(idx[done], lams[idx[done]].tolist()):
             out[i] = lam
         if step == max_iter:
@@ -249,21 +339,26 @@ def newton_trace_refine(
                 out[i] = NonConverged(
                     f"no convergence after {max_iter} Newton steps (from {first[i]})")
             break
-        bk, s, idx = bk[~done], s[~done], idx[~done]
+        keep = ~done
+        bk, idx, far, singular, norm_b = bk[keep], idx[keep], far[keep], singular[keep], norm_b[keep]
         if not idx.size:
             break
         dk = eval_T_many(b, lams[idx], 1)
         # a lone run checks B' for NaN/Inf before B for singularity
         bad = ~np.isfinite(dk).all(axis=(1, 2))
-        singular = near_singular(s) & ~bad
+        singular &= ~bad
         for i in idx[bad]:
             out[i] = ValueError(f"B'({lams[i]}) has NaN/Inf entries")
         for i in idx[singular]:
             # numerically singular but above the sigma target: no usable step
             out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
         go = ~(bad | singular)
-        x, ok = solve_with_svals(bk[go], dk[go], s[go])
-        idx = idx[go]
+        bk, dk, far, idx = bk[go], dk[go], far[go], idx[go]
+        x, ok = solve_with_norm(bk, dk, norm_b[go])
+        again = far & ~ok
+        if again.any():
+            ok[again] = solve_with_norm(
+                bk[again], dk[again], singular_values(bk[again])[:, 0])[1]
         for i in idx[~ok]:
             out[i] = ConvergenceFailure("linear solve residual check failed")
         # sum(np.diagonal(x)) of a lone run, term by term from 0

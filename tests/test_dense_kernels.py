@@ -8,13 +8,14 @@ from nepritz.dense_kernels import (
     complement_compress,
     near_singular,
     norm2,
+    norms_within,
     orthonormalize,
     singular_values,
     solve_linear,
-    solve_with_svals,
+    solve_with_norm,
     svd,
 )
-from nepritz.errors import NearSingular, RankDeficient
+from nepritz.errors import ConvergenceFailure, NearSingular, RankDeficient
 
 
 class TestOrthonormalize:
@@ -189,9 +190,38 @@ class TestSvd:
             return singular_values(m)
 
         monkeypatch.setattr(dk, "singular_values", recorded)
-        svd(complex_randn(np.random.default_rng(7), 40, 4))
+        m = complex_randn(np.random.default_rng(7), 40, 4)
+        # the Frobenius norms of both residuals decide both checks
+        svd(m)
+        assert shapes == []
+        # with an allowance no Frobenius norm can meet, the checks decompose
         # the reconstruction residual, then U^H U - I and V^H V - I in one stack
+        monkeypatch.setattr(dk, "NORM_ROUNDING", 1e20)
+        svd(m)
         assert shapes == [(40, 4), (2, 4, 4)]
+
+    @pytest.mark.parametrize("excess,passes", [(0.9, True), (1.1, False)])
+    def test_reconstruction_check_is_the_2_norm(self, monkeypatch, excess, passes):
+        # LAPACK returning s = 1 + c for I_4 leaves the residual -c I_4:
+        # ||R||_F = 2c is above the limit 1e-12 max(1, s_1) either way, so
+        # the 2-norm c decides it, on the exact path
+        import nepritz.dense_kernels as dk
+
+        c = excess * 1e-12
+        lapack = np.linalg.svd
+
+        def off_by_c(a, full_matrices=True, compute_uv=True):
+            if not compute_uv:
+                return lapack(a, compute_uv=False)
+            u, s, vh = lapack(a, full_matrices=full_matrices)
+            return u, s + c, vh
+
+        monkeypatch.setattr(dk.np.linalg, "svd", off_by_c)
+        if passes:
+            assert svd(np.eye(4, dtype=complex)).sigma_max == 1.0 + c
+        else:
+            with pytest.raises(ConvergenceFailure, match="reconstruction"):
+                svd(np.eye(4, dtype=complex))
 
     def test_stack_matches_one_matrix_at_a_time(self):
         rng = np.random.default_rng(6)
@@ -234,6 +264,69 @@ class TestSvd:
             as_matrix(m)
         with pytest.raises(ValueError):
             singular_values(stack)
+
+
+class TestNormsWithin:
+    def count_decompositions(self, monkeypatch):
+        import nepritz.dense_kernels as dk
+
+        shapes = []
+
+        def recorded(m):
+            shapes.append(np.shape(m))
+            return singular_values(m)
+
+        monkeypatch.setattr(dk, "singular_values", recorded)
+        return shapes
+
+    @pytest.mark.parametrize("excess,within", [(0.5, True), (0.9, True), (1.1, False)])
+    def test_frobenius_above_two_norm_below(self, monkeypatch, excess, within):
+        # ||c I_4||_F = 2c is not within tau from c = 0.5 tau on (the
+        # allowance keeps the Frobenius side strictly inside), so these go to
+        # the exact path, where the 2-norm c decides
+        shapes = self.count_decompositions(monkeypatch)
+        tau = 1e-12
+        assert norms_within(excess * tau * np.eye(4), tau) is within
+        assert shapes == [(4, 4)]
+
+    def test_frobenius_decides_without_decomposing(self, monkeypatch):
+        shapes = self.count_decompositions(monkeypatch)
+        tau = 1e-12
+        assert norms_within(0.4 * tau * np.eye(4), tau)
+        assert norms_within(np.stack([0.4 * tau * np.eye(4), np.zeros((4, 4))]), tau)
+        assert shapes == []
+
+    def test_each_matrix_of_a_stack_has_its_limit(self):
+        stack = np.stack([np.eye(3), 2 * np.eye(3)]).astype(complex)
+        assert norms_within(stack, [1.0, 2.0])
+        assert not norms_within(stack, [1.0, 1.9])
+        assert not norms_within(stack, [0.9, 2.0])
+
+    def test_scale_is_the_largest_2_norm_of_its_stack(self, monkeypatch):
+        # the scale stack's 2-norms are 3 and 1; its Frobenius lower bound is
+        # ||diag(3, 0)||_F / sqrt 2 = 2.1, so a norm of 2.5 needs the exact
+        # scale and 3.5 is over it
+        shapes = self.count_decompositions(monkeypatch)
+        scale = np.stack([np.diag([3.0, 0.0]), np.eye(2)]).astype(complex)
+        assert norms_within(np.diag([2.0, 0.0]), 1.0, scale=scale)
+        assert shapes == []
+        assert norms_within(np.diag([2.5, 0.0]), 1.0, scale=scale)
+        assert shapes == [(2, 2, 2), (2, 2)]
+        assert not norms_within(np.diag([3.5, 0.0]), 1.0, scale=scale)
+
+    def test_zero_scale_is_floored(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        assert norms_within(zero, 1.0, scale=zero)
+        assert not norms_within(np.eye(2), 1.0, scale=zero)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_agrees_with_the_plain_check(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        a = complex_randn(rng, 5, 6, 4) * 10.0 ** rng.uniform(-3, 3, size=(5, 1, 1))
+        norms = singular_values(a)[:, 0]
+        fro = np.linalg.norm(a, axis=(1, 2))
+        for limit in (norms.max(), 0.99 * norms.max(), fro.max(), 1.01 * norms):
+            assert norms_within(a, limit) == (not np.any(norms > limit))
 
 
 class TestSolveLinear:
@@ -281,7 +374,7 @@ class TestSolveLinear:
             rhs = complex_randn(rng, 6, m, m)
             s = singular_values(a)
             assert not near_singular(s).any()
-            x, ok = solve_with_svals(a, rhs, s)
+            x, ok = solve_with_norm(a, rhs, s[:, 0])
             assert ok.shape == (6,) and ok.all()
             for k in range(6):
                 assert x[k].tobytes() == solve_linear(a[k], rhs[k]).tobytes()
@@ -298,9 +391,9 @@ class TestSolveLinear:
         a = np.stack([np.eye(3), np.diag([1.0, 1.0, 1e-13])]).astype(complex)
         b = complex_randn(rng, 2, 3, 3)
         a[1] = a[1] @ np.linalg.qr(complex_randn(rng, 3, 3))[0]
-        s = singular_values(a)
-        _, ok = solve_with_svals(a, b, s)
+        norm_a = singular_values(a)[:, 0]
+        _, ok = solve_with_norm(a, b, norm_a)
         assert ok.tolist() == [True, True]
-        s[1, 0] = 0.0
-        _, ok = solve_with_svals(a, b, s)
+        norm_a[1] = 0.0
+        _, ok = solve_with_norm(a, b, norm_a)
         assert ok.tolist() == [True, False]

@@ -5,7 +5,7 @@ from helpers import complex_randn, qr_complement
 import nepritz.experiments as ex
 from nepritz.dense_kernels import norm2
 from nepritz.errors import ConstructionFailed
-from nepritz.nep_model import eval_T
+from nepritz.nep_model import eval_T, eval_T_many
 from nepritz.projection import Subspace, deviation
 
 
@@ -202,7 +202,8 @@ class TestAnalyzeCase:
 
     def test_each_matrix_at_mu_is_evaluated_once(self, monkeypatch):
         # the context evaluates T(mu) and nothing else at mu: B(mu) is
-        # W^H (T(mu) W), and both extractions read that one T(mu) W
+        # W^H (T(mu) W), and both extractions read that one T(mu) W; a point
+        # of an eval_T_many stack counts as one evaluation
         import nepritz.bounds_lab as bl
         import nepritz.extraction as extraction
 
@@ -216,10 +217,15 @@ class TestAnalyzeCase:
                 at_mu.append((fn.n, order))
             return eval_T(fn, lam, order)
 
+        def counted_many(fn, lams, order=0):
+            at_mu.extend((fn.n, order) for lam in lams if lam == mu)
+            return eval_T_many(fn, lams, order)
+
         def forbidden(*args):
             raise AssertionError("extraction evaluated T itself")
 
         monkeypatch.setattr(bl, "eval_T", counted)
+        monkeypatch.setattr(bl, "eval_T_many", counted_many)
         monkeypatch.setattr(extraction, "eval_T", forbidden)
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert case.mu == mu and case.all_hold
@@ -250,6 +256,10 @@ class TestAnalyzeCase:
                 t_at_star.append(order)
             return eval_T(fn, z, order)
 
+        def counted_many(fn, zs, order=0):
+            t_at_star.extend(order for z in zs if fn.n == n and z == lam)
+            return eval_T_many(fn, zs, order)
+
         def counted_deviation(*args):
             deviations.append(args)
             return deviation(*args)
@@ -257,6 +267,8 @@ class TestAnalyzeCase:
         for name, mod in list(sys.modules.items()):
             if name.startswith("nepritz") and hasattr(mod, "eval_T"):
                 monkeypatch.setattr(mod, "eval_T", counted_eval)
+            if name.startswith("nepritz") and hasattr(mod, "eval_T_many"):
+                monkeypatch.setattr(mod, "eval_T_many", counted_many)
         for mod in (bl, projection, ex):
             monkeypatch.setattr(mod, "deviation", counted_deviation)
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)

@@ -43,6 +43,19 @@ class TestSubspace:
         with pytest.raises(ValueError):
             Subspace(basis=w)
 
+    @pytest.mark.parametrize("defect,accepted", [(0.9e-12, True), (1.1e-12, False)])
+    def test_orthonormality_is_checked_in_the_2_norm(self, defect, accepted):
+        # W^H W - I = defect I_4: its Frobenius norm 2 defect is over the
+        # 1e-12 limit either way, so the 2-norm decides
+        w = np.sqrt(1.0 + defect) * np.eye(6, 4, dtype=complex)
+        gram = w.conj().T @ w - np.eye(4)
+        assert np.allclose(np.diag(gram), defect, rtol=1e-3, atol=0)
+        if accepted:
+            assert Subspace.from_basis(w).dim == 4
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                Subspace.from_basis(w)
+
     def test_rejects_too_many_columns(self):
         with pytest.raises(ValueError, match="exceeds ambient"):
             Subspace.from_basis(np.ones((2, 3), dtype=complex))

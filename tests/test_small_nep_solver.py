@@ -15,12 +15,26 @@ from helpers import (
     match_point_sets,
     poly_roots_ascending,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nepritz
 import nepritz.small_nep_solver as sns
-from nepritz.dense_kernels import singular_values, solve_linear, solve_with_svals
-from nepritz.errors import DimensionGuard, EmptySpectrum, NearSingular, NonConverged, PoleHit
-from nepritz.experiments import build_subspace_eps, fixture_problem, perturb_subspace
+from nepritz.dense_kernels import near_singular, singular_values, solve_linear, solve_with_norm
+from nepritz.errors import (
+    ConstructionFailed,
+    DimensionGuard,
+    EmptySpectrum,
+    NearSingular,
+    NonConverged,
+    PoleHit,
+)
+from nepritz.experiments import (
+    build_subspace_eps,
+    fixture_problem,
+    perturb_subspace,
+    random_planted_nep,
+)
 from nepritz.nep_model import (
     Exponential,
     MatrixFunction,
@@ -323,13 +337,13 @@ class TestNewtonTraceRefine:
 
         def counted_solve(m, rhs, s):
             solves.append(np.shape(m))
-            return solve_with_svals(m, rhs, s)
+            return solve_with_norm(m, rhs, s)
 
         def counted_eval(fn, lams, order):
             orders.append(order)
             return eval_T_many(fn, lams, order)
 
-        monkeypatch.setattr(sns, "solve_with_svals", counted_solve)
+        monkeypatch.setattr(sns, "solve_with_norm", counted_solve)
         monkeypatch.setattr(sns, "eval_T_many", counted_eval)
         [out] = newton_trace_refine(b, [0.9], max_iter=1)
         assert isinstance(out, NonConverged)
@@ -425,6 +439,140 @@ class TestLockstepMatchesLoneRuns:
         want = solve_projected(b, 0.0, 1e6)
         assert dataclasses.astuple(got) == dataclasses.astuple(want)
         assert [bits(z) for z in got.eigenvalues] == [bits(z) for z in want.eigenvalues]
+
+
+def graded(rng, m, svals):
+    """A random m x m matrix U diag(svals) V^H."""
+    u = np.linalg.qr(complex_randn(rng, m, m))[0]
+    v = np.linalg.qr(complex_randn(rng, m, m))[0]
+    return (u * np.asarray(svals)) @ v.conj().T
+
+
+def screen_stacks():
+    """Stacks of every kind the screen must handle: (name, stack)."""
+    rng = np.random.default_rng(77)
+    out = []
+    for m in (1, 2, 3, 6, 8):
+        for scale in (1e-8, 1e-3, 1.0, 1e3, 1e8):
+            out.append((f"random m={m} x{scale:g}", complex_randn(rng, 40, m, m) * scale))
+            # sigma from 1 down to 1e-12, and with sigma_min placed from 0.5 to
+            # 50 times the stop test's threshold tol max(1, sigma_1)
+            grades = [np.logspace(0, -k, m) for k in range(13)]
+            grades += [np.r_[np.ones(m - 1), c * 1e-10 / scale * max(1.0, scale)]
+                       for c in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 50.0)]
+            out.append((f"graded m={m} x{scale:g}",
+                        np.stack([graded(rng, m, g) * scale for g in grades])))
+        if m > 1:
+            deficient = complex_randn(rng, 20, m, m - 1) @ complex_randn(rng, 20, m - 1, m)
+            out.append((f"rank-deficient m={m}", deficient))
+        out.append((f"zero m={m}", np.zeros((3, m, m), dtype=complex)))
+    return out
+
+
+class TestStopTestScreen:
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-20])
+    def test_screened_rows_fail_the_stop_and_singularity_tests(self, tol):
+        screened = 0
+        for name, stack in screen_stacks():
+            far, fro = sns.screen_stop_test(stack, tol)
+            s = singular_values(stack)
+            assert np.array_equal(fro, np.linalg.norm(stack, axis=(1, 2))), name
+            for row in s[far]:
+                assert row[-1] > tol * max(1.0, row[0]), name
+                assert not near_singular(row), name
+            if name.startswith(("zero", "rank-deficient")):
+                assert not far.any(), name
+            screened += int(far.sum())
+        # the screen is not vacuous: it rules out about half of these rows
+        assert screened > 600
+
+    def test_one_by_one(self):
+        far, fro = sns.screen_stop_test(
+            np.array([[[2.0]], [[0.0]], [[3e-10]], [[1e-10]], [[-1j]]], dtype=complex), 1e-10)
+        assert far.tolist() == [True, False, True, False, True]
+        assert fro.tolist() == [2.0, 0.0, 3e-10, 1e-10, 1.0]
+
+    def test_overflowing_frobenius_norm_is_not_screened(self):
+        big = np.diag([1e300, 1e300]).astype(complex)[None]
+        assert sns.screen_stop_test(big, 1e-10)[0].tolist() == [False]
+
+    def test_residual_check_failing_on_the_bound_is_rechecked_exactly(self, monkeypatch):
+        # a residual check that fails whenever it is given less than ||B||_2
+        # fails every screened iterate on ||B||_F / sqrt(m); the exact
+        # recheck must then decide, so the outcome is still a lone run's
+        b = MatrixFunction.from_terms([
+            (Polynomial([1]), np.diag([1.0, 2.0, 3.0]).astype(complex)),
+            (Polynomial([0, -1]), np.eye(3, dtype=complex)),
+        ])
+        exact = []
+
+        def strict_solve(a, rhs, norm_a):
+            x, ok = solve_with_norm(a, rhs, norm_a)
+            exact.append(np.array_equal(norm_a, singular_values(a)[:, 0]))
+            return x, ok & (norm_a >= singular_values(a)[:, 0])
+
+        monkeypatch.setattr(sns, "solve_with_norm", strict_solve)
+        starts = [0.5 + 0.5j, 2.4 - 0.3j]
+        got = newton_trace_refine(b, starts)
+        monkeypatch.undo()
+        assert_same_outcomes(got, lone_outcomes(b, starts))
+        assert exact[:2] == [False, True]
+
+    def test_most_grid_iterates_skip_the_decomposition(self, monkeypatch):
+        # the 88 grid starts of a delay projection take about 15 steps each;
+        # fewer than half of their stop tests may reach singular_values
+        b, lam_star = planted_delay_projection()
+        rows = {"tests": 0, "decomposed": 0}
+        screen = sns.screen_stop_test
+
+        def counted_screen(bk, tol):
+            rows["tests"] += len(bk)
+            return screen(bk, tol)
+
+        def counted_svals(m):
+            rows["decomposed"] += len(m)
+            return singular_values(m)
+
+        monkeypatch.setattr(sns, "screen_stop_test", counted_screen)
+        monkeypatch.setattr(sns, "singular_values", counted_svals)
+        newton_trace_refine(b, sns._grid_seeds(lam_star, 1.0))
+        assert rows["tests"] > 500
+        assert rows["decomposed"] < rows["tests"] / 2
+
+
+@st.composite
+def delay_draws(draw):
+    return dict(seed=draw(st.integers(0, 10**6)), eps=10.0 ** draw(st.floats(-8.0, -2.0)),
+                m=draw(st.integers(1, 6)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(draw=delay_draws())
+def test_screened_newton_equals_lone_runs_on_delay_grids(draw):
+    b, lam_star = planted_delay_projection(**draw)
+    seeds = sns._grid_seeds(lam_star, 1.0)
+    assert_same_outcomes(newton_trace_refine(b, seeds), lone_outcomes(b, seeds))
+
+
+@st.composite
+def polynomial_draws(draw):
+    n = draw(st.integers(3, 10))
+    return dict(n=n, degree=draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)),
+                lambda_star=complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5))),
+                m=draw(st.integers(1, n - 1)), eps=10.0 ** draw(st.floats(-10.0, -1.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(draw=polynomial_draws())
+def test_screened_newton_equals_lone_runs_on_companion_starts(draw):
+    try:
+        t, ref = random_planted_nep(draw["n"], draw["degree"], draw["seed"], draw["lambda_star"])
+        s = build_subspace_eps(ref.x_star, draw["m"], draw["eps"], draw["seed"])
+    except ConstructionFailed:
+        assume(False)
+    b = project(t, s)
+    starts = companion_eigs(polynomialize(b)[0])
+    assert_same_outcomes(newton_trace_refine(b, starts), lone_outcomes(b, starts))
 
 
 NO_SCIPY_RUN = """
