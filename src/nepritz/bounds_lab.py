@@ -143,7 +143,8 @@ def sigma_min_profile(
     lambda_star: complex,
     direction: complex = 1.0,
     max_order: int = 3,
-    disc_radius: float | None = None,
+    *,
+    disc_radius: float,
 ) -> DerivativeProfile:
     """Profile sigma_min(B(lambda)) derivatives at lambda_star along a ray.
 
@@ -151,8 +152,7 @@ def sigma_min_profile(
     derivative is minimized to estimate alpha (callers pass |mu - l*|).  The
     step max(1e-3, disc_radius/10) is clamped so no stencil point crosses
     the singular dip at distance disc_radius, where sigma_min kinks and
-    finite differences turn meaningless; without a disc the step is 1e-3
-    and the disc 10 steps wide.
+    finite differences turn meaningless.
 
     B is evaluated at the distinct stencil offsets as one eval_T_many stack
     with one batched singular-value call: the offset-0 singular values give
@@ -169,12 +169,9 @@ def sigma_min_profile(
         raise ValueError("direction must be nonzero")
     d = d / abs(d)
     hw = max(_STENCILS[max_order])  # the widest stencil up to max_order
-    if disc_radius is not None and disc_radius <= 0:
+    if disc_radius <= 0:
         raise ValueError("disc_radius must be positive")
-    if disc_radius is None:
-        h, disc_radius = 1e-3, 1e-2
-    else:
-        h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
+    h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
 
     orders = range(0, max_order + 1)
     offsets = sorted({o for j in orders for o in _STENCILS[j]})
@@ -396,33 +393,25 @@ def build_case_context(
 # bound evaluators
 # ---------------------------------------------------------------------------
 
-def perturbation_norm_bound(
-    ctx: CaseContext, witness: PerturbationWitness, slack: float | None = None
-) -> BoundReport:
+def perturbation_norm_bound(ctx: CaseContext, witness: PerturbationWitness) -> BoundReport:
     """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the constructed witness."""
     rhs = ctx.eps_ratio * ctx.norm_T_star
-    rel = 1e-10 if slack is None else slack
     return _report(
-        "perturbation_norm", witness.norm_E, rhs, rel, DEFAULT_FLOOR,
+        "perturbation_norm", witness.norm_E, rhs, 1e-10, DEFAULT_FLOOR,
         {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
     )
 
 
-def projected_sigma_bound(ctx: CaseContext, slack: float | None = None) -> BoundReport:
+def projected_sigma_bound(ctx: CaseContext) -> BoundReport:
     """sigma_min(B(l*)) <= eps/sqrt(1-eps^2) ||T(l*)||."""
     rhs = ctx.eps_ratio * ctx.norm_T_star
-    rel = 1e-10 if slack is None else slack
     return _report(
-        "projected_sigma_min", ctx.sigma_min_B_star, rhs, rel, DEFAULT_FLOOR,
+        "projected_sigma_min", ctx.sigma_min_B_star, rhs, 1e-10, DEFAULT_FLOOR,
         {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
     )
 
 
-def ritz_value_bound(
-    ctx: CaseContext,
-    profile: DerivativeProfile | None,
-    slack: float | None = None,
-) -> BoundReport:
+def ritz_value_bound(ctx: CaseContext, profile: DerivativeProfile | None) -> BoundReport:
     """|mu - l*| <= (eps/sqrt(1-eps^2) * m! / alpha * ||T(l*)||)^(1/m).
 
     m and alpha come from the derivative profile; when mu coincides with
@@ -441,9 +430,8 @@ def ritz_value_bound(
     if alpha is None or alpha <= 0.0:
         raise DegenerateSigma("derivative floor alpha vanished over the disc")
     rhs = (ctx.eps_ratio * math.factorial(m) / alpha * t_norm) ** (1.0 / m)
-    rel = RATE_REL_SLACK if slack is None else slack
     return _report(
-        "ritz_value_rate", r, rhs, rel, DEFAULT_FLOOR,
+        "ritz_value_rate", r, rhs, RATE_REL_SLACK, DEFAULT_FLOOR,
         {"epsilon": eps, "norm_T_star": t_norm, "m_mu": m, "alpha": alpha,
          "profile_h": profile.h},
     )
@@ -453,7 +441,6 @@ def residual_angle_bound(
     ctx: CaseContext,
     candidate,
     rho: float,
-    slack: float | None = None,
     theorem_id: str = "residual_to_angle",
 ) -> BoundReport:
     """sin(angle(x*, candidate)) <= (rho + ||T'(l*)|| |mu-l*|) / sigma_min(L(mu)).
@@ -468,8 +455,7 @@ def residual_angle_bound(
     r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
     lhs = sin_angle(ctx.x_star, candidate)
     rhs = (rho + tprime * r) / sig_l
-    rel = slack if slack is not None else \
-        10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
+    rel = 10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
     return _report(
         theorem_id, lhs, rhs, rel, DEFAULT_FLOOR,
         {"rho": rho, "norm_T_prime": tprime, "mu_dist": r,
@@ -477,11 +463,7 @@ def residual_angle_bound(
     )
 
 
-def ritz_vector_angle_bound(
-    ctx: CaseContext,
-    ritz: RitzExtraction,
-    slack: float | None = None,
-) -> BoundReport:
+def ritz_vector_angle_bound(ctx: CaseContext, ritz: RitzExtraction) -> BoundReport:
     """A-priori angle bound for a *simple* extracted vector.
 
     sin(angle(x*, x~)) <= (1 + ||T(l*)||/(sqrt(1-eps^2) sigma_min(C(l*)))) eps
@@ -503,8 +485,7 @@ def ritz_vector_angle_bound(
     r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
     lhs = sin_angle(ctx.x_star, ritz.x_tilde)
     rhs = (1.0 + t_norm / (ctx.eps_cos * sig_c)) * eps + tprime * r / sig_c
-    rel = slack if slack is not None else \
-        10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
+    rel = 10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
     return _report(
         "ritz_vector_angle", lhs, rhs, rel, DEFAULT_FLOOR,
         {"epsilon": eps, "norm_T_star": t_norm, "norm_T_prime": tprime,
@@ -512,11 +493,7 @@ def ritz_vector_angle_bound(
     )
 
 
-def refined_bounds(
-    ctx: CaseContext,
-    refined: RefinedExtraction,
-    slack: float | None = None,
-) -> list[BoundReport]:
+def refined_bounds(ctx: CaseContext, refined: RefinedExtraction) -> list[BoundReport]:
     """Residual and angle bounds for the refined vector.
 
     Residual:  sigma_hat_1 <= (||T(mu)|| eps + ||T'(l*)|| r + gamma r^2)
@@ -544,14 +521,12 @@ def refined_bounds(
         "sigma_min_L_star": ctx.sigma_min_L_star, "norm_L_prime": ctx.norm_L_prime,
         "sigma_min_L_lower_est": lower_est,
     }
-    res_rel = 1e-8 if slack is None else slack
     residual_report = _report(
         "refined_residual", refined.sigma_hat_1, numerator / denom,
-        res_rel, DEFAULT_FLOOR, inter,
+        1e-8, DEFAULT_FLOOR, inter,
     )
     rhs_angle = numerator / (denom * lower_est)
-    ang_rel = slack if slack is not None else \
-        (tprime * r + 10.0 * gamma * r**2) / (lower_est * max(rhs_angle, 1e-30))
+    ang_rel = (tprime * r + 10.0 * gamma * r**2) / (lower_est * max(rhs_angle, 1e-30))
     angle_report = _report(
         "refined_angle", sin_angle(ctx.x_star, refined.x_hat), rhs_angle,
         ang_rel, DEFAULT_FLOOR, inter,
@@ -559,11 +534,7 @@ def refined_bounds(
     return [residual_report, angle_report]
 
 
-def refined_uniqueness_check(
-    ctx: CaseContext,
-    refined: RefinedExtraction,
-    slack: float | None = None,
-) -> BoundReport:
+def refined_uniqueness_check(ctx: CaseContext, refined: RefinedExtraction) -> BoundReport:
     """Certify simplicity of the refined minimizer when the hypotheses hold.
 
     Hypotheses: sigma_hat_1 < sigma_2(T(l*))/2 - ||T'(l*)|| r  and
@@ -585,13 +556,12 @@ def refined_uniqueness_check(
         "simplicity_condition": float(simple_cond),
         "gap_certificate": float(refined.gap_certificate),
     }
-    rel = 1e-8 if slack is None else slack
     if not (hyp1 and hyp2) or refined.sigma_hat_2 is None:
-        return _report("refined_uniqueness", 0.0, 0.0, rel, DEFAULT_FLOOR, inter)
+        return _report("refined_uniqueness", 0.0, 0.0, 1e-8, DEFAULT_FLOOR, inter)
     predicted_gap = 0.5 * sigma2 - gamma * r**2
     measured_gap = refined.sigma_hat_2 - refined.sigma_hat_1
     return _report(
-        "refined_uniqueness", predicted_gap, measured_gap, rel, DEFAULT_FLOOR, inter,
+        "refined_uniqueness", predicted_gap, measured_gap, 1e-8, DEFAULT_FLOOR, inter,
     )
 
 
@@ -600,7 +570,6 @@ def angle_sandwich(
     s: Subspace,
     ritz: RitzExtraction,
     refined: RefinedExtraction,
-    slack: float | None = None,
 ) -> list[BoundReport]:
     """Two-sided bracket of sin(angle(x~, x^)) plus the exact-identity check.
 
@@ -611,14 +580,13 @@ def angle_sandwich(
     Both sandwich sides are allowed 1e-8 absolute slack.
     """
     m = s.dim
-    floor = SANDWICH_ABS_SLACK if slack is None else slack
     if m < 2:
         # one-dimensional projection: both vectors coincide up to phase
         inter = {"sigma_hat_1": refined.sigma_hat_1, "dim": float(m)}
         zero = 0.0
         return [
-            _report("angle_sandwich_lower", zero, zero, 0.0, floor, inter),
-            _report("angle_sandwich_upper", zero, zero, 0.0, floor, inter),
+            _report("angle_sandwich_lower", zero, zero, 0.0, SANDWICH_ABS_SLACK, inter),
+            _report("angle_sandwich_upper", zero, zero, 0.0, SANDWICH_ABS_SLACK, inter),
             _report("angle_identity", zero, 0.0, 0.0, IDENTITY_TOL, inter),
         ]
     c_mu = complement_compress(ritz.z, ctx.b_mu)
@@ -642,8 +610,8 @@ def angle_sandwich(
         "identity_value": identity_val,
     }
     return [
-        _report("angle_sandwich_lower", lower, sin_between, 0.0, floor, inter),
-        _report("angle_sandwich_upper", sin_between, upper, 0.0, floor, inter),
+        _report("angle_sandwich_lower", lower, sin_between, 0.0, SANDWICH_ABS_SLACK, inter),
+        _report("angle_sandwich_upper", sin_between, upper, 0.0, SANDWICH_ABS_SLACK, inter),
         _report(
             "angle_identity", abs(sin_between - identity_val), 0.0, 0.0,
             IDENTITY_TOL, inter,
@@ -652,9 +620,7 @@ def angle_sandwich(
 
 
 def residual_ratio_sandwich(
-    ritz: RitzExtraction,
-    refined: RefinedExtraction,
-    slack: float | None = None,
+    ritz: RitzExtraction, refined: RefinedExtraction,
 ) -> list[BoundReport]:
     """Bracket (||r~|| / ||r^||)^2 by the singular-value mix at angle theta.
 
@@ -682,7 +648,7 @@ def residual_ratio_sandwich(
         lower = cos2 + (refined.sigma_hat_2 / s1) ** 2 * sin_t**2
     upper = cos2 + (refined.sigma_hat_m / s1) ** 2 * sin_t**2
     noise_rel = 64.0 * 2.2e-16 * (refined.sigma_hat_m / s1)
-    rel = (1e-8 if slack is None else slack) + noise_rel
+    rel = 1e-8 + noise_rel
     inter = {
         "sigma_hat_1": s1,
         "sigma_hat_2": refined.sigma_hat_2 if refined.sigma_hat_2 is not None else s1,

@@ -48,7 +48,6 @@ def _parse_eps_list(text: str) -> list[float]:
 
 _GLOBAL_DEFAULTS = {
     "selection": "oracle",
-    "slack": None,
     "json": None,
     "csv": None,
     "sigma": 1e-4,
@@ -88,16 +87,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["eps"] = _parse_eps_list(merged["eps"])
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
-    for key in ("sigma", "slack"):
-        if merged[key] is None:  # slack: each bound keeps its own
-            continue
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError):
-            raise argparse.ArgumentTypeError(f"{key} must be a number")
-        # a comparison that NaN fails
-        if not 0 <= merged[key] < math.inf:
-            raise argparse.ArgumentTypeError(f"{key} must be finite and nonnegative")
+    try:
+        merged["sigma"] = float(merged["sigma"])
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError("sigma must be a number")
+    # a comparison that NaN fails
+    if not 0 <= merged["sigma"] < math.inf:
+        raise argparse.ArgumentTypeError("sigma must be finite and nonnegative")
     for key, least in (("seeds", 1), ("trials", 1), ("subspace_dim", 1), ("seed_base", 0)):
         val = merged[key]
         if isinstance(val, bool) or not isinstance(val, int) or val < least:
@@ -149,7 +145,7 @@ def _record_rows(records: list[dict]) -> list[dict]:
 def _cmd_example1(cfg: dict) -> int:
     mode, target = cfg["selection"]
     if mode == "target":
-        doc = ex.run_example1_target(target, slack=cfg["slack"])
+        doc = ex.run_example1_target(target)
         mu_re, mu_im = doc["mu"]
         print(f"selected value {complex(mu_re, mu_im):.6g} for target {target:.6g}")
         row = {"mu_re": repr(mu_re), "mu_im": repr(mu_im),
@@ -157,7 +153,7 @@ def _cmd_example1(cfg: dict) -> int:
         row.update(_verdict_columns(doc["verdicts"]))
         _emit(doc, cfg["json"], cfg["csv"], [row])
         return 0
-    result = ex.run_example1(slack=cfg["slack"])
+    result = ex.run_example1()
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
     _emit(result, cfg["json"], cfg["csv"], _check_rows(result["checks"]))
@@ -169,7 +165,6 @@ def _cmd_example2(cfg: dict) -> int:
         sigma=cfg["sigma"],
         seeds=tuple(range(cfg["seeds"])),
         seed_base=cfg["seed_base"],
-        slack=cfg["slack"],
     )
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
@@ -198,20 +193,21 @@ def _cmd_sweep(cfg: dict) -> int:
         trials=cfg["trials"],
         m=cfg["subspace_dim"],
         seed_base=cfg["seed_base"],
-        slack=cfg["slack"],
         target=target,
     )
-    print(f"slope |mu - lambda*| vs eps: {result['slope_mu']:.3f}")
-    print(f"slope sin(refined angle) vs eps: {result['slope_refined']:.3f}")
-    if result["failures"]:
-        for line in result["failures"]:
-            print(f"[error] {line}")
+    if result["slope_mu"] is None:
+        print("no slope fitted: fewer than two deviations kept a record")
+    else:
+        print(f"slope |mu - lambda*| vs eps: {result['slope_mu']:.3f}")
+        print(f"slope sin(refined angle) vs eps: {result['slope_refined']:.3f}")
+    for line in result["failures"]:
+        print(f"[error] {line}")
     _emit(result, cfg["json"], cfg["csv"], _record_rows(result["records"]))
     return 0 if result["ok"] else 1
 
 
 def _cmd_verify_all(cfg: dict) -> int:
-    result = ex.verify_all(out_dir=cfg["out"], slack=cfg["slack"])
+    result = ex.verify_all(out_dir=cfg["out"])
     tagged = result.pop("reports")
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "
@@ -232,8 +228,6 @@ def _cmd_verify_all(cfg: dict) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    common.add_argument("--slack", type=float,
-                        help="override the relative slack of every bound check")
     common.add_argument("--json", help="write the result document to this path")
     common.add_argument("--csv", help="write one CSV row per record, check or report")
     # only example1 and sweep select among several Ritz values

@@ -205,7 +205,6 @@ def analyze_case(
     region_center: complex | None = None,
     region_radius: float = 1.0,
     target: complex | None = None,
-    slack: float | None = None,
 ) -> CaseResult:
     """Project, solve, extract both vectors, and evaluate every bound.
 
@@ -235,9 +234,9 @@ def analyze_case(
     reports: list[bl.BoundReport] = []
     inapplicable: list[tuple[str, str]] = []
 
-    def run(tid, fn):
+    def run(tid, evaluator, *args, **kwargs):
         try:
-            out = fn()
+            out = evaluator(*args, **kwargs)
         except InapplicableBound as exc:
             inapplicable.append((tid, f"{type(exc).__name__}: {exc}"))
             return
@@ -246,11 +245,8 @@ def analyze_case(
         else:
             reports.append(out)
 
-    witness = perturbation_witness(ctx, s)
-    run("perturbation_norm",
-        lambda: bl.perturbation_norm_bound(ctx, witness, slack=slack))
-    run("projected_sigma_min",
-        lambda: bl.projected_sigma_bound(ctx, slack=slack))
+    run("perturbation_norm", bl.perturbation_norm_bound, ctx, perturbation_witness(ctx, s))
+    run("projected_sigma_min", bl.projected_sigma_bound, ctx)
 
     def rate_bound():
         profile = None
@@ -259,27 +255,18 @@ def analyze_case(
                 b, lam_star, direction=(mu - lam_star) / r,
                 max_order=PROFILE_MAX_ORDER, disc_radius=r,
             )
-        return bl.ritz_value_bound(ctx, profile, slack=slack)
+        return bl.ritz_value_bound(ctx, profile)
 
     run("ritz_value_rate", rate_bound)
-    run("residual_to_angle_ritz",
-        lambda: bl.residual_angle_bound(
-            ctx, ritz.x_tilde, ritz.residual_norm, slack=slack,
-            theorem_id="residual_to_angle_ritz"))
-    run("residual_to_angle_refined",
-        lambda: bl.residual_angle_bound(
-            ctx, refined.x_hat, refined.sigma_hat_1, slack=slack,
-            theorem_id="residual_to_angle_refined"))
-    run("ritz_vector_angle",
-        lambda: bl.ritz_vector_angle_bound(ctx, ritz, slack=slack))
-    run("refined_residual",
-        lambda: bl.refined_bounds(ctx, refined, slack=slack))
-    run("refined_uniqueness",
-        lambda: bl.refined_uniqueness_check(ctx, refined, slack=slack))
-    run("angle_sandwich",
-        lambda: bl.angle_sandwich(ctx, s, ritz, refined, slack=slack))
-    run("residual_ratio",
-        lambda: bl.residual_ratio_sandwich(ritz, refined, slack=slack))
+    run("residual_to_angle_ritz", bl.residual_angle_bound, ctx, ritz.x_tilde,
+        ritz.residual_norm, theorem_id="residual_to_angle_ritz")
+    run("residual_to_angle_refined", bl.residual_angle_bound, ctx, refined.x_hat,
+        refined.sigma_hat_1, theorem_id="residual_to_angle_refined")
+    run("ritz_vector_angle", bl.ritz_vector_angle_bound, ctx, ritz)
+    run("refined_residual", bl.refined_bounds, ctx, refined)
+    run("refined_uniqueness", bl.refined_uniqueness_check, ctx, refined)
+    run("angle_sandwich", bl.angle_sandwich, ctx, s, ritz, refined)
+    run("residual_ratio", bl.residual_ratio_sandwich, ritz, refined)
 
     return CaseResult(
         epsilon=ctx.eps,
@@ -300,7 +287,7 @@ def analyze_case(
 # canned experiment 1: exact-capture degenerate projection
 # ---------------------------------------------------------------------------
 
-def run_example1(slack: float | None = None) -> dict:
+def run_example1() -> dict:
     """Run the degenerate-projection fixture and check its exact facts.
 
     The projected problem has eigenvalue 0 with a two-dimensional null space:
@@ -309,7 +296,7 @@ def run_example1(slack: float | None = None) -> dict:
     """
     t, ref, w = fixture_problem()
     s = Subspace.from_basis(w)
-    case = analyze_case(t, ref, s, region_center=0.0, region_radius=0.5, slack=slack)
+    case = analyze_case(t, ref, s, region_center=0.0, region_radius=0.5)
 
     checks: list[dict] = []
 
@@ -348,7 +335,7 @@ def run_example1(slack: float | None = None) -> dict:
     }
 
 
-def run_example1_target(target: complex, slack: float | None = None) -> dict:
+def run_example1_target(target: complex) -> dict:
     """The fixture in the full space, selecting the Ritz value nearest target.
 
     Projected onto the whole space, the fixture keeps both of its eigenvalues
@@ -357,7 +344,7 @@ def run_example1_target(target: complex, slack: float | None = None) -> dict:
     t, ref, _ = fixture_problem()
     s = Subspace.from_basis(np.eye(3, dtype=complex))
     case = analyze_case(t, ref, s, region_center=target, region_radius=1.0,
-                        target=target, slack=slack)
+                        target=target)
     return {
         "ok": True,
         "mu": [case.mu.real, case.mu.imag],
@@ -417,7 +404,6 @@ def run_example2(
     sigma: float = 1e-4,
     seeds: tuple[int, ...] = tuple(range(20)),
     seed_base: int = 0,
-    slack: float | None = None,
 ) -> dict:
     """Perturb the fixture basis and aggregate extraction statistics.
 
@@ -439,7 +425,7 @@ def run_example2(
     for k in seeds:
         seed = seed_base + k
         s = perturb_subspace(s0, sigma, seed)
-        case = analyze_case(t, ref, s, region_center=0.0, region_radius=1e6, slack=slack)
+        case = analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
         records.append(SweepRecord.from_case(case, seed, epsilon=case.epsilon))
         per_seed_mu_ok.append(abs(case.mu) <= mu_cap)
 
@@ -579,15 +565,16 @@ def run_sweep(
     m: int = 2,
     seed_base: int = 42,
     subspace_factory=None,
-    slack: float | None = None,
     target: complex | None = None,
 ) -> dict:
     """Deviation sweep: records, bound verdicts, and log-log rate fits.
 
     eps_list must span at least four decades for the slope fit to mean
-    anything.  subspace_factory(eps, seed) overrides the default seeded
-    construction (used by the defective instance, whose bases are explicit);
-    target switches the selection rule from oracle mode to a fixed shift.
+    anything; when fewer than two deviations keep a record, both slopes are
+    None and ok is False.  subspace_factory(eps, seed) overrides the default
+    seeded construction (used by the defective instance, whose bases are
+    explicit); target switches the selection rule from oracle mode to a
+    fixed shift.
     """
     eps_arr = sorted(set(float(e) for e in eps_list), reverse=True)
     if len(eps_arr) < 2 or eps_arr[0] / eps_arr[-1] < 1e4:
@@ -602,7 +589,7 @@ def run_sweep(
             else:
                 s = subspace_factory(eps, seed)
             try:
-                case = analyze_case(t, ref, s, target=target, slack=slack)
+                case = analyze_case(t, ref, s, target=target)
             except NepRitzError as exc:
                 failures.append(f"eps={eps} seed={seed}: {type(exc).__name__}: {exc}")
                 continue
@@ -613,13 +600,15 @@ def run_sweep(
     eps_pts = sorted(by_eps)
     med_mu = [float(np.median([r.mu_dist for r in by_eps[e]])) for e in eps_pts]
     med_refined = [float(np.median([r.sin_refined for r in by_eps[e]])) for e in eps_pts]
-    slope_mu = fit_loglog_slope(eps_pts, med_mu)
-    slope_refined = fit_loglog_slope(eps_pts, med_refined)
+    # a slope needs two deviations; with fewer there is none to report
+    fitted = len(eps_pts) >= 2
+    slope_mu = fit_loglog_slope(eps_pts, med_mu) if fitted else None
+    slope_refined = fit_loglog_slope(eps_pts, med_refined) if fitted else None
     bound_ok = all(
         v for r in records for v in r.verdicts.values() if v is not None
     )
     return {
-        "ok": bound_ok and not failures,
+        "ok": fitted and bound_ok and not failures,
         "slope_mu": slope_mu,
         "slope_refined": slope_refined,
         "eps": eps_pts,
@@ -674,7 +663,6 @@ def builtin_suite() -> list[SuiteInstance]:
 
 def verify_all(
     out_dir=None,
-    slack: float | None = None,
     suite: list[SuiteInstance] | None = None,
 ) -> dict:
     """Run every bound evaluator over the suite; ok iff all applicable hold.
@@ -690,7 +678,7 @@ def verify_all(
     errored: list[tuple[str, str]] = []
     for inst in instances:
         try:
-            case = analyze_case(inst.t, inst.ref, inst.subspace, slack=slack)
+            case = analyze_case(inst.t, inst.ref, inst.subspace)
         except NepRitzError as exc:
             errored.append((inst.instance_id, f"{type(exc).__name__}: {exc}"))
             continue

@@ -64,7 +64,7 @@ def fixture_perturbed_case(seed=0, sigma=1e-4):
     return t, ref, s, analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
 
 
-def per_point_profile(b, lambda_star, direction, max_order, disc_radius):
+def per_point_profile(b, lambda_star, direction, max_order, *, disc_radius):
     """sigma_min_profile with one eval_T and one singular-value call per point."""
     lam0, d = complex(lambda_star), complex(direction) / abs(direction)
     hw = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3}[max_order]
@@ -109,7 +109,7 @@ def per_point_profile(b, lambda_star, direction, max_order, disc_radius):
     )
 
 
-def profile_bytes(profile_fn, *args):
+def profile_bytes(profile_fn, *args, **kwargs):
     """Every DerivativeProfile field, floats and complexes as their bytes."""
     def as_bytes(x):
         if isinstance(x, list):
@@ -117,7 +117,7 @@ def profile_bytes(profile_fn, *args):
         return np.asarray(x).tobytes() if isinstance(x, (float, complex)) else x
 
     try:
-        prof = profile_fn(*args)
+        prof = profile_fn(*args, **kwargs)
     except DegenerateSigma:
         return "DegenerateSigma"
     return [as_bytes(getattr(prof, f.name)) for f in fields(prof)]
@@ -184,9 +184,9 @@ class TestSigmaMinProfile:
     def test_equals_per_point_profile_on_suite(self, suite_rays, max_order):
         for name, b, lam, mu in suite_rays:
             r = abs(mu - lam)
-            args = (b, lam, (mu - lam) / r, max_order, r)
-            assert profile_bytes(bl.sigma_min_profile, *args) == \
-                profile_bytes(per_point_profile, *args), name
+            args = (b, lam, (mu - lam) / r, max_order)
+            assert profile_bytes(bl.sigma_min_profile, *args, disc_radius=r) == \
+                profile_bytes(per_point_profile, *args, disc_radius=r), name
 
     def test_degenerate_center_rejected(self):
         b = linear_fn(np.diag([0.5, 2.0]).astype(complex))

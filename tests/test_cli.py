@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from nepritz.cli import main
-from nepritz.experiments import fixture_problem, simple_rate_instance
+from nepritz.experiments import fixture_problem, random_planted_nep, simple_rate_instance
 from nepritz.nep_model import save_problem
 
 
@@ -100,6 +100,24 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "subspace_dim" in capsys.readouterr().err
 
+    def test_sweep_without_two_surviving_deviations_fails_cleanly(self, tmp_path,
+                                                                  capsys):
+        # every case raises DimensionGuard: the degree-4 pencil at m = 17 has
+        # 68 > 64 rows, so no deviation keeps a record and no slope is fitted
+        t, ref = random_planted_nep(24, 4, 3, 0.2 + 0.1j)
+        path = tmp_path / "big.json"
+        save_problem(path, t, ref)
+        jpath = tmp_path / "sweep.json"
+        code = main(["sweep", "--problem", str(path), "--subspace-dim", "17",
+                     "--eps", "1e-2,1e-6", "--trials", "1", "--json", str(jpath)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "no slope fitted" in out
+        assert out.count("[error]") == 2 and "DimensionGuard" in out
+        doc = json.loads(jpath.read_text())
+        assert doc["slope_mu"] is None and doc["slope_refined"] is None
+        assert doc["ok"] is False
+
     def test_requires_problem(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--eps", "1e-2,1e-3,1e-4,1e-5,1e-6"])
@@ -190,6 +208,25 @@ class TestFlagScope:
         assert "tau_deriv" in capsys.readouterr().err
 
 
+class TestNoSlackOverride:
+    # every bound keeps the allowance its own formula defines
+    @pytest.mark.parametrize("command", ["example1", "example2", "sweep", "verify-all"])
+    def test_slack_flag_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--slack", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --slack" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["example1", "example2", "sweep", "verify-all"])
+    def test_slack_config_key_is_usage_error(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"slack": 0}))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "unknown config keys: ['slack']" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -231,10 +268,6 @@ _OUT_OF_RANGE = [
     ("example2", "seeds", 2.5),
     ("sweep", "trials", 0),
     ("sweep", "subspace_dim", 0),
-    ("example1", "slack", -2.0),
-    ("example2", "slack", float("nan")),
-    ("verify-all", "slack", float("inf")),
-    ("sweep", "slack", -1e-3),
     ("example2", "seed_base", -5),
     ("sweep", "seed_base", -1),
 ]
@@ -260,8 +293,6 @@ class TestOutOfRangeInput:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,value", [
-        ("example1", "slack", "loose"),
-        ("verify-all", "slack", [0.1]),
         ("example2", "seed_base", 1.5),
         ("sweep", "seed_base", "42"),
     ])

@@ -317,6 +317,21 @@ class TestRunSweep:
         assert sorted({r["epsilon"] for r in res["records"]}) == [1e-6, 1e-4, 1e-2]
         assert res["eps"] == [1e-6, 1e-4, 1e-2]
 
+    def test_one_surviving_deviation_fits_no_slope(self):
+        # at eps = 1e-2 the subspace has dimension 17 and the degree-4
+        # pencil 68 > 64 rows, so only eps = 1e-6 keeps a record
+        t, ref = ex.random_planted_nep(24, 4, 3, 0.2 + 0.1j)
+
+        def factory(eps, seed):
+            return ex.build_subspace_eps(ref.x_star, 17 if eps > 1e-4 else 2, eps, seed)
+
+        res = ex.run_sweep(t, ref, eps_list=[1e-2, 1e-6], trials=1,
+                           subspace_factory=factory)
+        assert res["eps"] == [1e-6]
+        assert res["slope_mu"] is None and res["slope_refined"] is None
+        assert not res["ok"]
+        assert len(res["failures"]) == 1 and "DimensionGuard" in res["failures"][0]
+
 
 class TestVerifyAll:
     def test_sub_suite_holds_and_writes(self, tmp_path):
@@ -367,10 +382,9 @@ class TestVerifyAll:
         cand = x_star - x_perp @ w
         cand = cand / np.linalg.norm(cand)
         rho = float(np.linalg.norm(t_mu @ cand))
-        bare = bl.residual_angle_bound(ctx, cand, rho, slack=0.0)
-        slacked = bl.residual_angle_bound(ctx, cand, rho)
-        assert not bare.holds
-        assert slacked.holds
+        rep = bl.residual_angle_bound(ctx, cand, rho)
+        assert rep.lhs > rep.rhs + rep.intermediates["slack_floor"]
+        assert rep.holds
 
     def test_builtin_suite_size(self):
         suite = ex.builtin_suite()
