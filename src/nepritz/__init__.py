@@ -21,6 +21,7 @@ from .bounds_lab import (
     refined_uniqueness_check,
     residual_angle_bound,
     residual_ratio_sandwich,
+    ritz_complements,
     ritz_value_bound,
     ritz_vector_angle_bound,
     sigma_min_profile,

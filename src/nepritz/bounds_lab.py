@@ -38,7 +38,7 @@ from .errors import (
     HypothesisFailed,
     NotAnEigenvalue,
 )
-from .extraction import RefinedExtraction, RitzExtraction, sin_angle
+from .extraction import RefinedExtraction, RitzExtraction
 from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
 from .projection import PerturbationWitness, Subspace, deviation
 
@@ -439,61 +439,84 @@ def ritz_value_bound(ctx: CaseContext, profile: DerivativeProfile | None) -> Bou
 
 def residual_angle_bound(
     ctx: CaseContext,
-    candidate,
+    sin_candidate: float,
     rho: float,
     theorem_id: str = "residual_to_angle",
 ) -> BoundReport:
     """sin(angle(x*, candidate)) <= (rho + ||T'(l*)|| |mu-l*|) / sigma_min(L(mu)).
 
-    The theory drops an O(|mu-l*|^2) term from the numerator; the slack term
-    10 gamma |mu-l*|^2 / sigma_min(L(mu)) absorbs it, gamma being the sampled
-    remainder bound.
+    sin_candidate is the measured left side, sin(angle(x*, candidate)) for
+    the extracted vector whose residual is rho; the caller computes it once
+    per case.  The theory drops an O(|mu-l*|^2) term from the numerator; the
+    slack term 10 gamma |mu-l*|^2 / sigma_min(L(mu)) absorbs it, gamma being
+    the sampled remainder bound.
     """
     sig_l = ctx.sigma_min_L_mu
     if sig_l <= 1e-12:
         raise HypothesisFailed("sigma_min(L(mu)) is not positive")
     r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
-    lhs = sin_angle(ctx.x_star, candidate)
     rhs = (rho + tprime * r) / sig_l
     rel = 10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
     return _report(
-        theorem_id, lhs, rhs, rel, DEFAULT_FLOOR,
+        theorem_id, sin_candidate, rhs, rel, DEFAULT_FLOOR,
         {"rho": rho, "norm_T_prime": tprime, "mu_dist": r,
          "sigma_min_L_mu": sig_l, "gamma": gamma},
     )
 
 
-def ritz_vector_angle_bound(ctx: CaseContext, ritz: RitzExtraction) -> BoundReport:
+def ritz_complements(ctx: CaseContext, z) -> tuple[np.ndarray, np.ndarray] | None:
+    """C(l*) and C(mu) as one stack, with their singular values.
+
+    C is B compressed against the complement of the Ritz coefficient
+    vector z; B(l*) and B(mu) are one complement_compress stack and one
+    batched singular-value call.  None when m < 2, where z has no
+    complement.
+    """
+    if ctx.b_star.shape[0] < 2:
+        return None
+    c = complement_compress(z, np.stack([ctx.b_star, ctx.b_mu]))
+    return c, singular_values(c)
+
+
+def ritz_vector_angle_bound(
+    ctx: CaseContext,
+    ritz: RitzExtraction,
+    sin_ritz: float,
+    complements: tuple[np.ndarray, np.ndarray] | None,
+) -> BoundReport:
     """A-priori angle bound for a *simple* extracted vector.
 
     sin(angle(x*, x~)) <= (1 + ||T(l*)||/(sqrt(1-eps^2) sigma_min(C(l*)))) eps
                           + ||T'(l*)|| |mu-l*| / sigma_min(C(l*)),
-    with C(l*) the compression of B(l*) against the complement of z.  The
-    dropped quadratic term is absorbed by a gamma_b-scaled slack, gamma_b
-    being the remainder constant of the projected function.
+    with C(l*) the compression of B(l*) against the complement of z, read
+    from complements (ritz_complements).  sin_ritz is the measured left side,
+    sin(angle(x*, x~)).  The dropped quadratic term is absorbed by a
+    gamma_b-scaled slack, gamma_b being the remainder constant of the
+    projected function.
     """
     if ritz.geometric_multiplicity > 1:
         raise HypothesisFailed(
             f"extracted value has geometric multiplicity "
             f"{ritz.geometric_multiplicity}; vector not unique"
         )
-    if ctx.b_star.shape[0] < 2:
+    if complements is None:
         raise HypothesisFailed("one-dimensional projection has no complement block")
-    sig_c = float(singular_values(complement_compress(ritz.z, ctx.b_star))[-1])
+    sig_c = float(complements[1][0, -1])
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
     r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
-    lhs = sin_angle(ctx.x_star, ritz.x_tilde)
     rhs = (1.0 + t_norm / (ctx.eps_cos * sig_c)) * eps + tprime * r / sig_c
     rel = 10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
     return _report(
-        "ritz_vector_angle", lhs, rhs, rel, DEFAULT_FLOOR,
+        "ritz_vector_angle", sin_ritz, rhs, rel, DEFAULT_FLOOR,
         {"epsilon": eps, "norm_T_star": t_norm, "norm_T_prime": tprime,
          "mu_dist": r, "sigma_min_C_star": sig_c, "gamma_B": ctx.gamma_b},
     )
 
 
-def refined_bounds(ctx: CaseContext, refined: RefinedExtraction) -> list[BoundReport]:
+def refined_bounds(
+    ctx: CaseContext, refined: RefinedExtraction, sin_refined: float,
+) -> list[BoundReport]:
     """Residual and angle bounds for the refined vector.
 
     Residual:  sigma_hat_1 <= (||T(mu)|| eps + ||T'(l*)|| r + gamma r^2)
@@ -501,7 +524,8 @@ def refined_bounds(ctx: CaseContext, refined: RefinedExtraction) -> list[BoundRe
     Angle:     sin(angle(x*, x^)) <= the same numerator divided additionally
                by the certified lower estimate
                sigma_min(L(l*)) - ||L'(l*)|| r - beta r^2,
-    which must be positive (hypothesis).  The angle chain additionally needs
+    which must be positive (hypothesis).  sin_refined is the measured
+    sin(angle(x*, x^)).  The angle chain additionally needs
     a ||T(mu) x*||-sized term the stated bound folds away; the slack
     (||T'(l*)|| r + 10 gamma r^2) / lower-estimate absorbs it.
     """
@@ -528,7 +552,7 @@ def refined_bounds(ctx: CaseContext, refined: RefinedExtraction) -> list[BoundRe
     rhs_angle = numerator / (denom * lower_est)
     ang_rel = (tprime * r + 10.0 * gamma * r**2) / (lower_est * max(rhs_angle, 1e-30))
     angle_report = _report(
-        "refined_angle", sin_angle(ctx.x_star, refined.x_hat), rhs_angle,
+        "refined_angle", sin_refined, rhs_angle,
         ang_rel, DEFAULT_FLOOR, inter,
     )
     return [residual_report, angle_report]
@@ -566,10 +590,11 @@ def refined_uniqueness_check(ctx: CaseContext, refined: RefinedExtraction) -> Bo
 
 
 def angle_sandwich(
-    ctx: CaseContext,
     s: Subspace,
     ritz: RitzExtraction,
     refined: RefinedExtraction,
+    sin_between: float,
+    complements: tuple[np.ndarray, np.ndarray] | None,
 ) -> list[BoundReport]:
     """Two-sided bracket of sin(angle(x~, x^)) plus the exact-identity check.
 
@@ -577,7 +602,9 @@ def angle_sandwich(
         <= sin(angle) <= sigma_hat_1 ||W^H s|| / sigma_min(C(mu)),
     and the middle identity
     sin(angle) = sigma_hat_1 ||C(mu)^{-1} (W Z_perp)^H s|| to 1e-8.
-    Both sandwich sides are allowed 1e-8 absolute slack.
+    sin_between is the measured sin(angle(x~, x^)), and C(mu) and its
+    singular values are read from complements (ritz_complements).  Both
+    sandwich sides are allowed 1e-8 absolute slack.
     """
     m = s.dim
     if m < 2:
@@ -589,12 +616,10 @@ def angle_sandwich(
             _report("angle_sandwich_upper", zero, zero, 0.0, SANDWICH_ABS_SLACK, inter),
             _report("angle_identity", zero, 0.0, 0.0, IDENTITY_TOL, inter),
         ]
-    c_mu = complement_compress(ritz.z, ctx.b_mu)
-    svals = singular_values(c_mu)
+    c_mu, svals = complements[0][1], complements[1][1]
     sig_min_c, sig_max_c = float(svals[-1]), float(svals[0])
     if sig_min_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(mu)) is not positive; vector not unique")
-    sin_between = sin_angle(ritz.x_tilde, refined.x_hat)
     ws = s.basis.conj().T @ refined.s
     coupling = complement_compress(ritz.z, ws)  # (W Z_perp)^H s
     lower = refined.sigma_hat_1 * float(np.linalg.norm(coupling)) / sig_max_c
@@ -620,12 +645,13 @@ def angle_sandwich(
 
 
 def residual_ratio_sandwich(
-    ritz: RitzExtraction, refined: RefinedExtraction,
+    ritz: RitzExtraction, refined: RefinedExtraction, sin_between: float,
 ) -> list[BoundReport]:
     """Bracket (||r~|| / ||r^||)^2 by the singular-value mix at angle theta.
 
     cos^2 t + (s_2/s_1)^2 sin^2 t <= ratio^2 <= cos^2 t + (s_m/s_1)^2 sin^2 t
-    with t the angle between the two extracted vectors.  Raises
+    with t the angle between the two extracted vectors, whose sine
+    sin_between is passed in.  Raises
     DegenerateRatio when the refined residual vanishes (ratio infinite).
 
     s_1 comes out of a backward-stable SVD with absolute error on the order
@@ -640,20 +666,19 @@ def residual_ratio_sandwich(
         raise DegenerateRatio(
             "refined residual is numerically zero; ratio bounds are infinite"
         )
-    sin_t = sin_angle(ritz.x_tilde, refined.x_hat)
-    cos2 = max(0.0, 1.0 - sin_t**2)
+    cos2 = max(0.0, 1.0 - sin_between**2)
     ratio2 = (ritz.residual_norm / s1) ** 2
     lower = cos2
     if refined.sigma_hat_2 is not None:
-        lower = cos2 + (refined.sigma_hat_2 / s1) ** 2 * sin_t**2
-    upper = cos2 + (refined.sigma_hat_m / s1) ** 2 * sin_t**2
+        lower = cos2 + (refined.sigma_hat_2 / s1) ** 2 * sin_between**2
+    upper = cos2 + (refined.sigma_hat_m / s1) ** 2 * sin_between**2
     noise_rel = 64.0 * 2.2e-16 * (refined.sigma_hat_m / s1)
     rel = 1e-8 + noise_rel
     inter = {
         "sigma_hat_1": s1,
         "sigma_hat_2": refined.sigma_hat_2 if refined.sigma_hat_2 is not None else s1,
         "sigma_hat_m": refined.sigma_hat_m,
-        "sin_between": sin_t,
+        "sin_between": sin_between,
         "rho_ritz": ritz.residual_norm,
     }
     return [

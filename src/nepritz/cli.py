@@ -87,6 +87,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         merged["eps"] = _parse_eps_list(merged["eps"])
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
+    # float(True) is 1.0, so a JSON boolean is refused before the conversion
+    if isinstance(merged["sigma"], bool):
+        raise argparse.ArgumentTypeError("sigma must be a number")
     try:
         merged["sigma"] = float(merged["sigma"])
     except (TypeError, ValueError):
@@ -152,7 +155,7 @@ def _cmd_example1(cfg: dict) -> int:
                "sin_refined": repr(doc["sin_refined"])}
         row.update(_verdict_columns(doc["verdicts"]))
         _emit(doc, cfg["json"], cfg["csv"], [row])
-        return 0
+        return 0 if doc["ok"] else 1
     result = ex.run_example1()
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")

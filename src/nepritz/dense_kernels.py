@@ -249,14 +249,14 @@ def solve_with_norm(a: np.ndarray, rhs: np.ndarray, norm_a) -> tuple[np.ndarray,
     that the singularity test already has, so the check needs no
     decomposition here; a lower bound on it gives a check that is never
     looser.  Returns X and, per system, whether every column passes
-    ||A x - b|| <= 1e-10 (||A|| ||x|| + ||b||).  The caller has already
-    ruled out a singular A.
+    ||A x - b|| <= 1e-10 (||A|| ||x|| + ||b||), the three column norms
+    taken in one pass over the stack [A X - B, X, B].  The caller has
+    already ruled out a singular A.
     """
     x = np.linalg.solve(a, rhs)
     axis = -1 if rhs.ndim < a.ndim else -2
-    res = np.linalg.norm(a @ x - rhs, axis=axis)
-    tol = 1e-10 * (np.asarray(norm_a, dtype=float)[..., None] * np.linalg.norm(x, axis=axis)
-                   + np.linalg.norm(rhs, axis=axis))
+    res, norm_x, norm_rhs = np.linalg.norm(np.stack([a @ x - rhs, x, rhs]), axis=axis)
+    tol = 1e-10 * (np.asarray(norm_a, dtype=float)[..., None] * norm_x + norm_rhs)
     return x, ~np.any(res > tol, axis=-1)
 
 

@@ -230,6 +230,11 @@ def analyze_case(
     ritz = ritz_vector(ctx.tw, ctx.b_mu, mu, s)
     refined = refined_vector(ctx.tw, mu, s)
     r = ctx.mu_dist
+    # the three angles and C(l*), C(mu) that the evaluators read, each once
+    sin_ritz = sin_angle(ctx.x_star, ritz.x_tilde)
+    sin_refined = sin_angle(ctx.x_star, refined.x_hat)
+    sin_between = sin_angle(ritz.x_tilde, refined.x_hat)
+    complements = bl.ritz_complements(ctx, ritz.z)
 
     reports: list[bl.BoundReport] = []
     inapplicable: list[tuple[str, str]] = []
@@ -258,15 +263,15 @@ def analyze_case(
         return bl.ritz_value_bound(ctx, profile)
 
     run("ritz_value_rate", rate_bound)
-    run("residual_to_angle_ritz", bl.residual_angle_bound, ctx, ritz.x_tilde,
+    run("residual_to_angle_ritz", bl.residual_angle_bound, ctx, sin_ritz,
         ritz.residual_norm, theorem_id="residual_to_angle_ritz")
-    run("residual_to_angle_refined", bl.residual_angle_bound, ctx, refined.x_hat,
+    run("residual_to_angle_refined", bl.residual_angle_bound, ctx, sin_refined,
         refined.sigma_hat_1, theorem_id="residual_to_angle_refined")
-    run("ritz_vector_angle", bl.ritz_vector_angle_bound, ctx, ritz)
-    run("refined_residual", bl.refined_bounds, ctx, refined)
+    run("ritz_vector_angle", bl.ritz_vector_angle_bound, ctx, ritz, sin_ritz, complements)
+    run("refined_residual", bl.refined_bounds, ctx, refined, sin_refined)
     run("refined_uniqueness", bl.refined_uniqueness_check, ctx, refined)
-    run("angle_sandwich", bl.angle_sandwich, ctx, s, ritz, refined)
-    run("residual_ratio", bl.residual_ratio_sandwich, ritz, refined)
+    run("angle_sandwich", bl.angle_sandwich, s, ritz, refined, sin_between, complements)
+    run("residual_ratio", bl.residual_ratio_sandwich, ritz, refined, sin_between)
 
     return CaseResult(
         epsilon=ctx.eps,
@@ -274,9 +279,9 @@ def analyze_case(
         mu_dist=r,
         ritz=ritz,
         refined=refined,
-        sin_ritz=sin_angle(ref.x_star, ritz.x_tilde),
-        sin_refined=sin_angle(ref.x_star, refined.x_hat),
-        sin_between=sin_angle(ritz.x_tilde, refined.x_hat),
+        sin_ritz=sin_ritz,
+        sin_refined=sin_refined,
+        sin_between=sin_between,
         spectrum=spectrum,
         reports=reports,
         inapplicable=inapplicable,
@@ -340,13 +345,14 @@ def run_example1_target(target: complex) -> dict:
 
     Projected onto the whole space, the fixture keeps both of its eigenvalues
     -1 and 0 in a unit disc around the target, so the selection has a choice.
+    ok is True iff every applicable bound holds.
     """
     t, ref, _ = fixture_problem()
     s = Subspace.from_basis(np.eye(3, dtype=complex))
     case = analyze_case(t, ref, s, region_center=target, region_radius=1.0,
                         target=target)
     return {
-        "ok": True,
+        "ok": case.all_hold,
         "mu": [case.mu.real, case.mu.imag],
         "sin_refined": case.sin_refined,
         "verdicts": case.verdicts(),

@@ -9,8 +9,10 @@ it counts as infinite, and a singular pencil (det P identically zero)
 raises.  Every candidate root is polished by a Newton-trace iteration and
 then filtered: cluster-deduplication gives algebraic multiplicity, and
 cluster means parked at cleared poles or failing the sigma_min test are
-recorded as spurious, not returned.  The sigma_min test of all off-pole
-means is one stacked evaluation and one stacked SVD.  Problems with
+recorded as spurious, not returned.  The sigma_min test of a one-root
+cluster reads the singular values that its Newton stop test computed at
+that root; the other off-pole means are one stacked evaluation and one
+stacked SVD.  Problems with
 exponential terms skip linearization and run the Newton iteration from a
 coarse grid of starting points instead.  Either way, all starts of a solve
 are polished in lockstep: each Newton step is one stacked evaluation and
@@ -75,7 +77,10 @@ INFINITE_CUT = 1e-13
 class SpectrumResult:
     """Eigenvalues of a projected problem found in a region.
 
-    residuals[i] is sigma_min(B(eigenvalues[i])); multiplicities come from
+    residuals[i] is sigma_min(B(eigenvalues[i])): for a cluster of one root
+    the value the Newton stop test computed at that root, which is the
+    eigenvalue bit for bit, and for a larger cluster that of B at its mean,
+    decomposed once more.  Multiplicities come from
     clustering refined roots at radius 1e-8 (companion modes) and are 1 in
     grid mode, where cluster size counts Newton seeds, not root multiplicity.
     """
@@ -281,7 +286,7 @@ def _log_screen_margin(m: int, tol: float) -> tuple[float, float]:
 
 def newton_trace_refine(
     b: MatrixFunction, starts: list[complex], max_iter: int = 50, tol: float = 1e-10
-) -> list[complex | NonConverged | PoleHit]:
+) -> tuple[list[complex | NonConverged | PoleHit], list[np.ndarray | None]]:
     """Polish roots of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
 
     All starts advance in lockstep.  Each iteration takes one stacked
@@ -304,69 +309,82 @@ def newton_trace_refine(
     lands on a pole.  The update divides Python complex scalars, since
     numpy's vectorized complex division can differ in the last bit, so a
     start's outcome does not depend on the starts that share its stack.
+    The active set is re-indexed only on a step where a start leaves it.
 
     Returns one outcome per start, in order: the root, or the NonConverged
-    or PoleHit instance.  A non-finite B or B' (ValueError) or a failed
-    residual check (ConvergenceFailure) is raised, for the first start that
-    meets one.
+    or PoleHit instance; and, per start, the singular values of B at its
+    root that the passing stop test computed (None where there is no root).
+    A non-finite B or B' (ValueError) or a failed residual check
+    (ConvergenceFailure) is raised, for the first start that meets one.
     """
     first = np.array([complex(z) for z in starts], dtype=complex)
     lams = first.copy()
     out: list = [None] * lams.size
+    stop_svals: list = [None] * lams.size
     idx = np.arange(lams.size)
     for step in range(max_iter + 1):
         if not idx.size:
             break
         bk, idx = _eval_at_iterates(b, lams, idx, out)
         bad = ~np.isfinite(bk).all(axis=(1, 2))
-        for i in idx[bad]:
-            out[i] = ValueError(f"B({lams[i]}) has NaN/Inf entries")
-        bk, idx = bk[~bad], idx[~bad]
+        if bad.any():
+            for i in idx[bad]:
+                out[i] = ValueError(f"B({lams[i]}) has NaN/Inf entries")
+            bk, idx = bk[~bad], idx[~bad]
         if not idx.size:
             break
         far, fro = screen_stop_test(bk, tol)
-        s = singular_values(bk[~far]) if not far.all() else np.empty((0, b.n))
+        near = ~far
+        if far.all():
+            s = np.empty((0, b.n))
+        else:
+            s = singular_values(bk[near] if far.any() else bk)
         done = np.zeros(idx.size, dtype=bool)
         singular = np.zeros(idx.size, dtype=bool)
-        done[~far] = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
-        singular[~far] = near_singular(s)
+        done[near] = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
+        singular[near] = near_singular(s)
         norm_b = fro * ((1 - NORM_ROUNDING) / math.sqrt(b.n))
-        norm_b[~far] = s[:, 0]
-        for i, lam in zip(idx[done], lams[idx[done]].tolist()):
-            out[i] = lam
+        norm_b[near] = s[:, 0]
+        if done.any():
+            for i, lam, sv in zip(idx[done], lams[idx[done]].tolist(), s[done[near]]):
+                out[i], stop_svals[i] = lam, sv
         if step == max_iter:
             for i in idx[~done]:
                 out[i] = NonConverged(
                     f"no convergence after {max_iter} Newton steps (from {first[i]})")
             break
-        keep = ~done
-        bk, idx, far, singular, norm_b = bk[keep], idx[keep], far[keep], singular[keep], norm_b[keep]
-        if not idx.size:
-            break
+        if done.any():
+            keep = ~done
+            bk, idx, far, singular, norm_b = bk[keep], idx[keep], far[keep], singular[keep], norm_b[keep]
+            if not idx.size:
+                break
         dk = eval_T_many(b, lams[idx], 1)
         # a lone run checks B' for NaN/Inf before B for singularity
         bad = ~np.isfinite(dk).all(axis=(1, 2))
-        singular &= ~bad
-        for i in idx[bad]:
-            out[i] = ValueError(f"B'({lams[i]}) has NaN/Inf entries")
-        for i in idx[singular]:
-            # numerically singular but above the sigma target: no usable step
-            out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
-        go = ~(bad | singular)
-        bk, dk, far, idx = bk[go], dk[go], far[go], idx[go]
-        x, ok = solve_with_norm(bk, dk, norm_b[go])
+        if bad.any() or singular.any():
+            singular &= ~bad
+            for i in idx[bad]:
+                out[i] = ValueError(f"B'({lams[i]}) has NaN/Inf entries")
+            for i in idx[singular]:
+                # numerically singular but above the sigma target: no usable step
+                out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
+            go = ~(bad | singular)
+            bk, dk, far, norm_b, idx = bk[go], dk[go], far[go], norm_b[go], idx[go]
+        x, ok = solve_with_norm(bk, dk, norm_b)
         again = far & ~ok
         if again.any():
             ok[again] = solve_with_norm(
                 bk[again], dk[again], singular_values(bk[again])[:, 0])[1]
-        for i in idx[~ok]:
-            out[i] = ConvergenceFailure("linear solve residual check failed")
+        if not ok.all():
+            for i in idx[~ok]:
+                out[i] = ConvergenceFailure("linear solve residual check failed")
+            x, idx = x[ok], idx[ok]
         # sum(np.diagonal(x)) of a lone run, term by term from 0
-        diag = np.diagonal(x[ok], axis1=1, axis2=2)
+        diag = np.diagonal(x, axis1=1, axis2=2)
         tr = np.zeros(diag.shape[0], dtype=complex)
         for k in range(diag.shape[1]):
             tr = tr + diag[:, k]
-        idx, moved = idx[ok], []
+        moved = []
         for i, lam, t in zip(idx.tolist(), lams[idx].tolist(), tr.tolist()):
             if abs(t) < 1e-300:
                 out[i] = NonConverged("vanishing trace; stationary point of det B")
@@ -377,7 +395,7 @@ def newton_trace_refine(
     for o in out:
         if isinstance(o, (ValueError, ConvergenceFailure)):
             raise o
-    return out
+    return out, stop_svals
 
 
 def _eval_at_iterates(b: MatrixFunction, lams: np.ndarray, idx: np.ndarray, out: list):
@@ -458,14 +476,16 @@ def solve_projected(
 
     spurious: list[complex] = []
     polished: list[complex] = []
+    stop_svals: dict[complex, np.ndarray] = {}
     inside = [z for z in raw if abs(z - center) <= radius * (1 + 1e-12)]
-    for z, r in zip(inside, newton_trace_refine(b, inside)):
+    for z, r, sv in zip(inside, *newton_trace_refine(b, inside)):
         if isinstance(r, (NonConverged, PoleHit)):
             spurious.append(z)
         elif abs(r - center) > radius * (1 + 1e-6):
             spurious.append(r)
         else:
             polished.append(r)
+            stop_svals[r] = sv
 
     polished.sort(key=lambda z: (z.real, z.imag))
     clusters = _clusters(polished)
@@ -475,10 +495,12 @@ def solve_projected(
     multiplicities: list[int] = []
     means = [complex(np.mean(group)) for group in clusters]
     guarded = [any(abs(z - p) <= POLE_GUARD for p in poles) for z in means]
-    off_pole = [z for z, g in zip(means, guarded) if not g]
-    svals = iter(singular_values(eval_T_many(b, off_pole, 0)) if off_pole else ())
+    # a one-member cluster's mean is its root bit for bit, and the stop test
+    # has B's singular values there; only the other means are decomposed
+    fresh = [z for z, group, g in zip(means, clusters, guarded) if not g and len(group) > 1]
+    svals = iter(singular_values(eval_T_many(b, fresh, 0)) if fresh else ())
     for group, z, g in zip(clusters, means, guarded):
-        s = None if g else next(svals)
+        s = None if g else stop_svals[z] if len(group) == 1 else next(svals)
         if g or s[-1] > SIGMA_ACCEPT * max(1.0, s[0]):
             spurious.append(z)
             continue

@@ -24,7 +24,7 @@ from nepritz.experiments import (
     perturb_subspace,
     random_planted_nep,
 )
-from nepritz.extraction import refined_vector, ritz_vector
+from nepritz.extraction import refined_vector, ritz_vector, sin_angle
 from nepritz.nep_model import (
     MatrixFunction,
     Polynomial,
@@ -382,7 +382,7 @@ class TestResidualAngleBound:
     def test_exact_pair_trivially_holds(self):
         _, ref, _ = fixture_problem()
         ctx = replace(fixture_context(), gamma=1.0)
-        rep = bl.residual_angle_bound(ctx, ref.x_star, rho=0.0)
+        rep = bl.residual_angle_bound(ctx, sin_angle(ctx.x_star, ref.x_star), rho=0.0)
         assert rep.holds and rep.lhs <= 1e-12 and rep.rhs <= 1e-12
 
     def test_perturbed_refined_pair_tight(self):
@@ -406,7 +406,7 @@ class TestResidualAngleBound:
         x = np.array([0.0, 1.0, 0.0], dtype=complex)
         ctx = fixture_context(x_star=x)
         with pytest.raises(HypothesisFailed):
-            bl.residual_angle_bound(ctx, x, rho=0.0)
+            bl.residual_angle_bound(ctx, 0.0, rho=0.0)
 
 
 class TestRitzVectorAngleBound:
@@ -415,8 +415,10 @@ class TestRitzVectorAngleBound:
         s = Subspace.from_basis(w)
         b = project(t, s)
         ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
-        with pytest.raises(HypothesisFailed):
-            bl.ritz_vector_angle_bound(fixture_context(), ritz)
+        ctx = fixture_context()
+        with pytest.raises(HypothesisFailed, match="geometric multiplicity 2"):
+            bl.ritz_vector_angle_bound(ctx, ritz, sin_angle(ctx.x_star, ritz.x_tilde),
+                                       bl.ritz_complements(ctx, ritz.z))
 
     def test_perturbed_fixture_holds_and_explains(self):
         t, ref, s, case = fixture_perturbed_case(seed=4)
@@ -445,7 +447,7 @@ class TestRefinedBounds:
         s = Subspace.from_basis(w)
         refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         ctx = replace(fixture_context(), gamma=1.0, beta=1.0)
-        reports = bl.refined_bounds(ctx, refined)
+        reports = bl.refined_bounds(ctx, refined, sin_angle(ctx.x_star, refined.x_hat))
         assert all(r.holds for r in reports)
         res = next(r for r in reports if r.theorem_id == "refined_residual")
         ang = next(r for r in reports if r.theorem_id == "refined_angle")
@@ -467,7 +469,7 @@ class TestRefinedBounds:
         ctx = replace(fixture_context(mu=0.9), gamma=1.0, beta=10.0)
         with pytest.raises(HypothesisFailed):
             # |mu - l*| approx 0.9 with beta large: lower estimate goes negative
-            bl.refined_bounds(ctx, refined)
+            bl.refined_bounds(ctx, refined, sin_angle(ctx.x_star, refined.x_hat))
 
 
 class TestUniquenessCheck:
@@ -508,7 +510,8 @@ class TestAngleSandwich:
         ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
         refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         with pytest.raises(HypothesisFailed):
-            bl.angle_sandwich(fixture_context(), s, ritz, refined)
+            bl.angle_sandwich(s, ritz, refined, sin_angle(ritz.x_tilde, refined.x_hat),
+                              bl.ritz_complements(fixture_context(), ritz.z))
 
     def test_perturbed_fixture_brackets_tightly(self):
         t, ref, s, case = fixture_perturbed_case(seed=7)
@@ -534,7 +537,11 @@ class TestAngleSandwich:
         b = project(t, s)
         ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
         refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
-        reports = bl.angle_sandwich(fixture_context(w=w), s, ritz, refined)
+        ctx = fixture_context(w=w)
+        complements = bl.ritz_complements(ctx, ritz.z)
+        assert complements is None
+        reports = bl.angle_sandwich(s, ritz, refined, sin_angle(ritz.x_tilde, refined.x_hat),
+                                    complements)
         assert all(r.holds for r in reports)
 
 
@@ -546,7 +553,7 @@ class TestResidualRatioSandwich:
         ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
         refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         with pytest.raises(DegenerateRatio):
-            bl.residual_ratio_sandwich(ritz, refined)
+            bl.residual_ratio_sandwich(ritz, refined, sin_angle(ritz.x_tilde, refined.x_hat))
 
     def test_perturbed_fixture_bracket(self):
         t, ref, s, case = fixture_perturbed_case(seed=8)
@@ -574,7 +581,7 @@ class TestResidualRatioSandwich:
             residual_norm=refined.sigma_hat_1, geometric_multiplicity=1,
             nonunique_flag=False,
         )
-        reports = bl.residual_ratio_sandwich(ritz, refined)
+        reports = bl.residual_ratio_sandwich(ritz, refined, sin_angle(ritz.x_tilde, refined.x_hat))
         for rep in reports:
             assert rep.holds
             assert rep.lhs == pytest.approx(1.0, rel=1e-10)

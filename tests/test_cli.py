@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import nepritz.experiments as ex
 from nepritz.cli import main
 from nepritz.experiments import fixture_problem, random_planted_nep, simple_rate_instance
 from nepritz.nep_model import save_problem
@@ -45,6 +47,19 @@ class TestExample1Command:
         assert "-1" in capsys.readouterr().out
         lines = cpath.read_text().splitlines()
         assert len(lines) == 2 and "verdict_refined_residual" in lines[0]
+
+    def test_target_selection_exits_one_on_a_failed_bound(self, monkeypatch, tmp_path):
+        analyze = ex.analyze_case
+
+        def failing(*args, **kwargs):
+            case = analyze(*args, **kwargs)
+            case.reports[0] = dataclasses.replace(case.reports[0], holds=False)
+            return case
+
+        monkeypatch.setattr(ex, "analyze_case", failing)
+        jpath = tmp_path / "out.json"
+        assert main(["example1", "--selection", "target=-0.9", "--json", str(jpath)]) == 1
+        assert json.loads(jpath.read_text())["ok"] is False
 
     def test_bad_selection_rejected(self):
         with pytest.raises(SystemExit):
@@ -295,6 +310,9 @@ class TestOutOfRangeInput:
     @pytest.mark.parametrize("command,key,value", [
         ("example2", "seed_base", 1.5),
         ("sweep", "seed_base", "42"),
+        # float(True) is 1.0: a JSON boolean is no number here
+        ("example2", "sigma", True),
+        ("example2", "sigma", False),
     ])
     def test_config_value_of_wrong_type_rejected(self, command, key, value,
                                                  tmp_path, capsys):

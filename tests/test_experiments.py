@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import complex_randn, qr_complement
 
 import nepritz.experiments as ex
-from nepritz.dense_kernels import norm2
+from nepritz.dense_kernels import complement_compress, norm2
 from nepritz.errors import ConstructionFailed
+from nepritz.extraction import sin_angle
 from nepritz.nep_model import eval_T, eval_T_many
 from nepritz.projection import Subspace, deviation
 
@@ -126,6 +129,19 @@ class TestRunExample1:
         case = ex.analyze_case(t, ref, s, region_center=-0.9, region_radius=1.0,
                                target=-0.9)
         assert case.mu == pytest.approx(-1.0, abs=1e-9)
+
+    def test_target_mode_ok_follows_the_verdicts(self, monkeypatch):
+        # ok is "every applicable bound holds", as in the other experiments
+        assert ex.run_example1_target(-0.9)["ok"]
+        analyze = ex.analyze_case
+
+        def failing(*args, **kwargs):
+            case = analyze(*args, **kwargs)
+            case.reports[0] = dataclasses.replace(case.reports[0], holds=False)
+            return case
+
+        monkeypatch.setattr(ex, "analyze_case", failing)
+        assert not ex.run_example1_target(-0.9)["ok"]
 
     def test_full_space_refined_recovery(self):
         t, ref, _ = ex.fixture_problem()
@@ -276,6 +292,53 @@ class TestAnalyzeCase:
         assert sorted(t_at_star) == [0, 1]
         assert len(deviations) == 1
 
+    def test_each_angle_is_measured_once(self, monkeypatch):
+        # sin(x*, x~), sin(x*, x^) and sin(x~, x^) are CaseResult fields, and
+        # the five evaluators that report one of them read it from the case
+        import nepritz.bounds_lab as bl
+
+        pairs = []
+
+        def counted(a, b):
+            pairs.append((a, b))
+            return sin_angle(a, b)
+
+        for mod in (ex, bl):
+            monkeypatch.setattr(mod, "sin_angle", counted, raising=False)
+        inst = ex.builtin_suite()[7]  # poly6, m = 3
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert case.all_hold and not case.inapplicable
+        assert len(pairs) == 3
+        by_id = {r.theorem_id: r.lhs for r in case.reports}
+        assert by_id["residual_to_angle_ritz"] == by_id["ritz_vector_angle"] == case.sin_ritz
+        assert by_id["refined_angle"] == case.sin_refined
+        assert by_id["angle_sandwich_upper"] == case.sin_between
+
+    def test_one_compression_of_the_projected_pair(self, monkeypatch):
+        # for m >= 2, C(l*) and C(mu) are one complement_compress of the
+        # stack [B(l*), B(mu)] against the complement of z
+        import nepritz.bounds_lab as bl
+
+        inst = ex.builtin_suite()[7]
+        m = inst.subspace.dim
+        compressed = []
+
+        def counted(x, a):
+            a = np.asarray(a)
+            if a.ndim >= 2 and a.shape[-2:] == (m, m):
+                compressed.append(a)
+            return complement_compress(x, a)
+
+        monkeypatch.setattr(bl, "complement_compress", counted)
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert case.all_hold and not case.inapplicable
+        [pair] = compressed
+        assert pair.shape == (2, m, m)
+        s = inst.subspace.basis
+        t_star, t_mu = eval_T_many(inst.t, [inst.ref.lambda_star, case.mu], 0)
+        assert np.array_equal(pair[0], s.conj().T @ t_star @ s)
+        assert np.array_equal(pair[1], s.conj().T @ (t_mu @ s))
+
 
 class TestRandomPlantedNep:
     @pytest.mark.parametrize("name,n,degree,seed,lam,pole,m", ex._SUITE_BASES)
@@ -382,7 +445,7 @@ class TestVerifyAll:
         cand = x_star - x_perp @ w
         cand = cand / np.linalg.norm(cand)
         rho = float(np.linalg.norm(t_mu @ cand))
-        rep = bl.residual_angle_bound(ctx, cand, rho)
+        rep = bl.residual_angle_bound(ctx, sin_angle(x_star, cand), rho)
         assert rep.lhs > rep.rhs + rep.intermediates["slack_floor"]
         assert rep.holds
 

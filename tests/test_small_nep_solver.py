@@ -240,13 +240,16 @@ class TestCompanionEigs:
 
 
 def lone_newton(b, lam0, max_iter=50, tol=1e-10):
-    """The per-start Newton-trace loop the lockstep kernel replaced: its oracle."""
+    """The per-start Newton-trace loop the lockstep kernel replaced: its oracle.
+
+    Returns the root and the singular values of B there that its stop test read.
+    """
     lam = complex(lam0)
     for step in range(max_iter + 1):
         bk = eval_T(b, lam, 0)
         s = singular_values(bk)
         if s[-1] <= tol * max(1.0, s[0]):
-            return lam
+            return lam, s
         if step == max_iter:
             break
         try:
@@ -261,13 +264,16 @@ def lone_newton(b, lam0, max_iter=50, tol=1e-10):
 
 
 def lone_outcomes(b, starts, **kwargs):
-    out = []
+    """newton_trace_refine's outcomes and stop-test singular values, one start at a time."""
+    out, svals = [], []
     for z in starts:
         try:
-            out.append(lone_newton(b, z, **kwargs))
+            root, s = lone_newton(b, z, **kwargs)
         except (NonConverged, PoleHit) as exc:
-            out.append(exc)
-    return out
+            root, s = exc, None
+        out.append(root)
+        svals.append(s)
+    return out, svals
 
 
 def bits(z):
@@ -275,12 +281,23 @@ def bits(z):
 
 
 def assert_same_outcomes(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+    """Same outcome types, roots and stop-test singular values, bit for bit.
+
+    At m = 1 only the roots are compared: numpy rounds the product f(lam) A
+    of a one-point eval_T_many stack of 1 x 1 matrices differently from
+    eval_T's, so a start that converges alone in its stack can see a B that
+    differs from a lone run's in the last bit.
+    """
+    (got, got_svals), (want, want_svals) = got, want
+    assert len(got) == len(want) == len(got_svals) == len(want_svals)
+    for g, w, gs, ws in zip(got, want, got_svals, want_svals):
         if isinstance(w, Exception):
-            assert type(g) is type(w)
+            assert type(g) is type(w) and gs is None
         else:
             assert type(g) is complex and bits(g) == bits(w)
+            assert gs.shape == ws.shape
+            if gs.size > 1:
+                assert gs.tobytes() == ws.tobytes()
 
 
 def planted_delay_projection(n=8, m=3, eps=1e-5, seed=31):
@@ -306,25 +323,27 @@ class TestNewtonTraceRefine:
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        assert newton_trace_refine(b, [0.0], max_iter=2) == [pytest.approx(2.0)]
+        assert newton_trace_refine(b, [0.0], max_iter=2)[0] == [pytest.approx(2.0)]
 
     def test_fixture_double_root(self):
-        [mu] = newton_trace_refine(fixture_projected(), [0.1])
+        [mu], _ = newton_trace_refine(fixture_projected(), [0.1])
         assert abs(mu) <= 1e-10
 
     def test_sqrt_two(self):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        [root] = newton_trace_refine(b, [1.0])
+        [root], [s] = newton_trace_refine(b, [1.0])
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-10)
+        # the stop test's singular values of B at the root come back with it
+        assert s.tolist() == [abs(root * root - 2.0)]
 
     def test_nonconverged(self):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        [out] = newton_trace_refine(b, [100.0], max_iter=2)
-        assert isinstance(out, NonConverged)
+        [out], [s] = newton_trace_refine(b, [100.0], max_iter=2)
+        assert isinstance(out, NonConverged) and s is None
 
     def test_one_solve_per_step(self, monkeypatch):
         # B(lam) = diag(1, 2, 3) - lam I: one step from 0.9 lands near 0.988,
@@ -345,7 +364,7 @@ class TestNewtonTraceRefine:
 
         monkeypatch.setattr(sns, "solve_with_norm", counted_solve)
         monkeypatch.setattr(sns, "eval_T_many", counted_eval)
-        [out] = newton_trace_refine(b, [0.9], max_iter=1)
+        [out], _ = newton_trace_refine(b, [0.9], max_iter=1)
         assert isinstance(out, NonConverged)
         # one stacked solve with B' as a 3 x 3 right-hand side; a stop test
         # before and after the single step
@@ -360,7 +379,7 @@ class TestLockstepMatchesLoneRuns:
         assert len(seeds) == 88
         got = newton_trace_refine(b, seeds)
         assert_same_outcomes(got, lone_outcomes(b, seeds))
-        assert any(abs(r - lam_star) < 1e-3 for r in got if isinstance(r, complex))
+        assert any(abs(r - lam_star) < 1e-3 for r in got[0] if isinstance(r, complex))
 
     def test_fixture_double_root_among_companion_starts(self):
         b = fixture_projected()
@@ -375,7 +394,7 @@ class TestLockstepMatchesLoneRuns:
         starts = [100.0, 1.4, 1e6j, 1.0]
         got = newton_trace_refine(b, starts, max_iter=3)
         assert_same_outcomes(got, lone_outcomes(b, starts, max_iter=3))
-        assert [isinstance(r, NonConverged) for r in got] == [True, False, True, True]
+        assert [isinstance(r, NonConverged) for r in got[0]] == [True, False, True, True]
 
     def test_near_singular_off_target(self):
         # sigma_min(B) = 1e-15 is below the solve's 1e-14 singularity test but
@@ -387,7 +406,8 @@ class TestLockstepMatchesLoneRuns:
         starts = [0.5, -0.9]
         got = newton_trace_refine(b, starts, tol=1e-20)
         assert_same_outcomes(got, lone_outcomes(b, starts, tol=1e-20))
-        assert isinstance(got[0], NonConverged) and "off-target" in str(got[0])
+        off_target = got[0][0]
+        assert isinstance(off_target, NonConverged) and "off-target" in str(off_target)
 
     def test_vanishing_trace(self):
         # det B = 1 - lam^2 is stationary at 0: trace(B^-1 B') = 1 - 1 = 0
@@ -398,15 +418,16 @@ class TestLockstepMatchesLoneRuns:
         starts = [0.5, 0.0, -0.5]
         got = newton_trace_refine(b, starts)
         assert_same_outcomes(got, lone_outcomes(b, starts))
-        assert isinstance(got[1], NonConverged) and "vanishing trace" in str(got[1])
-        assert got[0] == pytest.approx(1.0) and got[2] == pytest.approx(-1.0)
+        outcomes = got[0]
+        assert isinstance(outcomes[1], NonConverged) and "vanishing trace" in str(outcomes[1])
+        assert outcomes[0] == pytest.approx(1.0) and outcomes[2] == pytest.approx(-1.0)
 
     def test_only_the_start_on_a_pole_fails(self):
         b = fixture_projected()  # a rational term with its pole at 1
         starts = [0.1, 1.0, -0.3 + 0.1j, 0.6j]
         got = newton_trace_refine(b, starts)
         assert_same_outcomes(got, lone_outcomes(b, starts))
-        assert [isinstance(r, PoleHit) for r in got] == [False, True, False, False]
+        assert [isinstance(r, PoleHit) for r in got[0]] == [False, True, False, False]
 
     def test_non_finite_b_raises_like_a_lone_run(self):
         b = MatrixFunction.from_terms([
@@ -603,6 +624,26 @@ def test_runs_without_scipy():
 
 
 class TestSolveProjected:
+    def test_simple_roots_are_decomposed_once(self, monkeypatch):
+        # a one-member cluster's mean is its root, so its acceptance test
+        # reads the singular values of the Newton stop test that found it
+        t, ref = random_planted_nep(6, 3, 202, -0.2 + 0.5j)
+        b = project(t, build_subspace_eps(ref.x_star, 3, 1e-4, 202))
+        rows = []
+
+        def counted(m):
+            rows.extend(np.asarray(m).reshape(-1, b.n, b.n))
+            return singular_values(m)
+
+        monkeypatch.setattr(sns, "singular_values", counted)
+        spec = solve_projected(b, ref.lambda_star, 1.0)
+        assert spec.method == "companion-polynomial" and len(spec.eigenvalues) > 1
+        assert set(spec.multiplicities) == {1}
+        for z, r in zip(spec.eigenvalues, spec.residuals):
+            bz = eval_T_many(b, [z], 0)[0]
+            assert sum(np.array_equal(row, bz) for row in rows) == 1
+            assert r == singular_values(bz)[-1]
+
     def test_fixture_double_eigenvalue(self):
         spec = solve_projected(fixture_projected(), 0.0, 0.5)
         assert len(spec.eigenvalues) == 1
@@ -661,13 +702,15 @@ class TestSolveProjected:
 
     def test_one_acceptance_stack_keeps_spurious_order(self, monkeypatch):
         # B = (lam - 0.5)/(lam - 0.2); the polished roots are planted: one on
-        # the pole guard, one where sigma_min(B) = 2, and the true root
+        # the pole guard, a double one where sigma_min(B) = 2, a single one
+        # where it is 0.2, and the true root, double
         b = MatrixFunction.from_terms([
             (Rational([-0.5, 1], [-0.2, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        planted = [0.5 + 0j, 0.3 + 0j, 0.2 + 1e-10 + 0j]
+        planted = [0.5 + 0j, 0.5 + 0j, 0.3 + 0j, 0.3 + 0j, 0.2 + 1e-10 + 0j, 0.45 + 0j]
         monkeypatch.setattr(sns, "companion_eigs", lambda coeffs: list(planted))
-        monkeypatch.setattr(sns, "newton_trace_refine", lambda b, starts: list(starts))
+        monkeypatch.setattr(sns, "newton_trace_refine", lambda b, starts: (
+            list(starts), [singular_values(eval_T(b, z, 0)) for z in starts]))
         stacks = []
 
         def counted(fn, lams, order):
@@ -677,12 +720,13 @@ class TestSolveProjected:
         monkeypatch.setattr(sns, "eval_T_many", counted)
         spec = solve_projected(b, 0.4, 0.3)
         # polynomialize's 20-point self-check, then one acceptance stack over
-        # the off-pole cluster means in ascending order
+        # the off-pole means of the clusters of two, in ascending order; the
+        # single root keeps the singular values of its stop test
         assert [len(s) for s in stacks] == [20, 2]
         assert stacks[1] == [0.3, 0.5]
         assert spec.eigenvalues == [0.5] and spec.residuals == [0.0]
         # the pole-guarded mean sorts first and is filtered first
-        assert spec.filtered_spurious == [planted[2], 0.3]
+        assert spec.filtered_spurious == [planted[4], 0.3, 0.45]
 
 
 def np_mean_clusters(roots):
