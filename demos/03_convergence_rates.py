@@ -48,7 +48,6 @@ for k in (1, 2, 3):
         (Polynomial([1]), mat),
         (Polynomial([0, 1]), -np.eye(4, dtype=complex)),
     ])
-    prof = nr.sigma_min_profile(fn, mu - 1e-3, direction=1.0, max_order=4,
-                                disc_radius=1e-3)
+    prof = nr.sigma_min_profile(fn, mu - 1e-3, direction=1.0, disc_radius=1e-3)
     print(f"  block size {k}: staircase -> {staircase}, "
           f"derivative signature -> {prof.detected_m_mu}")

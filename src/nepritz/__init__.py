@@ -69,7 +69,6 @@ from .nep_model import (
     ReferencePair,
     eval_T,
     eval_T_many,
-    eval_fn,
     load_problem,
     save_problem,
     taylor_remainder_const,

@@ -49,14 +49,14 @@ RATE_REL_SLACK = 0.05
 # decay-cascade threshold of the derivative-order detection
 TAU_DERIV = 1e-2
 
+# highest derivative order of the sigma_min profile behind the rate bound
+PROFILE_MAX_ORDER = 3
 # central stencils of second-order accuracy: order -> {offset: coefficient}
 _STENCILS = {
     0: {0: 1.0},
     1: {-1: -0.5, 1: 0.5},
     2: {-1: 1.0, 0: -2.0, 1: 1.0},
     3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-    4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0},
-    5: {-3: -0.5, -2: 2.0, -1: -2.5, 1: 2.5, 2: -2.0, 3: 0.5},
 }
 
 
@@ -129,7 +129,7 @@ class DerivativeProfile:
     center: complex
     direction: complex
     h: float
-    estimates: list[float]            # index j = 0..max_order
+    estimates: list[float]            # index j = 0..PROFILE_MAX_ORDER
     noise_floors: list[float]
     reliable: list[bool]
     detected_m_mu: int | None
@@ -142,11 +142,10 @@ def sigma_min_profile(
     b: MatrixFunction,
     lambda_star: complex,
     direction: complex = 1.0,
-    max_order: int = 3,
     *,
     disc_radius: float,
 ) -> DerivativeProfile:
-    """Profile sigma_min(B(lambda)) derivatives at lambda_star along a ray.
+    """Profile sigma_min(B(lambda)) derivatives up to PROFILE_MAX_ORDER at lambda_star along a ray.
 
     disc_radius is the radius of the disc over which the detected-order
     derivative is minimized to estimate alpha (callers pass |mu - l*|).  The
@@ -161,19 +160,17 @@ def sigma_min_profile(
     estimate takes the stencil points of all 24 disc samples (6 on each of
     4 rings) as one more stack and one more call.
     """
-    if not 1 <= max_order <= 5:
-        raise ValueError("max_order must be in 1..5")
     lam0 = complex(lambda_star)
     d = complex(direction)
     if abs(d) == 0:
         raise ValueError("direction must be nonzero")
     d = d / abs(d)
-    hw = max(_STENCILS[max_order])  # the widest stencil up to max_order
+    hw = max(_STENCILS[PROFILE_MAX_ORDER])  # the widest stencil
     if disc_radius <= 0:
         raise ValueError("disc_radius must be positive")
     h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
 
-    orders = range(0, max_order + 1)
+    orders = range(0, PROFILE_MAX_ORDER + 1)
     offsets = sorted({o for j in orders for o in _STENCILS[j]})
     svals = dict(zip(offsets, singular_values(
         eval_T_many(b, [lam0 + (o * h) * d for o in offsets], 0))))
@@ -192,10 +189,10 @@ def sigma_min_profile(
     reliable = [j == 0 or abs(ests[j]) > 5.0 * floors[j] for j in orders]
 
     detected = None
-    for j in range(1, max_order + 1):
+    for j in range(1, PROFILE_MAX_ORDER + 1):
         if not reliable[j]:
             continue
-        nxt = abs(ests[j + 1]) if j + 1 <= max_order and reliable[j + 1] else 0.0
+        nxt = abs(ests[j + 1]) if j + 1 <= PROFILE_MAX_ORDER and reliable[j + 1] else 0.0
         if abs(ests[j]) > disc_radius * nxt / (TAU_DERIV * (j + 1)):
             detected = j
             break

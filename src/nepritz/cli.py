@@ -39,10 +39,21 @@ def _parse_eps_list(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("epsilon list is empty")
+    return _check_eps(values)
+
+
+def _check_eps(values) -> list:
+    """values if it is a list of numbers in (0, 1) that a sweep accepts, else a usage error."""
+    # a JSON boolean is no number here
+    if not isinstance(values, list) or any(
+            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise argparse.ArgumentTypeError("eps must be a list of numbers")
     if any(not 0.0 < v < 1.0 for v in values):
         raise argparse.ArgumentTypeError("epsilon values must lie in (0, 1)")
+    try:
+        ex.sweep_deviations(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     return values
 
 
@@ -83,10 +94,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if isinstance(merged["eps"], str):
-        merged["eps"] = _parse_eps_list(merged["eps"])
+    eps = merged["eps"]
+    merged["eps"] = _parse_eps_list(eps) if isinstance(eps, str) else _check_eps(eps)
+    # a flag arrives parsed; a config value must be a string
     if isinstance(merged["selection"], str):
         merged["selection"] = _parse_selection(merged["selection"])
+    elif not isinstance(merged["selection"], tuple):
+        raise argparse.ArgumentTypeError("selection must be a string")
     # float(True) is 1.0, so a JSON boolean is refused before the conversion
     if isinstance(merged["sigma"], bool):
         raise argparse.ArgumentTypeError("sigma must be a number")

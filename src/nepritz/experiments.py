@@ -34,9 +34,6 @@ from .nep_model import (
 from .projection import Subspace, deviation, perturbation_witness, project
 from .small_nep_solver import SpectrumResult, select_ritz_value, solve_projected
 
-# highest derivative order of the sigma_min profile behind the rate bound
-PROFILE_MAX_ORDER = 3
-
 # ---------------------------------------------------------------------------
 # subspace construction
 # ---------------------------------------------------------------------------
@@ -257,8 +254,7 @@ def analyze_case(
         profile = None
         if r >= 1e-13:
             profile = bl.sigma_min_profile(
-                b, lam_star, direction=(mu - lam_star) / r,
-                max_order=PROFILE_MAX_ORDER, disc_radius=r,
+                b, lam_star, direction=(mu - lam_star) / r, disc_radius=r,
             )
         return bl.ritz_value_bound(ctx, profile)
 
@@ -563,6 +559,14 @@ def fit_loglog_slope(xs, ys) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
+def sweep_deviations(eps_list) -> list[float]:
+    """The distinct deviations of a sweep, largest first; ValueError unless they span 4 decades."""
+    eps_arr = sorted(set(float(e) for e in eps_list), reverse=True)
+    if len(eps_arr) < 2 or eps_arr[0] / eps_arr[-1] < 1e4:
+        raise ValueError("eps_list must cover at least 4 decades")
+    return eps_arr
+
+
 def run_sweep(
     t: MatrixFunction,
     ref: ReferencePair,
@@ -582,9 +586,7 @@ def run_sweep(
     explicit); target switches the selection rule from oracle mode to a
     fixed shift.
     """
-    eps_arr = sorted(set(float(e) for e in eps_list), reverse=True)
-    if len(eps_arr) < 2 or eps_arr[0] / eps_arr[-1] < 1e4:
-        raise ValueError("eps_list must cover at least 4 decades")
+    eps_arr = sweep_deviations(eps_list)
     records: list[SweepRecord] = []
     failures: list[str] = []
     for eps in eps_arr:

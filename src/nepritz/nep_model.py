@@ -7,12 +7,13 @@ differences -- so downstream bound evaluators are not polluted by truncation
 error.  The same holds for the second-order Taylor remainders of the terms,
 which are formed without the cancellation of f(l + h) - f(l) - f'(l) h.
 
-Every term also evaluates a whole point set as one array pass (eval_many),
-and each entry of it is bit-equal to the single-point eval.  The
-scalar-exact helpers _cmul and _cdiv make that hold: they form complex
-products and quotients from real numpy operations rounded one at a time, as
-Python's complex arithmetic rounds them, where numpy's vectorized complex
-multiply and divide may fuse or reorder and differ in the last bit.
+Every term has one evaluator, eval_many, which takes a whole point set as
+one array pass; eval_T is eval_T_many at a single point, so T has one
+evaluation path.  A point's value does not depend on the other points of its
+stack.  The helpers _cmul and _cdiv make that hold for the terms: they form
+complex products and quotients from real numpy operations rounded one at a
+time, as Python's complex arithmetic rounds them, where numpy's vectorized
+complex multiply and divide may fuse or reorder depending on the stack.
 """
 
 from __future__ import annotations
@@ -64,11 +65,8 @@ class Polynomial:
     def degree(self) -> int:
         return self.coefficients.size - 1
 
-    def eval(self, lam: complex, order: int = 0) -> complex:
-        return complex(npoly.polyval(lam, _nth_der(self.coefficients, order)))
-
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
-        """eval at each point of lams."""
+        """Derivative of order k at each point of lams, by Horner's rule."""
         return _horner(_nth_der(self.coefficients, order), lams)
 
     def remainder(self, lam: complex, h) -> np.ndarray:
@@ -107,9 +105,6 @@ class Rational:
         if hit.any():
             raise PoleHit(f"denominator vanishes at lambda = {complex(lams[hit.argmax()])}")
         return qval
-
-    def eval(self, lam: complex, order: int = 0) -> complex:
-        return complex(self.eval_many(np.array([lam], dtype=complex), order)[0])
 
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative of order k at each point of lams, via the Leibniz recurrence on p = f q.
@@ -168,11 +163,8 @@ class Exponential:
         if not np.isfinite(self.scale.real) or not np.isfinite(self.scale.imag):
             raise ValueError("exponential scale must be finite")
 
-    def eval(self, lam: complex, order: int = 0) -> complex:
-        return self.scale ** order * np.exp(self.scale * lam)
-
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
-        """eval at each point of lams, with scalar products."""
+        """a^k exp(a lam), the derivative of order k, at each point of lams."""
         return _cmul(self.scale ** order, np.exp(_cmul(self.scale, lams)))
 
     def remainder(self, lam: complex, h) -> np.ndarray:
@@ -192,8 +184,9 @@ def _cmul(a, b) -> np.ndarray:
 
     Each real product and sum is rounded on its own, as in Python's (and
     numpy's scalar) complex product.  numpy's vectorized complex multiply may
-    fuse multiply-adds and differ in the last bit; this keeps each eval_many
-    entry equal to its eval call.
+    fuse multiply-adds and differ in the last bit; this keeps each entry
+    independent of the stack it is in, and equal to the same product in
+    Python complex arithmetic, which the lone-run oracles of the tests use.
     """
     re = a.real * b.real - a.imag * b.imag
     out = np.empty(re.shape, dtype=complex)
@@ -211,7 +204,8 @@ def _cdiv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the factors r1, r2 are (1, ratio) or (ratio, 1), so every product and
     sum is the one the branch forms (x * 1.0 is exactly x).  Overflow,
     underflow and a NaN operand pass silently, as in the scalar quotient;
-    b must be nonzero.
+    b must be nonzero.  So each entry is independent of the stack it is in,
+    and equal to the same quotient in Python complex arithmetic.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
@@ -270,13 +264,6 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_fn(f: ScalarAnalyticFn, lam: complex, order: int = 0) -> complex:
-    """order-th analytic derivative of a scalar term at lam."""
-    if not 0 <= order <= MAX_DERIV_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_DERIV_ORDER}]")
-    return f.eval(complex(lam), order)
-
-
 def _dedupe_points(points: list[complex], tol: float = 1e-10) -> list[complex]:
     out: list[complex] = []
     for p in sorted(points, key=lambda z: (z.real, z.imag)):
@@ -312,9 +299,6 @@ class MatrixFunction:
             poles.extend(fn.poles())
         return cls(n=n, terms=tuple(fixed), domain_poles=tuple(_dedupe_points(poles)))
 
-    def __call__(self, lam: complex, order: int = 0) -> np.ndarray:
-        return eval_T(self, lam, order)
-
     def compress(self, v: np.ndarray) -> "MatrixFunction":
         """Two-sided compression V^H A_i V of every term; scalars unchanged."""
         v = as_matrix(v)
@@ -327,27 +311,27 @@ class MatrixFunction:
 
 def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
     """sum_i f_i^(order)(lam) A_i; propagates PoleHit from rational terms."""
-    lam = complex(lam)
-    out = np.zeros((t.n, t.n), dtype=complex)
-    for fn, a in t.terms:
-        out += eval_fn(fn, lam, order) * a
-    return out
+    return eval_T_many(t, [lam], order)[0]
 
 
 def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
-    """eval_T at each of the points lams, stacked to shape (len(lams), n, n).
+    """sum_i f_i^(order)(lam) A_i at each point of lams, stacked to shape (len(lams), n, n).
 
-    The term loop and per-term arithmetic are eval_T's, so slice j is
-    bit-equal to eval_T(t, lams[j], order).  A point on a pole of a rational
-    term raises PoleHit for the whole stack.
+    Each product f_i(lam_j) A_i is a row of the outer product of the term
+    values with the flattened A_i, which numpy rounds the same for any
+    number of points and any n (a broadcast against the (n, n) matrices
+    does not: it rounds a one-point stack of 1 x 1 matrices differently).
+    So slice j is bit-equal in every stack that holds lams[j], eval_T's
+    one-point stack included.  A point on a pole of a rational term raises
+    PoleHit for the whole stack.
     """
     if not 0 <= order <= MAX_DERIV_ORDER:
         raise ValueError(f"order must be in [0, {MAX_DERIV_ORDER}]")
     lams = np.asarray(lams, dtype=complex).reshape(-1)
-    out = np.zeros((lams.size, t.n, t.n), dtype=complex)
+    out = np.zeros((lams.size, t.n * t.n), dtype=complex)
     for fn, a in t.terms:
-        out += fn.eval_many(lams, order)[:, None, None] * a
-    return out
+        out += fn.eval_many(lams, order)[:, None] * a.reshape(1, -1)
+    return out.reshape(lams.size, t.n, t.n)
 
 
 def taylor_remainder_const(

@@ -126,8 +126,7 @@ def test_criterion_4_rates_and_jordan_signature():
             (Polynomial([0, 1]), -np.eye(4, dtype=complex)),
         ])
         delta = 1e-3
-        prof = nr.sigma_min_profile(b_fn, mu - delta, direction=1.0,
-                                    max_order=4, disc_radius=delta)
+        prof = nr.sigma_min_profile(b_fn, mu - delta, direction=1.0, disc_radius=delta)
         orders[k] = (nr.jordan_block_order(b_mat, mu), prof.detected_m_mu)
         assert orders[k] == (k, k)
     elapsed = time.perf_counter() - start

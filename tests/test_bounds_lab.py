@@ -64,10 +64,11 @@ def fixture_perturbed_case(seed=0, sigma=1e-4):
     return t, ref, s, analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
 
 
-def per_point_profile(b, lambda_star, direction, max_order, *, disc_radius):
+def per_point_profile(b, lambda_star, direction, *, disc_radius):
     """sigma_min_profile with one eval_T and one singular-value call per point."""
     lam0, d = complex(lambda_star), complex(direction) / abs(direction)
-    hw = {0: 0, 1: 1, 2: 1, 3: 2, 4: 2, 5: 3}[max_order]
+    max_order = bl.PROFILE_MAX_ORDER
+    hw = 2  # the order-3 stencil reaches offsets -2..2
     h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
     orders = range(0, max_order + 1)
     offsets = sorted({o for j in orders for o in bl._STENCILS[j]})
@@ -154,8 +155,7 @@ class TestSigmaMinProfile:
         mu = 0.5
         delta = 1e-2
         b = linear_fn(jordan_block(mu, 2))
-        prof = bl.sigma_min_profile(b, mu - delta, direction=1.0,
-                                    max_order=3, disc_radius=delta)
+        prof = bl.sigma_min_profile(b, mu - delta, direction=1.0, disc_radius=delta)
         assert prof.detected_m_mu == 2
         # sigma_min of the shifted block is |mu - lam|^2 / c with c near 1
         c = singular_values(jordan_block(mu, 2) - (mu - delta) * np.eye(2))[0]
@@ -180,11 +180,10 @@ class TestSigmaMinProfile:
         assert [len(s) for s in stacks] == [5, 24 * 2]
         assert len(set(stacks[0])) == 5
 
-    @pytest.mark.parametrize("max_order", [1, 2, 3, 4, 5])
-    def test_equals_per_point_profile_on_suite(self, suite_rays, max_order):
+    def test_equals_per_point_profile_on_suite(self, suite_rays):
         for name, b, lam, mu in suite_rays:
             r = abs(mu - lam)
-            args = (b, lam, (mu - lam) / r, max_order)
+            args = (b, lam, (mu - lam) / r)
             assert profile_bytes(bl.sigma_min_profile, *args, disc_radius=r) == \
                 profile_bytes(per_point_profile, *args, disc_radius=r), name
 
@@ -246,8 +245,7 @@ class TestJordanBlockOrder:
         assert bl.jordan_block_order(b_mat, mu) == k
         delta = 1e-3
         prof = bl.sigma_min_profile(
-            linear_fn(b_mat), mu - delta, direction=1.0, max_order=4,
-            disc_radius=delta,
+            linear_fn(b_mat), mu - delta, direction=1.0, disc_radius=delta,
         )
         assert prof.detected_m_mu == k
 

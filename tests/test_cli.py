@@ -285,7 +285,14 @@ _OUT_OF_RANGE = [
     ("sweep", "subspace_dim", 0),
     ("example2", "seed_base", -5),
     ("sweep", "seed_base", -1),
+    # a span under the 4 decades run_sweep asks for
+    ("sweep", "eps", "1e-2,1e-3"),
 ]
+
+
+def command_line(command):
+    """The subcommand, with a problem that lets a sweep run."""
+    return [command] + (["--problem", str(PLANTED_POLY4)] if command == "sweep" else [])
 
 
 class TestOutOfRangeInput:
@@ -293,7 +300,7 @@ class TestOutOfRangeInput:
     def test_flag_rejected_as_usage_error(self, command, key, value, capsys):
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
-            main([command, flag, str(value)])
+            main(command_line(command) + [flag, str(value)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
 
@@ -303,7 +310,7 @@ class TestOutOfRangeInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg)])
+            main(command_line(command) + ["--config", str(cfg)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
 
@@ -313,13 +320,21 @@ class TestOutOfRangeInput:
         # float(True) is 1.0: a JSON boolean is no number here
         ("example2", "sigma", True),
         ("example2", "sigma", False),
+        ("sweep", "eps", 0.01),
+        ("sweep", "eps", ["a"]),
+        ("sweep", "eps", [True, 1e-6]),
+        ("sweep", "eps", []),
+        ("sweep", "eps", [1e-2, 1e-7, 2.0]),
+        ("sweep", "eps", [1e-2, 1e-3]),
+        ("example1", "selection", 5),
+        ("sweep", "selection", ["oracle"]),
     ])
     def test_config_value_of_wrong_type_rejected(self, command, key, value,
                                                  tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(SystemExit) as exc:
-            main([command, "--config", str(cfg)])
+            main(command_line(command) + ["--config", str(cfg)])
         assert exc.value.code == 2
         assert key in capsys.readouterr().err
 

@@ -267,11 +267,6 @@ class TestAnalyzeCase:
         n, lam = inst.t.n, inst.ref.lambda_star
         t_at_star, deviations = [], []
 
-        def counted_eval(fn, z, order=0):
-            if fn.n == n and z == lam:
-                t_at_star.append(order)
-            return eval_T(fn, z, order)
-
         def counted_many(fn, zs, order=0):
             t_at_star.extend(order for z in zs if fn.n == n and z == lam)
             return eval_T_many(fn, zs, order)
@@ -280,9 +275,8 @@ class TestAnalyzeCase:
             deviations.append(args)
             return deviation(*args)
 
+        # eval_T is a one-point eval_T_many, so this counts every evaluation
         for name, mod in list(sys.modules.items()):
-            if name.startswith("nepritz") and hasattr(mod, "eval_T"):
-                monkeypatch.setattr(mod, "eval_T", counted_eval)
             if name.startswith("nepritz") and hasattr(mod, "eval_T_many"):
                 monkeypatch.setattr(mod, "eval_T_many", counted_many)
         for mod in (bl, projection, ex):

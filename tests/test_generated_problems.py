@@ -6,21 +6,28 @@ and rational ones, and delay problems A0 + lam A1 + exp(-tau lam) A2, which
 send the projected solve down its grid-Newton path.  The pinned draws are
 ones where the Ritz and refined residuals, once read from two different
 products, differed by up to 1e-7 at m = 1 although their ratio is exactly 1
-there.
+there.  Every bound of the paper is invariant under a unitary change of
+basis, and so is every outcome of the built-in suite and of delay cases.
 """
 
 import math
 
 import numpy as np
 import pytest
-from helpers import complex_randn
+from helpers import complex_randn, seeded_unitary
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nepritz.dense_kernels import singular_values
 from nepritz.errors import ConstructionFailed, DimensionGuard
-from nepritz.experiments import analyze_case, build_subspace_eps, random_planted_nep
+from nepritz.experiments import (
+    analyze_case,
+    build_subspace_eps,
+    builtin_suite,
+    random_planted_nep,
+)
 from nepritz.nep_model import Exponential, MatrixFunction, Polynomial, ReferencePair, eval_T
+from nepritz.projection import Subspace
 
 
 def run_case(n, degree, seed, lambda_star, m, eps, pole=None):
@@ -79,7 +86,7 @@ def test_every_applicable_bound_holds_on_planted_problems(draw):
     assert_case_properties(run_case, draw)
 
 
-def run_delay_case(n, seed, lambda_star, tau, m, eps):
+def planted_delay_problem(n, seed, lambda_star, tau):
     """A0 + lam A1 + exp(-tau lam) A2 with a planted pair, as the exp_delay benchmark builds it.
 
     A0 gets the rank-one correction -(T(l*) x*) x*^H, so the seeded unit x*
@@ -98,7 +105,12 @@ def run_delay_case(n, seed, lambda_star, tau, m, eps):
     svals = singular_values(eval_T(t, lambda_star, 0))
     if svals[-2] < 1e-6 * max(1.0, svals[0]):
         raise ConstructionFailed("planted eigenvalue is not simple enough")
-    return analyze_case(t, ref, build_subspace_eps(x, m, eps, seed))
+    return t, ref
+
+
+def run_delay_case(n, seed, lambda_star, tau, m, eps):
+    t, ref = planted_delay_problem(n, seed, lambda_star, tau)
+    return analyze_case(t, ref, build_subspace_eps(ref.x_star, m, eps, seed))
 
 
 @st.composite
@@ -114,3 +126,41 @@ def delay_cases(draw):
 @given(draw=delay_cases())
 def test_every_applicable_bound_holds_on_delay_problems(draw):
     assert_case_properties(run_delay_case, draw)
+
+
+# the golden references' tolerance
+INVARIANCE_REL, INVARIANCE_ABS = 1e-6, 1e-13
+
+
+def in_basis(t, ref, s, q):
+    """The same case in the unitary basis q: T -> Q^H T Q, x* -> Q^H x*, W -> Q^H W."""
+    qh = q.conj().T
+    return (MatrixFunction.from_terms([(fn, qh @ a @ q) for fn, a in t.terms]),
+            ReferencePair(ref.lambda_star, qh @ ref.x_star), Subspace.from_basis(qh @ s.basis))
+
+
+def assert_same_outcome(case, other, name):
+    """Verdicts and inapplicable sets exactly, lhs and rhs within the invariance tolerance."""
+    assert {(tid, reason.split(":", 1)[0]) for tid, reason in other.inapplicable} == \
+        {(tid, reason.split(":", 1)[0]) for tid, reason in case.inapplicable}, name
+    assert [(r.theorem_id, r.holds) for r in other.reports] == \
+        [(r.theorem_id, r.holds) for r in case.reports], name
+    for r, o in zip(case.reports, other.reports):
+        # angle_identity's lhs is a rounding residual, which no basis preserves
+        pairs = [(r.rhs, o.rhs)] if r.theorem_id == "angle_identity" else \
+            [(r.lhs, o.lhs), (r.rhs, o.rhs)]
+        for want, got in pairs:
+            assert math.isclose(got, want, rel_tol=INVARIANCE_REL, abs_tol=INVARIANCE_ABS), \
+                (name, r.theorem_id, got, want)
+
+
+def test_unitary_change_of_basis_keeps_every_outcome():
+    cases = [(inst.instance_id, inst.t, inst.ref, inst.subspace) for inst in builtin_suite()]
+    for n, seed, lam, tau, m, eps in [(6, 11, 0.2 + 0.1j, 1.0, 2, 1e-3),
+                                      (8, 12, -0.3 + 0.2j, 0.7, 3, 1e-6),
+                                      (12, 13, 0.1 - 0.4j, 1.6, 4, 1e-8)]:
+        t, ref = planted_delay_problem(n, seed, lam, tau)
+        cases.append((f"delay-n{n}", t, ref, build_subspace_eps(ref.x_star, m, eps, seed)))
+    for name, t, ref, s in cases:
+        q = seeded_unitary(t.n, 2024)
+        assert_same_outcome(analyze_case(t, ref, s), analyze_case(*in_basis(t, ref, s, q)), name)

@@ -23,7 +23,6 @@ from nepritz.nep_model import (
     ReferencePair,
     eval_T,
     eval_T_many,
-    eval_fn,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -32,25 +31,30 @@ from nepritz.nep_model import (
 )
 
 
+def value(fn, lam, order=0):
+    """A scalar term's derivative of the given order at one point."""
+    return complex(fn.eval_many(np.array([lam], dtype=complex), order)[0])
+
+
 class TestScalarFns:
     def test_polynomial_value(self):
-        assert eval_fn(Polynomial([0, 0, 1]), 2.0, 0) == pytest.approx(4.0)
+        assert value(Polynomial([0, 0, 1]), 2.0, 0) == pytest.approx(4.0)
 
     def test_polynomial_derivatives(self):
         f = Polynomial([1, 2, 3])  # 1 + 2x + 3x^2
-        assert eval_fn(f, 2.0, 1) == pytest.approx(14.0)
-        assert eval_fn(f, 2.0, 2) == pytest.approx(6.0)
-        assert eval_fn(f, 2.0, 3) == 0.0
+        assert value(f, 2.0, 1) == pytest.approx(14.0)
+        assert value(f, 2.0, 2) == pytest.approx(6.0)
+        assert value(f, 2.0, 3) == 0.0
 
     def test_rational_value_at_zero(self):
         f = Rational([0, 1], [-1, 1])  # lam / (lam - 1)
-        assert eval_fn(f, 0.0, 0) == pytest.approx(0.0)
+        assert value(f, 0.0, 0) == pytest.approx(0.0)
 
     def test_rational_derivative_matches_quotient_rule(self):
         p = np.array([0, 1], dtype=complex)
         q = np.array([-1, 1], dtype=complex)
         f = Rational(p, q)
-        got = eval_fn(f, 0.0, 1)
+        got = value(f, 0.0, 1)
         want = quotient_rule_derivative(p, q, 0.0)
         assert got == pytest.approx(want)
         assert got == pytest.approx(-1.0)
@@ -59,23 +63,24 @@ class TestScalarFns:
         # f = 1/(1 - x): f^(k)(0) = k!
         f = Rational([1], [1, -1])
         for k in range(6):
-            assert eval_fn(f, 0.0, k) == pytest.approx(float(math.factorial(k)))
+            assert value(f, 0.0, k) == pytest.approx(float(math.factorial(k)))
 
     def test_rational_pole_hit(self):
         f = Rational([0, 1], [-1, 1])
         with pytest.raises(PoleHit):
-            eval_fn(f, 1.0, 0)
+            value(f, 1.0, 0)
 
     def test_exponential_derivatives(self):
         f = Exponential(2.0 + 1.0j)
         lam = 0.3 - 0.2j
         for k in range(4):
             want = (2.0 + 1.0j) ** k * np.exp((2.0 + 1.0j) * lam)
-            assert eval_fn(f, lam, k) == pytest.approx(want)
+            assert value(f, lam, k) == pytest.approx(want)
 
     def test_order_guard(self):
+        t = MatrixFunction.from_terms([(Polynomial([1]), np.eye(2))])
         with pytest.raises(ValueError):
-            eval_fn(Polynomial([1]), 0.0, 9)
+            eval_T(t, 0.0, nep_model.MAX_DERIV_ORDER + 1)
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
@@ -117,8 +122,8 @@ class TestEvalT:
         for _ in range(5):
             lam = complex(*rng.uniform(-0.5, 0.5, 2))
             h = 1e-5
-            fd = (eval_fn(fn, lam + h, 0) - eval_fn(fn, lam - h, 0)) / (2 * h)
-            assert abs(fd - eval_fn(fn, lam, 1)) < 1e-6
+            fd = (value(fn, lam + h, 0) - value(fn, lam - h, 0)) / (2 * h)
+            assert abs(fd - value(fn, lam, 1)) < 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_derivative_consistency_finite_difference(self, seed):
@@ -171,28 +176,43 @@ class TestEvalTMany:
         for lam, got in zip(lams, stack):
             assert got.tobytes() == eval_T(t, lam, order).tobytes()
 
-    def test_term_values_equal_scalar_calls(self):
+    @pytest.mark.parametrize("fn", [
+        Polynomial([0.3 - 1.0j, 1.0, -0.7 + 0.2j]),
+        Rational([1.0, 1.0j], [2.0, 0.0, 1.0]),
+        Exponential(-0.8 + 0.3j),
+    ])
+    def test_one_by_one_slices_do_not_depend_on_the_stack(self, fn):
+        # numpy's broadcast product f(lam) A can round a one-point stack of
+        # 1 x 1 matrices differently from the same point in a larger stack
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            t = MatrixFunction.from_terms([(fn, complex_randn(rng, 1, 1))])
+            lams = complex_randn(rng, 5)
+            for order in (0, 1):
+                for k in (1, 2, 5):
+                    stack = eval_T_many(t, lams[:k], order)
+                    for j, lam in enumerate(lams[:k]):
+                        one = eval_T_many(t, [lam], order)[0]
+                        assert one.tobytes() == stack[j].tobytes()
+                        assert one.tobytes() == eval_T(t, lam, order).tobytes()
+
+    def test_term_values_equal_scalar_oracles(self):
         rng = np.random.default_rng(7)
         fns = [fn for fn, _ in self.problem(7).terms]
         fns += [Rational(complex_randn(rng, 4), complex_randn(rng, 3)),
                 Rational([1.0], [-2.0, 1.0]), Rational(complex_randn(rng, 2), [0.5j, 0, 0, 1])]
         for fn in fns:
-            if not isinstance(fn, Rational):
-                lams = complex_randn(rng, 200) * 3.0
-                for order in (0, 1, 3):
-                    many = fn.eval_many(lams, order)
-                    assert all(m == eval_fn(fn, lam, order) for m, lam in zip(many, lams))
-                continue
             # and near each pole but off it: |q| down to about 1e-12 |q'|
             lams = np.concatenate([complex_randn(rng, 40) * 3.0] + [
                 pole + 10.0 ** -rng.uniform(2, 12, 10) * np.exp(2j * np.pi * rng.random(10))
                 for pole in fn.poles()])
             for order in range(nep_model.MAX_DERIV_ORDER + 1):
-                want = np.array([leibniz_oracle(fn, lam, order) for lam in lams.tolist()])
-                # + 0 maps -0.0 to 0.0: Horner's start differs from polyval's c[-1] + lam*0
-                # only in the sign of an exact zero, which eval_T's sum drops
+                want = np.array([scalar_oracle(fn, lam, order) for lam in lams.tolist()])
+                # + 0 maps -0.0 to 0.0: past a polynomial's degree the derivative is
+                # an exact zero that _nth_der and npoly.polyder sign differently,
+                # and eval_T's sum drops the sign
                 assert (fn.eval_many(lams, order) + 0).tobytes() == (want + 0).tobytes()
-                assert fn.eval(lams[0], order) == want[0]
+                assert value(fn, lams[0], order) == want[0]
 
     def test_pole_in_stack_raises(self):
         t, _, _ = fixture_problem()
@@ -210,10 +230,23 @@ class TestEvalTMany:
             eval_T_many(t, [0.0], nep_model.MAX_DERIV_ORDER + 1)
 
 
-def leibniz_oracle(fn, lam, order):
-    """A Rational's derivative at one point: the Leibniz recurrence in Python complex arithmetic."""
-    pd = [complex(npoly.polyval(lam, npoly.polyder(fn.numerator, j))) for j in range(order + 1)]
-    qd = [complex(npoly.polyval(lam, npoly.polyder(fn.denominator, j))) for j in range(order + 1)]
+def horner(c, lam):
+    """sum_k c_k lam^k by Horner's rule in Python complex arithmetic."""
+    acc = complex(c[-1])
+    for ck in c[-2::-1].tolist():
+        acc = ck + acc * lam
+    return acc
+
+
+def scalar_oracle(fn, lam, order):
+    """A term's derivative at one point, in Python complex arithmetic."""
+    if isinstance(fn, Polynomial):
+        return horner(npoly.polyder(fn.coefficients, order), lam)
+    if isinstance(fn, Exponential):
+        return fn.scale ** order * complex(np.exp(fn.scale * lam))
+    # a Rational: the Leibniz recurrence
+    pd = [horner(npoly.polyder(fn.numerator, j), lam) for j in range(order + 1)]
+    qd = [horner(npoly.polyder(fn.denominator, j), lam) for j in range(order + 1)]
     f = [pd[0] / qd[0]]
     for k in range(1, order + 1):
         acc = pd[k]
@@ -535,7 +568,7 @@ SCALAR_TERMS = {
 def direct_remainder(fn, lam, h):
     """(f(lam + h) - f(lam) - f'(lam) h) / h^2 straight from the definition."""
     return np.array([
-        (eval_fn(fn, lam + dh, 0) - eval_fn(fn, lam, 0) - eval_fn(fn, lam, 1) * dh) / dh**2
+        (value(fn, lam + dh, 0) - value(fn, lam, 0) - value(fn, lam, 1) * dh) / dh**2
         for dh in h
     ])
 
@@ -568,8 +601,8 @@ class TestScalarRemainders:
         fn = SCALAR_TERMS[name]
         h = 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
         got = fn.remainder(LAM_STAR, h)
-        limit = eval_fn(fn, LAM_STAR, 2) / 2
-        want = limit + eval_fn(fn, LAM_STAR, 3) * h / 6
+        limit = value(fn, LAM_STAR, 2) / 2
+        want = limit + value(fn, LAM_STAR, 3) * h / 6
         if is_affine(fn):
             assert limit == 0.0 and np.all(got == 0.0)
         else:

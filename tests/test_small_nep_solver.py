@@ -281,13 +281,7 @@ def bits(z):
 
 
 def assert_same_outcomes(got, want):
-    """Same outcome types, roots and stop-test singular values, bit for bit.
-
-    At m = 1 only the roots are compared: numpy rounds the product f(lam) A
-    of a one-point eval_T_many stack of 1 x 1 matrices differently from
-    eval_T's, so a start that converges alone in its stack can see a B that
-    differs from a lone run's in the last bit.
-    """
+    """Same outcome types, roots and stop-test singular values, bit for bit."""
     (got, got_svals), (want, want_svals) = got, want
     assert len(got) == len(want) == len(got_svals) == len(want_svals)
     for g, w, gs, ws in zip(got, want, got_svals, want_svals):
@@ -295,9 +289,7 @@ def assert_same_outcomes(got, want):
             assert type(g) is type(w) and gs is None
         else:
             assert type(g) is complex and bits(g) == bits(w)
-            assert gs.shape == ws.shape
-            if gs.size > 1:
-                assert gs.tobytes() == ws.tobytes()
+            assert gs.shape == ws.shape and gs.tobytes() == ws.tobytes()
 
 
 def planted_delay_projection(n=8, m=3, eps=1e-5, seed=31):
