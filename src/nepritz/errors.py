@@ -31,10 +31,6 @@ class PoleHit(NepRitzError):
     """Evaluation point is (numerically) a pole of a rational term."""
 
 
-class UnsupportedTerm(NepRitzError):
-    """Operation does not support this scalar-function variant."""
-
-
 class NonConverged(NepRitzError):
     """Newton refinement did not reach its residual target."""
 

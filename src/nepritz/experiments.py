@@ -110,12 +110,13 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
 def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
     """Add a complex Gaussian of standard deviation sigma and re-orthonormalize.
 
-    Raises ConstructionFailed when the noisy basis is not finite or its
+    Raises ValueError for a negative, NaN or infinite sigma, and
+    ConstructionFailed when the noisy basis is not finite or its
     Gram-Schmidt result is not orthonormal, as happens from about
     sigma = 1e155 up, where the squared column norms overflow.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:  # a comparison that NaN fails
+        raise ValueError("sigma must be finite and nonnegative")
     if sigma == 0.0:
         return s
     rng = np.random.default_rng(seed)
@@ -415,8 +416,6 @@ def run_example2(
     sigma; at the reference sigma = 1e-4 they are the fixed windows listed in
     the checks.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     if not seeds:
         raise ValueError("seeds must be nonempty")
     t, ref, w = fixture_problem()

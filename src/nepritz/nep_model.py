@@ -379,17 +379,13 @@ def taylor_remainder_const(
     piv = rho[rows, big]
     dirs = rho / np.where(piv == 0, 1.0, piv)[:, None]
     dirs[rows, big] = 1.0  # exactly: a complex x / x can round away from 1
-    keys = [d.tobytes() for d in dirs]
-    live = [k for k in rows if piv[k] != 0]
-    distinct = {keys[k]: dirs[k] for k in live}  # in order of first appearance
-    slot = {key: j for j, key in enumerate(distinct)}
-    stack = np.tensordot(np.array(list(distinct.values())),
-                         np.stack([t.terms[i][1] for i in kept]), axes=1)
-    out = []
-    for f in ((lambda d: d), *maps):
-        norms = singular_values(f(stack))[:, 0].tolist()
-        out.append(1.5 * max(abs(piv[k]) * norms[slot[keys[k]]] for k in live))
-    return tuple(out)
+    live = piv != 0
+    distinct, slot = np.unique(dirs[live], axis=0, return_inverse=True)
+    stack = np.tensordot(distinct, np.stack([t.terms[i][1] for i in kept]), axes=1)
+    # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
+    scale = np.hypot(piv.real, piv.imag)[live]
+    return tuple(1.5 * np.max(scale * singular_values(f(stack))[slot, 0])
+                 for f in ((lambda d: d), *maps))
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,12 @@ eigenvalue more than 1e13 times farther from the shift than the one nearest
 it counts as infinite, and a singular pencil (det P identically zero)
 raises.  Every candidate root is polished by a Newton-trace iteration and
 then filtered: cluster-deduplication gives algebraic multiplicity, and
-cluster means parked at cleared poles or failing the sigma_min test are
-recorded as spurious, not returned.  The sigma_min test of a one-root
-cluster reads the singular values that its Newton stop test computed at
-that root; the other off-pole means are one stacked evaluation and one
-stacked SVD.  Problems with
-exponential terms skip linearization and run the Newton iteration from a
+cluster means parked at a pole of B (b.domain_poles) or failing the
+sigma_min test are recorded as spurious, not returned.  The sigma_min test
+of a one-root cluster reads the singular values that its Newton stop test
+computed at that root; the other off-pole means are one stacked evaluation
+and one stacked SVD.  The term classes choose the path: a problem with an
+exponential term skips linearization and runs the Newton iteration from a
 coarse grid of starting points instead.  Either way, all starts of a solve
 are polished in lockstep: each Newton step is one stacked evaluation and
 one stacked solve over the starts still running, and each start ends
@@ -25,6 +25,7 @@ get the stacked SVD that decides it exactly (screen_stop_test).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ from .errors import (
     NearSingular,
     NonConverged,
     PoleHit,
-    UnsupportedTerm,
 )
 # eval_T is unused here; perfbench's tracer test checks every layer's alias of it
 from .nep_model import (  # noqa: F401
@@ -65,6 +65,10 @@ SIGMA_ACCEPT = 1e-8
 POLE_GUARD = 1e-8
 # Newton starting points per side of the square grid over the region disc
 GRID_DENSITY = 12
+# a Newton run stops at the first iterate with sigma_min(B) <= NEWTON_TOL
+# max(1, ||B||_2), and fails after NEWTON_MAX_ITER steps
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-10
 # shifts sigma of the companion solve, tried in order until A - sigma E is
 # nonsingular; fixed, so a pencil always gets the same eigenvalues
 COMPANION_SHIFTS = (0.1235 + 0.0988j, -0.2713 + 0.1921j, 0.0649 - 0.3377j)
@@ -96,7 +100,7 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
-def _check_points(poles: list[complex]) -> np.ndarray:
+def _check_points(poles: tuple[complex, ...]) -> np.ndarray:
     """polynomialize's 20 sample points: uniform in [-1.5, 1.5]^2, 1e-3 off every pole.
 
     Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
@@ -113,12 +117,13 @@ def _check_points(poles: list[complex]) -> np.ndarray:
     return points[:20]
 
 
-def polynomialize(b: MatrixFunction):
-    """Clear rational denominators: return (C_0..C_d of P = q B, poles of q).
+def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
+    """Clear rational denominators: return C_0..C_d of P = q B.
 
     q is the product of the distinct denominators (each used once), so for a
-    purely polynomial input the transform is the identity with q = 1.  The
-    construction is verified by comparing P against q*B at 20 sample points:
+    purely polynomial input the transform is the identity with q = 1.  An
+    exponential term raises ValueError.  The construction is verified by
+    comparing P against q*B at 20 sample points off b.domain_poles:
     ||P - q B||_2 <= 1e-10 max(1, |q|) max_k ||C_k||_2 at each, decided by
     Frobenius norms where they can (dense_kernels.norms_within).
     """
@@ -126,7 +131,7 @@ def polynomialize(b: MatrixFunction):
     which_den: list[int | None] = []
     for fn, _ in b.terms:
         if isinstance(fn, Exponential):
-            raise UnsupportedTerm("exponential terms cannot be polynomialized")
+            raise ValueError("exponential terms cannot be polynomialized")
         if isinstance(fn, Rational):
             q = fn.denominator / fn.denominator[-1]  # monic
             for i, known in enumerate(dens):
@@ -170,18 +175,16 @@ def polynomialize(b: MatrixFunction):
     while len(out) > 1 and not np.any(out[-1]):
         out.pop()
 
-    poles = [complex(r) for r in npoly.polyroots(full)] if full.size > 1 else []
-
     # sample check: P(lam) must match q(lam) B(lam) away from the poles, at
     # 20 points evaluated as one stack on each side
-    lams = _check_points(poles)
+    lams = _check_points(b.domain_poles)
     qvals = npoly.polyval(lams, full)
     stacked = np.stack(out)
     p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)
     residual = p_vals - qvals[:, None, None] * eval_T_many(b, lams, 0)
     if not norms_within(residual, 1e-10 * np.maximum(1.0, np.abs(qvals)), scale=stacked):
         raise RuntimeError("polynomialize self-check failed")
-    return out, poles
+    return out
 
 
 def companion_eigs(coeffs: list[np.ndarray]) -> list[complex]:
@@ -285,14 +288,14 @@ def _log_screen_margin(m: int, tol: float) -> tuple[float, float]:
 
 
 def newton_trace_refine(
-    b: MatrixFunction, starts: list[complex], max_iter: int = 50, tol: float = 1e-10
+    b: MatrixFunction, starts: list[complex]
 ) -> tuple[list[complex | NonConverged | PoleHit], list[np.ndarray | None]]:
     """Polish roots of det B via lam <- lam - 1/trace(B(lam)^-1 B'(lam)).
 
     All starts advance in lockstep.  Each iteration takes one stacked
     evaluation of B at the active iterates and decides the stop test
-    sigma_min(B(lam)) <= tol * max(1, ||B(lam)||_2) on them.  The test is
-    screened first: screen_stop_test rules out, from one batched LU
+    sigma_min(B(lam)) <= NEWTON_TOL * max(1, ||B(lam)||_2) on them.  The
+    test is screened first: screen_stop_test rules out, from one batched LU
     determinant and one Frobenius norm per iterate, the iterates that
     certainly fail it, and only the rest (those near a root) get the
     stacked singular-value call that decides it exactly.  Then, for the
@@ -303,12 +306,13 @@ def newton_trace_refine(
     bound is checked again with its exact ||B||_2.  The singularity test of
     the solve reuses the singular values, and a screened iterate is
     certified nonsingular.  Each start keeps the rules of a lone run: it
-    stops at the first of its start and max_iter iterates that passes the
-    test, and gets NonConverged when the last one fails, when B is singular
-    but off-target, or when the trace vanishes, and PoleHit when an iterate
-    lands on a pole.  The update divides Python complex scalars, since
-    numpy's vectorized complex division can differ in the last bit, so a
-    start's outcome does not depend on the starts that share its stack.
+    stops at the first of its start and NEWTON_MAX_ITER iterates that
+    passes the test, and gets NonConverged when the last one fails, when B
+    is singular but off-target, or when the trace vanishes, and PoleHit
+    when an iterate lands on a pole.  The update divides Python complex
+    scalars, since numpy's vectorized complex division can differ in the
+    last bit, so a start's outcome does not depend on the starts that share
+    its stack.
     The active set is re-indexed only on a step where a start leaves it.
 
     Returns one outcome per start, in order: the root, or the NonConverged
@@ -317,6 +321,7 @@ def newton_trace_refine(
     A non-finite B or B' (ValueError) or a failed residual check
     (ConvergenceFailure) is raised, for the first start that meets one.
     """
+    max_iter, tol = NEWTON_MAX_ITER, NEWTON_TOL
     first = np.array([complex(z) for z in starts], dtype=complex)
     lams = first.copy()
     out: list = [None] * lams.size
@@ -448,31 +453,30 @@ def solve_projected(
 ) -> SpectrumResult:
     """Find the eigenvalues of B inside a closed disc.
 
-    Pipeline: polynomialize -> companion -> in-region filter -> Newton polish
-    -> dedupe (algebraic multiplicity = cluster size) -> spurious filter
-    (sigma_min test and pole proximity).  An empty result is a valid outcome.
+    Starts: a grid over the disc if B has an exponential term, else the
+    companion eigenvalues of polynomialize(b).  Then in-region filter ->
+    Newton polish -> dedupe (algebraic multiplicity = cluster size) ->
+    spurious filter (sigma_min test and b.domain_poles).  An empty result is
+    valid; a non-finite region, a radius <= 0 or a pole on its boundary
+    raises ValueError.
     """
     center = complex(region_center)
     radius = float(region_radius)
-    if radius <= 0:
-        raise ValueError("region radius must be positive")
+    if not (cmath.isfinite(center) and 0 < radius < math.inf):
+        raise ValueError("the region needs a finite center and a finite positive radius")
     for p in b.domain_poles:
         if abs(abs(p - center) - radius) <= POLE_GUARD:
             raise ValueError(f"pole {p} lies on the region boundary")
 
-    dropped = 0
-    try:
-        coeffs, poles = polynomialize(b)
-        d = len(coeffs) - 1
-        raw = companion_eigs(coeffs)
-        dropped = d * b.n - len(raw)
-        method = (
-            "companion-rationalized" if poles else "companion-polynomial"
-        )
-    except UnsupportedTerm:
+    if any(isinstance(fn, Exponential) for fn, _ in b.terms):
         raw = _grid_seeds(center, radius)
-        poles = list(b.domain_poles)
+        dropped = 0
         method = "newton-only"
+    else:
+        coeffs = polynomialize(b)
+        raw = companion_eigs(coeffs)
+        dropped = (len(coeffs) - 1) * b.n - len(raw)
+        method = "companion-rationalized" if b.domain_poles else "companion-polynomial"
 
     spurious: list[complex] = []
     polished: list[complex] = []
@@ -494,7 +498,7 @@ def solve_projected(
     residuals: list[float] = []
     multiplicities: list[int] = []
     means = [complex(np.mean(group)) for group in clusters]
-    guarded = [any(abs(z - p) <= POLE_GUARD for p in poles) for z in means]
+    guarded = [any(abs(z - p) <= POLE_GUARD for p in b.domain_poles) for z in means]
     # a one-member cluster's mean is its root bit for bit, and the stop test
     # has B's singular values there; only the other means are decomposed
     fresh = [z for z, group, g in zip(means, clusters, guarded) if not g and len(group) > 1]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -111,6 +112,15 @@ class TestPerturbSubspace:
         _, _, w = ex.fixture_problem()
         with pytest.raises(ConstructionFailed, match=message):
             ex.perturb_subspace(Subspace.from_basis(w), sigma, seed=seed)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1e-4])
+    def test_non_finite_or_negative_sigma_rejected(self, sigma):
+        # NaN and inf reached the basis and came back as ConstructionFailed
+        _, _, w = ex.fixture_problem()
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            ex.perturb_subspace(Subspace.from_basis(w), sigma, seed=0)
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            ex.run_example2(sigma=sigma, seeds=(0,))
 
 
 class TestRunExample1:

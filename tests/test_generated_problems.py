@@ -7,10 +7,13 @@ send the projected solve down its grid-Newton path.  The pinned draws are
 ones where the Ritz and refined residuals, once read from two different
 products, differed by up to 1e-7 at m = 1 although their ratio is exactly 1
 there.  Every bound of the paper is invariant under a unitary change of
-basis, and so is every outcome of the built-in suite and of delay cases.
+basis and under a shift lambda -> lambda + c of the spectral variable, and
+so is every outcome of the built-in suite and of delay cases.
 """
 
+import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,17 @@ from nepritz.experiments import (
     builtin_suite,
     random_planted_nep,
 )
-from nepritz.nep_model import Exponential, MatrixFunction, Polynomial, ReferencePair, eval_T
+from nepritz.nep_model import (
+    Exponential,
+    MatrixFunction,
+    Polynomial,
+    Rational,
+    ReferencePair,
+    _taylor_shift,
+    eval_T,
+    load_problem,
+    problem_to_dict,
+)
 from nepritz.projection import Subspace
 
 
@@ -154,13 +167,50 @@ def assert_same_outcome(case, other, name):
                 (name, r.theorem_id, got, want)
 
 
-def test_unitary_change_of_basis_keeps_every_outcome():
+def invariance_cases():
+    """The 38 built-in suite cases and three delay cases: (name, t, ref, subspace)."""
     cases = [(inst.instance_id, inst.t, inst.ref, inst.subspace) for inst in builtin_suite()]
     for n, seed, lam, tau, m, eps in [(6, 11, 0.2 + 0.1j, 1.0, 2, 1e-3),
                                       (8, 12, -0.3 + 0.2j, 0.7, 3, 1e-6),
                                       (12, 13, 0.1 - 0.4j, 1.6, 4, 1e-8)]:
         t, ref = planted_delay_problem(n, seed, lam, tau)
         cases.append((f"delay-n{n}", t, ref, build_subspace_eps(ref.x_star, m, eps, seed)))
-    for name, t, ref, s in cases:
+    assert len(cases) == 41
+    return cases
+
+
+def test_unitary_change_of_basis_keeps_every_outcome():
+    for name, t, ref, s in invariance_cases():
         q = seeded_unitary(t.n, 2024)
         assert_same_outcome(analyze_case(t, ref, s), analyze_case(*in_basis(t, ref, s, q)), name)
+
+
+def shifted(t, ref, c):
+    """The same problem in the variable lambda - c: T~(lam) = T(lam + c), l~* = l* - c.
+
+    Polynomial and rational coefficients are Taylor-shifted to c, and
+    exp(a (lam + c)) A = exp(a lam) (exp(a c) A).
+    """
+    terms = []
+    for fn, a in t.terms:
+        if isinstance(fn, Polynomial):
+            terms.append((Polynomial(_taylor_shift(fn.coefficients, c)), a))
+        elif isinstance(fn, Rational):
+            terms.append((Rational(_taylor_shift(fn.numerator, c),
+                                   _taylor_shift(fn.denominator, c)), a))
+        else:
+            terms.append((fn, cmath.exp(fn.scale * c) * a))
+    return MatrixFunction.from_terms(terms), ReferencePair(ref.lambda_star - c, ref.x_star)
+
+
+def test_shift_of_the_spectral_variable_keeps_every_outcome():
+    c = 0.3 - 0.2j
+    for name, t, ref, s in invariance_cases():
+        assert_same_outcome(analyze_case(t, ref, s), analyze_case(*shifted(t, ref, c), s), name)
+
+
+def test_delay_demo_problem_is_the_planted_one():
+    # demos/problems/delay8.json sends `nepritz sweep` down the grid-Newton path
+    path = Path(__file__).resolve().parents[1] / "demos" / "problems" / "delay8.json"
+    want = planted_delay_problem(8, 7, 0.2 + 0.1j, 1.0)
+    assert problem_to_dict(*load_problem(path)) == problem_to_dict(*want)

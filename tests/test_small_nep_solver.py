@@ -69,8 +69,8 @@ class TestPolynomialize:
             (Polynomial([1]), complex_randn(rng, 2, 2)),
             (Polynomial([0, 0, 1]), complex_randn(rng, 2, 2)),
         ])
-        coeffs, poles = polynomialize(b)
-        assert poles == []
+        coeffs = polynomialize(b)
+        assert b.domain_poles == ()
         for _ in range(5):
             lam = complex(*rng.uniform(-1, 1, 2))
             assert np.allclose(eval_poly_mats(coeffs, lam), eval_T(b, lam, 0),
@@ -78,8 +78,8 @@ class TestPolynomialize:
 
     def test_fixture_denominator_cleared(self):
         b = fixture_projected()
-        coeffs, poles = polynomialize(b)
-        assert len(poles) == 1 and abs(poles[0] - 1.0) < 1e-10
+        coeffs = polynomialize(b)
+        assert len(b.domain_poles) == 1 and abs(b.domain_poles[0] - 1.0) < 1e-10
         assert len(coeffs) == 4  # degree 3
         rng = np.random.default_rng(1)
         for _ in range(10):
@@ -91,7 +91,7 @@ class TestPolynomialize:
 
     def test_fixture_cleared_structure(self):
         # P(lam) = (lam-1) B(lam) = [[lam, 0], [lam^3 - lam^2, lam^2 - lam]]
-        coeffs, _ = polynomialize(fixture_projected())
+        coeffs = polynomialize(fixture_projected())
         p1 = eval_poly_mats(coeffs, 2.0)
         assert np.allclose(p1, [[2.0, 0.0], [4.0, 2.0]], atol=1e-12)
 
@@ -99,9 +99,9 @@ class TestPolynomialize:
         b = MatrixFunction.from_terms([
             (Rational([1], [0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        coeffs, poles = polynomialize(b)
+        coeffs = polynomialize(b)
         assert len(coeffs) == 1  # constant polynomial: no roots at all
-        assert len(poles) == 1 and abs(poles[0]) < 1e-12
+        assert len(b.domain_poles) == 1 and abs(b.domain_poles[0]) < 1e-12
         assert companion_eigs(coeffs) == []
 
     def test_close_distinct_poles_both_cleared(self):
@@ -111,8 +111,8 @@ class TestPolynomialize:
             (Rational([1], [-2, 1]), np.eye(2, dtype=complex)),
             (Rational([1], [-(2 + 1e-5), 1]), np.diag([1.0, 2.0]).astype(complex)),
         ])
-        coeffs, poles = polynomialize(b)
-        assert sorted(p.real for p in poles) == pytest.approx([2.0, 2.0 + 1e-5], abs=1e-9)
+        coeffs = polynomialize(b)
+        assert sorted(p.real for p in b.domain_poles) == pytest.approx([2.0, 2.0 + 1e-5], abs=1e-9)
         lam = 0.3 + 0.2j
         want = (lam - 2.0) * (lam - 2.0 - 1e-5) * eval_T(b, lam, 0)
         assert np.allclose(eval_poly_mats(coeffs, lam), want, atol=1e-12)
@@ -154,13 +154,10 @@ class TestPolynomialize:
         assert sns._check_points([first[2]])[-1] == first[20]
 
     def test_exponential_term_rejected(self):
-        from nepritz.errors import UnsupportedTerm
-        from nepritz.nep_model import Exponential
-
         b = MatrixFunction.from_terms([
             (Exponential(1.0), np.array([[1.0]], dtype=complex)),
         ])
-        with pytest.raises(UnsupportedTerm):
+        with pytest.raises(ValueError, match="exponential terms cannot be polynomialized"):
             polynomialize(b)
 
 
@@ -171,7 +168,7 @@ class TestCompanionEigs:
         assert match_point_sets(roots, [-1.0, 1.0], 1e-10)
 
     def test_fixture_roots_with_infinite_drop(self):
-        coeffs, _ = polynomialize(fixture_projected())
+        coeffs = polynomialize(fixture_projected())
         d, m = len(coeffs) - 1, coeffs[0].shape[0]
         roots = companion_eigs(coeffs)
         # det P = lam^2 (lam - 1): three finite roots, three at infinity
@@ -311,11 +308,12 @@ def planted_delay_projection(n=8, m=3, eps=1e-5, seed=31):
 
 
 class TestNewtonTraceRefine:
-    def test_linear_scalar_exact_in_one_step(self):
+    def test_linear_scalar_exact_in_one_step(self, monkeypatch):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        assert newton_trace_refine(b, [0.0], max_iter=2)[0] == [pytest.approx(2.0)]
+        monkeypatch.setattr(sns, "NEWTON_MAX_ITER", 2)
+        assert newton_trace_refine(b, [0.0])[0] == [pytest.approx(2.0)]
 
     def test_fixture_double_root(self):
         [mu], _ = newton_trace_refine(fixture_projected(), [0.1])
@@ -330,16 +328,17 @@ class TestNewtonTraceRefine:
         # the stop test's singular values of B at the root come back with it
         assert s.tolist() == [abs(root * root - 2.0)]
 
-    def test_nonconverged(self):
+    def test_nonconverged(self, monkeypatch):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
-        [out], [s] = newton_trace_refine(b, [100.0], max_iter=2)
+        monkeypatch.setattr(sns, "NEWTON_MAX_ITER", 2)
+        [out], [s] = newton_trace_refine(b, [100.0])
         assert isinstance(out, NonConverged) and s is None
 
     def test_one_solve_per_step(self, monkeypatch):
         # B(lam) = diag(1, 2, 3) - lam I: one step from 0.9 lands near 0.988,
-        # off the root, so max_iter = 1 ends in NonConverged
+        # off the root, so NEWTON_MAX_ITER = 1 ends in NonConverged
         b = MatrixFunction.from_terms([
             (Polynomial([1]), np.diag([1.0, 2.0, 3.0]).astype(complex)),
             (Polynomial([0, -1]), np.eye(3, dtype=complex)),
@@ -356,7 +355,8 @@ class TestNewtonTraceRefine:
 
         monkeypatch.setattr(sns, "solve_with_norm", counted_solve)
         monkeypatch.setattr(sns, "eval_T_many", counted_eval)
-        [out], _ = newton_trace_refine(b, [0.9], max_iter=1)
+        monkeypatch.setattr(sns, "NEWTON_MAX_ITER", 1)
+        [out], _ = newton_trace_refine(b, [0.9])
         assert isinstance(out, NonConverged)
         # one stacked solve with B' as a 3 x 3 right-hand side; a stop test
         # before and after the single step
@@ -375,20 +375,21 @@ class TestLockstepMatchesLoneRuns:
 
     def test_fixture_double_root_among_companion_starts(self):
         b = fixture_projected()
-        coeffs, _ = polynomialize(b)
+        coeffs = polynomialize(b)
         starts = [0.1, 0.3 - 0.2j] + [z for z in companion_eigs(coeffs) if abs(z) < 0.9]
         assert_same_outcomes(newton_trace_refine(b, starts), lone_outcomes(b, starts))
 
-    def test_max_iter_exhaustion(self):
+    def test_max_iter_exhaustion(self, monkeypatch):
         b = MatrixFunction.from_terms([
             (Polynomial([-2, 0, 1]), np.array([[1.0]], dtype=complex)),
         ])
         starts = [100.0, 1.4, 1e6j, 1.0]
-        got = newton_trace_refine(b, starts, max_iter=3)
+        monkeypatch.setattr(sns, "NEWTON_MAX_ITER", 3)
+        got = newton_trace_refine(b, starts)
         assert_same_outcomes(got, lone_outcomes(b, starts, max_iter=3))
         assert [isinstance(r, NonConverged) for r in got[0]] == [True, False, True, True]
 
-    def test_near_singular_off_target(self):
+    def test_near_singular_off_target(self, monkeypatch):
         # sigma_min(B) = 1e-15 is below the solve's 1e-14 singularity test but
         # above tol = 1e-20, so the start can neither stop nor step
         b = MatrixFunction.from_terms([
@@ -396,7 +397,8 @@ class TestLockstepMatchesLoneRuns:
             (Polynomial([0, 1]), np.diag([1.0, 0.0]).astype(complex)),
         ])
         starts = [0.5, -0.9]
-        got = newton_trace_refine(b, starts, tol=1e-20)
+        monkeypatch.setattr(sns, "NEWTON_TOL", 1e-20)
+        got = newton_trace_refine(b, starts)
         assert_same_outcomes(got, lone_outcomes(b, starts, tol=1e-20))
         off_target = got[0][0]
         assert isinstance(off_target, NonConverged) and "off-target" in str(off_target)
@@ -584,7 +586,7 @@ def test_screened_newton_equals_lone_runs_on_companion_starts(draw):
     except ConstructionFailed:
         assume(False)
     b = project(t, s)
-    starts = companion_eigs(polynomialize(b)[0])
+    starts = companion_eigs(polynomialize(b))
     assert_same_outcomes(newton_trace_refine(b, starts), lone_outcomes(b, starts))
 
 
@@ -691,6 +693,22 @@ class TestSolveProjected:
         b = fixture_projected()
         with pytest.raises(ValueError):
             solve_projected(b, 0.0, 1.0)
+
+    @pytest.mark.parametrize("center,radius", [
+        (0.0, math.nan), (0.0, math.inf), (complex(math.nan, 0.0), 1.0),
+        (complex(0.0, math.inf), 1.0),
+    ])
+    @pytest.mark.parametrize("fn", [Polynomial([-0.5, 1]), Exponential(1.0)],
+                             ids=["companion", "grid"])
+    def test_non_finite_region_rejected(self, fn, center, radius):
+        # a NaN region held no start and gave an empty spectrum, and an
+        # infinite radius overflowed the grid of Newton starts
+        b = MatrixFunction.from_terms([
+            (fn, np.array([[1.0]], dtype=complex)),
+            (Polynomial([-2.0]), np.array([[1.0]], dtype=complex)),
+        ])
+        with pytest.raises(ValueError, match="finite center and a finite positive radius"):
+            solve_projected(b, center, radius)
 
     def test_one_acceptance_stack_keeps_spurious_order(self, monkeypatch):
         # B = (lam - 0.5)/(lam - 0.2); the polished roots are planted: one on
