@@ -141,7 +141,7 @@ def _verdict_columns(verdicts: dict) -> dict:
 
 def _record_rows(records: list[dict]) -> list[dict]:
     rows = []
-    for r in records:
+    for r in sorted(records, key=lambda r: (r["epsilon"], r["seed"])):
         row = {
             "epsilon": repr(r["epsilon"]),
             "seed": r["seed"],
@@ -155,7 +155,6 @@ def _record_rows(records: list[dict]) -> list[dict]:
         }
         row.update(_verdict_columns(r["verdicts"]))
         rows.append(row)
-    rows.sort(key=lambda row: (row["epsilon"], row["seed"]))
     return rows
 
 

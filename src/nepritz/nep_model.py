@@ -26,13 +26,14 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import as_matrix, as_vector, norm2, singular_values
+from .dense_kernels import as_matrix, as_vector, norm2
 from .errors import PoleHit
 
 MAX_POLY_DEGREE = 32
 MAX_DERIV_ORDER = 8
-# points per circle of the Taylor-remainder estimate
+# points per circle of the Taylor-remainder estimate, and the circle they lie on
 REMAINDER_SAMPLES = 16
+_UNIT_CIRCLE = np.exp(2j * np.pi * np.arange(REMAINDER_SAMPLES) / REMAINDER_SAMPLES)
 # phi_2(z) = (e^z - 1 - z)/z^2 comes from its Taylor series below this |z|;
 # 17 terms leave a truncation error under 1e-20 there
 PHI2_SERIES_RADIUS = 0.5
@@ -355,12 +356,13 @@ def taylor_remainder_const(
     cancellation floor.  Terms whose rho_i is zero at every sample (the
     affine ones, where it vanishes identically) are dropped.  Each sample's
     row c = (rho_i(h)) is written as piv * d with piv its entry of largest
-    modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||, and samples with
-    the same direction d share one 2-norm.  The distinct directions
-    sum_i d_i A_i are formed once as one stack; t and each map then cost
-    one batched singular-value call over it or its image.  With one
-    nonlinear term every d is (1), and the estimate costs a single 2-norm
-    per function.
+    modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||.  With one
+    nonlinear term every d is exactly (1): the stack is that term's
+    coefficient alone, and the estimate costs a single 2-norm per function.
+    With more, each live sample (piv != 0) puts its direction sum_i d_i A_i
+    into one stack, and t and each map cost one batched norm2 over it or
+    its image.  Equal directions give equal matrices and so equal norms,
+    so nothing is deduplicated.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -368,23 +370,26 @@ def taylor_remainder_const(
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
             raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
-    unit = np.exp(2j * np.pi * np.arange(REMAINDER_SAMPLES) / REMAINDER_SAMPLES)
-    h = np.concatenate([r * unit for r in (radius / 4.0, radius / 2.0, radius)])
+    h = np.concatenate([r * _UNIT_CIRCLE for r in (radius / 4.0, radius / 2.0, radius)])
     rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
     kept = np.flatnonzero(np.any(rho != 0, axis=0))
     if kept.size == 0:
         return (0.0,) * (1 + len(maps))
-    rho = rho[:, kept]
-    rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
-    piv = rho[rows, big]
-    dirs = rho / np.where(piv == 0, 1.0, piv)[:, None]
-    dirs[rows, big] = 1.0  # exactly: a complex x / x can round away from 1
-    live = piv != 0
-    distinct, slot = np.unique(dirs[live], axis=0, return_inverse=True)
-    stack = np.tensordot(distinct, np.stack([t.terms[i][1] for i in kept]), axes=1)
     # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
-    scale = np.hypot(piv.real, piv.imag)[live]
-    return tuple(1.5 * np.max(scale * singular_values(f(stack))[slot, 0])
+    if kept.size == 1:
+        piv = rho[:, kept[0]]
+        scale = np.hypot(piv.real, piv.imag).max()
+        stack = t.terms[kept[0]][1][None]
+    else:
+        rho = rho[:, kept]
+        rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
+        piv = rho[rows, big]
+        dirs = rho / np.where(piv == 0, 1.0, piv)[:, None]
+        dirs[rows, big] = 1.0  # exactly: a complex x / x can round away from 1
+        live = piv != 0
+        scale = np.hypot(piv.real, piv.imag)[live]
+        stack = np.tensordot(dirs[live], np.stack([t.terms[i][1] for i in kept]), axes=1)
+    return tuple(1.5 * np.max(scale * norm2(f(stack)))
                  for f in ((lambda d: d), *maps))
 
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nepritz.bounds_lab as bl
-from nepritz.dense_kernels import complement_compress, norm2, singular_values
+from nepritz.dense_kernels import complement_compress, singular_values
 from nepritz.errors import (
     ConstructionFailed,
     DegenerateRatio,
@@ -289,10 +289,10 @@ class TestCaseContext:
                 return complement_compress(x, eval_T(t, z, order))
 
             assert ctx.t_star_svals.tobytes() == singular_values(eval_T(t, lam, 0)).tobytes()
-            assert ctx.norm_T_prime == norm2(eval_T(t, lam, 1))
-            assert ctx.norm_T_mu == norm2(eval_T(t, mu, 0))
+            assert ctx.norm_T_prime == singular_values(eval_T(t, lam, 1))[0]
+            assert ctx.norm_T_mu == singular_values(eval_T(t, mu, 0))[0]
             assert ctx.sigma_min_L_star == singular_values(l_at(lam, 0))[-1]
-            assert ctx.norm_L_prime == norm2(l_at(lam, 1))
+            assert ctx.norm_L_prime == singular_values(l_at(lam, 1))[0]
             assert ctx.sigma_min_L_mu == singular_values(l_at(mu, 0))[-1]
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 from pathlib import Path
@@ -100,6 +101,16 @@ class TestSweepCommand:
         assert "slope" in capsys.readouterr().out
         lines = cpath.read_text().splitlines()
         assert "sin_refined" in lines[0] and len(lines) == 1 + 5 * 2
+
+    def test_csv_rows_sort_by_value_of_epsilon(self, tmp_path):
+        # a sort on the text of epsilon put 0.0001, 0.001, 0.01 before 1e-05
+        cpath = tmp_path / "sweep.csv"
+        main(["sweep", "--problem", str(PLANTED_POLY4), "--trials", "2",
+              "--csv", str(cpath)])
+        with cpath.open(newline="") as fh:
+            keys = [(float(row["epsilon"]), int(row["seed"])) for row in csv.DictReader(fh)]
+        assert sorted({eps for eps, _ in keys}) == [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+        assert len(keys) == 7 * 2 and keys == sorted(keys)
 
     def test_one_dimensional_sweep_passes(self, capsys):
         # at m = 1 the Ritz and refined residuals are one number; read from

@@ -243,15 +243,6 @@ class TestSvd:
         m = complex_randn(rng, 6, 5)
         assert abs(norm2(m) - power_iteration_norm(m, seed=seed)) <= 1e-8 * norm2(m)
 
-    def test_norm_bit_equal_numpy_norm(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            rows, cols = rng.integers(1, 17, size=2)
-            m = complex_randn(rng, rows, cols) * 10.0 ** rng.uniform(-8, 8)
-            assert np.float64(norm2(m)).tobytes() == np.linalg.norm(m, 2).tobytes()
-        v = complex_randn(rng, 7)
-        assert norm2(v) == np.linalg.norm(np.atleast_2d(v), 2)
-
     @pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(np.inf, 1.0),
                                        complex(1.0, -np.inf)])
     def test_finite_rejects_nan_and_signed_inf(self, entry):
@@ -264,6 +255,83 @@ class TestSvd:
             as_matrix(m)
         with pytest.raises(ValueError):
             singular_values(stack)
+
+
+class TestNorm2:
+    U = 2.0 ** -53
+
+    def allowance(self, a, sigma):
+        # norm2's first-order bound, with the eigensolver's p(k) taken as k,
+        # plus k u for the error of the reference SVD; the stable rank r is
+        # scale-free, so it is read from a matrix whose squares do not overflow
+        k, q = min(a.shape), max(a.shape)
+        r = (np.linalg.norm(a) / sigma) ** 2
+        return (((q + 2) * r + k) / 2 + 1 + k) * self.U
+
+    def test_matches_numpy_norm_within_the_derived_bound(self):
+        rng = np.random.default_rng(11)
+        sizes = [(1, 1), (1, 130), (130, 1), (130, 130), (2, 129)]
+        sizes += [tuple(rng.integers(1, 131, size=2)) for _ in range(25)]
+        for rows, cols in sizes:
+            base = complex_randn(rng, rows, cols)
+            tol = self.allowance(base, np.linalg.norm(base, 2))
+            for scale in (1.0, 1e-8, 1e8, 2.0 ** -600, 2.0 ** 600):
+                a = base * scale
+                want = np.linalg.norm(a, 2)
+                assert abs(norm2(a) - want) <= tol * want, (rows, cols, scale)
+
+    def test_rank_one_is_accurate(self):
+        # stable rank 1: the bound is O(max(rows, cols) u)
+        rng = np.random.default_rng(12)
+        x, y = complex_randn(rng, 40), complex_randn(rng, 25)
+        want = np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(norm2(np.outer(x, y.conj())) - want) <= 50 * self.U * want
+
+    @pytest.mark.parametrize("k", [-600, -40, -1, 1, 40, 600])
+    def test_power_of_two_scales_exactly(self, k):
+        rng = np.random.default_rng(13)
+        for rows, cols in ((3, 3), (7, 2), (2, 9), (16, 16)):
+            a = complex_randn(rng, rows, cols)
+            assert norm2(2.0 ** k * a) == 2.0 ** k * norm2(a)
+        stack = complex_randn(rng, 6, 5, 5)
+        assert np.array_equal(norm2(2.0 ** k * stack), 2.0 ** k * norm2(stack))
+
+    @pytest.mark.parametrize("shape", [(9, 5, 5), (7, 6, 3), (7, 3, 6), (2, 3, 4, 4)])
+    def test_stack_slices_equal_single_calls(self, shape):
+        rng = np.random.default_rng(14)
+        stack = complex_randn(rng, *shape) * 10.0 ** rng.uniform(-8, 8, size=shape[:-2] + (1, 1))
+        got = norm2(stack)
+        assert got.shape == shape[:-2]
+        for idx in np.ndindex(*shape[:-2]):
+            assert got[idx] == norm2(stack[idx])
+        # a matrix's value does not depend on the stack that holds it
+        flat = stack.reshape(-1, *shape[-2:])
+        for j in range(1, len(flat) + 1):
+            assert np.array_equal(norm2(flat[:j]), got.reshape(-1)[:j])
+
+    def test_zero_matrix_and_zero_slice(self):
+        assert norm2(np.zeros((3, 4), dtype=complex)) == 0.0
+        stack = complex_randn(np.random.default_rng(15), 3, 4, 4)
+        stack[1] = 0.0
+        got = norm2(stack)
+        assert got[1] == 0.0 and got[0] == norm2(stack[0]) and got[2] == norm2(stack[2])
+
+    def test_vectors_are_rows(self):
+        v = complex_randn(np.random.default_rng(16), 7)
+        got = norm2(v)
+        assert isinstance(got, float)
+        assert got == norm2(v[None, :]) == norm2(v[:, None])
+        assert abs(got - np.linalg.norm(v)) <= 8 * self.U * got
+        assert norm2(np.array([], dtype=complex)) == 0.0
+
+    @pytest.mark.parametrize("entry", [complex(np.nan, 0.0), complex(np.inf, 1.0),
+                                       complex(1.0, -np.inf)])
+    def test_rejects_nan_and_signed_inf(self, entry):
+        m = np.ones((3, 3), dtype=complex)
+        m[1, 2] = entry
+        for bad in (m, m[1], np.stack([np.ones((3, 3), dtype=complex), m])):
+            with pytest.raises(ValueError):
+                norm2(bad)
 
 
 class TestNormsWithin:

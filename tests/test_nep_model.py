@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+import nepritz.dense_kernels as dense_kernels
 import nepritz.nep_model as nep_model
 from nepritz.bounds_lab import remainder_radius
-from nepritz.dense_kernels import complement_compress, norm2, singular_values
+from nepritz.dense_kernels import complement_compress, norm2
 from nepritz.errors import ConstructionFailed, PoleHit
 from nepritz.experiments import builtin_suite, fixture_problem, random_planted_nep
 from nepritz.nep_model import (
@@ -362,6 +363,24 @@ class TestTaylorRemainder:
                 worst = max(worst, norm2(rem) / abs(h) ** 2)
         assert taylor_remainder_const(t, lam, radius) == (pytest.approx(1.5 * worst, rel=1e-12),)
 
+    @staticmethod
+    def count_norms(monkeypatch):
+        # rows of each norm2 call of the pass; any SVD or sort fails the test
+        rows = []
+
+        def counted_norm2(m):
+            rows.append(1 if np.ndim(m) == 2 else len(m))
+            return norm2(m)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the remainder pass decomposed or sorted")
+
+        monkeypatch.setattr(nep_model, "norm2", counted_norm2)
+        monkeypatch.setattr(dense_kernels, "singular_values", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        monkeypatch.setattr(np, "unique", forbidden)
+        return rows
+
     @pytest.mark.parametrize("nonlinear", [
         Polynomial([0.3, -1.0, 0.5j]),
         Exponential(-1.0),
@@ -375,23 +394,33 @@ class TestTaylorRemainder:
             (Polynomial([0, 1]), complex_randn(rng, 5, 5)),
             (nonlinear, complex_randn(rng, 5, 5)),
         ])
-        norms, evals = [], []
-
-        def counted_svals(m):
-            out = singular_values(m)
-            norms.append(1 if np.ndim(m) == 2 else len(m))
-            return out
+        evals = []
 
         def counted_eval(*args):
             evals.append(args)
             return eval_T(*args)
 
-        monkeypatch.setattr(nep_model, "singular_values", counted_svals)
         monkeypatch.setattr(nep_model, "eval_T", counted_eval)
-        monkeypatch.setattr(nep_model, "norm2", None)
-        (gamma,) = taylor_remainder_const(t, 0.3 + 0.1j, 0.2)
-        assert gamma > 0
-        assert sum(norms) == 1 and evals == []
+        norms = self.count_norms(monkeypatch)
+        gamma, block = taylor_remainder_const(t, 0.3 + 0.1j, 0.2, lambda d: d[:, :3, :3])
+        assert gamma > 0 and block > 0
+        assert norms == [1, 1] and evals == []
+
+    def test_two_nonlinear_terms_cost_one_norm_per_live_sample(self, monkeypatch):
+        # each sample has its own direction: one matrix and one norm per
+        # sample and function, with no sort to find equal directions
+        rng = np.random.default_rng(5)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 5, 5)),
+            (Polynomial([0, 0, 1]), complex_randn(rng, 5, 5)),
+            (Exponential(-1.0), complex_randn(rng, 5, 5)),
+        ])
+        w, _ = np.linalg.qr(complex_randn(rng, 5, 2))
+        norms = self.count_norms(monkeypatch)
+        gamma, gamma_b = taylor_remainder_const(t, 0.3 + 0.1j, 0.2,
+                                                lambda d: w.conj().T @ d @ w)
+        assert gamma > 0 and gamma_b > 0
+        assert norms == [3 * nep_model.REMAINDER_SAMPLES] * 2
 
     def test_pure_quadratic(self):
         t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), np.eye(2, dtype=complex))])
@@ -447,7 +476,7 @@ def per_function_remainder(t, lambda_star, radius):
         fresh = {keys[k]: dirs[k] for k in circle if piv[k] != 0 and keys[k] not in norms}
         if fresh:
             stack = np.tensordot(np.array(list(fresh.values())), coeffs, axes=1)
-            norms.update(zip(fresh, singular_values(stack)[:, 0].tolist()))
+            norms.update(zip(fresh, norm2(stack).tolist()))
     worst = max((abs(piv[k]) * norms[keys[k]] for k in rows if piv[k] != 0), default=0.0)
     return 1.5 * worst
 
@@ -464,6 +493,17 @@ def assert_shared_pass_matches_loop(t, x_star, basis, lam, radius):
     assert got[0].hex() == want[0].hex()
     for g, w in zip(got[1:], want[1:]):
         assert math.isclose(g, w, rel_tol=1e-12, abs_tol=0.0), (g, w)
+
+
+def assert_remainder_scales_with_t(t, x_star, basis, lam, radius):
+    # gamma, beta and gamma_B of 2^k T are 2^k times those of T, bit for bit:
+    # the pass is linear in the coefficients and norm2 scales exactly
+    maps = (lambda d: complement_compress(x_star, d), lambda d: basis.conj().T @ d @ basis)
+    base = taylor_remainder_const(t, lam, radius, *maps)
+    for k in (-40, 40):
+        scaled = MatrixFunction.from_terms([(fn, 2.0 ** k * a) for fn, a in t.terms])
+        got = taylor_remainder_const(scaled, lam, radius, *maps)
+        assert [g.hex() for g in got] == [(2.0 ** k * c).hex() for c in base], k
 
 
 def suite_remainder_cases():
@@ -521,6 +561,24 @@ class TestSharedRemainderPass:
         w, _ = np.linalg.qr(complex_randn(np.random.default_rng(seed), n, m))
         assert_shared_pass_matches_loop(t, ref.x_star, w, lam,
                                         remainder_radius(t, lam, lam + 0.05))
+
+    @pytest.mark.parametrize("inst", builtin_suite(), ids=lambda inst: inst.instance_id)
+    def test_suite_constants_scale_with_t(self, inst):
+        lam = inst.ref.lambda_star
+        assert_remainder_scales_with_t(inst.t, inst.ref.x_star, inst.subspace.basis, lam,
+                                       remainder_radius(inst.t, lam, lam + 0.05))
+
+    def test_delay_constants_scale_with_t(self):
+        rng = np.random.default_rng(11)
+        t = MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, 8, 8)),
+            (Polynomial([0, 1]), complex_randn(rng, 8, 8)),
+            (Polynomial([0, 0, 1]), complex_randn(rng, 8, 8)),
+            (Exponential(-1.0), complex_randn(rng, 8, 8)),
+        ])
+        x = complex_randn(rng, 8)
+        w, _ = np.linalg.qr(complex_randn(rng, 8, 3))
+        assert_remainder_scales_with_t(t, x / np.linalg.norm(x), w, 0.2 + 0.1j, 0.3)
 
     def test_one_constant_per_function(self):
         rng = np.random.default_rng(13)
