@@ -48,6 +48,9 @@ IDENTITY_TOL = 1e-8
 RATE_REL_SLACK = 0.05
 # decay-cascade threshold of the derivative-order detection
 TAU_DERIV = 1e-2
+# mu with |mu - l*| below this coincides with lambda_star: the rate bound is
+# a trivial 0 <= 0 and needs no derivative profile
+MU_AT_LAMBDA_TOL = 1e-13
 
 # highest derivative order of the sigma_min profile behind the rate bound
 PROFILE_MAX_ORDER = 3
@@ -415,7 +418,7 @@ def ritz_value_bound(ctx: CaseContext, profile: DerivativeProfile | None) -> Bou
     lambda_star the bound is a trivial 0 <= 0 and no profile is needed.
     """
     r, t_norm, eps = ctx.mu_dist, ctx.norm_T_star, ctx.eps
-    if r < 1e-13:
+    if r < MU_AT_LAMBDA_TOL:
         return _report(
             "ritz_value_rate", r, 0.0, 0.0, DEFAULT_FLOOR,
             {"epsilon": eps, "norm_T_star": t_norm, "m_mu": 0, "alpha": 0.0},

@@ -5,7 +5,8 @@ degenerate projection), ``example2`` (perturbed-subspace statistics),
 ``sweep`` (deviation ladder on a user problem file), and ``verify-all``
 (every bound evaluator over the built-in suite).  Exit code 0 means every
 check or applicable bound holds and 2 a usage error, so the harness doubles
-as a CI gate.  A JSON config file can mirror any flag; explicit flags win.
+as a CI gate.  A JSON config file can mirror any of a subcommand's flags;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -34,20 +35,12 @@ def _parse_selection(text: str) -> tuple[str, complex | None]:
     raise argparse.ArgumentTypeError("selection must be 'oracle' or 'target=<complex>'")
 
 
-def _parse_eps_list(text: str) -> list[float]:
+def _parse_eps(text: str) -> list[float]:
+    """Comma-separated deviations in (0, 1) that span the 4 decades a sweep needs."""
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
-    return _check_eps(values)
-
-
-def _check_eps(values) -> list:
-    """values if it is a list of numbers in (0, 1) that a sweep accepts, else a usage error."""
-    # a JSON boolean is no number here
-    if not isinstance(values, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-        raise argparse.ArgumentTypeError("eps must be a list of numbers")
     if any(not 0.0 < v < 1.0 for v in values):
         raise argparse.ArgumentTypeError("epsilon values must lie in (0, 1)")
     try:
@@ -57,65 +50,78 @@ def _check_eps(values) -> list:
     return values
 
 
-_GLOBAL_DEFAULTS = {
-    "selection": "oracle",
-    "json": None,
-    "csv": None,
-    "sigma": 1e-4,
-    "seeds": 20,
-    "seed_base": 42,
-    "eps": [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
-    "trials": 5,
-    "subspace_dim": 2,
-    "out": None,
-    "problem": None,
-}
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    """config-file values fill unset flags; built-in defaults fill the rest."""
-    merged = dict(_GLOBAL_DEFAULTS)
-    if getattr(args, "config", None):
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:
-            raise argparse.ArgumentTypeError(f"cannot read config {args.config}: {exc}")
-        if not isinstance(loaded, dict):
-            raise argparse.ArgumentTypeError("config file must hold a JSON object")
-        unknown = set(loaded) - set(merged)
-        if unknown:
-            raise argparse.ArgumentTypeError(f"unknown config keys: {sorted(unknown)}")
-        # the key follows its flag, which only some subcommands declare
-        if "selection" in loaded and not hasattr(args, "selection"):
-            raise argparse.ArgumentTypeError(
-                f"selection is not an option of {args.command}")
-        merged.update(loaded)
-    for key in merged:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    eps = merged["eps"]
-    merged["eps"] = _parse_eps_list(eps) if isinstance(eps, str) else _check_eps(eps)
-    # a flag arrives parsed; a config value must be a string
-    if isinstance(merged["selection"], str):
-        merged["selection"] = _parse_selection(merged["selection"])
-    elif not isinstance(merged["selection"], tuple):
-        raise argparse.ArgumentTypeError("selection must be a string")
-    # float(True) is 1.0, so a JSON boolean is refused before the conversion
-    if isinstance(merged["sigma"], bool):
-        raise argparse.ArgumentTypeError("sigma must be a number")
+def _parse_sigma(text: str) -> float:
     try:
-        merged["sigma"] = float(merged["sigma"])
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError("sigma must be a number")
-    # a comparison that NaN fails
-    if not 0 <= merged["sigma"] < math.inf:
+        sigma = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sigma must be a number, not {text!r}")
+    if not 0 <= sigma < math.inf:  # a comparison that NaN fails
         raise argparse.ArgumentTypeError("sigma must be finite and nonnegative")
-    for key, least in (("seeds", 1), ("trials", 1), ("subspace_dim", 1), ("seed_base", 0)):
-        val = merged[key]
-        if isinstance(val, bool) or not isinstance(val, int) or val < least:
-            raise argparse.ArgumentTypeError(f"{key} must be an integer >= {least}")
-    return merged
+    return sigma
+
+
+def _integer_at_least(name: str, least: int):
+    """Parser of an integer option; the error names its config key."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {least}")
+        return value
+    return parse
+
+
+def _flag_text(value, default) -> str:
+    """A config value as the text its flag would carry.
+
+    TypeError, naming the JSON type wanted, unless value has the JSON type of
+    the flag's default: a string where that is None or a string, a list of
+    numbers where it is a list, else a number.
+    """
+    if default is None or isinstance(default, str):
+        if isinstance(value, str):
+            return value
+        raise TypeError("a string")
+    if isinstance(default, list):
+        if isinstance(value, list):
+            try:
+                return ",".join(_flag_text(v, default[0]) for v in value)
+            except TypeError:
+                pass
+        raise TypeError("a list of numbers")
+    # float(True) is 1.0, so a JSON boolean is no number here
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return repr(value)
+    raise TypeError("a number")
+
+
+def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, str]:
+    """The config file's values as flag texts, keyed by the subcommand's options.
+
+    A key is a long option of the subcommand, underscored, other than
+    --config; any other key, or a value of the wrong JSON type, is a usage
+    error.
+    """
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {path}: {exc}")
+    if not isinstance(loaded, dict):
+        parser.error("config file must hold a JSON object")
+    defaults = {a.dest: a.default for a in parser._actions
+                if a.option_strings and a.dest not in ("help", "config")}
+    unknown = sorted(set(loaded) - set(defaults))
+    if unknown:
+        parser.error(f"unknown config keys: {unknown}")
+    texts = {}
+    for key, value in loaded.items():
+        try:
+            texts[key] = _flag_text(value, defaults[key])
+        except TypeError as exc:
+            parser.error(f"config key {key} must be {exc}")
+    return texts
 
 
 def _emit(doc: dict, json_path, csv_path, csv_rows: list[dict]) -> None:
@@ -135,80 +141,71 @@ def _check_rows(checks: list[dict]) -> list[dict]:
             for c in checks]
 
 
-def _verdict_columns(verdicts: dict) -> dict:
-    return {f"verdict_{tid}": "" if v is None else int(v) for tid, v in verdicts.items()}
+def _record_row(record: dict) -> dict:
+    """A record's CSV row: mu in two columns, a verdict_<id> column per bound."""
+    row = {"mu_re": repr(record["mu"][0]), "mu_im": repr(record["mu"][1])}
+    for key, value in record.items():
+        if key == "verdicts":
+            row.update((f"verdict_{tid}", "" if v is None else int(v))
+                       for tid, v in value.items())
+        elif key != "mu":
+            row[key] = repr(value)
+    return row
 
 
 def _record_rows(records: list[dict]) -> list[dict]:
-    rows = []
-    for r in sorted(records, key=lambda r: (r["epsilon"], r["seed"])):
-        row = {
-            "epsilon": repr(r["epsilon"]),
-            "seed": r["seed"],
-            "mu_re": repr(r["mu"][0]),
-            "mu_im": repr(r["mu"][1]),
-            "mu_dist": repr(r["mu_dist"]),
-            "sin_ritz": repr(r["sin_ritz"]),
-            "sin_refined": repr(r["sin_refined"]),
-            "rho_ritz": repr(r["rho_ritz"]),
-            "sigma_hat_1": repr(r["sigma_hat_1"]),
-        }
-        row.update(_verdict_columns(r["verdicts"]))
-        rows.append(row)
-    return rows
+    return [_record_row(r) for r in sorted(records, key=lambda r: (r["epsilon"], r["seed"]))]
 
 
-def _cmd_example1(cfg: dict) -> int:
-    mode, target = cfg["selection"]
+def _cmd_example1(args: argparse.Namespace) -> int:
+    mode, target = args.selection
     if mode == "target":
         doc = ex.run_example1_target(target)
         mu_re, mu_im = doc["mu"]
         print(f"selected value {complex(mu_re, mu_im):.6g} for target {target:.6g}")
-        row = {"mu_re": repr(mu_re), "mu_im": repr(mu_im),
-               "sin_refined": repr(doc["sin_refined"])}
-        row.update(_verdict_columns(doc["verdicts"]))
-        _emit(doc, cfg["json"], cfg["csv"], [row])
+        row = _record_row({k: v for k, v in doc.items() if k != "ok"})
+        _emit(doc, args.json, args.csv, [row])
         return 0 if doc["ok"] else 1
     result = ex.run_example1()
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
-    _emit(result, cfg["json"], cfg["csv"], _check_rows(result["checks"]))
+    _emit(result, args.json, args.csv, _check_rows(result["checks"]))
     return 0 if result["ok"] else 1
 
 
-def _cmd_example2(cfg: dict) -> int:
+def _cmd_example2(args: argparse.Namespace) -> int:
     result = ex.run_example2(
-        sigma=cfg["sigma"],
-        seeds=tuple(range(cfg["seeds"])),
-        seed_base=cfg["seed_base"],
+        sigma=args.sigma,
+        seeds=tuple(range(args.seeds)),
+        seed_base=args.seed_base,
     )
     for c in result["checks"]:
         print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}: {c['value']:.3e}")
     if result["anomalous_seeds"]:
         print(f"anomalous seeds: {result['anomalous_seeds']}")
-    _emit(result, cfg["json"], cfg["csv"], _record_rows(result["records"]))
+    _emit(result, args.json, args.csv, _record_rows(result["records"]))
     return 0 if result["ok"] else 1
 
 
-def _cmd_sweep(cfg: dict) -> int:
-    if not cfg["problem"]:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not args.problem:
         raise argparse.ArgumentTypeError("sweep requires --problem, a problem JSON file")
     try:
-        t, ref = load_problem(cfg["problem"])
+        t, ref = load_problem(args.problem)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot load problem {cfg['problem']}: {exc}")
+        raise argparse.ArgumentTypeError(f"cannot load problem {args.problem}: {exc}")
     if ref is None:
         raise argparse.ArgumentTypeError("sweep needs a problem with a 'reference' block")
-    if cfg["subspace_dim"] >= t.n:
+    if args.subspace_dim >= t.n:
         raise argparse.ArgumentTypeError(
             f"subspace_dim must be below the problem dimension {t.n}")
-    _, target = cfg["selection"]
+    _, target = args.selection
     result = ex.run_sweep(
         t, ref,
-        eps_list=cfg["eps"],
-        trials=cfg["trials"],
-        m=cfg["subspace_dim"],
-        seed_base=cfg["seed_base"],
+        eps_list=args.eps,
+        trials=args.trials,
+        m=args.subspace_dim,
+        seed_base=args.seed_base,
         target=target,
     )
     if result["slope_mu"] is None:
@@ -218,12 +215,12 @@ def _cmd_sweep(cfg: dict) -> int:
         print(f"slope sin(refined angle) vs eps: {result['slope_refined']:.3f}")
     for line in result["failures"]:
         print(f"[error] {line}")
-    _emit(result, cfg["json"], cfg["csv"], _record_rows(result["records"]))
+    _emit(result, args.json, args.csv, _record_rows(result["records"]))
     return 0 if result["ok"] else 1
 
 
-def _cmd_verify_all(cfg: dict) -> int:
-    result = ex.verify_all(out_dir=cfg["out"])
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    result = ex.verify_all(out_dir=args.out)
     tagged = result.pop("reports")
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "
@@ -235,9 +232,9 @@ def _cmd_verify_all(cfg: dict) -> int:
         print(f"[error] {inst}: {msg}")
     if result["ok"]:
         print("all applicable bounds hold")
-    _emit(result, cfg["json"], None, [])
-    if cfg["csv"]:
-        bl.write_summary_csv(tagged, cfg["csv"])
+    _emit(result, args.json, None, [])
+    if args.csv:
+        bl.write_summary_csv(tagged, args.csv)
     return 0 if result["ok"] else 1
 
 
@@ -248,8 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", help="write one CSV row per record, check or report")
     # only example1 and sweep select among several Ritz values
     selection = argparse.ArgumentParser(add_help=False)
-    selection.add_argument("--selection", type=_parse_selection,
+    selection.add_argument("--selection", type=_parse_selection, default="oracle",
                            help="oracle | target=<complex>")
+    seed_base = argparse.ArgumentParser(add_help=False)
+    seed_base.add_argument("--seed-base", type=_integer_at_least("seed_base", 0),
+                           default=42, help="seed of the first trial")
 
     p = argparse.ArgumentParser(
         prog="nepritz",
@@ -257,26 +257,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("example1", parents=[common, selection],
-                   help="exact-capture degenerate projection checks")
+    p1 = sub.add_parser("example1", parents=[common, selection],
+                        help="exact-capture degenerate projection checks")
+    p1.set_defaults(handler=_cmd_example1)
 
-    p2 = sub.add_parser("example2", parents=[common],
+    p2 = sub.add_parser("example2", parents=[common, seed_base],
                         help="perturbed-subspace statistics")
-    p2.add_argument("--sigma", type=float, help="perturbation standard deviation")
-    p2.add_argument("--seeds", type=int, help="number of seeds")
-    p2.add_argument("--seed-base", dest="seed_base", type=int)
+    p2.add_argument("--sigma", type=_parse_sigma, default=1e-4,
+                    help="perturbation standard deviation")
+    p2.add_argument("--seeds", type=_integer_at_least("seeds", 1), default=20,
+                    help="number of seeds")
+    p2.set_defaults(handler=_cmd_example2)
 
-    p3 = sub.add_parser("sweep", parents=[common, selection],
+    p3 = sub.add_parser("sweep", parents=[common, selection, seed_base],
                         help="deviation sweep on a problem")
     p3.add_argument("--problem", help="problem JSON file")
-    p3.add_argument("--eps", type=_parse_eps_list, help="comma-separated deviations")
-    p3.add_argument("--trials", type=int)
-    p3.add_argument("--subspace-dim", dest="subspace_dim", type=int)
-    p3.add_argument("--seed-base", dest="seed_base", type=int)
+    p3.add_argument("--eps", type=_parse_eps,
+                    default=[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8],
+                    help="comma-separated deviations")
+    p3.add_argument("--trials", type=_integer_at_least("trials", 1), default=5)
+    p3.add_argument("--subspace-dim", type=_integer_at_least("subspace_dim", 1),
+                    default=2)
+    p3.set_defaults(handler=_cmd_sweep)
 
     p4 = sub.add_parser("verify-all", parents=[common],
                         help="run every bound over the built-in suite")
     p4.add_argument("--out", help="directory for reports.jsonl / summary.csv")
+    p4.set_defaults(handler=_cmd_verify_all)
 
     return p
 
@@ -284,14 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = {
-        "example1": _cmd_example1,
-        "example2": _cmd_example2,
-        "sweep": _cmd_sweep,
-        "verify-all": _cmd_verify_all,
-    }[args.command]
+    if args.config:
+        # the file's values become the subcommand's defaults, so the flags'
+        # own type parsers check them and the flags given here still win
+        (subcommands,) = [a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)]
+        command = subcommands.choices[args.command]
+        command.set_defaults(**_config_defaults(command, args.config))
+        args = parser.parse_args(argv)
     try:
-        return handler(_merge_config(args))
+        return args.handler(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
     except NepRitzError as exc:

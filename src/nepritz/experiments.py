@@ -253,7 +253,7 @@ def analyze_case(
 
     def rate_bound():
         profile = None
-        if r >= 1e-13:
+        if r >= bl.MU_AT_LAMBDA_TOL:
             profile = bl.sigma_min_profile(
                 b, lam_star, direction=(mu - lam_star) / r, disc_radius=r,
             )
@@ -360,47 +360,22 @@ def run_example1_target(target: complex) -> dict:
 # canned experiment 2: perturbed subspace statistics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepRecord:
-    """One (eps | sigma, seed) trial of the pipeline."""
+def trial_record(case: CaseResult, seed: int, epsilon: float) -> dict:
+    """The JSON record of one (eps | sigma, seed) trial of the pipeline.
 
-    epsilon: float
-    seed: int
-    mu: complex
-    mu_dist: float
-    sin_ritz: float
-    sin_refined: float
-    rho_ritz: float
-    sigma_hat_1: float
-    verdicts: dict[str, bool | None] = field(default_factory=dict)
-
-    @classmethod
-    def from_case(cls, case: CaseResult, seed: int, epsilon: float) -> "SweepRecord":
-        # a sweep files a trial under its requested eps so trials group by it
-        return cls(
-            epsilon=epsilon,
-            seed=seed,
-            mu=case.mu,
-            mu_dist=case.mu_dist,
-            sin_ritz=case.sin_ritz,
-            sin_refined=case.sin_refined,
-            rho_ritz=case.ritz.residual_norm,
-            sigma_hat_1=case.refined.sigma_hat_1,
-            verdicts=case.verdicts(),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "mu": [self.mu.real, self.mu.imag],
-            "mu_dist": self.mu_dist,
-            "sin_ritz": self.sin_ritz,
-            "sin_refined": self.sin_refined,
-            "rho_ritz": self.rho_ritz,
-            "sigma_hat_1": self.sigma_hat_1,
-            "verdicts": {k: v for k, v in sorted(self.verdicts.items())},
-        }
+    A sweep files a trial under its requested eps, so trials group by it.
+    """
+    return {
+        "epsilon": epsilon,
+        "seed": seed,
+        "mu": [case.mu.real, case.mu.imag],
+        "mu_dist": case.mu_dist,
+        "sin_ritz": case.sin_ritz,
+        "sin_refined": case.sin_refined,
+        "rho_ritz": case.ritz.residual_norm,
+        "sigma_hat_1": case.refined.sigma_hat_1,
+        "verdicts": dict(sorted(case.verdicts().items())),
+    }
 
 
 def run_example2(
@@ -420,23 +395,25 @@ def run_example2(
         raise ValueError("seeds must be nonempty")
     t, ref, w = fixture_problem()
     s0 = Subspace.from_basis(w)
-    records: list[SweepRecord] = []
+    records: list[dict] = []
+    abs_mu = []
     per_seed_mu_ok = []
     mu_cap = 1e-3 * max(sigma / 1e-4, 1.0)
     for k in seeds:
         seed = seed_base + k
         s = perturb_subspace(s0, sigma, seed)
         case = analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
-        records.append(SweepRecord.from_case(case, seed, epsilon=case.epsilon))
+        records.append(trial_record(case, seed, epsilon=case.epsilon))
+        abs_mu.append(abs(case.mu))
         per_seed_mu_ok.append(abs(case.mu) <= mu_cap)
 
     med = {
-        "sin_refined": float(np.median([r.sin_refined for r in records])),
-        "sin_ritz": float(np.median([r.sin_ritz for r in records])),
+        "sin_refined": float(np.median([r["sin_refined"] for r in records])),
+        "sin_ritz": float(np.median([r["sin_ritz"] for r in records])),
         "residual_ratio": float(np.median(
-            [r.sigma_hat_1 / max(r.rho_ritz, 1e-300) for r in records])),
-        "epsilon": float(np.median([r.epsilon for r in records])),
-        "abs_mu": float(np.median([abs(r.mu) for r in records])),
+            [r["sigma_hat_1"] / max(r["rho_ritz"], 1e-300) for r in records])),
+        "epsilon": float(np.median([r["epsilon"] for r in records])),
+        "abs_mu": float(np.median(abs_mu)),
     }
 
     window = (1e-5, 1e-3) if sigma == 1e-4 else (sigma / 10.0, sigma * 10.0)
@@ -451,7 +428,7 @@ def run_example2(
         {"name": "selected_value_near_target",
          "ok": all(per_seed_mu_ok), "value": med["abs_mu"]},
     ]
-    anomalies = [r.seed for r, ok in zip(records, per_seed_mu_ok) if not ok]
+    anomalies = [r["seed"] for r, ok in zip(records, per_seed_mu_ok) if not ok]
     return {
         "ok": all(c["ok"] for c in checks),
         "sigma": sigma,
@@ -459,7 +436,7 @@ def run_example2(
         "medians": med,
         "checks": checks,
         "anomalous_seeds": anomalies,
-        "records": [r.to_dict() for r in records],
+        "records": records,
     }
 
 
@@ -586,7 +563,7 @@ def run_sweep(
     fixed shift.
     """
     eps_arr = sweep_deviations(eps_list)
-    records: list[SweepRecord] = []
+    records: list[dict] = []
     failures: list[str] = []
     for eps in eps_arr:
         for trial in range(trials):
@@ -600,19 +577,19 @@ def run_sweep(
             except NepRitzError as exc:
                 failures.append(f"eps={eps} seed={seed}: {type(exc).__name__}: {exc}")
                 continue
-            records.append(SweepRecord.from_case(case, seed, epsilon=eps))
-    by_eps: dict[float, list[SweepRecord]] = {}
+            records.append(trial_record(case, seed, epsilon=eps))
+    by_eps: dict[float, list[dict]] = {}
     for r in records:
-        by_eps.setdefault(r.epsilon, []).append(r)
+        by_eps.setdefault(r["epsilon"], []).append(r)
     eps_pts = sorted(by_eps)
-    med_mu = [float(np.median([r.mu_dist for r in by_eps[e]])) for e in eps_pts]
-    med_refined = [float(np.median([r.sin_refined for r in by_eps[e]])) for e in eps_pts]
+    med_mu = [float(np.median([r["mu_dist"] for r in by_eps[e]])) for e in eps_pts]
+    med_refined = [float(np.median([r["sin_refined"] for r in by_eps[e]])) for e in eps_pts]
     # a slope needs two deviations; with fewer there is none to report
     fitted = len(eps_pts) >= 2
     slope_mu = fit_loglog_slope(eps_pts, med_mu) if fitted else None
     slope_refined = fit_loglog_slope(eps_pts, med_refined) if fitted else None
     bound_ok = all(
-        v for r in records for v in r.verdicts.values() if v is not None
+        v for r in records for v in r["verdicts"].values() if v is not None
     )
     return {
         "ok": fitted and bound_ok and not failures,
@@ -621,7 +598,7 @@ def run_sweep(
         "eps": eps_pts,
         "median_mu_dist": med_mu,
         "median_sin_refined": med_refined,
-        "records": [r.to_dict() for r in records],
+        "records": records,
         "failures": failures,
     }
 

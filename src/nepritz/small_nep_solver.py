@@ -94,7 +94,6 @@ class SpectrumResult:
     multiplicities: list[int]
     method: str
     filtered_spurious: list[complex] = field(default_factory=list)
-    dropped_infinite: int = 0
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -470,12 +469,10 @@ def solve_projected(
 
     if any(isinstance(fn, Exponential) for fn, _ in b.terms):
         raw = _grid_seeds(center, radius)
-        dropped = 0
         method = "newton-only"
     else:
         coeffs = polynomialize(b)
         raw = companion_eigs(coeffs)
-        dropped = (len(coeffs) - 1) * b.n - len(raw)
         method = "companion-rationalized" if b.domain_poles else "companion-polynomial"
 
     spurious: list[complex] = []
@@ -520,7 +517,6 @@ def solve_projected(
         multiplicities=[multiplicities[i] for i in order],
         method=method,
         filtered_spurious=spurious,
-        dropped_infinite=dropped,
     )
 
 

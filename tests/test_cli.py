@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import nepritz.experiments as ex
-from nepritz.cli import main
+from nepritz.cli import build_parser, main
 from nepritz.experiments import fixture_problem, random_planted_nep, simple_rate_instance
 from nepritz.nep_model import save_problem
 
@@ -355,3 +356,116 @@ class TestOutOfRangeInput:
         with pytest.raises(SystemExit) as exc:
             main(["example1", "--config", str(cfg)])
         assert exc.value.code == 2
+
+
+class TestConfigKeys:
+    # a bad config stops the command before it prints or writes anything
+    @pytest.mark.parametrize("command", ["example1", "example2", "sweep", "verify-all"])
+    @pytest.mark.parametrize("config", [{"json": 5}, {"csv": True}, {"csv": 2}],
+                             ids=["json=5", "csv=true", "csv=2"])
+    def test_output_path_of_wrong_type_is_usage_error(self, command, config, tmp_path,
+                                                      monkeypatch, capfd):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(command_line(command) + ["--config", "cfg.json"])
+        assert exc.value.code == 2
+        out, err = capfd.readouterr()
+        assert out == "" and next(iter(config)) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("command,key", [
+        ("example1", "sigma"),
+        ("sweep", "out"),
+        ("example2", "eps"),
+        ("example1", "config"),
+        ("example2", "config"),
+        ("sweep", "config"),
+        ("verify-all", "config"),
+    ])
+    def test_key_that_is_no_option_of_the_subcommand_rejected(self, command, key,
+                                                              tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(tmp_path / "x")}))
+        with pytest.raises(SystemExit) as exc:
+            main(command_line(command) + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"unknown config keys: ['{key}']" in err
+
+
+def _subcommand_options() -> list[tuple[str, str]]:
+    """(subcommand, config key) for each long option but --config and --help."""
+    (subcommands,) = [a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    return [(name, o[2:].replace("-", "_"))
+            for name, parser in subcommands.choices.items()
+            for action in parser._actions for o in action.option_strings
+            if o.startswith("--") and o not in ("--config", "--help")]
+
+
+_EPS5 = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+# (flag text, config value) of each option; a new option needs an entry
+_OPTION_VALUES = {
+    "json": ("out.json", "out.json"),
+    "csv": ("out.csv", "out.csv"),
+    "selection": ("target=0.3+0.2j", "target=0.3+0.2j"),
+    "sigma": ("1e-3", 1e-3),
+    "seeds": ("2", 2),
+    "seed_base": ("7", 7),
+    "problem": (str(PLANTED_POLY4), str(PLANTED_POLY4)),
+    "eps": (",".join(map(str, _EPS5)), _EPS5),
+    "trials": ("2", 2),
+    "subspace_dim": ("1", 1),
+    "out": ("reports", "reports"),
+}
+# keeps each run down to a few cases
+_CHEAP = {
+    "example2": {"seeds": ("1", 1)},
+    "sweep": {"problem": _OPTION_VALUES["problem"], "trials": ("1", 1),
+              "eps": _OPTION_VALUES["eps"]},
+}
+
+
+class TestConfigMirrorsFlags:
+    @pytest.fixture(autouse=True)
+    def small_suite(self, monkeypatch):
+        suite = ex.builtin_suite()[:3]
+        monkeypatch.setattr(ex, "builtin_suite", lambda: suite)
+
+    def run(self, cwd, command, flags, config, monkeypatch, capsys):
+        """Exit code, stdout and every file written, run in a fresh directory cwd."""
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv = [command]
+        for key, (text, _) in flags.items():
+            argv += ["--" + key.replace("_", "-"), text]
+        if config:
+            Path("cfg.json").write_text(json.dumps({k: v for k, (_, v) in config.items()}))
+            argv += ["--config", "cfg.json"]
+        code = main(argv)
+        files = {p.relative_to(cwd).as_posix(): p.read_bytes()
+                 for p in sorted(cwd.rglob("*")) if p.is_file() and p.name != "cfg.json"}
+        return code, capsys.readouterr().out, files
+
+    @pytest.mark.parametrize("command,key", _subcommand_options())
+    def test_config_value_acts_as_its_flag(self, command, key, tmp_path, monkeypatch,
+                                           capsys):
+        base = {"json": _OPTION_VALUES["json"], "csv": _OPTION_VALUES["csv"],
+                **_CHEAP.get(command, {})}
+        given = {key: _OPTION_VALUES[key]}
+        as_flags = self.run(tmp_path / "flags", command, {**base, **given}, {},
+                            monkeypatch, capsys)
+        as_config = self.run(tmp_path / "config", command,
+                             {k: v for k, v in base.items() if k != key}, given,
+                             monkeypatch, capsys)
+        assert as_config == as_flags
+        assert "out.json" in as_flags[2]
+
+    @pytest.mark.parametrize("command", ["example1", "example2", "sweep", "verify-all"])
+    def test_config_of_every_option_acts_as_the_flags(self, command, tmp_path,
+                                                      monkeypatch, capsys):
+        given = {k: _OPTION_VALUES[k] for c, k in _subcommand_options() if c == command}
+        as_flags = self.run(tmp_path / "flags", command, given, {}, monkeypatch, capsys)
+        as_config = self.run(tmp_path / "config", command, {}, given, monkeypatch, capsys)
+        assert as_config == as_flags

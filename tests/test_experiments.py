@@ -187,7 +187,7 @@ class TestRunExample2:
         s = ex.perturb_subspace(Subspace.from_basis(w), 1e-4, 3)
         case = ex.analyze_case(t, ref, s, region_center=0.0, region_radius=1e6)
         rec = ex.run_example2(sigma=1e-4, seeds=(3,))["records"][0]
-        assert rec == ex.SweepRecord.from_case(case, 3, epsilon=case.epsilon).to_dict()
+        assert rec == ex.trial_record(case, 3, epsilon=case.epsilon)
         assert rec["rho_ritz"] == case.ritz.residual_norm
         assert rec["sigma_hat_1"] == case.refined.sigma_hat_1
 
