@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="oracle | target=<complex>")
     seed_base = argparse.ArgumentParser(add_help=False)
     seed_base.add_argument("--seed-base", type=_integer_at_least("seed_base", 0),
-                           default=42, help="seed of the first trial")
+                           default=ex.DEFAULT_SEED_BASE, help="seed of the first trial")
 
     p = argparse.ArgumentParser(
         prog="nepritz",

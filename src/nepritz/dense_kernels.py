@@ -4,6 +4,10 @@ All routines work on plain ``numpy`` arrays of ``complex128`` and follow a
 deterministic phase convention: in any returned orthonormal column, the entry
 of largest magnitude is made real and positive.  This keeps vector-valued regression tests bit-stable; the
 underlying decompositions are only unique up to a unit scalar per column.
+``phase_fix`` applies it column by column; ``svd`` applies it to all columns
+in two whole-array products, with the unit scalars formed exactly as
+phase_fix forms them, and decides each of its two verifications from one
+Frobenius reduction, decomposing only when that cannot decide.
 
 A 2-norm alone comes from ``norm2``, the square root of the largest
 eigenvalue of the Hermitian Gram matrix, for one matrix or a stack; its
@@ -13,6 +17,7 @@ docstring derives its error bound.  Any other singular value comes from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,33 +207,57 @@ def svd(m) -> SvdResult:
     U is rows x p and V cols x p, p = min(rows, cols), from LAPACK's thin
     path: no caller reads the null-space columns a full U or V would add,
     and on a tall matrix such as the 128 x 16 T(mu) W forming the full U
-    costs more than twice the thin one.  Verifies
-    reconstruction and orthogonality (U^H U = V^H V = I_p) to 1e-12 before
-    returning, so a violated invariant surfaces as ConvergenceFailure
-    (kernel bug), never as silent data corruption.  Both checks go through
-    norms_within, so they decompose nothing while the Frobenius norms of
-    the residuals decide them.
+    costs more than twice the thin one.
+
+    The convention is phase_fix's, for all columns at once: one argmax over
+    np.abs(U) per column picks the pivot u_ik (the first of tied maxima),
+    and one product with the row of unit scalars c_k = conj(u_ik) / |u_ik|
+    rescales U and one rescales V, so each pair (u_k, v_k) keeps U S V^H.
+    Each c_k is the numpy scalar quotient np.conj(u_ik) / abs(u_ik), as
+    phase_fix's per-column loop forms it: Python's complex division rounds
+    differently, and so does the array np.abs, which is not the scalar
+    abs's hypot; either would move the vectors in the last bit.
+
+    Verifies reconstruction and orthogonality (U^H U = V^H V = I_p) to
+    1e-12 before returning, so a violated invariant surfaces as
+    ConvergenceFailure (kernel bug), never as silent data corruption.  Each
+    check is decided by one Frobenius reduction of its whole residual,
+    A - U S V^H or the stack [U^H U - I, V^H V - I], and only when that
+    cannot decide by norms_within, which then decomposes (_within_fro).
     """
     a = as_matrix(m)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
-    v = vh.conj().T
-    # one unit scalar per coupled pair (u_k, v_k) leaves U S V^H unchanged
-    for k in range(s.size):
-        i = int(np.argmax(np.abs(u[:, k])))
-        piv = u[i, k]
-        if abs(piv) > 0.0:
-            c = np.conj(piv) / abs(piv)
-            u[:, k] = u[:, k] * c
-            v[:, k] = v[:, k] * c
-    if not norms_within(a - (u * s) @ v.conj().T, 1e-12 * max(1.0, float(s[0]))):
+    p = s.size
+    piv = np.conj(u[np.abs(u).argmax(axis=0), np.arange(p)])
+    # a (1, p) row: numpy multiplies a 1 x 1 factor by a broadcast (p,) row
+    # in its scalar loop, whose complex product rounds differently from the
+    # vector loop that every other shape, and the per-column loop, runs in
+    phase = np.fromiter((z / abs(z) if abs(z) > 0.0 else 1.0 for z in piv), complex, p)[None, :]
+    u, v = u * phase, vh.conj().T * phase
+    if not _within_fro(a - (u * s) @ v.conj().T, 1e-12 * max(1.0, float(s[0]))):
         raise ConvergenceFailure("SVD reconstruction check failed")
-    eye = np.eye(s.size)
-    if not norms_within(np.stack([u.conj().T @ u - eye, v.conj().T @ v - eye]), 1e-12):
+    gram = np.empty((2, p, p), dtype=complex)
+    np.matmul(u.conj().T, u, out=gram[0])
+    np.matmul(v.conj().T, v, out=gram[1])
+    gram.reshape(2, -1)[:, ::p + 1] -= 1.0  # the diagonals: less I_p
+    if not _within_fro(gram, 1e-12):
         raise ConvergenceFailure("SVD orthogonality check failed")
     return SvdResult(left_vectors=u, singular_values=s.astype(float), right_vectors=v)
+
+
+def _within_fro(a: np.ndarray, limit: float) -> bool:
+    """norms_within(a, limit), first tried on the Frobenius norm of all of a at once.
+
+    That norm bounds the Frobenius norm, and so the 2-norm, of each matrix
+    of a stack; with norms_within's allowance NORM_ROUNDING a pass is a
+    pass of the plain check.  An overflowing or NaN sum fails the
+    comparison and leaves the answer to norms_within.
+    """
+    fro = math.sqrt(np.vdot(a, a).real)
+    return fro * (1 + NORM_ROUNDING) <= limit or norms_within(a, limit)
 
 
 def singular_values(m) -> np.ndarray:

@@ -99,13 +99,19 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
-def _check_points(poles: tuple[complex, ...]) -> np.ndarray:
+def _check_points(poles) -> np.ndarray:
     """polynomialize's 20 sample points: uniform in [-1.5, 1.5]^2, 1e-3 off every pole.
 
     Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
     rejected point keeps the order of the rest, so the points do not depend
-    on the block size.
+    on the block size.  They depend only on the poles, so they are drawn
+    once per pole tuple and returned read-only.
     """
+    return _drawn_check_points(tuple(poles))
+
+
+@functools.lru_cache(maxsize=64)
+def _drawn_check_points(poles: tuple[complex, ...]) -> np.ndarray:
     rng = np.random.default_rng(20240925)
     points = np.empty(0, dtype=complex)
     while points.size < 20:
@@ -113,7 +119,9 @@ def _check_points(poles: tuple[complex, ...]) -> np.ndarray:
         for p in poles:
             draw = draw[np.abs(draw - p) >= 1e-3]
         points = np.concatenate([points, draw])
-    return points[:20]
+    points = points[:20]
+    points.flags.writeable = False
+    return points
 
 
 def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
@@ -494,10 +502,10 @@ def solve_projected(
     eigenvalues: list[complex] = []
     residuals: list[float] = []
     multiplicities: list[int] = []
-    means = [complex(np.mean(group)) for group in clusters]
+    # a one-member cluster's mean is its root, and the stop test has B's
+    # singular values there; only the other means are averaged and decomposed
+    means = [group[0] if len(group) == 1 else complex(np.mean(group)) for group in clusters]
     guarded = [any(abs(z - p) <= POLE_GUARD for p in b.domain_poles) for z in means]
-    # a one-member cluster's mean is its root bit for bit, and the stop test
-    # has B's singular values there; only the other means are decomposed
     fresh = [z for z, group, g in zip(means, clusters, guarded) if not g and len(group) > 1]
     svals = iter(singular_values(eval_T_many(b, fresh, 0)) if fresh else ())
     for group, z, g in zip(clusters, means, guarded):

@@ -118,6 +118,29 @@ class TestComplementCompress:
                 complement_compress(np.ones(3), bad)
 
 
+def looped_phase_svd(a):
+    """LAPACK's thin SVD with the per-column phase loop that svd() replaced: its oracle."""
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = vh.conj().T
+    for k in range(s.size):
+        i = int(np.argmax(np.abs(u[:, k])))
+        piv = u[i, k]
+        if abs(piv) > 0.0:
+            c = np.conj(piv) / abs(piv)
+            u[:, k] = u[:, k] * c
+            v[:, k] = v[:, k] * c
+    return u, s, v
+
+
+def tied_pivot_matrices():
+    """Matrices whose computed U has columns with two largest-|.| entries that tie."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
+    b = complex_randn(np.random.default_rng(11), 3, 2)
+    return [np.ones((4, 2), dtype=complex), np.kron(h, h), np.kron(h, np.eye(3)),
+            np.vstack([b, b]), np.fft.fft(np.eye(4)),
+            np.kron(np.eye(2), np.ones((2, 1))).astype(complex)]
+
+
 class TestSvd:
     def test_diagonal(self):
         res = svd(np.diag([3.0, 1.0]).astype(complex))
@@ -199,6 +222,49 @@ class TestSvd:
         monkeypatch.setattr(dk, "NORM_ROUNDING", 1e20)
         svd(m)
         assert shapes == [(40, 4), (2, 4, 4)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phase_convention_equals_the_per_column_loop(self, seed):
+        # bit for bit, over shapes from 1 x 1 to 128 x 16 and both orientations
+        rng = np.random.default_rng(seed)
+        shapes = [(1, 1), (1, 5), (5, 1), (2, 2), (6, 3), (3, 6), (16, 16), (128, 16), (16, 128)]
+        shapes += [tuple(int(k) for k in rng.integers(1, 20, size=2)) for _ in range(12)]
+        for rows, cols in shapes:
+            m = complex_randn(rng, rows, cols)
+            got = svd(m)
+            u, s, v = looped_phase_svd(m)
+            assert got.left_vectors.tobytes() == u.tobytes()
+            assert got.right_vectors.tobytes() == v.tobytes()
+            assert got.singular_values.tobytes() == s.tobytes()
+
+    def test_phase_convention_on_tied_pivots_is_the_first_maximum(self):
+        ties = 0
+        for m in tied_pivot_matrices():
+            got = svd(m)
+            u, _, v = looped_phase_svd(m)
+            assert got.left_vectors.tobytes() == u.tobytes()
+            assert got.right_vectors.tobytes() == v.tobytes()
+            mags = np.abs(np.linalg.svd(m, full_matrices=False)[0])
+            ties += int(np.sum((mags == mags.max(axis=0)).sum(axis=0) > 1))
+        assert ties > 0
+
+    def test_orthogonality_check_fails_loudly(self, monkeypatch):
+        # a zero singular value hides its column of U from U S V^H, so a U
+        # that is orthonormal only to 1e-9 passes the reconstruction check
+        import nepritz.dense_kernels as dk
+
+        lapack = np.linalg.svd
+
+        def skewed(a, full_matrices=True, compute_uv=True):
+            if not compute_uv:
+                return lapack(a, compute_uv=False)
+            u, s, vh = lapack(a, full_matrices=full_matrices)
+            u[:, -1] += 1e-9 * u[:, 0]
+            return u, s, vh
+
+        monkeypatch.setattr(dk.np.linalg, "svd", skewed)
+        with pytest.raises(ConvergenceFailure, match="orthogonality"):
+            svd(np.diag([2.0, 1.0, 0.0]).astype(complex))
 
     @pytest.mark.parametrize("excess,passes", [(0.9, True), (1.1, False)])
     def test_reconstruction_check_is_the_2_norm(self, monkeypatch, excess, passes):

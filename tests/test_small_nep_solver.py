@@ -153,6 +153,14 @@ class TestPolynomialize:
         # a rejected point pulls the 21st draw of the stream into the set
         assert sns._check_points([first[2]])[-1] == first[20]
 
+    def test_check_points_read_only_and_keyed_on_the_pole_values(self):
+        poles = [0.5 + 0.25j, -1.0 + 0.0j]
+        got = sns._check_points(poles)
+        assert got.tobytes() == sns._check_points(tuple(poles)).tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
     def test_exponential_term_rejected(self):
         b = MatrixFunction.from_terms([
             (Exponential(1.0), np.array([[1.0]], dtype=complex)),
