@@ -4,10 +4,12 @@ All routines work on plain ``numpy`` arrays of ``complex128`` and follow a
 deterministic phase convention: in any returned orthonormal column, the entry
 of largest magnitude is made real and positive.  This keeps vector-valued regression tests bit-stable; the
 underlying decompositions are only unique up to a unit scalar per column.
-``phase_fix`` applies it column by column; ``svd`` applies it to all columns
-in two whole-array products, with the unit scalars formed exactly as
-phase_fix forms them, and decides each of its two verifications from one
-Frobenius reduction, decomposing only when that cannot decide.
+``phase_fix`` and ``svd`` apply it alike: one argmax per column finds the
+pivots, each column's unit scalar is the numpy scalar quotient the old
+per-column loop formed, so the bits match it (``_phase_row`` says why no
+other quotient does), and one whole-array product rescales all columns.
+``svd`` verifies its factors with two ``norms_within`` checks, each decided
+by one Frobenius reduction of its residual unless that cannot decide.
 
 A 2-norm alone comes from ``norm2``, the square root of the largest
 eigenvalue of the Hermitian Gram matrix, for one matrix or a stack; its
@@ -105,21 +107,34 @@ def norm2(m):
     return float(norms) if one else norms
 
 
+def _phase_row(u: np.ndarray) -> np.ndarray:
+    """The (1, p) row of unit scalars that puts u's p columns in the phase convention.
+
+    One argmax over np.abs(u) picks each column's pivot u_ik, the first of
+    tied maxima.  Its scalar c_k is the numpy scalar quotient
+    np.conj(u_ik) / abs(u_ik), formed one column at a time: Python's complex
+    division rounds differently, and so does the array np.abs, which is not
+    the scalar abs's hypot; either would move the vectors in the last bit.
+    A zero column gets 1.  The row is (1, p), not (p,): numpy multiplies a
+    1 x 1 factor by a broadcast (p,) row in its scalar loop, whose complex
+    product rounds differently from the vector loop that every other shape,
+    and a per-column product u[:, k] * c_k, runs in.
+    """
+    p = u.shape[1]
+    piv = u[np.abs(u).argmax(axis=0), np.arange(p)]
+    units = (np.conj(z) / abs(z) if abs(z) > 0.0 else 1.0 for z in piv)
+    return np.fromiter(units, complex, p)[None, :]
+
+
 def phase_fix(v: np.ndarray) -> np.ndarray:
     """Rescale each column by a unit scalar so its largest-|.| entry is real > 0.
 
-    Ties on magnitude resolve to the first maximal index.  Zero columns are
-    returned unchanged.
+    Ties on magnitude resolve to the first maximal index.  Zero columns stay
+    zero.  Returns a new array; v is not changed.
     """
-    a = np.array(v, dtype=complex, copy=True)
+    a = np.asarray(v, dtype=complex)
     cols = a if a.ndim == 2 else a.reshape(-1, 1)
-    for k in range(cols.shape[1]):
-        col = cols[:, k]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0.0:
-            cols[:, k] = col * (np.conj(piv) / abs(piv))
-    return a
+    return (cols * _phase_row(cols)).reshape(a.shape)
 
 
 def orthonormalize(m) -> np.ndarray:
@@ -209,21 +224,16 @@ def svd(m) -> SvdResult:
     and on a tall matrix such as the 128 x 16 T(mu) W forming the full U
     costs more than twice the thin one.
 
-    The convention is phase_fix's, for all columns at once: one argmax over
-    np.abs(U) per column picks the pivot u_ik (the first of tied maxima),
-    and one product with the row of unit scalars c_k = conj(u_ik) / |u_ik|
-    rescales U and one rescales V, so each pair (u_k, v_k) keeps U S V^H.
-    Each c_k is the numpy scalar quotient np.conj(u_ik) / abs(u_ik), as
-    phase_fix's per-column loop forms it: Python's complex division rounds
-    differently, and so does the array np.abs, which is not the scalar
-    abs's hypot; either would move the vectors in the last bit.
+    The convention is phase_fix's: one product with the row of unit scalars
+    from _phase_row rescales U and one rescales V, so each pair (u_k, v_k)
+    keeps U S V^H.
 
     Verifies reconstruction and orthogonality (U^H U = V^H V = I_p) to
     1e-12 before returning, so a violated invariant surfaces as
-    ConvergenceFailure (kernel bug), never as silent data corruption.  Each
-    check is decided by one Frobenius reduction of its whole residual,
-    A - U S V^H or the stack [U^H U - I, V^H V - I], and only when that
-    cannot decide by norms_within, which then decomposes (_within_fro).
+    ConvergenceFailure (kernel bug), never as silent data corruption.  Both
+    checks go through norms_within, one limit each, so each is decided by
+    one Frobenius reduction of its whole residual, A - U S V^H or the stack
+    [U^H U - I, V^H V - I], and decomposes only when that cannot decide.
     """
     a = as_matrix(m)
     try:
@@ -231,33 +241,17 @@ def svd(m) -> SvdResult:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceFailure(f"SVD did not converge: {exc}") from None
     p = s.size
-    piv = np.conj(u[np.abs(u).argmax(axis=0), np.arange(p)])
-    # a (1, p) row: numpy multiplies a 1 x 1 factor by a broadcast (p,) row
-    # in its scalar loop, whose complex product rounds differently from the
-    # vector loop that every other shape, and the per-column loop, runs in
-    phase = np.fromiter((z / abs(z) if abs(z) > 0.0 else 1.0 for z in piv), complex, p)[None, :]
+    phase = _phase_row(u)
     u, v = u * phase, vh.conj().T * phase
-    if not _within_fro(a - (u * s) @ v.conj().T, 1e-12 * max(1.0, float(s[0]))):
+    if not norms_within(a - (u * s) @ v.conj().T, 1e-12 * max(1.0, float(s[0]))):
         raise ConvergenceFailure("SVD reconstruction check failed")
     gram = np.empty((2, p, p), dtype=complex)
     np.matmul(u.conj().T, u, out=gram[0])
     np.matmul(v.conj().T, v, out=gram[1])
     gram.reshape(2, -1)[:, ::p + 1] -= 1.0  # the diagonals: less I_p
-    if not _within_fro(gram, 1e-12):
+    if not norms_within(gram, 1e-12):
         raise ConvergenceFailure("SVD orthogonality check failed")
     return SvdResult(left_vectors=u, singular_values=s.astype(float), right_vectors=v)
-
-
-def _within_fro(a: np.ndarray, limit: float) -> bool:
-    """norms_within(a, limit), first tried on the Frobenius norm of all of a at once.
-
-    That norm bounds the Frobenius norm, and so the 2-norm, of each matrix
-    of a stack; with norms_within's allowance NORM_ROUNDING a pass is a
-    pass of the plain check.  An overflowing or NaN sum fails the
-    comparison and leaves the answer to norms_within.
-    """
-    fro = math.sqrt(np.vdot(a, a).real)
-    return fro * (1 + NORM_ROUNDING) <= limit or norms_within(a, limit)
 
 
 def singular_values(m) -> np.ndarray:
@@ -291,10 +285,19 @@ def norms_within(a, limit, scale=None) -> bool:
     a few hundred units of rounding of their exact values at the sizes used
     here, so the Frobenius side is compared with a relative allowance
     NORM_ROUNDING = 1e-8 above that: a pass it decides is a pass of the
-    plain check.
+    plain check.  With one limit and no scale, one reduction of all of A
+    (np.vdot) is tried first: it bounds the Frobenius norm of every matrix
+    of a stack, and for one matrix it is that matrix's norm.
     """
     a = np.asarray(a, dtype=complex)
     limit = np.asarray(limit, dtype=float)
+    if scale is None and limit.ndim == 0:
+        # one reduction of all of A bounds every matrix's Frobenius norm and,
+        # for one matrix, is it; an overflowing or NaN sum fails the test
+        if math.sqrt(np.vdot(a, a).real) * (1 + NORM_ROUNDING) <= limit:
+            return True
+        if a.ndim == 2:
+            return not singular_values(a)[0] > limit
     floor = 1.0
     # an overflowing Frobenius norm only leaves the check to the exact path:
     # as a bound on the scale from below it counts as 0

@@ -105,12 +105,14 @@ def _check_points(poles) -> np.ndarray:
     Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
     rejected point keeps the order of the rest, so the points do not depend
     on the block size.  They depend only on the poles, so they are drawn
-    once per pole tuple and returned read-only.
+    once per pole tuple and returned read-only: the problems of one run
+    share a few pole tuples (the 38 suite cases have 3, a sweep has 1), so
+    all but those few calls find their points drawn.
     """
     return _drawn_check_points(tuple(poles))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=8)
 def _drawn_check_points(poles: tuple[complex, ...]) -> np.ndarray:
     rng = np.random.default_rng(20240925)
     points = np.empty(0, dtype=complex)

@@ -57,7 +57,7 @@ def test_criterion_1_exact_degenerate_projection_reproduction():
 def test_criterion_2_perturbed_subspace_statistics():
     """20-seed statistics at sigma = 1e-4 reproduce the reference orders."""
     start = time.perf_counter()
-    result = nr.run_example2(sigma=1e-4, seeds=tuple(range(20)))
+    result = nr.run_example2(sigma=1e-4, seeds=tuple(range(20)), seed_base=0)
     med = result["medians"]
     assert 1e-5 <= med["sin_refined"] <= 1e-3
     assert med["sin_ritz"] >= 1e-2

@@ -10,6 +10,7 @@ from nepritz.dense_kernels import (
     norm2,
     norms_within,
     orthonormalize,
+    phase_fix,
     singular_values,
     solve_linear,
     solve_with_norm,
@@ -132,6 +133,18 @@ def looped_phase_svd(a):
     return u, s, v
 
 
+def looped_phase_fix(v):
+    """phase_fix as a per-column loop, one numpy scalar quotient and product each: its oracle."""
+    a = np.array(v, dtype=complex, copy=True)
+    cols = a if a.ndim == 2 else a.reshape(-1, 1)
+    for k in range(cols.shape[1]):
+        col = cols[:, k]
+        piv = col[int(np.argmax(np.abs(col)))]
+        if abs(piv) > 0.0:
+            cols[:, k] = col * (np.conj(piv) / abs(piv))
+    return a
+
+
 def tied_pivot_matrices():
     """Matrices whose computed U has columns with two largest-|.| entries that tie."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex)
@@ -139,6 +152,25 @@ def tied_pivot_matrices():
     return [np.ones((4, 2), dtype=complex), np.kron(h, h), np.kron(h, np.eye(3)),
             np.vstack([b, b]), np.fft.fft(np.eye(4)),
             np.kron(np.eye(2), np.ones((2, 1))).astype(complex)]
+
+
+class TestPhaseFix:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phase_fix_equals_the_per_column_loop(self, seed):
+        # bit for bit, on C- and F-ordered matrices, vectors, one-column
+        # matrices and matrices with tied pivots; v itself is left as it was
+        rng = np.random.default_rng(100 + seed)
+        shapes = [(1, 1), (5, 1), (1, 5), (6, 3), (16, 16), (128, 16)]
+        shapes += [tuple(int(k) for k in rng.integers(1, 20, size=2)) for _ in range(8)]
+        inputs = [complex_randn(rng, *shape) for shape in shapes]
+        inputs += [np.asfortranarray(m) for m in inputs] + [complex_randn(rng, 7)]
+        inputs += tied_pivot_matrices()
+        for m in inputs:
+            before = m.copy()
+            got = phase_fix(m)
+            want = looped_phase_fix(m)
+            assert got.shape == m.shape and got.tobytes() == want.tobytes()
+            assert m.tobytes() == before.tobytes()
 
 
 class TestSvd:

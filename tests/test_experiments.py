@@ -163,20 +163,20 @@ class TestRunExample1:
 
 class TestRunExample2:
     def test_small_seed_count_smoke(self):
-        result = ex.run_example2(sigma=1e-4, seeds=tuple(range(5)))
+        result = ex.run_example2(sigma=1e-4, seeds=tuple(range(5)), seed_base=0)
         assert result["n_seeds"] == 5
         assert result["ok"]
         assert all(r["verdicts"] for r in result["records"])
 
     def test_smaller_sigma_same_split(self):
-        result = ex.run_example2(sigma=1e-6, seeds=tuple(range(5)))
+        result = ex.run_example2(sigma=1e-6, seeds=tuple(range(5)), seed_base=0)
         assert result["ok"]
         med = result["medians"]
         assert 1e-7 <= med["sin_refined"] <= 1e-5
         assert med["sin_ritz"] >= 1e-2
 
     def test_sigma_zero_degenerates_to_exact_capture(self):
-        result = ex.run_example2(sigma=0.0, seeds=(0,))
+        result = ex.run_example2(sigma=0.0, seeds=(0,), seed_base=0)
         rec = result["records"][0]
         assert rec["epsilon"] == 0.0
         assert abs(complex(*rec["mu"])) <= 1e-10
