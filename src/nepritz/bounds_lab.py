@@ -31,13 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense_kernels import as_matrix, as_vector, complement_compress, singular_values
-from .errors import (
-    DegenerateRatio,
-    DegenerateSigma,
-    HypothesisFailed,
-    NotAnEigenvalue,
-)
+from .dense_kernels import as_vector, complement_compress, singular_values
+from .errors import DegenerateRatio, DegenerateSigma, HypothesisFailed
 from .extraction import RefinedExtraction, RitzExtraction
 from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
 from .projection import PerturbationWitness, Subspace, deviation
@@ -125,20 +120,15 @@ class DerivativeProfile:
 
     sigma_min profiles are taken along a one-dimensional ray: for complex
     arguments sigma_min is only real-analytic along real-parametrized paths,
-    so the detected order is direction-dependent by construction and the
-    direction is recorded.
+    so the detected order is direction-dependent by construction.
     """
 
-    center: complex
-    direction: complex
     h: float
     estimates: list[float]            # index j = 0..PROFILE_MAX_ORDER
     noise_floors: list[float]
     reliable: list[bool]
     detected_m_mu: int | None
     alpha_estimate: float | None      # min |g^(m)| over the sampled disc
-    sigma_min_multiplicity: int
-    readings_agree: bool | None       # derivative order vs singular-value multiplicity
 
 
 def sigma_min_profile(
@@ -158,10 +148,10 @@ def sigma_min_profile(
 
     B is evaluated at the distinct stencil offsets as one eval_T_many stack
     with one batched singular-value call: the offset-0 singular values give
-    sigma_min(B(lambda_star)) and its multiplicity, and the largest
-    sigma_max over the offsets sets the rounding-noise scale.  The alpha
-    estimate takes the stencil points of all 24 disc samples (6 on each of
-    4 rings) as one more stack and one more call.
+    sigma_min(B(lambda_star)), and the largest sigma_max over the offsets
+    sets the rounding-noise scale.  The alpha estimate takes the stencil
+    points of all 24 disc samples (6 on each of 4 rings) as one more stack
+    and one more call.
     """
     lam0 = complex(lambda_star)
     d = complex(direction)
@@ -183,7 +173,6 @@ def sigma_min_profile(
             "sigma_min(B(lambda_star)) vanishes; singular values are not "
             "differentiable at zero, rate machinery inapplicable"
         )
-    mult = int(np.sum(np.abs(s0 - s0[-1]) <= 1e-8 * max(1.0, s0[0])))
 
     ests = [sum(c * float(svals[o][-1]) for o, c in _STENCILS[j].items()) / h**j
             for j in orders]
@@ -214,53 +203,13 @@ def sigma_min_profile(
         alpha = float(min(samples))
 
     return DerivativeProfile(
-        center=lam0,
-        direction=d,
         h=float(h),
         estimates=[float(e) for e in ests],
         noise_floors=[float(f) for f in floors],
         reliable=reliable,
         detected_m_mu=detected,
         alpha_estimate=alpha,
-        sigma_min_multiplicity=mult,
-        readings_agree=None if detected is None else (mult == detected),
     )
-
-
-def jordan_block_order(m, mu: complex) -> int:
-    """Size of the largest Jordan block of mu, by the rank staircase.
-
-    Ranks of (M - mu I)^k are counted with singular-value threshold
-    1e-8 * max(1, ||M - mu I||)^k, the norm being the largest of the k = 1
-    singular values; the answer is the largest k at which the rank still
-    drops.
-    """
-    a = as_matrix(m)
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("jordan_block_order expects a square matrix")
-    # the k = 1 rank test doubles as the eigenvalue check: computed
-    # eigenvalues of a defective matrix scatter like eps^(1/k) and would
-    # reject exact Jordan blocks, while sigma_min(M - mu I) stays at eps
-    shifted = a - complex(mu) * np.eye(n)
-    power = shifted
-    s = singular_values(shifted)
-    base = max(1.0, float(s[0]))
-    rank_prev = n
-    largest = 0
-    for k in range(1, n + 1):
-        if k > 1:
-            power = power @ shifted
-            s = singular_values(power)
-        rank_k = int(np.sum(s > 1e-8 * base**k))
-        if rank_k < rank_prev:
-            largest = k
-            rank_prev = rank_k
-        else:
-            break
-    if largest == 0:
-        raise NotAnEigenvalue(f"{mu} is not an eigenvalue (rank never dropped)")
-    return largest
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +390,8 @@ def residual_angle_bound(
     ctx: CaseContext,
     sin_candidate: float,
     rho: float,
-    theorem_id: str = "residual_to_angle",
+    *,
+    theorem_id: str,
 ) -> BoundReport:
     """sin(angle(x*, candidate)) <= (rho + ||T'(l*)|| |mu-l*|) / sigma_min(L(mu)).
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds_lab as bl
-from .dense_kernels import norm2, orthonormalize, phase_fix, singular_values, svd
+from .dense_kernels import norm2, orthonormalize, singular_values, svd
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -52,25 +52,6 @@ def _orthogonalize_against(v: np.ndarray, basis_cols: list[np.ndarray]) -> np.nd
     return v
 
 
-def build_subspace_exact(x_star, m: int, seed: int) -> Subspace:
-    """Subspace of dimension m whose first basis vector is x_star itself."""
-    x = np.asarray(x_star, dtype=complex).reshape(-1)
-    n = x.size
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    cols = [phase_fix(x / np.linalg.norm(x))]
-    rng = np.random.default_rng(seed)
-    while len(cols) < m:
-        v = _orthogonalize_against(_complex_randn(rng, n), cols)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            cols.append(v / nrm)
-    s = Subspace.from_basis(np.column_stack(cols))
-    if deviation(s, x / np.linalg.norm(x)) > 1e-12:
-        raise ConstructionFailed("exact-capture subspace has nonzero deviation")
-    return s
-
-
 def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
     """Subspace with deviation from x_star equal to eps, to 1e-10.
 
@@ -85,8 +66,6 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
         raise ValueError("eps must be in (0, 1)")
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    if m - 1 > n - 2:
-        raise ConstructionFailed("not enough room for deviation-preserving columns")
     rng = np.random.default_rng(seed)
     q = _orthogonalize_against(_complex_randn(rng, n), [x])
     q = q / np.linalg.norm(q)

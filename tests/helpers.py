@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from nepritz.errors import NotAnEigenvalue
+
 
 def complex_randn(rng, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
@@ -27,6 +29,39 @@ def qr_complement(x: np.ndarray) -> np.ndarray:
     """n x (n-1) orthonormal basis of the complement of x, from LAPACK's complete QR."""
     q, _ = np.linalg.qr(np.asarray(x, dtype=complex).reshape(-1, 1), mode="complete")
     return q[:, 1:]
+
+
+def jordan_block_order(m: np.ndarray, mu: complex) -> int:
+    """Size of the largest Jordan block of mu, by the rank staircase.
+
+    Ranks of (M - mu I)^k are counted with singular-value threshold
+    1e-8 * max(1, ||M - mu I||)^k, the norm being the largest of the k = 1
+    singular values; the answer is the largest k at which the rank still
+    drops.  The k = 1 rank test doubles as the eigenvalue check: computed
+    eigenvalues of a defective matrix scatter like eps^(1/k) and would
+    reject exact Jordan blocks, while sigma_min(M - mu I) stays at eps.
+    """
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[0]
+    shifted = a - complex(mu) * np.eye(n)
+    power = shifted
+    s = np.linalg.svd(shifted, compute_uv=False)
+    base = max(1.0, float(s[0]))
+    rank_prev = n
+    largest = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            power = power @ shifted
+            s = np.linalg.svd(power, compute_uv=False)
+        rank_k = int(np.sum(s > 1e-8 * base**k))
+        if rank_k < rank_prev:
+            largest = k
+            rank_prev = rank_k
+        else:
+            break
+    if largest == 0:
+        raise NotAnEigenvalue(f"{mu} is not an eigenvalue (rank never dropped)")
+    return largest
 
 
 def mgs_oracle(m: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 from helpers import (
     complex_randn,
     det_poly_coeffs,
+    jordan_block_order,
     match_point_sets,
     poly_roots_ascending,
     seeded_unitary,
@@ -22,6 +23,7 @@ import nepritz.bounds_lab as bl
 from nepritz.dense_kernels import norm2, orthonormalize, singular_values
 from nepritz.nep_model import MatrixFunction, Polynomial, eval_T
 from nepritz.projection import Subspace, deviation, project
+from nepritz.small_nep_solver import companion_eigs
 
 
 def _report(name: str, detail: str) -> None:
@@ -127,7 +129,7 @@ def test_criterion_4_rates_and_jordan_signature():
         ])
         delta = 1e-3
         prof = nr.sigma_min_profile(b_fn, mu - delta, direction=1.0, disc_radius=delta)
-        orders[k] = (nr.jordan_block_order(b_mat, mu), prof.detected_m_mu)
+        orders[k] = (jordan_block_order(b_mat, mu), prof.detected_m_mu)
         assert orders[k] == (k, k)
     elapsed = time.perf_counter() - start
     _report("criterion 4 (rates and signatures)",
@@ -160,7 +162,7 @@ def test_criterion_5_kernel_properties():
                             (4, 3, 3), (5, 4, 1), (6, 4, 2), (7, 3, 1)]:
         r2 = np.random.default_rng(9000 + seed)
         coeffs = [complex_randn(r2, m, m) for _ in range(degree + 1)]
-        got = nr.companion_eigs(coeffs)
+        got = companion_eigs(coeffs)
         want = poly_roots_ascending(det_poly_coeffs(coeffs))
         assert match_point_sets(sorted(got, key=lambda z: (z.real, z.imag)),
                                 sorted(want, key=lambda z: (z.real, z.imag)),

@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from helpers import complex_randn, qr_complement, seeded_unitary
+from helpers import complex_randn, jordan_block_order, qr_complement, seeded_unitary
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +76,6 @@ def per_point_profile(b, lambda_star, direction, *, disc_radius):
     s0 = svals[0]
     if s0[-1] <= 1e-13:
         raise DegenerateSigma("sigma_min(B(lambda_star)) vanishes")
-    mult = int(np.sum(np.abs(s0 - s0[-1]) <= 1e-8 * max(1.0, s0[0])))
     ests = [sum(c * float(svals[o][-1]) for o, c in bl._STENCILS[j].items()) / h**j
             for j in orders]
     eps_g = 2e-15 * max(1.0, *(float(sv[0]) for sv in svals.values()))
@@ -103,10 +102,9 @@ def per_point_profile(b, lambda_star, direction, *, disc_radius):
                 samples.append(abs(est))
         alpha = float(min(samples))
     return bl.DerivativeProfile(
-        center=lam0, direction=d, h=float(h), estimates=[float(e) for e in ests],
+        h=float(h), estimates=[float(e) for e in ests],
         noise_floors=[float(f) for f in floors], reliable=reliable,
-        detected_m_mu=detected, alpha_estimate=alpha, sigma_min_multiplicity=mult,
-        readings_agree=None if detected is None else (mult == detected),
+        detected_m_mu=detected, alpha_estimate=alpha,
     )
 
 
@@ -192,13 +190,6 @@ class TestSigmaMinProfile:
         with pytest.raises(DegenerateSigma):
             bl.sigma_min_profile(b, 0.5, disc_radius=1e-3)
 
-    def test_multiplicity_reading_recorded(self):
-        delta = 1e-3
-        b = linear_fn(np.diag([delta, 2.0]).astype(complex))
-        prof = bl.sigma_min_profile(b, 0.0, disc_radius=delta)
-        assert prof.sigma_min_multiplicity == 1
-        assert prof.readings_agree is True
-
     def test_flat_profile_detects_nothing(self):
         # constant sigma_min: every derivative sits under its noise floor
         b = MatrixFunction.from_terms([
@@ -214,10 +205,10 @@ class TestSigmaMinProfile:
 class TestJordanBlockOrder:
     def test_semisimple(self):
         m = np.diag([0.7, 0.7, 2.0]).astype(complex)
-        assert bl.jordan_block_order(m, 0.7) == 1
+        assert jordan_block_order(m, 0.7) == 1
 
     def test_full_block(self):
-        assert bl.jordan_block_order(jordan_block(1.5j, 3), 1.5j) == 3
+        assert jordan_block_order(jordan_block(1.5j, 3), 1.5j) == 3
 
     def test_mixed_blocks_under_similarity(self):
         mu = -0.3 + 0.4j
@@ -227,11 +218,11 @@ class TestJordanBlockOrder:
         rng = np.random.default_rng(12)
         z = np.eye(3) + 0.3 * complex_randn(rng, 3, 3)
         conj = z @ m @ np.linalg.inv(z)
-        assert bl.jordan_block_order(conj, mu) == 2
+        assert jordan_block_order(conj, mu) == 2
 
     def test_not_an_eigenvalue(self):
         with pytest.raises(NotAnEigenvalue):
-            bl.jordan_block_order(np.diag([1.0, 2.0]).astype(complex), 0.0)
+            jordan_block_order(np.diag([1.0, 2.0]).astype(complex), 0.0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_signature_equivalence(self, k):
@@ -242,7 +233,7 @@ class TestJordanBlockOrder:
         m_mat[k:, k:] = np.diag(np.array([2.0, -1.5, 3.0][: 4 - k], dtype=complex))
         u = seeded_unitary(4, 100 + k)
         b_mat = u @ m_mat @ u.conj().T
-        assert bl.jordan_block_order(b_mat, mu) == k
+        assert jordan_block_order(b_mat, mu) == k
         delta = 1e-3
         prof = bl.sigma_min_profile(
             linear_fn(b_mat), mu - delta, direction=1.0, disc_radius=delta,
@@ -380,7 +371,8 @@ class TestResidualAngleBound:
     def test_exact_pair_trivially_holds(self):
         _, ref, _ = fixture_problem()
         ctx = replace(fixture_context(), gamma=1.0)
-        rep = bl.residual_angle_bound(ctx, sin_angle(ctx.x_star, ref.x_star), rho=0.0)
+        rep = bl.residual_angle_bound(ctx, sin_angle(ctx.x_star, ref.x_star), rho=0.0,
+                                      theorem_id="residual_to_angle_ritz")
         assert rep.holds and rep.lhs <= 1e-12 and rep.rhs <= 1e-12
 
     def test_perturbed_refined_pair_tight(self):
@@ -404,7 +396,7 @@ class TestResidualAngleBound:
         x = np.array([0.0, 1.0, 0.0], dtype=complex)
         ctx = fixture_context(x_star=x)
         with pytest.raises(HypothesisFailed):
-            bl.residual_angle_bound(ctx, 0.0, rho=0.0)
+            bl.residual_angle_bound(ctx, 0.0, rho=0.0, theorem_id="residual_to_angle_ritz")
 
 
 class TestRitzVectorAngleBound:

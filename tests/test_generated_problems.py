@@ -7,8 +7,9 @@ send the projected solve down its grid-Newton path.  The pinned draws are
 ones where the Ritz and refined residuals, once read from two different
 products, differed by up to 1e-7 at m = 1 although their ratio is exactly 1
 there.  Every bound of the paper is invariant under a unitary change of
-basis and under a shift lambda -> lambda + c of the spectral variable, and
-so is every outcome of the built-in suite and of delay cases.
+basis, under a change of basis W -> WQ inside the subspace and under a
+shift lambda -> lambda + c of the spectral variable, and so is every
+outcome of the built-in suite and of delay cases.
 """
 
 import cmath
@@ -183,6 +184,12 @@ def test_unitary_change_of_basis_keeps_every_outcome():
     for name, t, ref, s in invariance_cases():
         q = seeded_unitary(t.n, 2024)
         assert_same_outcome(analyze_case(t, ref, s), analyze_case(*in_basis(t, ref, s, q)), name)
+
+
+def test_change_of_basis_inside_the_subspace_keeps_every_outcome():
+    for name, t, ref, s in invariance_cases():
+        rotated = Subspace.from_basis(s.basis @ seeded_unitary(s.dim, 2024))
+        assert_same_outcome(analyze_case(t, ref, s), analyze_case(t, ref, rotated), name)
 
 
 def shifted(t, ref, c):
