@@ -108,7 +108,7 @@ class DerivativeProfile:
     """Finite-difference estimates of d^j/dt^j sigma_min(B(l* + t d)) at t=0.
 
     Estimates whose magnitude does not clear 5x the rounding-noise floor of
-    their stencil are marked unreliable and excluded from order detection.
+    their stencil are unreliable and excluded from order detection.
     The vanishing order m makes derivatives below it decay like
     |g^(j)| = O(r^(m-j)) with r the disc radius, so detected_m_mu is the
     smallest reliable j >= 1 that breaks the decay cascade:
@@ -125,8 +125,6 @@ class DerivativeProfile:
 
     h: float
     estimates: list[float]            # index j = 0..PROFILE_MAX_ORDER
-    noise_floors: list[float]
-    reliable: list[bool]
     detected_m_mu: int | None
     alpha_estimate: float | None      # min |g^(m)| over the sampled disc
 
@@ -205,8 +203,6 @@ def sigma_min_profile(
     return DerivativeProfile(
         h=float(h),
         estimates=[float(e) for e in ests],
-        noise_floors=[float(f) for f in floors],
-        reliable=reliable,
         detected_m_mu=detected,
         alpha_estimate=alpha,
     )
@@ -251,7 +247,6 @@ class CaseContext:
     x_star: np.ndarray
     eps: float                  # deviation of x_star from the subspace
     mu_dist: float              # r = |mu - lambda_star|
-    radius: float               # remainder sampling radius
     t_star: np.ndarray          # T(l*)
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
@@ -320,7 +315,6 @@ def build_case_context(
         x_star=x,
         eps=deviation(s, x),
         mu_dist=abs(mu - lam),
-        radius=radius,
         t_star=t_star,
         t_star_svals=t_svals[0],
         norm_T_prime=float(t_svals[1, 0]),

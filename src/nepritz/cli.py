@@ -12,6 +12,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -29,9 +30,12 @@ def _parse_selection(text: str) -> tuple[str, complex | None]:
         return "oracle", None
     if text.startswith("target="):
         try:
-            return "target", complex(text.split("=", 1)[1])
+            target = complex(text.split("=", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse target value in {text!r}")
+        if not cmath.isfinite(target):
+            raise argparse.ArgumentTypeError(f"target must be finite, not {target}")
+        return "target", target
     raise argparse.ArgumentTypeError("selection must be 'oracle' or 'target=<complex>'")
 
 

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NearSingular, RankDeficient
+from .errors import ConvergenceFailure, NearSingular
 
-ORTHO_TOL = 1e-12
+# | ||v|| - 1 | allowed of a vector that must be unit (see as_unit_vector)
+UNIT_TOL = 1e-12
 # relative allowance between a computed Frobenius norm and a computed 2-norm
 # (see norms_within)
 NORM_ROUNDING = 1e-8
@@ -52,6 +53,19 @@ def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size < 1 or not _finite(a):
         raise ValueError("expected a finite nonempty vector")
+    return a
+
+
+def as_unit_vector(v, name: str) -> np.ndarray:
+    """as_vector, for an argument that must be unit: | ||v|| - 1 | <= UNIT_TOL.
+
+    The one unit-norm rule of the package.  A vector off by more raises
+    ValueError naming the argument; the admitted one is returned unscaled.
+    """
+    a = as_vector(v)
+    nrm = np.linalg.norm(a)
+    if not abs(nrm - 1.0) <= UNIT_TOL:
+        raise ValueError(f"{name} must be unit norm to {UNIT_TOL:g} (got {nrm})")
     return a
 
 
@@ -135,32 +149,6 @@ def phase_fix(v: np.ndarray) -> np.ndarray:
     a = np.asarray(v, dtype=complex)
     cols = a if a.ndim == 2 else a.reshape(-1, 1)
     return (cols * _phase_row(cols)).reshape(a.shape)
-
-
-def orthonormalize(m) -> np.ndarray:
-    """Orthonormal basis of the column span, deterministic.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass, columns taken
-    in input order, phase fixed per column.  Requires full column rank up to
-    ``ORTHO_TOL * ||M||``.
-    """
-    a = as_matrix(m)
-    n, k = a.shape
-    if k > n:
-        raise RankDeficient(f"{k} columns cannot be independent in dimension {n}")
-    scale = norm2(a)
-    tol = ORTHO_TOL * max(scale, 1e-300)
-    q = np.zeros((n, k), dtype=complex)
-    for j in range(k):
-        v = a[:, j].copy()
-        for _ in range(2):  # twice is enough for 1e-12 orthogonality
-            for i in range(j):
-                v -= q[:, i] * (np.conj(q[:, i]) @ v)
-        r = np.linalg.norm(v)
-        if r < tol:
-            raise RankDeficient(f"column {j} is dependent (residual {r:.3e} < {tol:.3e})")
-        q[:, j] = v / r
-    return phase_fix(q)
 
 
 def complement_compress(x, a) -> np.ndarray:

@@ -11,10 +11,6 @@ class NepRitzError(Exception):
     """Base class for all package errors."""
 
 
-class RankDeficient(NepRitzError):
-    """A matrix expected to have full column rank does not, up to tolerance."""
-
-
 class ConvergenceFailure(NepRitzError):
     """An iterative kernel (SVD/eigensolver) failed; signals a kernel bug."""
 

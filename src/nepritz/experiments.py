@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds_lab as bl
-from .dense_kernels import norm2, orthonormalize, singular_values, svd
+from .dense_kernels import norm2, phase_fix, singular_values, svd
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -90,8 +90,11 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
 
 
 def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
-    """Add a complex Gaussian of standard deviation sigma and re-orthonormalize.
+    """Add a complex Gaussian of standard deviation sigma and restore orthonormality.
 
+    The noisy columns go through build_subspace_eps's Gram-Schmidt, two
+    modified passes against the columns before them, in order; each is
+    divided by its norm, and the basis is put in the phase convention.
     Raises ValueError for a negative, NaN or infinite sigma, and
     ConstructionFailed when the noisy basis is not finite or its
     Gram-Schmidt result is not orthonormal, as happens from about
@@ -107,12 +110,15 @@ def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
         noisy = s.basis + sigma * _complex_randn(rng, *s.basis.shape)
         if not np.isfinite(noisy).all():
             raise ConstructionFailed(f"sigma = {sigma:g} overflows the perturbed basis")
+        cols: list[np.ndarray] = []
+        for v in np.ascontiguousarray(noisy.T):
+            v = _orthogonalize_against(v, cols)
+            cols.append(v / np.linalg.norm(v))
         try:
-            return Subspace.from_basis(orthonormalize(noisy))
+            return Subspace.from_basis(phase_fix(np.column_stack(cols)))
         except ValueError as exc:
-            raise ConstructionFailed(
-                f"the basis perturbed by sigma = {sigma:g} does not re-orthonormalize: {exc}"
-            ) from None
+            raise ConstructionFailed(f"the basis perturbed by sigma = {sigma:g} "
+                                     f"is not orthonormal after Gram-Schmidt: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

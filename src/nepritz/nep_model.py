@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import as_matrix, as_vector, norm2
+from .dense_kernels import as_matrix, as_unit_vector, norm2
 from .errors import PoleHit
 
 MAX_POLY_DEGREE = 32
@@ -401,10 +401,7 @@ class ReferencePair:
     x_star: np.ndarray
 
     def __post_init__(self):
-        x = as_vector(self.x_star)
-        nrm = np.linalg.norm(x)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"x_star must be unit norm (got {nrm})")
+        x = as_unit_vector(self.x_star, "x_star")
         object.__setattr__(self, "lambda_star", complex(self.lambda_star))
         object.__setattr__(self, "x_star", x)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_kernels import as_matrix, as_vector, norm2, norms_within
+from .dense_kernels import as_matrix, as_unit_vector, norm2, norms_within
 from .errors import DegenerateDeviation
 # unused here; perfbench's tracer test checks every layer's alias of eval_T
 from .nep_model import MatrixFunction, eval_T  # noqa: F401
@@ -48,9 +48,7 @@ class Subspace:
 
 def deviation(s: Subspace, x_star) -> float:
     """sin of the angle between x_star and the subspace: ||(I - W W^H) x_star||."""
-    x = as_vector(x_star)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-10:
-        raise ValueError("x_star must be unit norm")
+    x = as_unit_vector(x_star, "x_star")
     return min(float(np.linalg.norm(x - s.basis @ (s.basis.conj().T @ x))), 1.0)
 
 

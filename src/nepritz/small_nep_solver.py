@@ -99,7 +99,8 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
-def _check_points(poles) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _check_points(poles: tuple[complex, ...]) -> np.ndarray:
     """polynomialize's 20 sample points: uniform in [-1.5, 1.5]^2, 1e-3 off every pole.
 
     Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
@@ -109,11 +110,6 @@ def _check_points(poles) -> np.ndarray:
     share a few pole tuples (the 38 suite cases have 3, a sweep has 1), so
     all but those few calls find their points drawn.
     """
-    return _drawn_check_points(tuple(poles))
-
-
-@functools.lru_cache(maxsize=8)
-def _drawn_check_points(poles: tuple[complex, ...]) -> np.ndarray:
     rng = np.random.default_rng(20240925)
     points = np.empty(0, dtype=complex)
     while points.size < 20:
@@ -538,12 +534,15 @@ def select_ritz_value(
     """Pick the approximation from a spectrum.
 
     Oracle mode (lambda_star given) minimizes the distance to the known
-    eigenvalue; target mode minimizes the distance to a user shift.  Exact
-    ties resolve to smaller |value|, then smaller argument.
+    eigenvalue; target mode minimizes the distance to a user shift, which
+    must be finite, as lambda_star must.  Exact ties resolve to smaller
+    |value|, then smaller argument.
     """
     if (lambda_star is None) == (target is None):
         raise ValueError("give exactly one of lambda_star (oracle) or target")
+    ref = complex(lambda_star if lambda_star is not None else target)
+    if not cmath.isfinite(ref):
+        raise ValueError(f"the selection point must be finite, not {ref}")
     if not spec.eigenvalues:
         raise EmptySpectrum("projected problem has no eigenvalue in the region")
-    ref = complex(lambda_star if lambda_star is not None else target)
     return min(spec.eigenvalues, key=lambda z: (abs(z - ref), abs(z), np.angle(z)))

@@ -103,7 +103,6 @@ def per_point_profile(b, lambda_star, direction, *, disc_radius):
         alpha = float(min(samples))
     return bl.DerivativeProfile(
         h=float(h), estimates=[float(e) for e in ests],
-        noise_floors=[float(f) for f in floors], reliable=reliable,
         detected_m_mu=detected, alpha_estimate=alpha,
     )
 
@@ -305,7 +304,7 @@ class TestCaseContext:
         lfn = t.compress(qr_complement(ref.x_star))
         want = singular_values(np.stack(
             [eval_T(lfn, lam, 0), eval_T(lfn, lam, 1), eval_T(lfn, mu, 0)]))
-        (beta,) = taylor_remainder_const(lfn, lam, ctx.radius)
+        (beta,) = taylor_remainder_const(lfn, lam, bl.remainder_radius(t, lam, mu))
         for got, ref_value in ((ctx.sigma_min_L_star, want[0, -1]),
                                (ctx.norm_L_prime, want[1, 0]),
                                (ctx.sigma_min_L_mu, want[2, -1]),

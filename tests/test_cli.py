@@ -9,7 +9,7 @@ import pytest
 import nepritz.experiments as ex
 from nepritz.cli import build_parser, main
 from nepritz.experiments import fixture_problem, random_planted_nep, simple_rate_instance
-from nepritz.nep_model import save_problem
+from nepritz.nep_model import ReferencePair, load_problem, save_problem
 
 
 PLANTED_POLY4 = Path(__file__).resolve().parents[1] / "demos" / "problems" / "planted_poly4.json"
@@ -119,6 +119,14 @@ class TestSweepCommand:
         code = main(["sweep", "--problem", str(PLANTED_POLY4), "--subspace-dim", "1",
                      "--eps", "1e-6,1e-7,1e-8,1e-9,1e-10"])
         assert code == 0, capsys.readouterr().out
+
+    def test_x_star_off_unit_by_9e_13_sweeps(self, tmp_path, capsys):
+        # the problem file loads; the sweep then ended in a sin_angle traceback
+        t, ref = load_problem(PLANTED_POLY4)
+        path = tmp_path / "scaled.json"
+        save_problem(path, t, ReferencePair(ref.lambda_star, ref.x_star * (1 + 9e-13)))
+        assert main(["sweep", "--problem", str(path), "--trials", "2"]) == 0, \
+            capsys.readouterr().out
 
     def test_subspace_dim_must_be_below_problem_dimension(self, problem_file,
                                                          capsys):
@@ -299,6 +307,11 @@ _OUT_OF_RANGE = [
     ("sweep", "seed_base", -1),
     # a span under the 4 decades run_sweep asks for
     ("sweep", "eps", "1e-2,1e-3"),
+    # a NaN target selected the first Ritz value; an infinite one raised
+    ("example1", "selection", "target=nan"),
+    ("example1", "selection", "target=inf"),
+    ("sweep", "selection", "target=nan"),
+    ("sweep", "selection", "target=1-infj"),
 ]
 
 
@@ -314,7 +327,8 @@ class TestOutOfRangeInput:
         with pytest.raises(SystemExit) as exc:
             main(command_line(command) + [flag, str(value)])
         assert exc.value.code == 2
-        assert key in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command,key,value", _OUT_OF_RANGE)
     def test_config_value_rejected_as_usage_error(self, command, key, value,
@@ -324,7 +338,8 @@ class TestOutOfRangeInput:
         with pytest.raises(SystemExit) as exc:
             main(command_line(command) + ["--config", str(cfg)])
         assert exc.value.code == 2
-        assert key in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert key in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("command,key,value", [
         ("example2", "seed_base", 1.5),

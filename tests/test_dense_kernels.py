@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import complex_randn, mgs_oracle, power_iteration_norm, qr_complement
+from helpers import complex_randn, power_iteration_norm, qr_complement
 
 from nepritz.dense_kernels import (
     _finite,
@@ -9,54 +9,13 @@ from nepritz.dense_kernels import (
     near_singular,
     norm2,
     norms_within,
-    orthonormalize,
     phase_fix,
     singular_values,
     solve_linear,
     solve_with_norm,
     svd,
 )
-from nepritz.errors import ConvergenceFailure, NearSingular, RankDeficient
-
-
-class TestOrthonormalize:
-    def test_identity_passes_through(self):
-        q = orthonormalize(np.eye(3, dtype=complex))
-        assert np.allclose(q, np.eye(3), atol=1e-14)
-
-    def test_single_column_normalized(self):
-        q = orthonormalize(np.array([[2.0], [0.0], [0.0]], dtype=complex))
-        assert np.allclose(q, [[1.0], [0.0], [0.0]], atol=1e-14)
-
-    def test_matches_gram_schmidt_oracle_span(self):
-        m = np.array([[1.0, 1.0], [1.0, 0.0]], dtype=complex)
-        q = orthonormalize(m)
-        oracle = mgs_oracle(m)
-        assert norm2(q.conj().T @ q - np.eye(2)) < 1e-12
-        # same span: projectors agree
-        assert norm2(q @ q.conj().T - oracle @ oracle.conj().T) < 1e-12
-
-    def test_phase_convention(self):
-        rng = np.random.default_rng(3)
-        q = orthonormalize(complex_randn(rng, 5, 3))
-        for k in range(3):
-            piv = q[np.argmax(np.abs(q[:, k])), k]
-            assert abs(piv.imag) < 1e-14 and piv.real > 0
-
-    def test_rank_deficient_raises(self):
-        m = np.array([[1.0, 2.0], [1.0, 2.0]], dtype=complex)
-        with pytest.raises(RankDeficient):
-            orthonormalize(m)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            orthonormalize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_orthogonality_random(self, seed):
-        rng = np.random.default_rng(seed)
-        q = orthonormalize(complex_randn(rng, 8, 5))
-        assert norm2(q.conj().T @ q - np.eye(5)) < 1e-12
+from nepritz.errors import ConvergenceFailure, NearSingular
 
 
 class TestComplementCompress:

@@ -12,8 +12,8 @@ from nepritz.extraction import (
     ritz_vector,
     sin_angle,
 )
-from nepritz.nep_model import MatrixFunction, Polynomial, eval_T
-from nepritz.projection import Subspace, project
+from nepritz.nep_model import MatrixFunction, Polynomial, ReferencePair, eval_T
+from nepritz.projection import Subspace, deviation, project
 
 
 def fixture_case():
@@ -171,6 +171,50 @@ class TestSinAngle:
     def test_requires_unit_vectors(self):
         with pytest.raises(ValueError):
             sin_angle(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+
+    def test_cross_check_admits_every_admitted_vector(self):
+        # ||b||^2 - 1 = 1.8e-12 tripped the old 1e-12 cross-check, although
+        # b passed the old 1e-10 unit test
+        e1, e2 = np.eye(2, dtype=complex)
+        assert sin_angle(e1, (1 + 9e-13) * e2) == 1.0
+        # |a^H b| > 1: the clamp's share of the difference
+        assert sin_angle((1 + 9e-13) * e1, (1 + 9e-13) * e1) < 1e-11
+        with pytest.raises(ValueError, match="^b must be unit norm"):
+            sin_angle(e1, (1 + 2e-12) * e2)
+
+
+def _unit_norm_callers():
+    """(argument name, call) of every function that requires a unit vector."""
+    t, ref, s = fixture_case()
+    tw = eval_T(t, 0.0) @ s.basis
+    z = np.array([0.6, 0.8j])
+    e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    return [
+        ("x_star", lambda c: ReferencePair(0.0, c * ref.x_star)),
+        ("x_star", lambda c: deviation(s, c * ref.x_star)),
+        ("z_custom", lambda c: ritz_residual_for(tw, s, c * z)),
+        ("a", lambda c: sin_angle(c * e1, e1)),
+        ("b", lambda c: sin_angle(e1, c * e1)),
+    ]
+
+
+_CALLERS = ["ReferencePair", "deviation", "ritz_residual_for", "sin_angle-a", "sin_angle-b"]
+
+
+class TestUnitNormRule:
+    # one rule, | ||v|| - 1 | <= UNIT_TOL = 1e-12, for every unit argument
+    @pytest.mark.parametrize("case", range(5), ids=_CALLERS)
+    @pytest.mark.parametrize("scale", [1 + 9e-13, 1 - 9e-13])
+    def test_admits_a_vector_off_unit_by_9e_13(self, case, scale):
+        _, call = _unit_norm_callers()[case]
+        call(scale)
+
+    @pytest.mark.parametrize("case", range(5), ids=_CALLERS)
+    @pytest.mark.parametrize("scale", [1 + 2e-12, 1 - 2e-12])
+    def test_rejects_a_vector_off_unit_by_2e_12_naming_it(self, case, scale):
+        name, call = _unit_norm_callers()[case]
+        with pytest.raises(ValueError, match=f"^{name} must be unit norm"):
+            call(scale)
 
 
 class TestExtractionProperties:

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from helpers import complex_randn
+from helpers import complex_randn, mgs_oracle
 
 from nepritz.bounds_lab import build_case_context
-from nepritz.dense_kernels import norm2, orthonormalize, singular_values
+from nepritz.dense_kernels import norm2, singular_values
 from nepritz.errors import DegenerateDeviation
 from nepritz.experiments import build_subspace_eps, fixture_problem
 from nepritz.nep_model import ReferencePair, eval_T
@@ -26,7 +26,7 @@ def witness_case(t, s, ref):
 
 def random_subspace(n, m, seed):
     rng = np.random.default_rng(seed)
-    return Subspace.from_basis(orthonormalize(complex_randn(rng, n, m)))
+    return Subspace.from_basis(mgs_oracle(complex_randn(rng, n, m)))
 
 
 class TestSubspace:

@@ -145,18 +145,18 @@ class TestPolynomialize:
     def test_check_points_drawn_in_blocks_equal_one_pair_per_draw(self):
         first = self.one_pair_per_draw([], count=25)
         # no pole; one near the 3rd point; near the 1st, 3rd and 7th points
-        for poles in ([], [first[2] + 5e-4], [first[0], first[2] - 2e-4j, first[6] + 1e-4]):
+        for poles in ((), (first[2] + 5e-4,), (first[0], first[2] - 2e-4j, first[6] + 1e-4)):
             got = sns._check_points(poles)
             want = self.one_pair_per_draw(poles)
             assert got.tobytes() == want.tobytes()
             assert all(abs(lam - p) >= 1e-3 for lam in got for p in poles)
         # a rejected point pulls the 21st draw of the stream into the set
-        assert sns._check_points([first[2]])[-1] == first[20]
+        assert sns._check_points((first[2],))[-1] == first[20]
 
     def test_check_points_read_only_and_keyed_on_the_pole_values(self):
-        poles = [0.5 + 0.25j, -1.0 + 0.0j]
+        poles = (0.5 + 0.25j, -1.0 + 0.0j)
         got = sns._check_points(poles)
-        assert got.tobytes() == sns._check_points(tuple(poles)).tobytes()
+        assert sns._check_points(tuple(list(poles))) is got  # an equal, new tuple
         assert not got.flags.writeable
         with pytest.raises(ValueError):
             got[0] = 0.0
@@ -835,6 +835,18 @@ class TestSelectRitzValue:
             select_ritz_value(spec)
         with pytest.raises(ValueError):
             select_ritz_value(spec, lambda_star=0.0, target=1.0)
+
+    @pytest.mark.parametrize("mode", ["lambda_star", "target"])
+    @pytest.mark.parametrize("point", [complex("nan"), complex("inf"), complex(0.0, -math.inf),
+                                       complex(1.0, math.nan)])
+    def test_non_finite_point_raises(self, mode, point):
+        # min over NaN distances returned the first eigenvalue, whatever it was
+        from nepritz.small_nep_solver import SpectrumResult
+
+        spec = SpectrumResult(eigenvalues=[2.0, 0.0], residuals=[0.0, 0.0],
+                              multiplicities=[1, 1], method="companion-polynomial")
+        with pytest.raises(ValueError, match="finite"):
+            select_ritz_value(spec, **{mode: point})
 
 
 class TestExponentialPath:
