@@ -24,6 +24,7 @@ from .experiments import (
     defective_rate_subspace,
     fixture_problem,
     perturb_subspace,
+    random_planted_nep,
     run_example1,
     run_example1_target,
     run_example2,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -75,14 +75,7 @@ class BoundReport:
         return self.rhs * (1.0 + self.slack_allowance) + floor - self.lhs
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "slack_allowance": self.slack_allowance,
-            "intermediates": dict(self.intermediates),
-        }
+        return asdict(self)
 
 
 def _report(theorem_id, lhs, rhs, rel_slack, floor, inter) -> BoundReport:

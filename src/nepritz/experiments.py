@@ -375,9 +375,9 @@ def run_example2(
 
     With a perturbation of standard deviation sigma the deviation becomes
     O(sigma); across seeds the classical vector keeps an O(1) error while the
-    refined vector tracks the target to O(sigma).  Thresholds scale with
-    sigma; at the reference sigma = 1e-4 they are the fixed windows listed in
-    the checks.
+    refined vector tracks the target to O(sigma).  The median refined sine
+    must lie within a decade of the median measured deviation, which the
+    refined error tracks, and the cap on |mu| scales with sigma.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -404,10 +404,10 @@ def run_example2(
         "abs_mu": float(np.median(abs_mu)),
     }
 
-    window = (1e-5, 1e-3) if sigma == 1e-4 else (sigma / 10.0, sigma * 10.0)
+    eps = med["epsilon"]
     checks = [
         {"name": "median_sin_refined_in_window",
-         "ok": window[0] <= med["sin_refined"] <= window[1],
+         "ok": eps / 10.0 <= med["sin_refined"] <= eps * 10.0,
          "value": med["sin_refined"]},
         {"name": "median_sin_ritz_large",
          "ok": med["sin_ritz"] >= 1e-2, "value": med["sin_ritz"]},
@@ -475,8 +475,9 @@ def random_planted_nep(
         raise ConstructionFailed(f"seed {seed}: planted eigenvalue is not simple enough")
     # algebraic simplicity: left/right coupling through T'(lambda_star)
     y_left = svd(t_star).left_vectors[:, -1]
-    coupling = abs(np.vdot(y_left, eval_T(t, lambda_star, 1) @ x))
-    if coupling < 1e-6 * max(1.0, norm2(eval_T(t, lambda_star, 1))):
+    t_prime = eval_T(t, lambda_star, 1)
+    coupling = abs(np.vdot(y_left, t_prime @ x))
+    if coupling < 1e-6 * max(1.0, norm2(t_prime)):
         raise ConstructionFailed(f"seed {seed}: eigenvalue derivative vanishes")
     return t, ref
 

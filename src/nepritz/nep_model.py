@@ -19,7 +19,7 @@ complex multiply and divide may fuse or reorder depending on the stack.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb, factorial
 from pathlib import Path
 
@@ -420,77 +420,72 @@ class ReferencePair:
 # problem file format (JSON)
 # ---------------------------------------------------------------------------
 
-def _c2j(z: complex) -> list[float]:
-    z = complex(z)
+_TERM_TYPES = {cls.__name__.lower(): cls for cls in (Polynomial, Rational, Exponential)}
+
+
+def _to_json(value):
+    """A complex scalar as [re, im]; an array as the flat list of its entries' pairs."""
+    if isinstance(value, np.ndarray):
+        return [_to_json(z) for z in value.ravel()]
+    z = complex(value)
     return [z.real, z.imag]
 
 
-def _j2c(pair) -> complex:
-    return complex(pair[0], pair[1])
+def _from_json(value, scalar: bool, name: str):
+    """A complex scalar from one [re, im] pair, or a 1-D array from a list of them.
+
+    A pair is exactly two JSON numbers, and float(True) is 1.0, so a boolean
+    is no number here.  Anything else raises ValueError naming the field.
+    """
+    if not scalar:
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list of [re, im] pairs")
+        return np.array([_from_json(p, True, name) for p in value], dtype=complex)
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{name} holds {value!r}, not a [re, im] pair of two numbers")
+    return complex(value[0], value[1])
 
 
-def _coeffs2j(c: np.ndarray) -> list[list[float]]:
-    return [_c2j(z) for z in np.atleast_1d(c)]
+def _fields_to_json(obj) -> dict:
+    return {f.name: _to_json(getattr(obj, f.name)) for f in fields(obj)}
 
 
-def _j2coeffs(lst) -> np.ndarray:
-    return np.array([_j2c(p) for p in lst], dtype=complex)
-
-
-def _fn_to_json(fn: ScalarAnalyticFn) -> dict:
-    if isinstance(fn, Polynomial):
-        return {"type": "polynomial", "coefficients": _coeffs2j(fn.coefficients)}
-    if isinstance(fn, Rational):
-        return {
-            "type": "rational",
-            "numerator": _coeffs2j(fn.numerator),
-            "denominator": _coeffs2j(fn.denominator),
-        }
-    if isinstance(fn, Exponential):
-        return {"type": "exponential", "scale": _c2j(fn.scale)}
-    raise TypeError(f"unknown scalar function {fn!r}")
-
-
-def _fn_from_json(d: dict) -> ScalarAnalyticFn:
-    kind = d["type"]
-    if kind == "polynomial":
-        return Polynomial(_j2coeffs(d["coefficients"]))
-    if kind == "rational":
-        return Rational(_j2coeffs(d["numerator"]), _j2coeffs(d["denominator"]))
-    if kind == "exponential":
-        return Exponential(_j2c(d["scale"]))
-    raise ValueError(f"unknown scalar function type {kind!r}")
+def _fields_from_json(cls, d: dict, name: str):
+    """cls from its fields' pairs: a complex field is one pair, an np.ndarray a list of them."""
+    return cls(**{f.name: _from_json(d[f.name], f.type == "complex", f"{name}.{f.name}")
+                  for f in fields(cls)})
 
 
 def problem_to_dict(t: MatrixFunction, ref: ReferencePair | None = None) -> dict:
-    doc = {
-        "n": t.n,
-        "terms": [
-            {"fn": _fn_to_json(fn), "matrix": [_c2j(z) for z in a.ravel()]}
-            for fn, a in t.terms
-        ],
-    }
+    terms = []
+    for fn, a in t.terms:
+        kind = next((k for k, cls in _TERM_TYPES.items() if isinstance(fn, cls)), None)
+        if kind is None:
+            raise TypeError(f"unknown scalar function {fn!r}")
+        terms.append({"fn": {"type": kind, **_fields_to_json(fn)}, "matrix": _to_json(a)})
+    doc = {"n": t.n, "terms": terms}
     if ref is not None:
-        doc["reference"] = {
-            "lambda_star": _c2j(ref.lambda_star),
-            "x_star": [_c2j(z) for z in ref.x_star],
-        }
+        doc["reference"] = _fields_to_json(ref)
     return doc
 
 
 def problem_from_dict(doc: dict) -> tuple[MatrixFunction, ReferencePair | None]:
     n = int(doc["n"])
     terms = []
-    for entry in doc["terms"]:
-        flat = _j2coeffs(entry["matrix"])
+    for i, entry in enumerate(doc["terms"]):
+        flat = _from_json(entry["matrix"], False, f"terms[{i}].matrix")
         if flat.size != n * n:
             raise ValueError("matrix entry count does not match n*n")
-        terms.append((_fn_from_json(entry["fn"]), flat.reshape(n, n)))
+        kind = entry["fn"]["type"]
+        cls = _TERM_TYPES.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValueError(f"unknown scalar function type {kind!r}")
+        terms.append((_fields_from_json(cls, entry["fn"], f"terms[{i}].fn"), flat.reshape(n, n)))
     t = MatrixFunction.from_terms(terms)
     ref = None
     if "reference" in doc and doc["reference"]:
-        r = doc["reference"]
-        ref = ReferencePair(_j2c(r["lambda_star"]), _j2coeffs(r["x_star"]))
+        ref = _fields_from_json(ReferencePair, doc["reference"], "reference")
         ref.validate(t)
     return t, ref
 

@@ -266,8 +266,10 @@ def screen_stop_test(bk: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     arithmetic, and a singular or zero B, or one whose F overflows or
     underflows to 0, is never screened out.
     """
-    logdet = np.linalg.slogdet(bk)[1]
-    with np.errstate(over="ignore"):  # an overflowing F only keeps B on the exact path
+    # a -inf or NaN log |det B| (a subnormal B's LU may divide by zero) and an
+    # overflowing F only keep B on the exact path
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logdet = np.linalg.slogdet(bk)[1]
         fro = np.linalg.norm(bk, axis=(-2, -1))
     ok = np.isfinite(logdet) & np.isfinite(fro) & (fro > 0)
     log_fro = np.log(np.where(ok, fro, 1.0))

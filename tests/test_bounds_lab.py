@@ -583,6 +583,8 @@ class TestReportSerialization:
         doc = case.reports[0].to_dict()
         assert set(doc) == {"theorem_id", "lhs", "rhs", "holds",
                             "slack_allowance", "intermediates"}
+        doc["intermediates"]["slack_floor"] = -1.0
+        assert case.reports[0].intermediates["slack_floor"] != -1.0
 
     def test_jsonl_and_csv_writers(self, tmp_path):
         import csv

@@ -179,6 +179,19 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "cannot load problem" in capsys.readouterr().err
 
+    def test_malformed_pair_is_usage_error(self, tmp_path, capsys):
+        # a one-element lambda_star ended the sweep in an IndexError traceback
+        doc = json.loads(PLANTED_POLY4.read_text())
+        doc["reference"]["lambda_star"] = [0.0]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--problem", str(path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference.lambda_star" in captured.err
+
 
 class TestVerifyAllCommand:
     def test_builtin_suite_passes(self, tmp_path, capsys):

@@ -178,8 +178,32 @@ class TestRunExample2:
         with pytest.raises(ValueError, match="seeds"):
             ex.run_example2(seeds=())
 
+    def test_refined_window_follows_the_measured_deviation(self):
+        # at sigma = 1e-300 the bases read epsilon = 0 and the refined sine 0,
+        # which the window (sigma / 10, 10 sigma) rejected
+        result = ex.run_example2(sigma=1e-300, seeds=(0, 1))
+        assert result["medians"]["epsilon"] == 0.0
+        assert result["ok"], result["checks"]
+
 
 class TestAnalyzeCase:
+    @pytest.mark.xfail(strict=True, reason=(
+        "refined_bounds is one family: the angle's hypothesis marks "
+        "refined_residual, which has none, inapplicable too"))
+    def test_failed_angle_hypothesis_keeps_the_refined_residual(self, monkeypatch):
+        import nepritz.bounds_lab as bl
+
+        real = bl.build_case_context
+
+        def no_gap(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), sigma_min_L_star=0.0)
+
+        monkeypatch.setattr(bl, "build_case_context", no_gap)
+        inst = ex.builtin_suite()[0]
+        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
+        assert "refined_residual" in {r.theorem_id for r in case.reports}
+        assert [tid for tid, _ in case.inapplicable] == ["refined_angle"]
+
     def test_each_case_quantity_is_derived_once(self, monkeypatch):
         # only B is compressed into a function; L's values come from T's
         # stack, and gamma, beta, gamma_B from one remainder pass over T's

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -742,3 +744,45 @@ class TestProblemFormat:
                                   "matrix": [[1.0, 0.0]]}]}
         with pytest.raises(ValueError):
             problem_from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["delay8", "planted_poly4", "rational3"])
+    def test_save_reproduces_the_demo_files(self, tmp_path, name):
+        demo = Path(__file__).resolve().parents[1] / "demos" / "problems" / f"{name}.json"
+        save_problem(tmp_path / "again.json", *load_problem(demo))
+        assert (tmp_path / "again.json").read_bytes() == demo.read_bytes()
+
+    def test_term_fields_are_pairs_or_lists_of_pairs(self):
+        # the codec reads each field's shape off its annotation
+        for cls in (*nep_model._TERM_TYPES.values(), ReferencePair):
+            assert {f.type for f in dataclasses.fields(cls)} <= {"complex", "np.ndarray"}
+
+    @pytest.mark.parametrize("pair", [
+        [0.0], [[0.0, 0.0]], [1.0, 0.0, 9.0], ["1.0", "0.0"], [True, False], None, 0.0,
+    ])
+    def test_malformed_pair_rejected(self, pair):
+        t, ref, _ = fixture_problem()
+        for where in ("lambda_star", "x_star", "coefficients", "matrix"):
+            doc = problem_to_dict(t, ref)
+            if where == "lambda_star":
+                doc["reference"]["lambda_star"] = pair
+            elif where == "x_star":
+                doc["reference"]["x_star"][1] = pair
+            elif where == "coefficients":
+                doc["terms"][0]["fn"]["coefficients"][0] = pair
+            else:
+                doc["terms"][2]["matrix"][4] = pair
+            with pytest.raises(ValueError, match=where):
+                problem_from_dict(doc)
+
+    def test_integer_pairs_read_as_floats(self):
+        t, ref, _ = fixture_problem()
+        doc = problem_to_dict(t, ref)
+        doc["reference"]["lambda_star"] = [0, 0]
+        doc["terms"][0]["matrix"] = [[int(re), int(im)] for re, im in doc["terms"][0]["matrix"]]
+        assert problem_to_dict(*problem_from_dict(doc)) == problem_to_dict(t, ref)
+
+    def test_non_term_function_not_saved(self):
+        t, _, _ = fixture_problem()
+        bogus = dataclasses.replace(t, terms=((object(), t.terms[0][1]),))
+        with pytest.raises(TypeError):
+            problem_to_dict(bogus)

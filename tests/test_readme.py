@@ -19,7 +19,8 @@ PUBLIC_API = frozenset({
     "ritz_vector", "refined_vector", "ritz_residual_for", "sin_angle",
     "RitzExtraction", "RefinedExtraction",
     "analyze_case", "CaseResult", "BoundReport", "sigma_min_profile",
-    "fixture_problem", "build_subspace_eps", "perturb_subspace", "builtin_suite",
+    "fixture_problem", "build_subspace_eps", "perturb_subspace", "random_planted_nep",
+    "builtin_suite",
     "simple_rate_instance", "defective_rate_instance", "defective_rate_subspace",
     "run_example1", "run_example1_target", "run_example2", "run_sweep", "verify_all",
     "svd", "singular_values", "norm2",
@@ -61,7 +62,7 @@ def test_command_line_section_names_exactly_the_parser_options():
 def test_package_exports_exactly_the_public_api():
     exported = {name for name, value in vars(nepritz).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(PUBLIC_API) == 41
+    assert len(PUBLIC_API) == 42
     assert exported == PUBLIC_API
     assert nepritz.eval_T is nepritz.nep_model.eval_T
 

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +519,15 @@ class TestStopTestScreen:
     def test_overflowing_frobenius_norm_is_not_screened(self):
         big = np.diag([1e300, 1e300]).astype(complex)[None]
         assert sns.screen_stop_test(big, 1e-10)[0].tolist() == [False]
+
+    def test_subnormal_matrix_is_not_screened_and_does_not_warn(self):
+        # the B that `nepritz example2 --sigma 5e-324` meets: slogdet's LU
+        # divides by an underflowed pivot, which must only keep B exact
+        b = np.array([[[0, 5e-324], [5e-324, 1e-323]]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far, _ = sns.screen_stop_test(b, 1e-10)
+        assert far.tolist() == [False]
 
     def test_residual_check_failing_on_the_bound_is_rechecked_exactly(self, monkeypatch):
         # a residual check that fails whenever it is given less than ||B||_2
