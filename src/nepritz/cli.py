@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
-    except NepRitzError as exc:
+    except (NepRitzError, OSError) as exc:  # OSError: an output path not writable
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

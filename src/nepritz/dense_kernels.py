@@ -219,8 +219,8 @@ def svd(m) -> SvdResult:
     Verifies reconstruction and orthogonality (U^H U = V^H V = I_p) to
     1e-12 before returning, so a violated invariant surfaces as
     ConvergenceFailure (kernel bug), never as silent data corruption.  Both
-    checks go through norms_within, one limit each, so each is decided by
-    one Frobenius reduction of its whole residual, A - U S V^H or the stack
+    checks go through norms_within, so each is decided by one Frobenius
+    reduction of its whole residual, A - U S V^H or the stack
     [U^H U - I, V^H V - I], and decomposes only when that cannot decide.
     """
     a = as_matrix(m)
@@ -256,49 +256,23 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False).astype(float)
 
 
-def norms_within(a, limit, scale=None) -> bool:
+def norms_within(a, limit) -> bool:
     """Whether ||A||_2 <= limit for one matrix, or for every matrix of a stack.
 
-    limit is a number or one per matrix.  With scale, a matrix or a stack
-    S, the limit is limit * max(max_k ||S_k||_2, 1e-300), so it scales with
-    the largest 2-norm in S and is never 0.  The answer is that of the plain
-    check, any(singular_values(a)[..., 0] > limit * that scale), but the
-    Frobenius norm decides it where it can: ||A||_2 <= ||A||_F, and
-    ||S||_F / sqrt(min(rows, cols)) <= ||S||_2 since S has at most that
-    many nonzero singular values.  So when every ||A_k||_F is within the
-    limit taken with S's scale bounded from below, every ||A_k||_2 is too,
-    and nothing is decomposed.  Only when the Frobenius norm cannot decide
-    are A (and S) decomposed and the plain check run.  A computed Frobenius
-    norm and a computed largest singular value of one matrix each lie within
-    a few hundred units of rounding of their exact values at the sizes used
-    here, so the Frobenius side is compared with a relative allowance
+    The answer is the plain check's, not any(singular_values(a)[..., 0] >
+    limit), but one Frobenius reduction of all of A (np.vdot) decides it
+    where it can: it bounds every matrix's Frobenius norm, which bounds its
+    2-norm.  A computed Frobenius norm and a computed largest singular value
+    each lie within a few hundred units of rounding of their exact values at
+    the sizes used here, so the Frobenius side carries a relative allowance
     NORM_ROUNDING = 1e-8 above that: a pass it decides is a pass of the
-    plain check.  With one limit and no scale, one reduction of all of A
-    (np.vdot) is tried first: it bounds the Frobenius norm of every matrix
-    of a stack, and for one matrix it is that matrix's norm.
+    plain check.  Only when it cannot decide is A decomposed.
     """
     a = np.asarray(a, dtype=complex)
-    limit = np.asarray(limit, dtype=float)
-    if scale is None and limit.ndim == 0:
-        # one reduction of all of A bounds every matrix's Frobenius norm and,
-        # for one matrix, is it; an overflowing or NaN sum fails the test
-        if math.sqrt(np.vdot(a, a).real) * (1 + NORM_ROUNDING) <= limit:
-            return True
-        if a.ndim == 2:
-            return not singular_values(a)[0] > limit
-    floor = 1.0
-    # an overflowing Frobenius norm only leaves the check to the exact path:
-    # as a bound on the scale from below it counts as 0
-    with np.errstate(over="ignore"):
-        if scale is not None:
-            s = np.asarray(scale, dtype=complex)
-            fro_s = float(np.linalg.norm(s, axis=(-2, -1)).max()) / np.sqrt(min(s.shape[-2:]))
-            floor = max(fro_s * (1 - NORM_ROUNDING) if np.isfinite(fro_s) else 0.0, 1e-300)
-        fro = np.linalg.norm(a, axis=(-2, -1)) * (1 + NORM_ROUNDING)
-    if np.all(fro <= limit * floor):
+    # an overflowing or NaN sum fails the test and leaves it to the plain check
+    if math.sqrt(np.vdot(a, a).real) * (1 + NORM_ROUNDING) <= limit:
         return True
-    exact = 1.0 if scale is None else max(float(singular_values(s)[..., 0].max()), 1e-300)
-    return not np.any(singular_values(a)[..., 0] > limit * exact)
+    return not np.any(singular_values(a)[..., 0] > limit)
 
 
 def near_singular(s) -> np.ndarray:

@@ -469,12 +469,11 @@ def random_planted_nep(
     t = MatrixFunction.from_terms(terms)
     ref = ReferencePair(lambda_star, x)
     ref.validate(t)
-    t_star = eval_T(t, lambda_star, 0)
-    svals = singular_values(t_star)
-    if svals[-2] < 1e-6 * max(1.0, svals[0]):
+    dec = svd(eval_T(t, lambda_star, 0))
+    if dec.singular_values[-2] < 1e-6 * max(1.0, dec.sigma_max):
         raise ConstructionFailed(f"seed {seed}: planted eigenvalue is not simple enough")
     # algebraic simplicity: left/right coupling through T'(lambda_star)
-    y_left = svd(t_star).left_vectors[:, -1]
+    y_left = dec.left_vectors[:, -1]
     t_prime = eval_T(t, lambda_star, 1)
     coupling = abs(np.vdot(y_left, t_prime @ x))
     if coupling < 1e-6 * max(1.0, norm2(t_prime)):

@@ -471,7 +471,9 @@ def problem_to_dict(t: MatrixFunction, ref: ReferencePair | None = None) -> dict
 
 
 def problem_from_dict(doc: dict) -> tuple[MatrixFunction, ReferencePair | None]:
-    n = int(doc["n"])
+    n = doc["n"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, not {n!r}")
     terms = []
     for i, entry in enumerate(doc["terms"]):
         flat = _from_json(entry["matrix"], False, f"terms[{i}].matrix")

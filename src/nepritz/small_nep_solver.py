@@ -129,8 +129,9 @@ def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
     purely polynomial input the transform is the identity with q = 1.  An
     exponential term raises ValueError.  The construction is verified by
     comparing P against q*B at 20 sample points off b.domain_poles:
-    ||P - q B||_2 <= 1e-10 max(1, |q|) max_k ||C_k||_2 at each, decided by
-    Frobenius norms where they can (dense_kernels.norms_within).
+    ||P - q B||_2 / max(1, |q|) <= 1e-10 max_k ||C_k||_F (1 - NORM_ROUNDING)
+    / sqrt(m) at each, in one dense_kernels.norms_within call.  An m x m C_k
+    has at most m nonzero singular values, so that is <= 1e-10 max_k ||C_k||_2.
     """
     dens: list[np.ndarray] = []
     which_den: list[int | None] = []
@@ -187,7 +188,9 @@ def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
     stacked = np.stack(out)
     p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)
     residual = p_vals - qvals[:, None, None] * eval_T_many(b, lams, 0)
-    if not norms_within(residual, 1e-10 * np.maximum(1.0, np.abs(qvals)), scale=stacked):
+    residual /= np.maximum(1.0, np.abs(qvals))[:, None, None]
+    scale = np.linalg.norm(stacked, axis=(-2, -1)).max() * (1 - NORM_ROUNDING) / math.sqrt(m)
+    if not norms_within(residual, 1e-10 * scale):
         raise RuntimeError("polynomialize self-check failed")
     return out
 

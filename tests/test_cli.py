@@ -67,6 +67,16 @@ class TestExample1Command:
         with pytest.raises(SystemExit):
             main(["example1", "--selection", "nearest"])
 
+    @pytest.mark.parametrize("flag", ["--json", "--csv"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
+        # the checks run and print; the write into a missing directory was
+        # a FileNotFoundError traceback
+        assert main(["example1", flag, str(tmp_path / "missing" / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "[PASS]" in captured.out
+        assert captured.err.startswith("error: FileNotFoundError: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestExample2Command:
     def test_small_run_with_csv(self, tmp_path, capsys):
@@ -205,6 +215,12 @@ class TestVerifyAllCommand:
         # --csv writes the summary.csv table: a header and one row per report
         assert cpath.read_bytes() == (out / "summary.csv").read_bytes()
         assert len(cpath.read_text().splitlines()) > 1
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "reports"
+        out.write_text("")
+        assert main(["verify-all", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: FileExistsError: ")
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

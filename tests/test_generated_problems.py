@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import mp_oracle
 from helpers import complex_randn, seeded_unitary
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -42,7 +43,7 @@ from nepritz.nep_model import (
     load_problem,
     problem_to_dict,
 )
-from nepritz.projection import Subspace
+from nepritz.projection import Subspace, project
 
 
 def run_case(n, degree, seed, lambda_star, m, eps, pole=None):
@@ -239,6 +240,29 @@ def test_scaling_of_t_keeps_every_verdict(c):
     for name, t, ref, s in invariance_cases():
         ct = MatrixFunction.from_terms([(fn, c * a) for fn, a in t.terms])
         assert_same_verdicts(analyze_case(t, ref, s), analyze_case(ct, ref, s), name)
+
+
+_STOP_ERROR = ("ROADMAP item 2: grid-Newton stops at sigma_min <= 1e-10 max(1, ||B||), "
+               "not at working accuracy")
+
+
+@pytest.fixture(scope="module")
+def cases_by_name():
+    return {name: case for name, *case in invariance_cases()}
+
+
+@pytest.mark.parametrize("name", [
+    "poly3-eps1e-08", "poly6-eps1e-08", "rat4-eps1e-08", "poly12-eps1e-08", "rat5-eps1e-08",
+    "delay-n6",
+    pytest.param("delay-n8", marks=pytest.mark.xfail(strict=True, reason=_STOP_ERROR)),
+    pytest.param("delay-n12", marks=pytest.mark.xfail(strict=True, reason=_STOP_ERROR)),
+])
+def test_mu_is_the_40_digit_eigenvalue_of_b(cases_by_name, name):
+    # mu against the eigenvalue of the same float B at 40 digits, relative to
+    # r = |mu - l*|: a tenth of the golden references' rel tolerance
+    t, ref, s = cases_by_name[name]
+    case = analyze_case(t, ref, s)
+    assert mp_oracle.eigenvalue_error(project(t, s), case.mu) <= 0.1 * INVARIANCE_REL * case.mu_dist
 
 
 def test_delay_demo_problem_is_the_planted_one():

@@ -774,6 +774,16 @@ class TestProblemFormat:
             with pytest.raises(ValueError, match=where):
                 problem_from_dict(doc)
 
+    @pytest.mark.parametrize("n,size", [
+        (True, 1), ("3", 3), (2.5, 2), (3.0, 3), (0, 1), (-1, 1), (None, 1),
+    ])
+    def test_n_is_a_positive_integer(self, n, size):
+        # each n but 0 and -1 was read as int(n) == size, so the file loaded
+        doc = problem_to_dict(MatrixFunction.from_terms([(Polynomial([1]), np.eye(size))]))
+        doc["n"] = n
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            problem_from_dict(doc)
+
     def test_integer_pairs_read_as_floats(self):
         t, ref, _ = fixture_problem()
         doc = problem_to_dict(t, ref)

@@ -32,6 +32,7 @@ from nepritz.errors import (
 )
 from nepritz.experiments import (
     build_subspace_eps,
+    builtin_suite,
     fixture_problem,
     perturb_subspace,
     random_planted_nep,
@@ -130,6 +131,22 @@ class TestPolynomialize:
 
         monkeypatch.setattr(sns, "eval_T_many", corrupted)
         with pytest.raises(RuntimeError, match="polynomialize self-check failed"):
+            polynomialize(b)
+
+    def test_self_check_decided_without_decomposing(self, monkeypatch):
+        # the residuals, each over max(1, |q|), meet a limit scaled by a
+        # Frobenius lower bound on max_k ||C_k||_2 in one reduction
+        import nepritz.dense_kernels as dk
+
+        (rat4,) = [i for i in builtin_suite() if i.instance_id == "rat4-eps1e-04"]
+        problems = [fixture_projected(), project(rat4.t, rat4.subspace)]
+
+        def forbidden(m):
+            raise AssertionError("polynomialize's self-check decomposed a matrix")
+
+        monkeypatch.setattr(dk, "singular_values", forbidden)
+        for b in problems:
+            assert b.domain_poles
             polynomialize(b)
 
     @staticmethod
