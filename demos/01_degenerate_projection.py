@@ -31,7 +31,7 @@ spectrum = nr.solve_projected(b, 0.0, 0.5)
 print(f"\nprojected eigenvalues in |lambda| <= 0.5: {spectrum.eigenvalues}")
 print(f"algebraic multiplicities: {spectrum.multiplicities}")
 
-mu = nr.select_ritz_value(spectrum, lambda_star=ref.lambda_star)
+mu = nr.select_ritz_value(spectrum, ref.lambda_star)
 tw = nr.eval_T(t, mu) @ s.basis  # T(mu) W: both extractions read this one product
 ritz = nr.ritz_vector(tw, s.basis.conj().T @ tw, mu, s)
 print(f"\nselected value mu = {mu}")

@@ -15,6 +15,10 @@ l* and mu, and the remainder constants gamma, beta, gamma_B.
 build_case_context derives each of them once into a frozen CaseContext, and
 the evaluators read them from there instead of re-evaluating T; a test that
 needs hand-picked constants applies dataclasses.replace to a built context.
+What only one bound reads, that bound builds itself:
+perturbation_norm_bound forms the rank-one perturbation witness E(l*), and
+ritz_value_bound takes the sigma_min profile of B along the ray from l* to
+mu.
 
 Hypothesis violations raise HypothesisFailed (or a sibling of
 InapplicableBound); suite runners catch those and record the bound as
@@ -23,6 +27,7 @@ inapplicable rather than failed.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -31,11 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .dense_kernels import as_vector, complement_compress, singular_values
-from .errors import DegenerateRatio, DegenerateSigma, HypothesisFailed
+from .dense_kernels import as_vector, complement_compress, norm2, singular_values
+from .errors import DegenerateDeviation, DegenerateRatio, DegenerateSigma, HypothesisFailed
 from .extraction import RefinedExtraction, RitzExtraction
 from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
-from .projection import PerturbationWitness, Subspace, deviation
+from .projection import Subspace, deviation
 
 DEFAULT_FLOOR = 1e-12
 SANDWICH_ABS_SLACK = 1e-8
@@ -143,15 +148,20 @@ def sigma_min_profile(
     sets the rounding-noise scale.  The alpha estimate takes the stencil
     points of all 24 disc samples (6 on each of 4 rings) as one more stack
     and one more call.
+
+    A non-finite lambda_star or direction, a zero direction, or a
+    disc_radius outside (0, inf) raises ValueError before B is evaluated.
     """
     lam0 = complex(lambda_star)
     d = complex(direction)
-    if abs(d) == 0:
-        raise ValueError("direction must be nonzero")
+    if not cmath.isfinite(lam0):
+        raise ValueError(f"lambda_star must be finite, not {lam0}")
+    if not cmath.isfinite(d) or d == 0:
+        raise ValueError(f"direction must be finite and nonzero, not {d}")
+    if not 0.0 < disc_radius < math.inf:  # a comparison that NaN fails
+        raise ValueError(f"disc_radius must be positive and finite, not {disc_radius}")
     d = d / abs(d)
     hw = max(_STENCILS[PROFILE_MAX_ORDER])  # the widest stencil
-    if disc_radius <= 0:
-        raise ValueError("disc_radius must be positive")
     h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
 
     orders = range(0, PROFILE_MAX_ORDER + 1)
@@ -234,12 +244,15 @@ class CaseContext:
     B, come from one pass over T's remainder directions.  T(l*), B(l*),
     T(mu) W and B(mu) are kept whole because the perturbation witness and
     the Ritz and refined extractions read them too; both extractions read
-    the one T(mu) W, so their residuals share its rounding.
+    the one T(mu) W, so their residuals share its rounding.  The two points
+    are kept for the rate bound, which profiles B along the ray from
+    lambda_star to mu.
     """
 
     x_star: np.ndarray
+    lambda_star: complex
+    mu: complex
     eps: float                  # deviation of x_star from the subspace
-    mu_dist: float              # r = |mu - lambda_star|
     t_star: np.ndarray          # T(l*)
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
@@ -254,6 +267,11 @@ class CaseContext:
     gamma: float
     beta: float
     gamma_b: float
+
+    @property
+    def mu_dist(self) -> float:
+        """r = |mu - lambda_star|."""
+        return abs(self.mu - self.lambda_star)
 
     @property
     def eps_cos(self) -> float:
@@ -306,8 +324,9 @@ def build_case_context(
     l_svals = singular_values(complement_compress(x, t_stack))
     return CaseContext(
         x_star=x,
+        lambda_star=lam,
+        mu=mu,
         eps=deviation(s, x),
-        mu_dist=abs(mu - lam),
         t_star=t_star,
         t_star_svals=t_svals[0],
         norm_T_prime=float(t_svals[1, 0]),
@@ -329,11 +348,37 @@ def build_case_context(
 # bound evaluators
 # ---------------------------------------------------------------------------
 
-def perturbation_norm_bound(ctx: CaseContext, witness: PerturbationWitness) -> BoundReport:
-    """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the constructed witness."""
+def perturbation_norm_bound(ctx: CaseContext, s: Subspace) -> BoundReport:
+    """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the rank-one witness E.
+
+    E(l*) makes lambda_star an exact eigenvalue of the perturbed projected
+    problem.  With u = W^H x*, u_hat = u / sqrt(1 - eps^2) and x_out =
+    x* - W u, E(l*) = (W^H T(l*) x_out) u_hat^H / sqrt(1 - eps^2), so that
+    (B(l*) + E(l*)) u_hat = 0, since x* = W u + x_out and B(l*) u =
+    W^H T(l*) W u.  Only x_out is formed, never a basis of the orthogonal
+    complement.  s is the subspace the context was built for.  Both facts
+    are checked on construction, and a failed check is a construction bug
+    (RuntimeError), not an inapplicable bound; x* numerically orthogonal to
+    the subspace raises DegenerateDeviation.
+    """
+    if ctx.eps >= 1.0 - 1e-10:
+        raise DegenerateDeviation("x_star is numerically orthogonal to the subspace")
+    w = s.basis
+    u = w.conj().T @ ctx.x_star
+    x_out = ctx.x_star - w @ u
+    denom = ctx.eps_cos
+    u_hat = u / denom
+    e_star = (w.conj().T @ ctx.t_star @ x_out)[:, None] @ u_hat.conj()[None, :] / denom
+    # the absolute term covers the B(l*) = 0 edge where rounding scales with ||T||
+    tol = 1e-10 * ctx.norm_B_star + 1e-13 * ctx.norm_T_star
+    if np.linalg.norm((ctx.b_star + e_star) @ u_hat) > tol:
+        raise RuntimeError("witness does not annihilate u_hat; construction bug")
+    norm_e = norm2(e_star)
     rhs = ctx.eps_ratio * ctx.norm_T_star
+    if norm_e > rhs + 1e-12:
+        raise RuntimeError("witness norm exceeds its guaranteed bound")
     return _report(
-        "perturbation_norm", witness.norm_E, rhs, 1e-10, DEFAULT_FLOOR,
+        "perturbation_norm", norm_e, rhs, 1e-10, DEFAULT_FLOOR,
         {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
     )
 
@@ -347,11 +392,13 @@ def projected_sigma_bound(ctx: CaseContext) -> BoundReport:
     )
 
 
-def ritz_value_bound(ctx: CaseContext, profile: DerivativeProfile | None) -> BoundReport:
+def ritz_value_bound(ctx: CaseContext, b: MatrixFunction) -> BoundReport:
     """|mu - l*| <= (eps/sqrt(1-eps^2) * m! / alpha * ||T(l*)||)^(1/m).
 
-    m and alpha come from the derivative profile; when mu coincides with
-    lambda_star the bound is a trivial 0 <= 0 and no profile is needed.
+    b is the projected function B.  m and alpha come from its
+    sigma_min_profile along the ray from lambda_star to mu, over the disc
+    of radius |mu - l*|; when mu coincides with lambda_star the bound is a
+    trivial 0 <= 0 and B is not profiled.
     """
     r, t_norm, eps = ctx.mu_dist, ctx.norm_T_star, ctx.eps
     if r < MU_AT_LAMBDA_TOL:
@@ -359,11 +406,13 @@ def ritz_value_bound(ctx: CaseContext, profile: DerivativeProfile | None) -> Bou
             "ritz_value_rate", r, 0.0, 0.0, DEFAULT_FLOOR,
             {"epsilon": eps, "norm_T_star": t_norm, "m_mu": 0, "alpha": 0.0},
         )
-    if profile is None or profile.detected_m_mu is None:
-        raise DegenerateSigma("no usable derivative signature at lambda_star")
+    profile = sigma_min_profile(
+        b, ctx.lambda_star, direction=(ctx.mu - ctx.lambda_star) / r, disc_radius=r)
     m = profile.detected_m_mu
+    if m is None:
+        raise DegenerateSigma("no usable derivative signature at lambda_star")
     alpha = profile.alpha_estimate
-    if alpha is None or alpha <= 0.0:
+    if alpha <= 0.0:
         raise DegenerateSigma("derivative floor alpha vanished over the disc")
     rhs = (ctx.eps_ratio * math.factorial(m) / alpha * t_norm) ** (1.0 / m)
     return _report(

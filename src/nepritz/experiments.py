@@ -31,7 +31,7 @@ from .nep_model import (
     ReferencePair,
     eval_T,
 )
-from .projection import Subspace, deviation, perturbation_witness, project
+from .projection import Subspace, deviation, project
 from .small_nep_solver import SpectrumResult, select_ritz_value, solve_projected
 
 # seed of the first trial of run_example2, run_sweep and the CLI
@@ -208,14 +208,10 @@ def analyze_case(
             break
         radius *= 0.97
     spectrum = solve_projected(b, center, radius)
-    if target is None:
-        mu = select_ritz_value(spectrum, lambda_star=lam_star)
-    else:
-        mu = select_ritz_value(spectrum, target=target)
+    mu = select_ritz_value(spectrum, lam_star if target is None else target)
     ctx = bl.build_case_context(t, s, ref.x_star, lam_star, mu)
     ritz = ritz_vector(ctx.tw, ctx.b_mu, mu, s)
     refined = refined_vector(ctx.tw, mu, s)
-    r = ctx.mu_dist
     # the three angles and C(l*), C(mu) that the evaluators read, each once
     sin_ritz = sin_angle(ctx.x_star, ritz.x_tilde)
     sin_refined = sin_angle(ctx.x_star, refined.x_hat)
@@ -236,18 +232,9 @@ def analyze_case(
         else:
             reports.append(out)
 
-    run("perturbation_norm", bl.perturbation_norm_bound, ctx, perturbation_witness(ctx, s))
+    run("perturbation_norm", bl.perturbation_norm_bound, ctx, s)
     run("projected_sigma_min", bl.projected_sigma_bound, ctx)
-
-    def rate_bound():
-        profile = None
-        if r >= bl.MU_AT_LAMBDA_TOL:
-            profile = bl.sigma_min_profile(
-                b, lam_star, direction=(mu - lam_star) / r, disc_radius=r,
-            )
-        return bl.ritz_value_bound(ctx, profile)
-
-    run("ritz_value_rate", rate_bound)
+    run("ritz_value_rate", bl.ritz_value_bound, ctx, b)
     run("residual_to_angle_ritz", bl.residual_angle_bound, ctx, sin_ritz,
         ritz.residual_norm, theorem_id="residual_to_angle_ritz")
     run("residual_to_angle_refined", bl.residual_angle_bound, ctx, sin_refined,
@@ -261,7 +248,7 @@ def analyze_case(
     return CaseResult(
         epsilon=ctx.eps,
         mu=mu,
-        mu_dist=r,
+        mu_dist=ctx.mu_dist,
         ritz=ritz,
         refined=refined,
         sin_ritz=sin_ritz,
@@ -446,8 +433,13 @@ def random_planted_nep(
     by a rank-one update so the chosen unit vector is an exact eigenvector.
     Genericity of the planted pair (rank n-1 and nonvanishing eigenvalue
     derivative) is asserted, so a bad seed fails loudly instead of producing
-    a defective reference.
+    a defective reference.  n < 2, where T(lambda_star) is 0 after planting,
+    or degree < 1, where T is constant, raises ValueError.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, not {n}")
+    if degree < 1:
+        raise ValueError(f"degree must be at least 1, not {degree}")
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(n)
     terms: list[tuple] = [(Polynomial([1]), _complex_randn(rng, n, n) * scale)]

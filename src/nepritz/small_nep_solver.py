@@ -531,21 +531,14 @@ def solve_projected(
     )
 
 
-def select_ritz_value(
-    spec: SpectrumResult,
-    lambda_star: complex | None = None,
-    target: complex | None = None,
-) -> complex:
-    """Pick the approximation from a spectrum.
+def select_ritz_value(spec: SpectrumResult, point: complex) -> complex:
+    """The eigenvalue of spec nearest to point.
 
-    Oracle mode (lambda_star given) minimizes the distance to the known
-    eigenvalue; target mode minimizes the distance to a user shift, which
-    must be finite, as lambda_star must.  Exact ties resolve to smaller
-    |value|, then smaller argument.
+    point is the known eigenvalue in oracle mode and a user shift in target
+    mode, and must be finite.  Exact ties resolve to smaller |value|, then
+    smaller argument.
     """
-    if (lambda_star is None) == (target is None):
-        raise ValueError("give exactly one of lambda_star (oracle) or target")
-    ref = complex(lambda_star if lambda_star is not None else target)
+    ref = complex(point)
     if not cmath.isfinite(ref):
         raise ValueError(f"the selection point must be finite, not {ref}")
     if not spec.eigenvalues:

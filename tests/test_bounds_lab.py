@@ -32,7 +32,7 @@ from nepritz.nep_model import (
     eval_T_many,
     taylor_remainder_const,
 )
-from nepritz.projection import Subspace, deviation, perturbation_witness, project
+from nepritz.projection import Subspace, deviation, project
 
 
 def linear_fn(a):
@@ -56,6 +56,12 @@ def fixture_context(mu=0.0, x_star=None, w=None):
     s = Subspace.from_basis(w_fix if w is None else w)
     return bl.build_case_context(
         t, s, ref.x_star if x_star is None else x_star, 0.0, mu)
+
+
+def fixture_projection():
+    """The fixture's projected function B = W^H T W on its basis [e3, e1]."""
+    t, _, w = fixture_problem()
+    return project(t, Subspace.from_basis(w))
 
 
 def fixture_perturbed_case(seed=0, sigma=1e-4):
@@ -197,8 +203,31 @@ class TestSigmaMinProfile:
         prof = bl.sigma_min_profile(b, 0.0, disc_radius=1e-2)
         assert prof.detected_m_mu is None
         assert prof.alpha_estimate is None
+        # the rate bound at mu = 1e-2 profiles b along the same ray
         with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(replace(fixture_context(mu=1e-2), eps=1e-4), prof)
+            bl.ritz_value_bound(replace(fixture_context(mu=1e-2), eps=1e-4), b)
+
+    @pytest.mark.parametrize("name,value", [
+        ("lambda_star", complex("nan")),
+        ("lambda_star", complex(0.0, math.inf)),
+        ("direction", complex(1.0, math.nan)),
+        ("direction", math.inf),
+        ("direction", 0.0),
+        ("disc_radius", math.nan),
+        ("disc_radius", math.inf),
+        ("disc_radius", 0.0),
+        ("disc_radius", -1e-3),
+    ])
+    def test_unusable_argument_raises_before_evaluation(self, monkeypatch, name, value):
+        # each is rejected before B is evaluated: a non-finite point warns in
+        # the evaluation, and a NaN radius slips past a "<= 0" test to h = 1e-3
+        def forbidden(*args):
+            raise AssertionError("B was evaluated")
+
+        monkeypatch.setattr(bl, "eval_T_many", forbidden)
+        args = {"lambda_star": 0.5, "direction": 1.0, "disc_radius": 1e-3, name: value}
+        with pytest.raises(ValueError, match=name):
+            bl.sigma_min_profile(fixture_projection(), **args)
 
 
 class TestJordanBlockOrder:
@@ -315,15 +344,13 @@ class TestCaseContext:
 class TestPerturbationBounds:
     def test_exact_capture_trivial(self):
         _, _, w = fixture_problem()
-        ctx = fixture_context()
-        wit = perturbation_witness(ctx, Subspace.from_basis(w))
-        rep = bl.perturbation_norm_bound(ctx, wit)
+        rep = bl.perturbation_norm_bound(fixture_context(), Subspace.from_basis(w))
         assert rep.holds and rep.lhs <= 1e-13 and rep.rhs == 0.0
 
     def test_perturbed_fixture_holds(self):
         t, ref, s, case = fixture_perturbed_case(seed=1)
         ctx = bl.build_case_context(t, s, ref.x_star, 0.0, case.mu)
-        rep = bl.perturbation_norm_bound(ctx, perturbation_witness(ctx, s))
+        rep = bl.perturbation_norm_bound(ctx, s)
         assert rep.holds and rep.margin >= 0.0
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -331,7 +358,7 @@ class TestPerturbationBounds:
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, eps, seed=13)
         ctx = bl.build_case_context(t, s, ref.x_star, 0.0, 0.0)
-        assert bl.perturbation_norm_bound(ctx, perturbation_witness(ctx, s)).holds
+        assert bl.perturbation_norm_bound(ctx, s).holds
         assert bl.projected_sigma_bound(ctx).holds
 
     def test_projected_sigma_rhs_closed_form(self):
@@ -350,7 +377,7 @@ class TestPerturbationBounds:
 
 class TestRitzValueBound:
     def test_trivial_when_mu_equals_target(self):
-        rep = bl.ritz_value_bound(fixture_context(), None)
+        rep = bl.ritz_value_bound(fixture_context(), fixture_projection())
         assert rep.holds and rep.lhs == 0.0
 
     def test_simple_case_holds(self):
@@ -362,8 +389,9 @@ class TestRitzValueBound:
         assert rep.intermediates["m_mu"] == 1
 
     def test_missing_profile_raises(self):
-        with pytest.raises(DegenerateSigma):
-            bl.ritz_value_bound(replace(fixture_context(mu=1e-3), eps=1e-4), None)
+        # B(0) vanishes on the fixture, so sigma_min has no profile there
+        with pytest.raises(DegenerateSigma, match="vanishes"):
+            bl.ritz_value_bound(fixture_context(mu=1e-3), fixture_projection())
 
 
 class TestResidualAngleBound:

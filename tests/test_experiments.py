@@ -361,6 +361,14 @@ class TestRandomPlantedNep:
         t, _ = ex.random_planted_nep(4, 2, 303, 0.1 + 0.1j, rational_pole=2.0)
         assert any(abs(p - 2.0) < 1e-9 for p in t.domain_poles)
 
+    @pytest.mark.parametrize("n,degree,name", [(0, 2, "n"), (1, 2, "n"), (2, 0, "degree"),
+                                               (3, -1, "degree")])
+    def test_unusable_size_or_degree_raises(self, n, degree, name):
+        # planting leaves a 1 x 1 T(l*) = 0, so no n = 1 pair is simple, and a
+        # constant T has no eigenvalue derivative
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            ex.random_planted_nep(n, degree, 0, 0.3)
+
 
 class TestRunSweep:
     def test_requires_four_decades(self):

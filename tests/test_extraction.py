@@ -238,7 +238,7 @@ class TestExtractionProperties:
             from nepritz.small_nep_solver import select_ritz_value, solve_projected
 
             spec = solve_projected(b, 0.0, 1e6)
-            mu = select_ritz_value(spec, lambda_star=0.0)
+            mu = select_ritz_value(spec, 0.0)
             ritz = ritz_vector(eval_T(t, mu) @ s.basis, eval_T(b, mu), mu, s)
             refined = refined_vector(eval_T(t, mu) @ s.basis, mu, s)
             assert refined.sigma_hat_1 <= ritz.residual_norm + 1e-12
@@ -249,7 +249,7 @@ class TestExtractionProperties:
         t, ref, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=31)
         spec = solve_projected(project(t, s), 0.0, 1e6)
-        mu = select_ritz_value(spec, lambda_star=0.0)
+        mu = select_ritz_value(spec, 0.0)
         base_ritz = ritz_vector(eval_T(t, mu) @ s.basis, eval_T(project(t, s), mu), mu, s)
         base_refined = refined_vector(eval_T(t, mu) @ s.basis, mu, s)
         # rotate one basis column by a unit phase: same subspace

@@ -10,7 +10,9 @@ there.  Every bound of the paper is invariant under a unitary change of
 basis, under a change of basis W -> WQ inside the subspace and under a
 shift lambda -> lambda + c of the spectral variable, and so is every
 outcome of the built-in suite and of delay cases.  Every bound is also
-homogeneous in T, but only T -> cT with c >= 1 keeps every verdict.
+homogeneous in T, but only T -> cT with c >= 1 keeps every verdict.  The
+selected mu and the case context's scalars are checked against 40-digit
+references of the same float inputs (mp_oracle).
 """
 
 import cmath
@@ -24,6 +26,7 @@ from helpers import complex_randn, seeded_unitary
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import nepritz.bounds_lab as bl
 from nepritz.dense_kernels import singular_values
 from nepritz.errors import ConstructionFailed, DimensionGuard
 from nepritz.experiments import (
@@ -263,6 +266,93 @@ def test_mu_is_the_40_digit_eigenvalue_of_b(cases_by_name, name):
     t, ref, s = cases_by_name[name]
     case = analyze_case(t, ref, s)
     assert mp_oracle.eigenvalue_error(project(t, s), case.mu) <= 0.1 * INVARIANCE_REL * case.mu_dist
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# the context's scalars: 2-norms and sigma_min of T, and of L, at l* and mu
+_T_SCALARS = ("norm_T_star", "norm_T_prime", "norm_T_mu")
+_L_SCALARS = ("sigma_min_L_star", "norm_L_prime", "sigma_min_L_mu")
+
+
+def context_allowances(n, m, terms):
+    """c of |float - 40-digit| <= c u nu, per scalar, for an n x n T of `terms` terms and dim m.
+
+    nu = sum_i |f_i(lam)| ||A_i||_F at the scalar's point (with f_i' for
+    T'(l*) and L'(l*)), and the errors are first order in u = 2^-53.
+
+    Evaluation.  Every f_i^(k) of these problems is within phi u of exact
+    with phi = 14.  A monomial of degree <= 3 or its derivative takes at
+    most two rounded complex products, each within sqrt(5) u (Brent,
+    Percival and Zimmermann, 2007).  The derivative of 1/(lam - p), the
+    worst case, is -1/q^2 with q = lam - p rounded once (2u for q^2) and
+    two Smith quotients of at most 6u each: each real part is two products
+    and a sum over a denominator that took two more, with no cancellation
+    beyond sqrt(2) since the ratio is at most 1.  exp(-tau lam) and its
+    derivative take two products and one complex exp (4u), and |tau lam| <
+    1.  Each entry f_i A_i then rounds once more (sqrt(5) u) and the terms
+    are summed with terms - 1 additions (u each), all relative to
+    sum_i |f_i| |A_i|.  So ||T^ - T||_F <= (phi + sqrt(5) + terms - 1) u nu.
+
+    Decomposition.  LAPACK's singular values of M are exact for some
+    M + dM with ||dM||_2 <= p(n) u ||M||_2, and p(n) is taken as n, as
+    TestNorm2 takes its eigensolver's (dense_kernels.norm2).  ||M||_2 <= nu,
+    so Weyl's theorem adds n u nu.  That gives c for ||T(l*)||, ||T'(l*)||
+    and ||T(mu)||.
+
+    L.  complement_compress reflects T on each side with a rank-one update:
+    an inner product of length n (n u), one complex product (sqrt(5) u) and
+    one subtraction (u), so at most 2 (n + 4) u nu for both sides.  The
+    rounding of x*/||x*|| and of the phase step tilt the reflector's first
+    column off x* by at most 3u, which moves a singular value of the
+    compression by at most 2 * 3u ||T||_2.  The reference's projector is
+    formed from the exactly normalized x*.
+
+    E.  ||E(l*)|| = ||W^H T(l*) x_out|| ||u|| / (1 - eps^2) is at most
+    eps ||T(l*)||, so the roundings of T and of the products with it,
+    relative to that size, add at most eps c_t u nu < u nu, as eps <= 1e-2
+    and c_t < 100 here.  What is left is x_out = x* - W (W^H x*): the m
+    inner products of length n (n u each, so sqrt(m) n u for the m-vector),
+    the products with W (m u) and the subtraction (u); mapped by T it moves
+    ||E|| by (sqrt(m) n + m + 1) u ||T||_2, plus one u for the final norms.
+    """
+    phi = 14.0
+    c_t = phi + math.sqrt(5.0) + terms - 1 + n
+    c_l = c_t + 2 * (n + 4) + 6
+    c_e = math.sqrt(m) * n + m + 3
+    return {**dict.fromkeys(_T_SCALARS, c_t), **dict.fromkeys(_L_SCALARS, c_l),
+            "norm_E": c_e}
+
+
+def assert_context_scalars_near_40_digits(t, ref, s, name):
+    """The context of the case's own mu, and its witness norm, against mp_oracle."""
+    lam = ref.lambda_star
+    mu = analyze_case(t, ref, s).mu
+    ctx = bl.build_case_context(t, s, ref.x_star, lam, mu)
+    got = {key: getattr(ctx, key) for key in _T_SCALARS + _L_SCALARS}
+    got["norm_E"] = bl.perturbation_norm_bound(ctx, s).lhs
+    want = mp_oracle.context_scalars(t, ref.x_star, s.basis, lam, mu)
+    nu_star, nu_prime, nu_mu = (mp_oracle.scale(t, z, k) for z, k in ((lam, 0), (lam, 1), (mu, 0)))
+    nu = {"norm_T_star": nu_star, "sigma_min_L_star": nu_star, "norm_E": nu_star,
+          "norm_T_prime": nu_prime, "norm_L_prime": nu_prime,
+          "norm_T_mu": nu_mu, "sigma_min_L_mu": nu_mu}
+    c = context_allowances(t.n, s.dim, len(t.terms))
+    for key, value in got.items():
+        assert abs(value - want[key]) <= c[key] * UNIT_ROUNDOFF * nu[key], \
+            (name, key, value, want[key])
+
+
+@pytest.mark.parametrize("name", [
+    "poly3-eps1e-08", "poly6-eps1e-08", "rat4-eps1e-08", "poly12-eps1e-08", "rat5-eps1e-08",
+    "delay-n6",
+])
+def test_context_scalars_are_the_40_digit_ones(cases_by_name, name):
+    assert_context_scalars_near_40_digits(*cases_by_name[name], name)
+
+
+@pytest.mark.full_oracle
+def test_context_scalars_are_the_40_digit_ones_on_every_invariance_case():
+    for name, t, ref, s in invariance_cases():
+        assert_context_scalars_near_40_digits(t, ref, s, name)
 
 
 def test_delay_demo_problem_is_the_planted_one():

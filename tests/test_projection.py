@@ -4,24 +4,19 @@ import numpy as np
 import pytest
 from helpers import complex_randn, mgs_oracle
 
-from nepritz.bounds_lab import build_case_context
+from nepritz.bounds_lab import build_case_context, perturbation_norm_bound
 from nepritz.dense_kernels import norm2, singular_values
 from nepritz.errors import DegenerateDeviation
 from nepritz.experiments import build_subspace_eps, fixture_problem
 from nepritz.nep_model import ReferencePair, eval_T
-from nepritz.projection import (
-    Subspace,
-    deviation,
-    perturbation_witness,
-    project,
-)
+from nepritz.projection import Subspace, deviation, project
 
 
 def witness_case(t, s, ref):
-    """(witness, context) of the target pair at mu = lambda_star."""
+    """(perturbation_norm report, context) of the target pair at mu = lambda_star."""
     lam = ref.lambda_star
     ctx = build_case_context(t, s, ref.x_star, lam, lam)
-    return perturbation_witness(ctx, s), ctx
+    return perturbation_norm_bound(ctx, s), ctx
 
 
 def random_subspace(n, m, seed):
@@ -141,31 +136,39 @@ class TestProject:
 class TestPerturbationWitness:
     def test_exact_capture_gives_zero_witness(self):
         t, ref, w = fixture_problem()
-        wit, ctx = witness_case(t, Subspace.from_basis(w), ref)
+        rep, ctx = witness_case(t, Subspace.from_basis(w), ref)
         assert ctx.eps == 0.0
-        assert norm2(wit.E_at_lambda_star) < 1e-14
-        assert np.linalg.norm(wit.residual) < 1e-14
+        assert rep.lhs < 1e-14
 
     def test_perturbed_fixture_residual_bound(self):
         from nepritz.experiments import perturb_subspace
 
         t, ref, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=3)
-        wit, ctx = witness_case(t, s, ref)
+        rep, ctx = witness_case(t, s, ref)
         t_norm = float(singular_values(eval_T(t, 0.0, 0))[0])
         assert t_norm == pytest.approx(1.0, abs=1e-12)
         bound = ctx.eps / math.sqrt(1 - ctx.eps**2) * t_norm
-        assert np.linalg.norm(wit.residual) <= bound + 1e-12
+        assert rep.lhs <= bound + 1e-12
+        # (B(l*) + E(l*)) u_hat = 0, so the residual B(l*) u_hat is E(l*) u_hat
+        u_hat = s.basis.conj().T @ ref.x_star / ctx.eps_cos
+        assert np.linalg.norm(ctx.b_star @ u_hat) <= bound + 1e-12
 
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-6, 1e-8])
     def test_norm_bound_across_deviations(self, eps):
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, eps, seed=7)
-        wit, ctx = witness_case(t, s, ref)
-        t_norm = norm2(eval_T(t, ref.lambda_star, 0))
-        rhs = ctx.eps / math.sqrt(1 - ctx.eps**2) * t_norm
-        assert norm2(wit.E_at_lambda_star) <= rhs + 1e-12
-        assert wit.norm_E == norm2(wit.E_at_lambda_star)
+        rep, ctx = witness_case(t, s, ref)
+        t_star = eval_T(t, ref.lambda_star, 0)
+        rhs = ctx.eps / math.sqrt(1 - ctx.eps**2) * norm2(t_star)
+        assert rep.lhs <= rhs + 1e-12
+        # E(l*) is rank one: ||E|| = ||W^H T(l*) x_out|| ||u|| / (1 - eps^2)
+        w = s.basis
+        u = w.conj().T @ ref.x_star
+        x_out = ref.x_star - w @ u
+        closed = (np.linalg.norm(w.conj().T @ t_star @ x_out) * np.linalg.norm(u)
+                  / (1 - ctx.eps**2))
+        assert rep.lhs == pytest.approx(closed, rel=1e-13, abs=0.0)
         # the projected function is this close to singular at the target
         smin = float(singular_values(
             eval_T(project(t, s), ref.lambda_star, 0))[-1])
@@ -179,3 +182,26 @@ class TestPerturbationWitness:
         ref = ReferencePair(0.0, np.array([0, 0, 1], dtype=complex))
         with pytest.raises(DegenerateDeviation):
             witness_case(t, s, ref)
+
+    def test_non_eigenvector_fails_the_annihilation_check(self):
+        # e2 lies in span [e1, e2], so eps = 0 and E(l*) = 0, but T(0) e2 = e1:
+        # B(0) u_hat = W^H e1 is not annihilated
+        t, _, _ = fixture_problem()
+        s = Subspace.from_basis(np.eye(3, 2, dtype=complex))
+        e2 = np.array([0, 1, 0], dtype=complex)
+        ctx = build_case_context(t, s, e2, 0.0, 0.0)
+        assert ctx.eps == 0.0
+        with pytest.raises(RuntimeError, match="does not annihilate u_hat"):
+            perturbation_norm_bound(ctx, s)
+
+    def test_understated_norm_fails_the_norm_check(self):
+        # ||E(l*)|| is about eps ||T(l*)||; a context claiming a thousandth of
+        # that ||T(l*)|| puts the witness above its guaranteed bound
+        from dataclasses import replace
+
+        t, ref, _ = fixture_problem()
+        s = build_subspace_eps(ref.x_star, 2, 1e-3, seed=7)
+        ctx = build_case_context(t, s, ref.x_star, 0.0, 0.0)
+        assert perturbation_norm_bound(ctx, s).holds
+        with pytest.raises(RuntimeError, match="exceeds its guaranteed bound"):
+            perturbation_norm_bound(replace(ctx, t_star_svals=ctx.t_star_svals * 1e-3), s)

@@ -826,14 +826,14 @@ class TestClusters:
 class TestSelectRitzValue:
     def test_oracle_picks_nearest(self):
         spec = solve_projected(fixture_problem()[0], -0.5, 1.0)
-        assert select_ritz_value(spec, lambda_star=0.0) == pytest.approx(0.0, abs=1e-9)
-        assert select_ritz_value(spec, target=-0.9) == pytest.approx(-1.0, abs=1e-9)
+        assert select_ritz_value(spec, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert select_ritz_value(spec, -0.9) == pytest.approx(-1.0, abs=1e-9)
 
     def test_perturbed_fixture_picks_smallest(self):
         t, _, w = fixture_problem()
         s = perturb_subspace(Subspace.from_basis(w), 1e-4, seed=12)
         spec = solve_projected(project(t, s), 0.0, 1e6)
-        mu = select_ritz_value(spec, lambda_star=0.0)
+        mu = select_ritz_value(spec, 0.0)
         assert abs(mu) == pytest.approx(min(abs(z) for z in spec.eigenvalues))
 
     def test_tie_break_by_argument(self):
@@ -843,7 +843,7 @@ class TestSelectRitzValue:
             eigenvalues=[1 + 1j, 1 - 1j], residuals=[0.0, 0.0],
             multiplicities=[1, 1], method="companion-polynomial",
         )
-        assert select_ritz_value(spec, target=1.0) == 1 - 1j
+        assert select_ritz_value(spec, 1.0) == 1 - 1j
 
     def test_empty_raises(self):
         from nepritz.small_nep_solver import SpectrumResult
@@ -851,29 +851,18 @@ class TestSelectRitzValue:
         spec = SpectrumResult(eigenvalues=[], residuals=[], multiplicities=[],
                               method="companion-polynomial")
         with pytest.raises(EmptySpectrum):
-            select_ritz_value(spec, lambda_star=0.0)
+            select_ritz_value(spec, 0.0)
 
-    def test_exactly_one_mode(self):
-        from nepritz.small_nep_solver import SpectrumResult
-
-        spec = SpectrumResult(eigenvalues=[0.0], residuals=[0.0],
-                              multiplicities=[1], method="companion-polynomial")
-        with pytest.raises(ValueError):
-            select_ritz_value(spec)
-        with pytest.raises(ValueError):
-            select_ritz_value(spec, lambda_star=0.0, target=1.0)
-
-    @pytest.mark.parametrize("mode", ["lambda_star", "target"])
     @pytest.mark.parametrize("point", [complex("nan"), complex("inf"), complex(0.0, -math.inf),
                                        complex(1.0, math.nan)])
-    def test_non_finite_point_raises(self, mode, point):
+    def test_non_finite_point_raises(self, point):
         # min over NaN distances returned the first eigenvalue, whatever it was
         from nepritz.small_nep_solver import SpectrumResult
 
         spec = SpectrumResult(eigenvalues=[2.0, 0.0], residuals=[0.0, 0.0],
                               multiplicities=[1, 1], method="companion-polynomial")
         with pytest.raises(ValueError, match="finite"):
-            select_ritz_value(spec, **{mode: point})
+            select_ritz_value(spec, point)
 
 
 class TestExponentialPath:
