@@ -8,13 +8,14 @@ sigma/sqrt(2), so one complex entry has standard deviation sigma.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds_lab as bl
-from .dense_kernels import norm2, phase_fix, singular_values, svd
+from .dense_kernels import as_unit_vector, norm2, phase_fix, singular_values, svd
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -58,8 +59,10 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
     First vector: sqrt(1-eps^2) x_star + eps q with a seeded unit q
     orthogonal to x_star; remaining vectors are seeded and orthogonalized
     against both x_star and the basis so the deviation stays exactly eps.
+    x_star must be unit (dense_kernels.as_unit_vector): a zero, non-finite
+    or otherwise non-unit one raises ValueError.
     """
-    x = np.asarray(x_star, dtype=complex).reshape(-1)
+    x = as_unit_vector(x_star, "x_star")
     x = x / np.linalg.norm(x)
     n = x.size
     if not 0.0 < eps < 1.0:
@@ -194,20 +197,17 @@ def analyze_case(
 ) -> CaseResult:
     """Project, solve, extract both vectors, and evaluate every bound.
 
-    Selection is oracle mode (closest to the reference eigenvalue) unless a
-    target shift is given.  Bounds whose hypotheses fail are recorded in
+    The projected problem is solved in the disc of region_radius about
+    region_center (the reference eigenvalue by default), which
+    solve_projected shrinks while a pole lies on its rim.  Selection is
+    oracle mode (closest to the reference eigenvalue) unless a target shift
+    is given.  Bounds whose hypotheses fail are recorded in
     ``inapplicable`` with the exception class name, not raised.
     """
     lam_star = ref.lambda_star
     center = lam_star if region_center is None else complex(region_center)
     b = project(t, s)
-    # shrink the region slightly if a pole sits on its boundary circle
-    radius = float(region_radius)
-    for _ in range(64):
-        if all(abs(abs(p - center) - radius) > 1e-6 for p in b.domain_poles):
-            break
-        radius *= 0.97
-    spectrum = solve_projected(b, center, radius)
+    spectrum = solve_projected(b, center, region_radius)
     mu = select_ritz_value(spectrum, lam_star if target is None else target)
     ctx = bl.build_case_context(t, s, ref.x_star, lam_star, mu)
     ritz = ritz_vector(ctx.tw, ctx.b_mu, mu, s)
@@ -434,8 +434,13 @@ def random_planted_nep(
     Genericity of the planted pair (rank n-1 and nonvanishing eigenvalue
     derivative) is asserted, so a bad seed fails loudly instead of producing
     a defective reference.  n < 2, where T(lambda_star) is 0 after planting,
-    or degree < 1, where T is constant, raises ValueError.
+    degree < 1, where T is constant, or a non-finite lambda_star or
+    rational_pole raises ValueError.
     """
+    if not cmath.isfinite(complex(lambda_star)):
+        raise ValueError(f"lambda_star must be finite, not {lambda_star}")
+    if rational_pole is not None and not cmath.isfinite(complex(rational_pole)):
+        raise ValueError(f"rational_pole must be finite, not {rational_pole}")
     if n < 2:
         raise ValueError(f"n must be at least 2, not {n}")
     if degree < 1:
@@ -516,8 +521,13 @@ def fit_loglog_slope(xs, ys) -> float:
 
 
 def sweep_deviations(eps_list) -> list[float]:
-    """The distinct deviations of a sweep, largest first; ValueError unless they span 4 decades."""
+    """The distinct deviations of a sweep, largest first.
+
+    ValueError unless each lies in (0, 1) and together they span 4 decades.
+    """
     eps_arr = sorted(set(float(e) for e in eps_list), reverse=True)
+    if not all(0.0 < e < 1.0 for e in eps_arr):  # a comparison that NaN fails
+        raise ValueError("epsilon values must lie in (0, 1)")
     if len(eps_arr) < 2 or eps_arr[0] / eps_arr[-1] < 1e4:
         raise ValueError("eps_list must cover at least 4 decades")
     return eps_arr

@@ -62,6 +62,7 @@ from .nep_model import (  # noqa: F401
 PENCIL_DIM_MAX = 64
 CLUSTER_RADIUS = 1e-8
 SIGMA_ACCEPT = 1e-8
+# a cluster mean within POLE_GUARD of a pole of B is spurious
 POLE_GUARD = 1e-8
 # Newton starting points per side of the square grid over the region disc
 GRID_DENSITY = 12
@@ -99,27 +100,12 @@ class SpectrumResult:
         return len(self.eigenvalues)
 
 
-@functools.lru_cache(maxsize=8)
-def _check_points(poles: tuple[complex, ...]) -> np.ndarray:
-    """polynomialize's 20 sample points: uniform in [-1.5, 1.5]^2, 1e-3 off every pole.
-
-    Draws come in blocks of 20 (re, im) pairs from one seeded stream and a
-    rejected point keeps the order of the rest, so the points do not depend
-    on the block size.  They depend only on the poles, so they are drawn
-    once per pole tuple and returned read-only: the problems of one run
-    share a few pole tuples (the 38 suite cases have 3, a sweep has 1), so
-    all but those few calls find their points drawn.
-    """
-    rng = np.random.default_rng(20240925)
-    points = np.empty(0, dtype=complex)
-    while points.size < 20:
-        draw = rng.uniform(-1.5, 1.5, size=(20, 2)).view(complex).ravel()
-        for p in poles:
-            draw = draw[np.abs(draw - p) >= 1e-3]
-        points = np.concatenate([points, draw])
-    points = points[:20]
-    points.flags.writeable = False
-    return points
+# polynomialize's candidate sample points: the first 64 draws of one seeded
+# stream, uniform in [-1.5, 1.5]^2.  They lie at least 0.042 apart, so a pole
+# rules out at most one of them at the 1e-3 offset, and a B with at most 44
+# distinct poles keeps 20.
+_CHECK_CANDIDATES = np.random.default_rng(20240925).uniform(
+    -1.5, 1.5, size=(64, 2)).view(complex).ravel()
 
 
 def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
@@ -128,7 +114,8 @@ def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
     q is the product of the distinct denominators (each used once), so for a
     purely polynomial input the transform is the identity with q = 1.  An
     exponential term raises ValueError.  The construction is verified by
-    comparing P against q*B at 20 sample points off b.domain_poles:
+    comparing P against q*B at 20 sample points, the first 20 of
+    _CHECK_CANDIDATES that lie 1e-3 or more off every pole in b.domain_poles:
     ||P - q B||_2 / max(1, |q|) <= 1e-10 max_k ||C_k||_F (1 - NORM_ROUNDING)
     / sqrt(m) at each, in one dense_kernels.norms_within call.  An m x m C_k
     has at most m nonzero singular values, so that is <= 1e-10 max_k ||C_k||_2.
@@ -183,7 +170,8 @@ def polynomialize(b: MatrixFunction) -> list[np.ndarray]:
 
     # sample check: P(lam) must match q(lam) B(lam) away from the poles, at
     # 20 points evaluated as one stack on each side
-    lams = _check_points(b.domain_poles)
+    off_poles = np.abs(_CHECK_CANDIDATES[:, None] - np.asarray(b.domain_poles, dtype=complex))
+    lams = _CHECK_CANDIDATES[(off_poles >= 1e-3).all(axis=1)][:20]
     qvals = npoly.polyval(lams, full)
     stacked = np.stack(out)
     p_vals = np.tensordot(npoly.polyvander(lams, len(out) - 1), stacked, axes=1)
@@ -467,16 +455,21 @@ def solve_projected(
     companion eigenvalues of polynomialize(b).  Then in-region filter ->
     Newton polish -> dedupe (algebraic multiplicity = cluster size) ->
     spurious filter (sigma_min test and b.domain_poles).  An empty result is
-    valid; a non-finite region, a radius <= 0 or a pole on its boundary
-    raises ValueError.
+    valid; a non-finite region or a radius <= 0 raises ValueError.  While a
+    pole of B lies within 1e-6 of the rim, the radius shrinks by 0.97, at
+    most 64 times; a pole still on the rim after that raises ValueError.
     """
     center = complex(region_center)
     radius = float(region_radius)
     if not (cmath.isfinite(center) and 0 < radius < math.inf):
         raise ValueError("the region needs a finite center and a finite positive radius")
-    for p in b.domain_poles:
-        if abs(abs(p - center) - radius) <= POLE_GUARD:
-            raise ValueError(f"pole {p} lies on the region boundary")
+    for shrinks in range(65):
+        if all(abs(abs(p - center) - radius) > 1e-6 for p in b.domain_poles):
+            break
+        if shrinks == 64:
+            raise ValueError(f"a pole of B is within 1e-6 of the rim at radius {radius:g}, "
+                             "after 64 shrinks")
+        radius *= 0.97
 
     if any(isinstance(fn, Exponential) for fn, _ in b.terms):
         raw = _grid_seeds(center, radius)
@@ -502,9 +495,8 @@ def solve_projected(
     polished.sort(key=lambda z: (z.real, z.imag))
     clusters = _clusters(polished)
 
-    eigenvalues: list[complex] = []
-    residuals: list[float] = []
-    multiplicities: list[int] = []
+    # one (eigenvalue, residual, multiplicity) record per accepted cluster
+    found: list[tuple[complex, float, int]] = []
     # a one-member cluster's mean is its root, and the stop test has B's
     # singular values there; only the other means are averaged and decomposed
     means = [group[0] if len(group) == 1 else complex(np.mean(group)) for group in clusters]
@@ -516,16 +508,13 @@ def solve_projected(
         if g or s[-1] > SIGMA_ACCEPT * max(1.0, s[0]):
             spurious.append(z)
             continue
-        eigenvalues.append(z)
-        residuals.append(float(s[-1]))
-        multiplicities.append(len(group) if method != "newton-only" else 1)
+        found.append((z, float(s[-1]), len(group) if method != "newton-only" else 1))
 
-    order = sorted(range(len(eigenvalues)),
-                   key=lambda i: (abs(eigenvalues[i]), np.angle(eigenvalues[i])))
+    found.sort(key=lambda rec: (abs(rec[0]), np.angle(rec[0])))
     return SpectrumResult(
-        eigenvalues=[eigenvalues[i] for i in order],
-        residuals=[residuals[i] for i in order],
-        multiplicities=[multiplicities[i] for i in order],
+        eigenvalues=[z for z, _, _ in found],
+        residuals=[r for _, r, _ in found],
+        multiplicities=[k for _, _, k in found],
         method=method,
         filtered_spurious=spurious,
     )

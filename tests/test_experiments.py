@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,15 @@ class TestBuildSubspaceEps:
         assert abs(deviation(s, x) - 1e-2) < 1e-10
         with pytest.raises(ValueError):
             ex.build_subspace_eps(x, 2, 1e-2, seed=0)
+
+    @pytest.mark.parametrize("x_star,m", [
+        ([0, 0, 0], 2), ([math.inf, 0, 0], 2), ([math.nan, 0, 0], 1), ([2, 0, 0], 2),
+    ], ids=["zero", "inf", "nan", "norm-2"])
+    def test_non_unit_x_star_rejected(self, x_star, m):
+        # a zero or non-finite x_star made every drawn column's norm NaN, so
+        # the loop that collects the m columns never ended
+        with pytest.raises(ValueError, match="^(x_star must be unit norm|expected a finite)"):
+            ex.build_subspace_eps(np.array(x_star, dtype=complex), m, 0.1, seed=1)
 
 
 class TestPerturbSubspace:
@@ -370,11 +380,46 @@ class TestRandomPlantedNep:
             ex.random_planted_nep(n, degree, 0, 0.3)
 
 
+    @pytest.mark.parametrize("name,lam,pole", [
+        ("lambda_star", math.inf, None), ("lambda_star", complex(0, math.nan), None),
+        ("rational_pole", 0.3, math.inf), ("rational_pole", 0.3, complex(math.nan, 0)),
+    ])
+    def test_non_finite_eigenvalue_or_pole_raises_before_any_draw(self, name, lam, pole):
+        # they used to reach the planted rank-one update, which warned and
+        # then failed with "matrix has NaN/Inf entries"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                ex.random_planted_nep(4, 2, 303, lam, rational_pole=pole)
+
+
 class TestRunSweep:
     def test_requires_four_decades(self):
         t, ref, m = ex.simple_rate_instance()
         with pytest.raises(ValueError):
             ex.run_sweep(t, ref, eps_list=[1e-2, 1e-3], trials=1, m=m)
+
+    @pytest.mark.parametrize("eps_list", [
+        [1e-2, math.nan, 1e-7], [2.0, 1e-2, 1e-6], [0.5, 1e-5, 0.0], [1e-2, 1e-6, -1.0],
+        [1.0, 1e-2, 1e-6],
+    ])
+    def test_deviation_outside_the_open_unit_interval_rejected(self, eps_list):
+        # the rule of the command line's --eps: NaN used to sort into the
+        # ladder, 2.0 passed, 0.0 divided by zero and -1.0 failed the span test
+        with pytest.raises(ValueError, match=r"^epsilon values must lie in \(0, 1\)$"):
+            ex.sweep_deviations(eps_list)
+
+    def test_bad_ladder_rejected_before_any_case(self):
+        t, ref = ex.defective_rate_instance()
+        built = []
+
+        def factory(eps, seed):
+            built.append(eps)
+            return ex.defective_rate_subspace(eps)
+
+        with pytest.raises(ValueError, match="epsilon values must lie in"):
+            ex.run_sweep(t, ref, [1e-4, 1e-8, 2.0], trials=1, subspace_factory=factory)
+        assert built == []
 
     def test_simple_instance_slopes(self):
         t, ref, m = ex.simple_rate_instance()

@@ -160,24 +160,31 @@ class TestPolynomialize:
                 points.append(lam)
         return np.array(points)
 
-    def test_check_points_drawn_in_blocks_equal_one_pair_per_draw(self):
+    def test_check_points_are_the_first_20_survivors_of_the_stream(self, monkeypatch):
         first = self.one_pair_per_draw([], count=25)
-        # no pole; one near the 3rd point; near the 1st, 3rd and 7th points
-        for poles in ((), (first[2] + 5e-4,), (first[0], first[2] - 2e-4j, first[6] + 1e-4)):
-            got = sns._check_points(poles)
-            want = self.one_pair_per_draw(poles)
-            assert got.tobytes() == want.tobytes()
-            assert all(abs(lam - p) >= 1e-3 for lam in got for p in poles)
-        # a rejected point pulls the 21st draw of the stream into the set
-        assert sns._check_points((first[2],))[-1] == first[20]
+        checked = []
 
-    def test_check_points_read_only_and_keyed_on_the_pole_values(self):
-        poles = (0.5 + 0.25j, -1.0 + 0.0j)
-        got = sns._check_points(poles)
-        assert sns._check_points(tuple(list(poles))) is got  # an equal, new tuple
-        assert not got.flags.writeable
-        with pytest.raises(ValueError):
-            got[0] = 0.0
+        def recording(fn, lams, order=0):
+            checked.append(np.array(lams))
+            return eval_T_many(fn, lams, order)
+
+        monkeypatch.setattr(sns, "eval_T_many", recording)
+        one = np.array([[1.0]], dtype=complex)
+        # no pole; the suite's, the drivers' and the fixture's poles; one
+        # near the 3rd point; near the 1st, 3rd and 7th points
+        pole_sets = [(), (2.0,), (1.5,), (1.0,), (first[2] + 5e-4,),
+                     (first[0], first[2] - 2e-4j, first[6] + 1e-4), (first[2],)]
+        for poles in pole_sets:
+            b = MatrixFunction.from_terms(
+                [(Polynomial([0, 1]), one)] + [(Rational([1], [-p, 1]), one) for p in poles])
+            assert len(b.domain_poles) == len(poles)
+            checked.clear()
+            polynomialize(b)
+            want = self.one_pair_per_draw(b.domain_poles)
+            assert checked[0].tobytes() == want.tobytes()
+            assert all(abs(lam - p) >= 1e-3 for lam in checked[0] for p in b.domain_poles)
+        # a rejected point pulls the 21st draw of the stream into the set
+        assert checked[0][-1] == first[20]
 
     def test_exponential_term_rejected(self):
         b = MatrixFunction.from_terms([
@@ -724,10 +731,31 @@ class TestSolveProjected:
             val = float(singular_values(eval_T(b, 1.0 + tpow, 0))[-1])
             assert val > 0.5  # approach along a ray: genuinely nonsingular
 
-    def test_pole_on_boundary_rejected(self):
+    @staticmethod
+    def spectrum_fields(spec):
+        return (spec.eigenvalues, spec.residuals, spec.multiplicities,
+                spec.filtered_spurious, spec.method)
+
+    def test_pole_on_the_rim_shrinks_the_disc(self):
+        # the fixture's projection has its pole at 1: a rim within 1e-6 of it
+        # shrinks by 0.97 to a radius off the pole, and a rim 2e-6 past it
+        # stays, so the cleared polynomial's root at the pole is filtered
         b = fixture_projected()
-        with pytest.raises(ValueError):
-            solve_projected(b, 0.0, 1.0)
+        shrunk = self.spectrum_fields(solve_projected(b, 0.0, 0.97))
+        for radius in (1.0, 1.0 + 5e-7, 1.0 - 1e-8):
+            assert self.spectrum_fields(solve_projected(b, 0.0, radius)) == shrunk
+        assert self.spectrum_fields(solve_projected(b, 0.0, 1.0 + 2e-6)) != shrunk
+
+    def test_pole_on_every_shrunk_rim_raises(self):
+        # a pole at the center is within 1e-6 of the rim of every disc of
+        # radius below 1e-6, so 64 shrinks do not clear it
+        b = MatrixFunction.from_terms([
+            (Rational([1], [0, 1]), np.array([[1.0]], dtype=complex)),
+        ])
+        with pytest.raises(ValueError, match="after 64 shrinks"):
+            solve_projected(b, 0.0, 5e-7)
+        with pytest.raises(ValueError, match="finite center and a finite positive radius"):
+            solve_projected(b, 0.0, math.nan)
 
     @pytest.mark.parametrize("center,radius", [
         (0.0, math.nan), (0.0, math.inf), (complex(math.nan, 0.0), 1.0),
