@@ -8,14 +8,15 @@ alpha) are estimated by disc sampling -- maxima get a 1.5x safety factor,
 minima none -- and the estimates are recorded so a report can be audited
 from its serialized form alone.
 
-Every bound is a formula over a few quantities of one case: the deviation
-eps, T(l*) and its singular values, ||T'(l*)||, ||T(mu)||, the projected
-function B at l* and mu, the complement function L = X_perp^H T X_perp at
-l* and mu, and the remainder constants gamma, beta, gamma_B.
-build_case_context derives each of them once into a frozen CaseContext, and
-the evaluators read them from there instead of re-evaluating T; a test that
-needs hand-picked constants applies dataclasses.replace to a built context.
-What only one bound reads, that bound builds itself:
+Every bound is a formula over a few quantities of one case: the split
+x* = W u + x_out with eps = ||x_out||, W^H T(l*) and the singular values of
+T(l*), ||T'(l*)||, ||T(mu)||, the projected function B at l* and mu, the
+complement function L = X_perp^H T X_perp at l* and mu, and the remainder
+constants gamma, beta, gamma_B.  build_case_context derives each of them
+once into a frozen CaseContext, the one place a product with the basis W is
+formed, and the evaluators read them from there; none takes the subspace.
+A test that needs hand-picked constants applies dataclasses.replace to a
+built context.  What only one bound reads, that bound builds itself:
 perturbation_norm_bound forms the rank-one perturbation witness E(l*), and
 ritz_value_bound takes the sigma_min profile of B along the ray from l* to
 mu.
@@ -28,19 +29,16 @@ inapplicable rather than failed.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_kernels import as_vector, complement_compress, norm2, singular_values
+from .dense_kernels import as_unit_vector, complement_compress, norm2, singular_values
 from .errors import DegenerateDeviation, DegenerateRatio, DegenerateSigma, HypothesisFailed
 from .extraction import RefinedExtraction, RitzExtraction
 from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
-from .projection import Subspace, deviation
+from .projection import Subspace
 
 DEFAULT_FLOOR = 1e-12
 SANDWICH_ABS_SLACK = 1e-8
@@ -78,9 +76,6 @@ class BoundReport:
     def margin(self) -> float:
         floor = self.intermediates.get("slack_floor", 0.0)
         return self.rhs * (1.0 + self.slack_allowance) + floor - self.lhs
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report(theorem_id, lhs, rhs, rel_slack, floor, inter) -> BoundReport:
@@ -233,27 +228,32 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
 class CaseContext:
     """The quantities every bound is a formula over, for one case.
 
-    T is the full function and the only one evaluated.  B = W^H T W, its
-    projection onto the subspace, is read off T's matrices: B(l*) =
-    W^H T(l*) W and B(mu) = W^H (T(mu) W).  L = X_perp^H T X_perp, its
-    compression against the complement of x_star, is never formed as a
-    function: L(l*), L'(l*) and L(mu) are the reflector blocks
-    (dense_kernels.complement_compress) of T(l*), T'(l*) and T(mu), one
-    batched singular-value call per stack.  B and L are linear images of T,
-    so gamma, beta and gamma_b, the sampled remainder constants of T, L and
-    B, come from one pass over T's remainder directions.  T(l*), B(l*),
-    T(mu) W and B(mu) are kept whole because the perturbation witness and
-    the Ritz and refined extractions read them too; both extractions read
-    the one T(mu) W, so their residuals share its rounding.  The two points
-    are kept for the rate bound, which profiles B along the ray from
-    lambda_star to mu.
+    T is the full function and the only one evaluated.  x_star is split once
+    into W u + x_out with u = W^H x_star, and eps = ||x_out|| is its
+    deviation from the subspace.  B = W^H T W, the projection onto the
+    subspace, is read off T's matrices: B(l*) = (W^H T(l*)) W and B(mu) =
+    W^H (T(mu) W).  L = X_perp^H T X_perp, the compression against the
+    complement of x_star, is never formed as a function: L(l*), L'(l*) and
+    L(mu) are the reflector blocks (dense_kernels.complement_compress) of
+    T(l*), T'(l*) and T(mu), one batched singular-value call per stack.  B
+    and L are linear images of T, so gamma, beta and gamma_b, the sampled
+    remainder constants of T, L and B, come from one pass over T's remainder
+    directions.  W, u, x_out, W^H T(l*), B(l*), T(mu) W and B(mu) are kept
+    whole because the perturbation witness, the angle sandwich and the Ritz
+    and refined extractions read them too; both extractions read the one
+    T(mu) W, so their residuals share its rounding.  The two points are kept
+    for the rate bound, which profiles B along the ray from lambda_star to
+    mu.
     """
 
     x_star: np.ndarray
     lambda_star: complex
     mu: complex
-    eps: float                  # deviation of x_star from the subspace
-    t_star: np.ndarray          # T(l*)
+    w: np.ndarray               # the subspace's basis W, n x m
+    u: np.ndarray               # W^H x_star
+    x_out: np.ndarray           # x_star - W u
+    eps: float                  # ||x_out||, the deviation of x_star from the subspace
+    wh_t_star: np.ndarray       # W^H T(l*), m x n
     t_star_svals: np.ndarray    # singular values of T(l*), descending
     norm_T_prime: float         # ||T'(l*)||
     tw: np.ndarray              # T(mu) W
@@ -301,23 +301,26 @@ def build_case_context(
 ) -> CaseContext:
     """Derive eps, T, B and L at lambda_star and mu, and the remainder constants, once.
 
-    Only T is evaluated: T(l*) and T(mu) as one two-point stack, and
-    T'(l*).  B(l*) and B(mu) are compressed from those matrices with
-    s.basis, as gamma_b compresses T's remainder directions.  The
-    perturbation witness reads T(l*) and B(l*),
-    and the extractions at mu read T(mu) W and B(mu), from the context
-    instead of evaluating them again.
+    x_star must be unit (dense_kernels.as_unit_vector); its split W u + x_out
+    and eps = min(||x_out||, 1) are formed as projection.deviation forms them.
+    Only T is evaluated: T(l*) and T(mu) as one two-point stack, and T'(l*).
+    W^H T(l*), B(l*) and B(mu) are compressed from those matrices with
+    s.basis, as gamma_b compresses T's remainder directions.  The witness,
+    the angle sandwich and the extractions read them from the context.
     """
     lam, mu = complex(lambda_star), complex(mu)
-    x = as_vector(x_star)
+    x = as_unit_vector(x_star, "x_star")
     w = s.basis
     wh = w.conj().T
+    u = wh @ x
+    x_out = x - w @ u
     radius = remainder_radius(t, lam, mu)
     gamma, beta, gamma_b = taylor_remainder_const(
         t, lam, radius, lambda d: complement_compress(x, d), lambda d: wh @ d @ w)
     t_star, t_mu = eval_T_many(t, [lam, mu], 0)
     tw = t_mu @ w
-    b_star = wh @ t_star @ w
+    wh_t_star = wh @ t_star
+    b_star = wh_t_star @ w
     # one batched call per matrix shape: T(l*), T'(l*), T(mu), then their L blocks
     t_stack = np.stack([t_star, eval_T(t, lam, 1), t_mu])
     t_svals = singular_values(t_stack)
@@ -326,8 +329,11 @@ def build_case_context(
         x_star=x,
         lambda_star=lam,
         mu=mu,
-        eps=deviation(s, x),
-        t_star=t_star,
+        w=w,
+        u=u,
+        x_out=x_out,
+        eps=min(float(np.linalg.norm(x_out)), 1.0),
+        wh_t_star=wh_t_star,
         t_star_svals=t_svals[0],
         norm_T_prime=float(t_svals[1, 0]),
         tw=tw,
@@ -348,27 +354,23 @@ def build_case_context(
 # bound evaluators
 # ---------------------------------------------------------------------------
 
-def perturbation_norm_bound(ctx: CaseContext, s: Subspace) -> BoundReport:
+def perturbation_norm_bound(ctx: CaseContext) -> BoundReport:
     """||E(l*)|| <= eps/sqrt(1-eps^2) ||T(l*)|| for the rank-one witness E.
 
     E(l*) makes lambda_star an exact eigenvalue of the perturbed projected
-    problem.  With u = W^H x*, u_hat = u / sqrt(1 - eps^2) and x_out =
-    x* - W u, E(l*) = (W^H T(l*) x_out) u_hat^H / sqrt(1 - eps^2), so that
-    (B(l*) + E(l*)) u_hat = 0, since x* = W u + x_out and B(l*) u =
-    W^H T(l*) W u.  Only x_out is formed, never a basis of the orthogonal
-    complement.  s is the subspace the context was built for.  Both facts
+    problem.  With the context's split x* = W u + x_out and u_hat =
+    u / sqrt(1 - eps^2), E(l*) = (W^H T(l*) x_out) u_hat^H / sqrt(1 - eps^2),
+    so that (B(l*) + E(l*)) u_hat = 0, since B(l*) u = W^H T(l*) W u.  Only
+    x_out is formed, never a basis of the orthogonal complement.  Both facts
     are checked on construction, and a failed check is a construction bug
     (RuntimeError), not an inapplicable bound; x* numerically orthogonal to
     the subspace raises DegenerateDeviation.
     """
     if ctx.eps >= 1.0 - 1e-10:
         raise DegenerateDeviation("x_star is numerically orthogonal to the subspace")
-    w = s.basis
-    u = w.conj().T @ ctx.x_star
-    x_out = ctx.x_star - w @ u
     denom = ctx.eps_cos
-    u_hat = u / denom
-    e_star = (w.conj().T @ ctx.t_star @ x_out)[:, None] @ u_hat.conj()[None, :] / denom
+    u_hat = ctx.u / denom
+    e_star = (ctx.wh_t_star @ ctx.x_out)[:, None] @ u_hat.conj()[None, :] / denom
     # the absolute term covers the B(l*) = 0 edge where rounding scales with ||T||
     tol = 1e-10 * ctx.norm_B_star + 1e-13 * ctx.norm_T_star
     if np.linalg.norm((ctx.b_star + e_star) @ u_hat) > tol:
@@ -576,7 +578,7 @@ def refined_uniqueness_check(ctx: CaseContext, refined: RefinedExtraction) -> Bo
 
 
 def angle_sandwich(
-    s: Subspace,
+    ctx: CaseContext,
     ritz: RitzExtraction,
     refined: RefinedExtraction,
     sin_between: float,
@@ -589,10 +591,10 @@ def angle_sandwich(
     and the middle identity
     sin(angle) = sigma_hat_1 ||C(mu)^{-1} (W Z_perp)^H s|| to 1e-8.
     sin_between is the measured sin(angle(x~, x^)), and C(mu) and its
-    singular values are read from complements (ritz_complements).  Both
-    sandwich sides are allowed 1e-8 absolute slack.
+    singular values are read from complements (ritz_complements), and W
+    from the context.  Both sandwich sides are allowed 1e-8 absolute slack.
     """
-    m = s.dim
+    m = ctx.w.shape[1]
     if m < 2:
         # one-dimensional projection: both vectors coincide up to phase
         inter = {"sigma_hat_1": refined.sigma_hat_1, "dim": float(m)}
@@ -606,7 +608,7 @@ def angle_sandwich(
     sig_min_c, sig_max_c = float(svals[-1]), float(svals[0])
     if sig_min_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(mu)) is not positive; vector not unique")
-    ws = s.basis.conj().T @ refined.s
+    ws = ctx.w.conj().T @ refined.s
     coupling = complement_compress(ritz.z, ws)  # (W Z_perp)^H s
     lower = refined.sigma_hat_1 * float(np.linalg.norm(coupling)) / sig_max_c
     upper = refined.sigma_hat_1 * float(np.linalg.norm(ws)) / sig_min_c
@@ -672,27 +674,3 @@ def residual_ratio_sandwich(
         _report("residual_ratio_upper", ratio2, upper, rel, DEFAULT_FLOOR, inter),
     ]
 
-
-# ---------------------------------------------------------------------------
-# report serialization
-# ---------------------------------------------------------------------------
-
-def write_reports_jsonl(tagged: list[tuple[str, BoundReport]], path) -> None:
-    """One JSON object per report, prefixed with its instance id."""
-    lines = []
-    for instance_id, rep in tagged:
-        doc = {"instance_id": instance_id}
-        doc.update(rep.to_dict())
-        lines.append(json.dumps(doc, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
-
-
-def write_summary_csv(tagged: list[tuple[str, BoundReport]], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "theorem_id", "lhs", "rhs", "margin"])
-        for instance_id, rep in tagged:
-            writer.writerow(
-                [instance_id, rep.theorem_id, repr(rep.lhs), repr(rep.rhs),
-                 repr(rep.margin)]
-            )

@@ -6,7 +6,8 @@ degenerate projection), ``example2`` (perturbed-subspace statistics),
 (every bound evaluator over the built-in suite).  Exit code 0 means every
 check or applicable bound holds and 2 a usage error, so the harness doubles
 as a CI gate.  A JSON config file can mirror any of a subcommand's flags;
-explicit flags win.
+explicit flags win.  This module writes every result file; the library
+returns documents and reports.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from . import bounds_lab as bl
 from . import experiments as ex
 from .errors import NepRitzError
 from .nep_model import load_problem
@@ -126,16 +127,36 @@ def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, st
     return texts
 
 
+def _write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """One CSV row per dict, its columns in header order; a missing key is empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def _emit(doc: dict, json_path, csv_path, csv_rows: list[dict]) -> None:
     if json_path:
         Path(json_path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if csv_path:
-        header = sorted({k for row in csv_rows for k in row})
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=header, restval="")
-            writer.writeheader()
-            for row in csv_rows:
-                writer.writerow(row)
+        _write_csv(csv_path, sorted({k for row in csv_rows for k in row}), csv_rows)
+
+
+def _write_summary(path, tagged: list) -> None:
+    """summary.csv: per (instance id, BoundReport) pair, the report's sides and margin."""
+    _write_csv(path, ["instance_id", "theorem_id", "lhs", "rhs", "margin"], [
+        {"instance_id": inst, "theorem_id": rep.theorem_id, "lhs": repr(rep.lhs),
+         "rhs": repr(rep.rhs), "margin": repr(rep.margin)} for inst, rep in tagged])
+
+
+def _write_reports(out_dir, tagged: list) -> None:
+    """reports.jsonl, one JSON object per report with its instance id, and summary.csv."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "reports.jsonl").write_text("".join(
+        json.dumps({"instance_id": inst, **asdict(rep)}, sort_keys=True) + "\n"
+        for inst, rep in tagged))
+    _write_summary(out / "summary.csv", tagged)
 
 
 def _check_rows(checks: list[dict]) -> list[dict]:
@@ -222,8 +243,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    result = ex.verify_all(out_dir=args.out)
+    result = ex.verify_all()
     tagged = result.pop("reports")
+    if args.out is not None:
+        _write_reports(args.out, tagged)
     print(
         f"{result['n_reports']} bound reports over {result['n_instances']} instances; "
         f"{result['n_inapplicable']} inapplicable"
@@ -236,7 +259,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         print("all applicable bounds hold")
     _emit(result, args.json, None, [])
     if args.csv:
-        bl.write_summary_csv(tagged, args.csv)
+        _write_summary(args.csv, tagged)
     return 0 if result["ok"] else 1
 
 

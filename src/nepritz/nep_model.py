@@ -301,13 +301,15 @@ class MatrixFunction:
         return cls(n=n, terms=tuple(fixed), domain_poles=tuple(_dedupe_points(poles)))
 
     def compress(self, v: np.ndarray) -> "MatrixFunction":
-        """Two-sided compression V^H A_i V of every term; scalars unchanged."""
+        """Two-sided compression V^H A_i V of every term; scalars unchanged.
+
+        So the poles are T's: domain_poles is kept, not found again.
+        """
         v = as_matrix(v)
         if v.shape[0] != self.n:
             raise ValueError("compression basis has the wrong row dimension")
-        return MatrixFunction.from_terms(
-            [(fn, v.conj().T @ a @ v) for fn, a in self.terms]
-        )
+        terms = tuple((fn, as_matrix(v.conj().T @ a @ v)) for fn, a in self.terms)
+        return MatrixFunction(n=v.shape[1], terms=terms, domain_poles=self.domain_poles)
 
 
 def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
@@ -406,11 +408,16 @@ class ReferencePair:
         object.__setattr__(self, "x_star", x)
 
     def validate(self, t: MatrixFunction) -> None:
-        """Check this really is an eigenpair of t and not at a pole."""
+        """Check this really is an eigenpair of t, of its size, not at a pole, T finite there."""
+        if self.x_star.size != t.n:
+            raise ValueError(f"x_star has {self.x_star.size} entries, not n = {t.n}")
         for pole in t.domain_poles:
             if abs(pole - self.lambda_star) < 1e-10:
                 raise PoleHit("lambda_star coincides with a domain pole")
-        t0 = eval_T(t, self.lambda_star, 0)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            t0 = eval_T(t, self.lambda_star, 0)
+        if not np.isfinite(t0).all():
+            raise ValueError(f"T(lambda_star) is not finite at lambda_star = {self.lambda_star}")
         res = np.linalg.norm(t0 @ self.x_star)
         if res > 1e-10 * max(norm2(t0), 1e-300):
             raise ValueError(f"(lambda_star, x_star) is not an eigenpair (residual {res:.3e})")

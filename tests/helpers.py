@@ -3,6 +3,8 @@
 These deliberately re-derive quantities through routes independent of the
 library code they check: plain single-pass Gram-Schmidt, power iteration,
 permanent-style determinant expansion, quotient-rule differentiation.
+adversarial_case is the exception: a seeded case generator built on the
+library's own problem and subspace constructors.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 import numpy as np
 
 from nepritz.errors import NotAnEigenvalue
+from nepritz.experiments import build_subspace_eps
+from nepritz.nep_model import MatrixFunction, Polynomial, Rational, ReferencePair, eval_T
 
 
 def complex_randn(rng, *shape) -> np.ndarray:
@@ -159,3 +163,45 @@ def quotient_rule_derivative(p: np.ndarray, q: np.ndarray, lam: complex) -> comp
     pd = npoly.polyval(lam, npoly.polyder(p))
     qd = npoly.polyval(lam, npoly.polyder(q))
     return complex((qv * pd - pv * qd) / qv**2)
+
+
+def adversarial_case(seed: int):
+    """(t, ref, s): a seeded draw near the edges of the bounds' hypotheses.
+
+    T(lam) = A - lam I + eta lam^2 C, plus on half the draws a rational term
+    eta d D / (lam - p) whose pole p lies a distance d in [1e-2, 1] from
+    lambda*; C and D are random with 2-norm 1.  A = V diag(l*, l* + delta,
+    ...) V^-1 puts a second eigenvalue delta in [1e-6, 1e-1] from lambda*,
+    with cond(V) in [1, 1e4], and the others 0.2 to 2 away.  n is 4 to 9,
+    m is 2 to n - 1, eta lies in [1e-3, 1] and eps in [1e-8, 1e-2], each
+    log-uniform where it spans decades.  lambda* is planted as
+    random_planted_nep plants it: the constant term takes the rank-one
+    correction that makes x* = V e_1 / ||V e_1|| an exact eigenvector.  The
+    basis is build_subspace_eps(x*, m, eps, seed).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    m = int(rng.integers(2, n))
+    lam = complex(*rng.uniform(-0.5, 0.5, 2))
+    delta, cond, eta, eps = 10.0 ** rng.uniform([-6, 0, -3, -8], [-1, 4, 0, -2])
+    u, _ = np.linalg.qr(complex_randn(rng, n, n))
+    q, _ = np.linalg.qr(complex_randn(rng, n, n))
+    v = u @ np.diag(np.logspace(0.0, -math.log10(cond), n)) @ q
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    spread = np.concatenate([[0.0, delta], rng.uniform(0.2, 2.0, n - 2)])
+    a = v @ np.diag(lam + spread * phases) @ np.linalg.inv(v)
+    quad = complex_randn(rng, n, n)
+    terms = [(Polynomial([1]), a), (Polynomial([0, 1]), -np.eye(n)),
+             (Polynomial([0, 0, 1]), eta * quad / np.linalg.norm(quad, 2))]
+    if rng.uniform() < 0.5:
+        dist = 10.0 ** rng.uniform(-2, 0)
+        pole = lam + dist * np.exp(2j * np.pi * rng.uniform())
+        rat = complex_randn(rng, n, n)
+        terms.append((Rational([1.0], [-pole, 1.0]), eta * dist * rat / np.linalg.norm(rat, 2)))
+    x = v[:, 0] / np.linalg.norm(v[:, 0])
+    defect = eval_T(MatrixFunction.from_terms(terms), lam, 0) @ x
+    terms[0] = (Polynomial([1]), a - np.outer(defect, x.conj()))
+    t = MatrixFunction.from_terms(terms)
+    ref = ReferencePair(lam, x)
+    ref.validate(t)
+    return t, ref, build_subspace_eps(x, m, eps, seed)

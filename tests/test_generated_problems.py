@@ -95,7 +95,7 @@ def assert_case_properties(run, draw):
     assert case.refined.sigma_hat_1 <= case.ritz.residual_norm * (1.0 + 1e-12)
     assert 0.0 <= case.epsilon <= 1.0
     again = run(**draw)
-    assert [r.to_dict() for r in again.reports] == [r.to_dict() for r in case.reports]
+    assert again.reports == case.reports
     assert again.inapplicable == case.inapplicable
 
 
@@ -329,7 +329,7 @@ def assert_context_scalars_near_40_digits(t, ref, s, name):
     mu = analyze_case(t, ref, s).mu
     ctx = bl.build_case_context(t, s, ref.x_star, lam, mu)
     got = {key: getattr(ctx, key) for key in _T_SCALARS + _L_SCALARS}
-    got["norm_E"] = bl.perturbation_norm_bound(ctx, s).lhs
+    got["norm_E"] = bl.perturbation_norm_bound(ctx).lhs
     want = mp_oracle.context_scalars(t, ref.x_star, s.basis, lam, mu)
     nu_star, nu_prime, nu_mu = (mp_oracle.scale(t, z, k) for z, k in ((lam, 0), (lam, 1), (mu, 0)))
     nu = {"norm_T_star": nu_star, "sigma_min_L_star": nu_star, "norm_E": nu_star,

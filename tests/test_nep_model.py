@@ -696,6 +696,21 @@ class TestReferencePair:
         with pytest.raises(PoleHit):
             pair.validate(t)
 
+    def test_x_star_of_another_length_rejected(self):
+        # numpy's matmul shape error was the message before
+        t, _, _ = fixture_problem()
+        pair = ReferencePair(0.0, np.array([0, 0, 0, 1], dtype=complex))
+        with pytest.raises(ValueError, match="x_star has 4 entries, not n = 3"):
+            pair.validate(t)
+
+    def test_overflowing_t_at_lambda_star_rejected(self):
+        # exp(1000) overflows; under the RuntimeWarning filter the warning
+        # was raised before, and "matrix has NaN/Inf entries" came after it
+        t = MatrixFunction.from_terms([(Exponential(1000.0), np.eye(2))])
+        pair = ReferencePair(1.0, np.array([1, 0], dtype=complex))
+        with pytest.raises(ValueError, match=r"T\(lambda_star\) is not finite"):
+            pair.validate(t)
+
 
 class TestProblemFormat:
     def test_roundtrip_all_variants(self, tmp_path):
@@ -782,6 +797,14 @@ class TestProblemFormat:
         doc = problem_to_dict(MatrixFunction.from_terms([(Polynomial([1]), np.eye(size))]))
         doc["n"] = n
         with pytest.raises(ValueError, match="n must be a positive integer"):
+            problem_from_dict(doc)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_reference_of_another_length_rejected(self, length):
+        doc = problem_to_dict(MatrixFunction.from_terms([(Polynomial([0, 1]), np.eye(2))]))
+        x_star = [[1.0, 0.0]] + [[0.0, 0.0]] * (length - 1)
+        doc["reference"] = {"lambda_star": [0.0, 0.0], "x_star": x_star}
+        with pytest.raises(ValueError, match=f"x_star has {length} entries, not n = 2"):
             problem_from_dict(doc)
 
     def test_integer_pairs_read_as_floats(self):

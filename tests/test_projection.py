@@ -16,7 +16,7 @@ def witness_case(t, s, ref):
     """(perturbation_norm report, context) of the target pair at mu = lambda_star."""
     lam = ref.lambda_star
     ctx = build_case_context(t, s, ref.x_star, lam, lam)
-    return perturbation_norm_bound(ctx, s), ctx
+    return perturbation_norm_bound(ctx), ctx
 
 
 def random_subspace(n, m, seed):
@@ -192,7 +192,7 @@ class TestPerturbationWitness:
         ctx = build_case_context(t, s, e2, 0.0, 0.0)
         assert ctx.eps == 0.0
         with pytest.raises(RuntimeError, match="does not annihilate u_hat"):
-            perturbation_norm_bound(ctx, s)
+            perturbation_norm_bound(ctx)
 
     def test_understated_norm_fails_the_norm_check(self):
         # ||E(l*)|| is about eps ||T(l*)||; a context claiming a thousandth of
@@ -202,6 +202,6 @@ class TestPerturbationWitness:
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, 1e-3, seed=7)
         ctx = build_case_context(t, s, ref.x_star, 0.0, 0.0)
-        assert perturbation_norm_bound(ctx, s).holds
+        assert perturbation_norm_bound(ctx).holds
         with pytest.raises(RuntimeError, match="exceeds its guaranteed bound"):
-            perturbation_norm_bound(replace(ctx, t_star_svals=ctx.t_star_svals * 1e-3), s)
+            perturbation_norm_bound(replace(ctx, t_star_svals=ctx.t_star_svals * 1e-3))
