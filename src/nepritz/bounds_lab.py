@@ -213,9 +213,13 @@ def sigma_min_profile(
 def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> float:
     """Sampling radius for Taylor-remainder estimation around lambda_star.
 
-    Covers the segment to mu with headroom but stays clear of any pole.
+    Covers the segment to mu with headroom but stays clear of any pole.  A
+    non-finite mu raises ValueError.
     """
-    r = max(2.0 * abs(complex(mu) - complex(lambda_star)), 1e-3)
+    mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise ValueError(f"mu must be finite, not {mu}")
+    r = max(2.0 * abs(mu - complex(lambda_star)), 1e-3)
     if t.domain_poles:
         dist = min(abs(p - complex(lambda_star)) for p in t.domain_poles)
         r = min(r, 0.45 * dist)

@@ -46,6 +46,12 @@ def _complex_randn(rng, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    """ValueError naming the argument unless value is an integer >= least (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 def _orthogonalize_against(v: np.ndarray, basis_cols: list[np.ndarray]) -> np.ndarray:
     for _ in range(2):
         for q in basis_cols:
@@ -365,10 +371,15 @@ def run_example2(
     O(sigma); across seeds the classical vector keeps an O(1) error while the
     refined vector tracks the target to O(sigma).  The median refined sine
     must lie within a decade of the median measured deviation, which the
-    refined error tracks, and the cap on |mu| scales with sigma.
+    refined error tracks, and the cap on |mu| scales with sigma.  seeds
+    must be a nonempty sequence of integers >= 0, and seed_base an integer
+    >= 0, or ValueError names the argument.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
+    for i, k in enumerate(seeds):
+        _require_integer(f"seeds[{i}]", k, 0)
+    _require_integer("seed_base", seed_base, 0)
     t, ref, w = fixture_problem()
     s0 = Subspace.from_basis(w)
     records: list[dict] = []
@@ -457,8 +468,8 @@ def random_planted_nep(
         ))
     x = _complex_randn(rng, n)
     x = x / np.linalg.norm(x)
-    t0 = MatrixFunction.from_terms(terms)
-    defect = eval_T(t0, lambda_star, 0) @ x
+    # a temporary, so its copies of the coefficients are freed before T's are made
+    defect = eval_T(MatrixFunction.from_terms(terms), lambda_star, 0) @ x
     fn0, a0 = terms[0]
     terms[0] = (fn0, a0 - np.outer(defect, np.conj(x)))
     t = MatrixFunction.from_terms(terms)
@@ -548,8 +559,11 @@ def run_sweep(
     None and ok is False.  subspace_factory(eps, seed) overrides the default
     seeded construction (used by the defective instance, whose bases are
     explicit); target switches the selection rule from oracle mode to a
-    fixed shift.
+    fixed shift.  trials must be an integer >= 1 and seed_base an integer
+    >= 0, or ValueError names the argument.
     """
+    _require_integer("trials", trials, 1)
+    _require_integer("seed_base", seed_base, 0)
     eps_arr = sweep_deviations(eps_list)
     records: list[dict] = []
     failures: list[str] = []

@@ -18,9 +18,11 @@ complex multiply and divide may fuse or reorder depending on the stack.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field, fields
-from math import comb, factorial
+from functools import cached_property
+from math import comb, factorial, inf
 from pathlib import Path
 
 import numpy as np
@@ -273,9 +275,18 @@ def _dedupe_points(points: list[complex], tol: float = 1e-10) -> list[complex]:
     return out
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MatrixFunction:
-    """T(lambda) = sum_i f_i(lambda) A_i with constant n x n coefficients."""
+    """T(lambda) = sum_i f_i(lambda) A_i with constant n x n coefficients.
+
+    from_terms and compress store the coefficients read-only, from_terms as
+    copies of the caller's arrays, so nothing read off them can go stale.
+    """
 
     n: int
     terms: tuple[tuple[ScalarAnalyticFn, np.ndarray], ...]
@@ -289,14 +300,14 @@ class MatrixFunction:
         n = None
         poles: list[complex] = []
         for fn, a in terms:
-            mat = as_matrix(a)
+            mat = as_matrix(np.array(a, dtype=complex))  # a copy, whatever the caller passed
             if mat.shape[0] != mat.shape[1]:
                 raise ValueError("coefficient matrices must be square")
             if n is None:
                 n = mat.shape[0]
             elif mat.shape[0] != n:
                 raise ValueError("all coefficient matrices must share one dimension")
-            fixed.append((fn, mat))
+            fixed.append((fn, _read_only(mat)))
             poles.extend(fn.poles())
         return cls(n=n, terms=tuple(fixed), domain_poles=tuple(_dedupe_points(poles)))
 
@@ -308,8 +319,20 @@ class MatrixFunction:
         v = as_matrix(v)
         if v.shape[0] != self.n:
             raise ValueError("compression basis has the wrong row dimension")
-        terms = tuple((fn, as_matrix(v.conj().T @ a @ v)) for fn, a in self.terms)
+        terms = tuple((fn, _read_only(as_matrix(v.conj().T @ a @ v))) for fn, a in self.terms)
         return MatrixFunction(n=v.shape[1], terms=terms, domain_poles=self.domain_poles)
+
+    @cached_property
+    def coefficient_norms(self) -> np.ndarray:
+        """||A_i||_2 of every term, in term order, as a read-only array.
+
+        One batched norm2 over the stacked coefficients, on first use: norm2
+        gives each matrix of a stack the value it gets alone, so entry i is
+        norm2(A_i) bit for bit.  It depends on the problem alone, so each
+        MatrixFunction measures it once (dataclasses.replace makes a new one,
+        with its own norms).
+        """
+        return _read_only(norm2(np.stack([a for _, a in self.terms])))
 
 
 def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
@@ -326,10 +349,12 @@ def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
     does not: it rounds a one-point stack of 1 x 1 matrices differently).
     So slice j is bit-equal in every stack that holds lams[j], eval_T's
     one-point stack included.  A point on a pole of a rational term raises
-    PoleHit for the whole stack.
+    PoleHit for the whole stack.  order must be an integer (a bool is none)
+    in [0, MAX_DERIV_ORDER], or ValueError names it.
     """
-    if not 0 <= order <= MAX_DERIV_ORDER:
-        raise ValueError(f"order must be in [0, {MAX_DERIV_ORDER}]")
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 0 <= order <= MAX_DERIV_ORDER):
+        raise ValueError(f"order must be an integer in [0, {MAX_DERIV_ORDER}], not {order!r}")
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     out = np.zeros((lams.size, t.n * t.n), dtype=complex)
     for fn, a in t.terms:
@@ -359,16 +384,20 @@ def taylor_remainder_const(
     affine ones, where it vanishes identically) are dropped.  Each sample's
     row c = (rho_i(h)) is written as piv * d with piv its entry of largest
     modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||.  With one
-    nonlinear term every d is exactly (1): the stack is that term's
-    coefficient alone, and the estimate costs a single 2-norm per function.
-    With more, each live sample (piv != 0) puts its direction sum_i d_i A_i
-    into one stack, and t and each map cost one batched norm2 over it or
-    its image.  Equal directions give equal matrices and so equal norms,
-    so nothing is deduplicated.
+    nonlinear term A_k every d is exactly (1): the stack is A_k alone, t's
+    norm is t.coefficient_norms[k], measured once per problem, and each map
+    costs a single 2-norm.  With more, each live sample (piv != 0) puts its
+    direction sum_i d_i A_i into one stack, and t and each map cost one
+    batched norm2 over it or its image.  Equal directions give equal
+    matrices and so equal norms, so nothing is deduplicated.
+
+    A non-finite lambda_star or a radius outside (0, inf) raises ValueError.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < inf:
+        raise ValueError(f"radius must be in (0, inf), not {radius}")
     lambda_star = complex(lambda_star)
+    if not cmath.isfinite(lambda_star):
+        raise ValueError(f"lambda_star must be finite, not {lambda_star}")
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
             raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
@@ -379,9 +408,11 @@ def taylor_remainder_const(
         return (0.0,) * (1 + len(maps))
     # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
     if kept.size == 1:
-        piv = rho[:, kept[0]]
+        k = kept[0]
+        piv = rho[:, k]
         scale = np.hypot(piv.real, piv.imag).max()
-        stack = t.terms[kept[0]][1][None]
+        stack = t.terms[k][1][None]
+        own = t.coefficient_norms[k:k + 1]
     else:
         rho = rho[:, kept]
         rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
@@ -391,8 +422,9 @@ def taylor_remainder_const(
         live = piv != 0
         scale = np.hypot(piv.real, piv.imag)[live]
         stack = np.tensordot(dirs[live], np.stack([t.terms[i][1] for i in kept]), axes=1)
-    return tuple(1.5 * np.max(scale * norm2(f(stack)))
-                 for f in ((lambda d: d), *maps))
+        own = norm2(stack)
+    return tuple(1.5 * np.max(scale * norms)
+                 for norms in (own, *(norm2(f(stack)) for f in maps)))
 
 
 @dataclass(frozen=True)

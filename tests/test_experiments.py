@@ -206,6 +206,15 @@ class TestRunExample2:
         with pytest.raises(ValueError, match="seeds"):
             ex.run_example2(seeds=())
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"seeds": (0, -1)}, "seeds"), ({"seeds": (True,)}, "seeds"), ({"seeds": (1.0,)}, "seeds"),
+        ({"seed_base": -1}, "seed_base"), ({"seed_base": 1.5}, "seed_base"),
+    ])
+    def test_negative_or_non_integer_seed_rejected(self, kwargs, name):
+        # a negative seed surfaced numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match=rf"^{name}(\[\d+\])? must be an integer >= 0"):
+            ex.run_example2(**kwargs)
+
     def test_refined_window_follows_the_measured_deviation(self):
         # at sigma = 1e-300 the bases read epsilon = 0 and the refined sine 0,
         # which the window (sigma / 10, 10 sigma) rejected
@@ -437,6 +446,18 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="epsilon values must lie in"):
             ex.run_sweep(t, ref, [1e-4, 1e-8, 2.0], trials=1, subspace_factory=factory)
         assert built == []
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"trials": 0}, "trials"), ({"trials": -2}, "trials"), ({"trials": True}, "trials"),
+        ({"trials": 2.0}, "trials"), ({"seed_base": -1}, "seed_base"),
+        ({"seed_base": "0"}, "seed_base"),
+    ])
+    def test_bad_trials_or_seed_base_rejected(self, kwargs, name):
+        # trials=0 returned ok: False with no records and no failure line, and
+        # a negative seed_base surfaced numpy's "expected non-negative integer"
+        t, ref, m = ex.simple_rate_instance()
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            ex.run_sweep(t, ref, eps_list=[1e-2, 1e-4, 1e-6], m=m, **kwargs)
 
     def test_simple_instance_slopes(self):
         t, ref, m = ex.simple_rate_instance()

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import nepritz.bounds_lab as bl
-from nepritz.dense_kernels import singular_values
+from nepritz.dense_kernels import norm2, singular_values
 from nepritz.errors import ConstructionFailed, DimensionGuard
 from nepritz.experiments import (
     analyze_case,
@@ -188,6 +188,15 @@ def invariance_cases():
         cases.append((f"delay-n{n}", t, ref, build_subspace_eps(ref.x_star, m, eps, seed)))
     assert len(cases) == 41
     return cases
+
+
+def test_coefficient_norms_are_each_coefficients_norm():
+    # one batched norm2 over the stack gives each A_i its own norm2, bit for bit
+    for name, t, _, s in invariance_cases():
+        b = project(t, s)
+        for f in (t, b):
+            assert [g.hex() for g in f.coefficient_norms] == \
+                [norm2(a).hex() for _, a in f.terms], name
 
 
 def test_unitary_change_of_basis_keeps_every_outcome():

@@ -16,7 +16,13 @@ import nepritz.nep_model as nep_model
 from nepritz.bounds_lab import remainder_radius
 from nepritz.dense_kernels import complement_compress, norm2
 from nepritz.errors import ConstructionFailed, PoleHit
-from nepritz.experiments import builtin_suite, fixture_problem, random_planted_nep
+from nepritz.experiments import (
+    analyze_case,
+    build_subspace_eps,
+    builtin_suite,
+    fixture_problem,
+    random_planted_nep,
+)
 from nepritz.nep_model import (
     PHI2_SERIES_RADIUS,
     Exponential,
@@ -232,6 +238,18 @@ class TestEvalTMany:
         with pytest.raises(ValueError):
             eval_T_many(t, [0.0], nep_model.MAX_DERIV_ORDER + 1)
 
+    @pytest.mark.parametrize("order", [True, False, 1.5, 1.0, -1, "1", None])
+    def test_order_must_be_an_integer(self, order):
+        # True used to give T' and, on an exponential term, 1.5 gave a^1.5 e^(a lam)
+        t = MatrixFunction.from_terms([(Exponential(-1.0), np.eye(2, dtype=complex))])
+        for f in (lambda: eval_T(t, 0.2, order), lambda: eval_T_many(t, [0.2], order)):
+            with pytest.raises(ValueError, match="order"):
+                f()
+
+    def test_numpy_integer_order_accepted(self):
+        t, _, _ = fixture_problem()
+        assert eval_T(t, 0.2, np.int64(1)).tobytes() == eval_T(t, 0.2, 1).tobytes()
+
 
 def horner(c, lam):
     """sum_k c_k lam^k by Horner's rule in Python complex arithmetic."""
@@ -389,7 +407,10 @@ class TestTaylorRemainder:
         Rational([1.0], [-2.0, 1.0]),
     ])
     def test_one_nonlinear_term_costs_one_norm(self, monkeypatch, nonlinear):
-        # affine terms drop out and every sample shares the direction (1)
+        # affine terms drop out and every sample shares the direction (1):
+        # t's norm is its coefficient's, from the one batched norm2 over all
+        # three coefficients that t makes on first use, and the map costs one
+        # norm per call
         rng = np.random.default_rng(4)
         t = MatrixFunction.from_terms([
             (Polynomial([1]), complex_randn(rng, 5, 5)),
@@ -406,7 +427,9 @@ class TestTaylorRemainder:
         norms = self.count_norms(monkeypatch)
         gamma, block = taylor_remainder_const(t, 0.3 + 0.1j, 0.2, lambda d: d[:, :3, :3])
         assert gamma > 0 and block > 0
-        assert norms == [1, 1] and evals == []
+        assert norms == [3, 1] and evals == []
+        assert taylor_remainder_const(t, -0.1j, 0.1, lambda d: d[:, :3, :3])[0] > 0
+        assert norms == [3, 1, 1] and evals == []
 
     def test_two_nonlinear_terms_cost_one_norm_per_live_sample(self, monkeypatch):
         # each sample has its own direction: one matrix and one norm per
@@ -447,6 +470,89 @@ class TestTaylorRemainder:
         t, _, _ = fixture_problem()
         with pytest.raises(PoleHit):
             taylor_remainder_const(t, 0.0, 1.5)
+
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0), complex(0.3, math.inf), math.nan])
+    def test_non_finite_lambda_star_rejected(self, lam):
+        # a NaN lambda_star used to give a finite constant (1.81 here)
+        t, _ = random_planted_nep(4, 2, 1, 0.3 + 0.2j)
+        with pytest.raises(ValueError, match="lambda_star"):
+            taylor_remainder_const(t, lam, 0.1)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1e-3])
+    def test_radius_outside_positive_reals_rejected(self, radius):
+        # a NaN radius used to give (nan,)
+        t, _ = random_planted_nep(4, 2, 1, 0.3 + 0.2j)
+        with pytest.raises(ValueError, match="radius"):
+            taylor_remainder_const(t, 0.3 + 0.2j, radius)
+
+    @pytest.mark.parametrize("mu", [complex(math.nan, 0), complex(0.3, -math.inf)])
+    def test_remainder_radius_rejects_non_finite_mu(self, mu):
+        t, ref = random_planted_nep(4, 2, 1, 0.3 + 0.2j)
+        with pytest.raises(ValueError, match="mu"):
+            remainder_radius(t, ref.lambda_star, mu)
+
+
+class TestCoefficientNorms:
+    @staticmethod
+    def planted(n=6, seed=3):
+        return random_planted_nep(n, 2, seed, 0.3 + 0.2j, rational_pole=2.0)[0]
+
+    def test_each_norm_is_its_coefficients_bit_for_bit_at_n128(self):
+        t = self.planted(128)
+        got = t.coefficient_norms
+        assert got.shape == (len(t.terms),)
+        assert [g.hex() for g in got] == [norm2(a).hex() for _, a in t.terms]
+
+    def test_measured_once_per_problem(self, monkeypatch):
+        # one nonlinear term, so gamma reads t's norms; each case adds one
+        # norm2 per map (beta's and gamma_B's) and measures nothing of t again
+        t, ref = random_planted_nep(6, 2, 3, 0.3 + 0.2j)
+        shapes = []
+
+        def counted_norm2(m):
+            shapes.append(np.shape(m))
+            return norm2(m)
+
+        monkeypatch.setattr(nep_model, "norm2", counted_norm2)
+        assert "coefficient_norms" not in vars(t)  # construction measured nothing
+        for eps, seed in [(1e-3, 1), (1e-5, 2), (1e-3, 1)]:
+            analyze_case(t, ref, build_subspace_eps(ref.x_star, 3, eps, seed))
+        assert shapes.count((3, 6, 6)) == 1 and len(shapes) == 1 + 3 * 2
+        assert "coefficient_norms" in vars(t)
+
+    def test_compressed_function_measures_its_own(self):
+        t = self.planted()
+        t.coefficient_norms  # cached before B is formed
+        w, _ = np.linalg.qr(complex_randn(np.random.default_rng(8), 6, 2))
+        b = t.compress(w)
+        want = [norm2(w.conj().T @ a @ w) for _, a in t.terms]
+        assert [g.hex() for g in b.coefficient_norms] == [x.hex() for x in want]
+        assert np.all(b.coefficient_norms < t.coefficient_norms)
+
+    def test_replace_gives_fresh_norms(self):
+        t = self.planted()
+        t.coefficient_norms  # cached before the replacement
+        doubled = dataclasses.replace(t, terms=tuple((fn, 2.0 * a) for fn, a in t.terms))
+        assert [g.hex() for g in doubled.coefficient_norms] == \
+            [(2.0 * g).hex() for g in t.coefficient_norms]
+
+    def test_stored_coefficients_and_norms_are_read_only(self):
+        t = self.planted()
+        b = t.compress(np.eye(6, 2, dtype=complex))
+        for f in (t, b):
+            for _, a in f.terms:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                f.coefficient_norms[0] = 1.0
+
+    def test_from_terms_copies_the_callers_arrays(self):
+        a = np.eye(3, dtype=complex)
+        t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), a)])
+        before = t.coefficient_norms[0]
+        a[0, 0] = 5.0
+        assert a.flags.writeable
+        assert t.terms[0][1][0, 0] == 1.0 and norm2(t.terms[0][1]) == before
 
 
 def per_function_remainder(t, lambda_star, radius):
