@@ -23,7 +23,9 @@ mu.
 
 Hypothesis violations raise HypothesisFailed (or a sibling of
 InapplicableBound); suite runners catch those and record the bound as
-inapplicable rather than failed.
+inapplicable rather than failed.  Every bound that reads a remainder
+constant has the hypothesis that mu lies in the disc about lambda_star on
+which the constant was sampled (CaseContext.radius).
 """
 
 from __future__ import annotations
@@ -247,7 +249,9 @@ class CaseContext:
     and refined extractions read them too; both extractions read the one
     T(mu) W, so their residuals share its rounding.  The two points are kept
     for the rate bound, which profiles B along the ray from lambda_star to
-    mu.
+    mu, and so is the radius of the disc about lambda_star on which the
+    remainder constants were sampled: a bound that reads them needs mu in
+    it (require_mu_in_disc).
     """
 
     x_star: np.ndarray
@@ -268,6 +272,7 @@ class CaseContext:
     sigma_min_L_star: float     # sigma_min(L(l*))
     norm_L_prime: float         # ||L'(l*)||
     sigma_min_L_mu: float       # sigma_min(L(mu))
+    radius: float               # of the disc about l* that gamma, beta, gamma_b cover
     gamma: float
     beta: float
     gamma_b: float
@@ -276,6 +281,13 @@ class CaseContext:
     def mu_dist(self) -> float:
         """r = |mu - lambda_star|."""
         return abs(self.mu - self.lambda_star)
+
+    def require_mu_in_disc(self) -> None:
+        """HypothesisFailed unless mu lies in the disc the remainder constants cover."""
+        if self.mu_dist > self.radius:
+            raise HypothesisFailed(
+                f"r = {self.mu_dist:.6g} exceeds the remainder disc's radius "
+                f"{self.radius:.6g}; gamma, beta and gamma_B do not cover mu")
 
     @property
     def eps_cos(self) -> float:
@@ -348,6 +360,7 @@ def build_case_context(
         sigma_min_L_star=float(l_svals[0, -1]),
         norm_L_prime=float(l_svals[1, 0]),
         sigma_min_L_mu=float(l_svals[2, -1]),
+        radius=radius,
         gamma=gamma,
         beta=beta,
         gamma_b=gamma_b,
@@ -441,11 +454,12 @@ def residual_angle_bound(
     the extracted vector whose residual is rho; the caller computes it once
     per case.  The theory drops an O(|mu-l*|^2) term from the numerator; the
     slack term 10 gamma |mu-l*|^2 / sigma_min(L(mu)) absorbs it, gamma being
-    the sampled remainder bound.
+    the sampled remainder bound, which must cover mu (hypothesis).
     """
     sig_l = ctx.sigma_min_L_mu
     if sig_l <= 1e-12:
         raise HypothesisFailed("sigma_min(L(mu)) is not positive")
+    ctx.require_mu_in_disc()
     r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
     rhs = (rho + tprime * r) / sig_l
     rel = 10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
@@ -484,7 +498,7 @@ def ritz_vector_angle_bound(
     from complements (ritz_complements).  sin_ritz is the measured left side,
     sin(angle(x*, x~)).  The dropped quadratic term is absorbed by a
     gamma_b-scaled slack, gamma_b being the remainder constant of the
-    projected function.
+    projected function, which must cover mu (hypothesis).
     """
     if ritz.geometric_multiplicity > 1:
         raise HypothesisFailed(
@@ -496,6 +510,7 @@ def ritz_vector_angle_bound(
     sig_c = float(complements[1][0, -1])
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
+    ctx.require_mu_in_disc()
     r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
     rhs = (1.0 + t_norm / (ctx.eps_cos * sig_c)) * eps + tprime * r / sig_c
     rel = 10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
@@ -516,7 +531,8 @@ def refined_bounds(
     Angle:     sin(angle(x*, x^)) <= the same numerator divided additionally
                by the certified lower estimate
                sigma_min(L(l*)) - ||L'(l*)|| r - beta r^2,
-    which must be positive (hypothesis).  sin_refined is the measured
+    which must be positive, and gamma and beta must cover mu (hypotheses,
+    checked in that order).  sin_refined is the measured
     sin(angle(x*, x^)).  The angle chain additionally needs
     a ||T(mu) x*||-sized term the stated bound folds away; the slack
     (||T'(l*)|| r + 10 gamma r^2) / lower-estimate absorbs it.
@@ -529,6 +545,7 @@ def refined_bounds(
             "sigma_min(L(l*)) - ||L'(l*)|| r - beta r^2 <= 0; refined-vector "
             "hypothesis fails at this distance"
         )
+    ctx.require_mu_in_disc()
     tprime = ctx.norm_T_prime
     numerator = ctx.norm_T_mu * eps + tprime * r + gamma * r**2
     inter = {
@@ -557,8 +574,10 @@ def refined_uniqueness_check(ctx: CaseContext, refined: RefinedExtraction) -> Bo
     sigma_2(T(l*)) > 2 gamma r^2.  When they hold the singular gap obeys
     sigma_hat_2 - sigma_hat_1 >= sigma_2(T(l*))/2 - gamma r^2 > 0, which is
     the reported inequality (predicted gap on the left, measured gap on the
-    right).  Failed hypotheses make the check vacuous, never failed.
+    right).  Failed hypotheses make the check vacuous, never failed; mu
+    outside the remainder disc makes it inapplicable.
     """
+    ctx.require_mu_in_disc()
     r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
     svals = ctx.t_star_svals
     sigma2 = float(svals[-2]) if svals.size >= 2 else float(svals[-1])

@@ -149,10 +149,13 @@ class Rational:
         return _from_h2(nc, h) / npoly.polyval(h, q)
 
     def poles(self) -> list[complex]:
+        return list(self._roots)
+
+    @cached_property
+    def _roots(self) -> tuple[complex, ...]:
+        """The roots of q, found on first use and kept: the function is frozen."""
         q = self.denominator
-        if q.size == 1:
-            return []
-        return [complex(r) for r in npoly.polyroots(q)]
+        return tuple(complex(r) for r in npoly.polyroots(q)) if q.size > 1 else ()
 
 
 @dataclass(frozen=True)
@@ -284,43 +287,44 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class MatrixFunction:
     """T(lambda) = sum_i f_i(lambda) A_i with constant n x n coefficients.
 
-    from_terms and compress store the coefficients read-only, from_terms as
-    copies of the caller's arrays, so nothing read off them can go stale.
+    terms is the one field it is built from, by the constructor, from_terms,
+    compress or dataclasses.replace alike: each coefficient is stored as a
+    read-only copy, so nothing read off them can go stale, and n and
+    domain_poles are derived from the terms.
     """
 
-    n: int
     terms: tuple[tuple[ScalarAnalyticFn, np.ndarray], ...]
-    domain_poles: tuple[complex, ...] = field(default=())
+    n: int = field(init=False)
+    domain_poles: tuple[complex, ...] = field(init=False)
+
+    def __post_init__(self):
+        fixed = []
+        for i, (fn, a) in enumerate(self.terms):
+            if not isinstance(fn, ScalarAnalyticFn):
+                raise TypeError(f"term {i} has an unknown scalar function {fn!r}")
+            mat = as_matrix(np.array(a, dtype=complex))  # a copy, whatever the caller passed
+            n = fixed[0][1].shape[0] if fixed else mat.shape[0]
+            if mat.shape != (n, n):
+                raise ValueError(f"coefficient {i} has shape {mat.shape}, not n x n with n = {n}")
+            fixed.append((fn, _read_only(mat)))
+        if not fixed:
+            raise ValueError("a MatrixFunction needs at least one term")
+        object.__setattr__(self, "terms", tuple(fixed))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "domain_poles", tuple(
+            _dedupe_points([p for fn, _ in fixed for p in fn.poles()])))
 
     @classmethod
     def from_terms(cls, terms) -> "MatrixFunction":
-        if not terms:
-            raise ValueError("a MatrixFunction needs at least one term")
-        fixed = []
-        n = None
-        poles: list[complex] = []
-        for fn, a in terms:
-            mat = as_matrix(np.array(a, dtype=complex))  # a copy, whatever the caller passed
-            if mat.shape[0] != mat.shape[1]:
-                raise ValueError("coefficient matrices must be square")
-            if n is None:
-                n = mat.shape[0]
-            elif mat.shape[0] != n:
-                raise ValueError("all coefficient matrices must share one dimension")
-            fixed.append((fn, _read_only(mat)))
-            poles.extend(fn.poles())
-        return cls(n=n, terms=tuple(fixed), domain_poles=tuple(_dedupe_points(poles)))
+        """The constructor over any iterable of (function, coefficient) pairs."""
+        return cls(tuple(terms))
 
     def compress(self, v: np.ndarray) -> "MatrixFunction":
-        """Two-sided compression V^H A_i V of every term; scalars unchanged.
-
-        So the poles are T's: domain_poles is kept, not found again.
-        """
+        """Two-sided compression V^H A_i V of every term; scalars, and so poles, unchanged."""
         v = as_matrix(v)
         if v.shape[0] != self.n:
             raise ValueError("compression basis has the wrong row dimension")
-        terms = tuple((fn, _read_only(as_matrix(v.conj().T @ a @ v))) for fn, a in self.terms)
-        return MatrixFunction(n=v.shape[1], terms=terms, domain_poles=self.domain_poles)
+        return MatrixFunction(tuple((fn, v.conj().T @ a @ v) for fn, a in self.terms))
 
     @cached_property
     def coefficient_norms(self) -> np.ndarray:
@@ -497,12 +501,8 @@ def _fields_from_json(cls, d: dict, name: str):
 
 
 def problem_to_dict(t: MatrixFunction, ref: ReferencePair | None = None) -> dict:
-    terms = []
-    for fn, a in t.terms:
-        kind = next((k for k, cls in _TERM_TYPES.items() if isinstance(fn, cls)), None)
-        if kind is None:
-            raise TypeError(f"unknown scalar function {fn!r}")
-        terms.append({"fn": {"type": kind, **_fields_to_json(fn)}, "matrix": _to_json(a)})
+    terms = [{"fn": {"type": next(k for k, cls in _TERM_TYPES.items() if isinstance(fn, cls)),
+                     **_fields_to_json(fn)}, "matrix": _to_json(a)} for fn, a in t.terms]
     doc = {"n": t.n, "terms": terms}
     if ref is not None:
         doc["reference"] = _fields_to_json(ref)

@@ -424,8 +424,11 @@ def _eval_at_iterates(b: MatrixFunction, lams: np.ndarray, idx: np.ndarray, out:
 
 def _grid_seeds(center: complex, radius: float) -> list[complex]:
     ticks = np.linspace(-radius, radius, GRID_DENSITY)
-    seeds = [center + complex(x, y) for x in ticks for y in ticks]
-    return [z for z in seeds if abs(z - center) <= radius]
+    grid = np.empty((GRID_DENSITY, GRID_DENSITY), dtype=complex)
+    grid.real, grid.imag = ticks[:, None], ticks[None, :]
+    seeds = center + grid.ravel()
+    off = seeds - center
+    return seeds[np.hypot(off.real, off.imag) <= radius].tolist()
 
 
 def _clusters(roots: list[complex]) -> list[list[complex]]:

@@ -17,14 +17,14 @@ from nepritz.experiments import analyze_case
 from nepritz.nep_model import eval_T
 from nepritz.projection import project
 
-# the oracle selection falls back to a Ritz value next to the rational
-# term's pole when B has none near lambda*; mu then lies outside the
-# remainder disc, and ritz_vector_angle is reported, and fails
-MU_AT_POLE = "FOUND 64: mu is selected at a pole, beyond the remainder disc"
 FULL_XFAILS = {
-    111: MU_AT_POLE, 136: MU_AT_POLE, 306: MU_AT_POLE, 710: MU_AT_POLE, 900: MU_AT_POLE,
     658: "FOUND 64: B has no eigenvalue within 1 of lambda*, so the case raises EmptySpectrum",
 }
+# the oracle selection falls back to a Ritz value next to the rational
+# term's pole when B has none near lambda*; mu then lies outside the
+# remainder disc, so every bound that reads a remainder constant is
+# inapplicable there
+MU_BEYOND_DISC_SEEDS = (111, 136, 306, 710, 900)
 # refined_residual marked inapplicable by the refined angle's hypothesis
 FOUND_55_SEEDS = (12, 15, 16)
 # the rate bound detects m = 2 or 3 where mu is a simple eigenvalue of B
@@ -64,6 +64,14 @@ def rate_coupling(seed):
     b_prime = eval_T(b, case.mu, 1)
     y, z = dec.left_vectors[:, -1], dec.right_vectors[:, -1]
     return rate.intermediates["m_mu"], abs(np.vdot(y, b_prime @ z)) / norm2(b_prime)
+
+
+@pytest.mark.parametrize("seed", MU_BEYOND_DISC_SEEDS)
+def test_mu_beyond_the_remainder_disc_is_inapplicable(seed):
+    # ritz_vector_angle was reported there, and failed
+    case = analyze_case(*adversarial_case(seed))
+    assert "exceeds the remainder disc's radius" in dict(case.inapplicable)["ritz_vector_angle"]
+    assert case.all_hold
 
 
 @pytest.mark.parametrize("seed", FOUND_55_SEEDS)

@@ -341,6 +341,34 @@ class TestCaseContext:
             assert math.isclose(got, ref_value, rel_tol=1e-12, abs_tol=0.0), (got, ref_value)
 
 
+class TestRemainderDisc:
+    """A bound that reads gamma, beta or gamma_B needs mu in the disc they were sampled on."""
+
+    def test_context_records_the_radius(self):
+        t, _, _ = fixture_problem()
+        assert fixture_context(mu=0.1).radius == bl.remainder_radius(t, 0.0, 0.1) == 0.2
+
+    def test_mu_beyond_the_disc_is_inapplicable(self):
+        t, ref, s, case = fixture_perturbed_case(seed=4)
+        ctx = bl.build_case_context(t, s, ref.x_star, ref.lambda_star, case.mu)
+        ritz = ritz_vector(ctx.tw, ctx.b_mu, ctx.mu, s)
+        refined = refined_vector(ctx.tw, ctx.mu, s)
+        sin_ritz, sin_refined = (sin_angle(ctx.x_star, v) for v in (ritz.x_tilde, refined.x_hat))
+        evaluators = [
+            lambda c: bl.residual_angle_bound(c, sin_ritz, ritz.residual_norm, theorem_id="r"),
+            lambda c: bl.ritz_vector_angle_bound(c, ritz, sin_ritz, bl.ritz_complements(c, ritz.z)),
+            lambda c: bl.refined_bounds(c, refined, sin_refined),
+            lambda c: bl.refined_uniqueness_check(c, refined),
+        ]
+        far = replace(ctx, radius=ctx.mu_dist / 2)
+        for evaluate in evaluators:
+            evaluate(ctx)  # applicable where mu is inside the disc
+            with pytest.raises(HypothesisFailed, match=(
+                    f"r = {ctx.mu_dist:.6g} exceeds the remainder disc's radius "
+                    f"{far.radius:.6g}")):
+                evaluate(far)
+
+
 class TestPerturbationBounds:
     def test_exact_capture_trivial(self):
         rep = bl.perturbation_norm_bound(fixture_context())

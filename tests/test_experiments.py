@@ -150,6 +150,17 @@ class TestRunExample1:
                                target=-0.9)
         assert case.mu == pytest.approx(-1.0, abs=1e-9)
 
+    def test_target_mode_mu_beyond_the_remainder_disc(self):
+        # mu = -1 lies 1.0 from lambda* = 0, and the pole at 1 caps the
+        # remainder disc at 0.45, so the uniqueness check is inapplicable
+        t, ref, _ = ex.fixture_problem()
+        s = Subspace.from_basis(np.eye(3, dtype=complex))
+        case = ex.analyze_case(t, ref, s, region_center=-0.9, region_radius=1.0,
+                               target=-0.9)
+        assert dict(case.inapplicable)["refined_uniqueness"] == (
+            "HypothesisFailed: r = 1 exceeds the remainder disc's radius 0.45; "
+            "gamma, beta and gamma_B do not cover mu")
+
     def test_target_mode_ok_follows_the_verdicts(self, monkeypatch):
         # ok is "every applicable bound holds", as in the other experiments
         assert ex.run_example1_target(-0.9)["ok"]

@@ -492,6 +492,16 @@ class TestTaylorRemainder:
             remainder_radius(t, ref.lambda_star, mu)
 
 
+def build(how, terms):
+    """A MatrixFunction of terms, by the constructor, from_terms, or replace on another."""
+    if how == "constructor":
+        return MatrixFunction(terms)
+    if how == "from_terms":
+        return MatrixFunction.from_terms(terms)
+    pole_free = MatrixFunction.from_terms([(Polynomial([1.0]), np.eye(2))])
+    return dataclasses.replace(pole_free, terms=terms)
+
+
 class TestCoefficientNorms:
     @staticmethod
     def planted(n=6, seed=3):
@@ -546,13 +556,53 @@ class TestCoefficientNorms:
             with pytest.raises(ValueError, match="read-only"):
                 f.coefficient_norms[0] = 1.0
 
-    def test_from_terms_copies_the_callers_arrays(self):
+    @pytest.mark.parametrize("how", ["constructor", "from_terms", "replace"])
+    def test_every_build_copies_the_callers_arrays(self, how):
         a = np.eye(3, dtype=complex)
-        t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), a)])
-        before = t.coefficient_norms[0]
-        a[0, 0] = 5.0
+        t = build(how, ((Polynomial([0, 0, 1]), a),))
+        assert t.coefficient_norms.tolist() == [1.0]
+        a *= 3.0
         assert a.flags.writeable
-        assert t.terms[0][1][0, 0] == 1.0 and norm2(t.terms[0][1]) == before
+        assert norm2(t.terms[0][1]) == t.coefficient_norms[0] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            t.terms[0][1][0, 0] = 3.0
+
+
+class TestConstruction:
+    """Every way of building a MatrixFunction checks its terms and derives n and the poles."""
+
+    @pytest.mark.parametrize("how", ["constructor", "replace"])
+    def test_poles_and_n_derived_from_the_terms(self, how):
+        # a pole at 0.5 caps the remainder disc about 0 at 0.45 * 0.5, not 2 |mu|
+        t = build(how, ((Rational([1.0], [-0.5, 1.0]), np.eye(3)),))
+        assert t.n == 3 and t.domain_poles == (0.5,)
+        assert remainder_radius(t, 0.0, 0.3) == 0.225
+
+    @pytest.mark.parametrize("how", ["constructor", "from_terms", "replace"])
+    def test_no_terms_rejected(self, how):
+        with pytest.raises(ValueError, match="needs at least one term"):
+            build(how, iter(()))
+
+    @pytest.mark.parametrize("how", ["constructor", "replace"])
+    def test_non_term_function_rejected(self, how):
+        with pytest.raises(TypeError, match="term 1 has an unknown scalar function"):
+            build(how, ((Polynomial([1.0]), np.eye(2)), (object(), np.eye(2))))
+
+    @pytest.mark.parametrize("how", ["constructor", "replace"])
+    @pytest.mark.parametrize("second", [np.eye(3), np.ones((2, 3))])
+    def test_coefficients_must_be_n_by_n(self, how, second):
+        with pytest.raises(ValueError, match=r"coefficient 1 has shape \(\d, 3\), not n x n"):
+            build(how, ((Polynomial([1.0]), np.eye(2)), (Polynomial([0, 1]), second)))
+
+    def test_rational_roots_found_once(self, monkeypatch):
+        t = TestCoefficientNorms.planted()
+        calls = []
+        real = npoly.polyroots
+        monkeypatch.setattr(npoly, "polyroots", lambda c: calls.append(c) or real(c))
+        b = t.compress(np.eye(6, 2, dtype=complex))
+        again = MatrixFunction.from_terms(t.terms)
+        assert calls == []
+        assert b.domain_poles == again.domain_poles == t.domain_poles != ()
 
 
 def per_function_remainder(t, lambda_star, radius):
@@ -919,9 +969,3 @@ class TestProblemFormat:
         doc["reference"]["lambda_star"] = [0, 0]
         doc["terms"][0]["matrix"] = [[int(re), int(im)] for re, im in doc["terms"][0]["matrix"]]
         assert problem_to_dict(*problem_from_dict(doc)) == problem_to_dict(t, ref)
-
-    def test_non_term_function_not_saved(self):
-        t, _, _ = fixture_problem()
-        bogus = dataclasses.replace(t, terms=((object(), t.terms[0][1]),))
-        with pytest.raises(TypeError):
-            problem_to_dict(bogus)
