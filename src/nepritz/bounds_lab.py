@@ -30,13 +30,13 @@ which the constant was sampled (CaseContext.radius).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense_kernels import as_unit_vector, complement_compress, norm2, singular_values
+from .dense_kernels import (
+    as_finite_scalar, as_length, as_unit_vector, complement_compress, norm2, singular_values)
 from .errors import DegenerateDeviation, DegenerateRatio, DegenerateSigma, HypothesisFailed
 from .extraction import RefinedExtraction, RitzExtraction
 from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
@@ -149,14 +149,11 @@ def sigma_min_profile(
     A non-finite lambda_star or direction, a zero direction, or a
     disc_radius outside (0, inf) raises ValueError before B is evaluated.
     """
-    lam0 = complex(lambda_star)
-    d = complex(direction)
-    if not cmath.isfinite(lam0):
-        raise ValueError(f"lambda_star must be finite, not {lam0}")
-    if not cmath.isfinite(d) or d == 0:
-        raise ValueError(f"direction must be finite and nonzero, not {d}")
-    if not 0.0 < disc_radius < math.inf:  # a comparison that NaN fails
-        raise ValueError(f"disc_radius must be positive and finite, not {disc_radius}")
+    lam0 = as_finite_scalar(lambda_star, "lambda_star")
+    d = as_finite_scalar(direction, "direction")
+    if d == 0:
+        raise ValueError("direction must be nonzero")
+    disc_radius = as_length(disc_radius, "disc_radius")
     d = d / abs(d)
     hw = max(_STENCILS[PROFILE_MAX_ORDER])  # the widest stencil
     h = min(max(1e-3, disc_radius / 10.0), disc_radius / (2.0 * (hw + 1)))
@@ -216,14 +213,13 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
     """Sampling radius for Taylor-remainder estimation around lambda_star.
 
     Covers the segment to mu with headroom but stays clear of any pole.  A
-    non-finite mu raises ValueError.
+    non-finite lambda_star or mu raises ValueError.
     """
-    mu = complex(mu)
-    if not cmath.isfinite(mu):
-        raise ValueError(f"mu must be finite, not {mu}")
-    r = max(2.0 * abs(mu - complex(lambda_star)), 1e-3)
+    lam = as_finite_scalar(lambda_star, "lambda_star")
+    mu = as_finite_scalar(mu, "mu")
+    r = max(2.0 * abs(mu - lam), 1e-3)
     if t.domain_poles:
-        dist = min(abs(p - complex(lambda_star)) for p in t.domain_poles)
+        dist = min(abs(p - lam) for p in t.domain_poles)
         r = min(r, 0.45 * dist)
     if r <= 0:
         raise HypothesisFailed("no pole-free disc around lambda_star")

@@ -13,7 +13,6 @@ returns documents and reports.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
@@ -22,8 +21,17 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import experiments as ex
+from .dense_kernels import as_finite_scalar, require_integer
 from .errors import NepRitzError
 from .nep_model import load_problem
+
+
+def _by_library_rule(rule, *args):
+    """rule(*args) with its ValueError as a usage error: a flag admits what the library does."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _parse_selection(text: str) -> tuple[str, complex | None]:
@@ -34,9 +42,7 @@ def _parse_selection(text: str) -> tuple[str, complex | None]:
             target = complex(text.split("=", 1)[1])
         except ValueError:
             raise argparse.ArgumentTypeError(f"cannot parse target value in {text!r}")
-        if not cmath.isfinite(target):
-            raise argparse.ArgumentTypeError(f"target must be finite, not {target}")
-        return "target", target
+        return "target", _by_library_rule(as_finite_scalar, target, "target")
     raise argparse.ArgumentTypeError("selection must be 'oracle' or 'target=<complex>'")
 
 
@@ -46,10 +52,7 @@ def _parse_eps(text: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad epsilon list {text!r}")
-    try:
-        ex.sweep_deviations(values)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    _by_library_rule(ex.sweep_deviations, values)
     return values
 
 
@@ -69,10 +72,8 @@ def _integer_at_least(name: str, least: int):
         try:
             value = int(text)
         except ValueError:
-            value = least - 1
-        if value < least:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {least}")
-        return value
+            value = text  # no integer, which require_integer reports
+        return _by_library_rule(require_integer, name, value, least)
     return parse
 
 

@@ -15,11 +15,17 @@ A 2-norm alone comes from ``norm2``, the square root of the largest
 eigenvalue of the Hermitian Gram matrix, for one matrix or a stack; its
 docstring derives its error bound.  Any other singular value comes from
 ``singular_values`` or ``svd``.
+
+Each scalar argument rule of the package is one function here:
+``as_finite_scalar``, ``require_integer``, ``as_length``, ``as_deviation``.
+A violation raises ValueError naming the argument; a bool is no number.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +73,50 @@ def as_unit_vector(v, name: str) -> np.ndarray:
     if not abs(nrm - 1.0) <= UNIT_TOL:
         raise ValueError(f"{name} must be unit norm to {UNIT_TOL:g} (got {nrm})")
     return a
+
+
+def _as_number(value, kind, to):
+    """to(value) for a number of this kind but bool, else to(NaN); an int too big for to is inf."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return to(math.nan)
+    try:
+        return to(value)
+    except OverflowError:
+        return to(math.inf)
+
+
+def as_finite_scalar(value, name: str) -> complex:
+    """value as a finite complex: a Python or numpy number with no NaN or inf part."""
+    z = _as_number(value, numbers.Number, complex)
+    if not cmath.isfinite(z):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return z
+
+
+def require_integer(name: str, value, least: int, most: int | None = None):
+    """value, an int or numpy integer in [least, most] (most=None: no upper bound)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least or most is not None and value > most):
+        bound = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
+    return value
+
+
+def _as_real_below(value, name: str, upper: float, interval: str) -> float:
+    x = _as_number(value, numbers.Real, float)
+    if not 0.0 < x < upper:  # a comparison that NaN fails
+        raise ValueError(f"{name} must be in {interval}, not {value!r}")
+    return x
+
+
+def as_length(value, name: str) -> float:
+    """value as a float in (0, inf): a radius or other positive finite length."""
+    return _as_real_below(value, name, math.inf, "(0, inf)")
+
+
+def as_deviation(value, name: str) -> float:
+    """value as a float in (0, 1): a deviation epsilon of a subspace from x_star."""
+    return _as_real_below(value, name, 1.0, "(0, 1)")
 
 
 def norm2(m):

@@ -8,14 +8,15 @@ sigma/sqrt(2), so one complex entry has standard deviation sigma.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds_lab as bl
-from .dense_kernels import as_unit_vector, norm2, phase_fix, singular_values, svd
+from .dense_kernels import (
+    as_deviation, as_finite_scalar, as_unit_vector, norm2, phase_fix, require_integer,
+    singular_values, svd)
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -26,6 +27,7 @@ from .extraction import (
     sin_angle,
 )
 from .nep_model import (
+    MAX_POLY_DEGREE,
     MatrixFunction,
     Polynomial,
     Rational,
@@ -46,12 +48,6 @@ def _complex_randn(rng, *shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
 
 
-def _require_integer(name: str, value, least: int) -> None:
-    """ValueError naming the argument unless value is an integer >= least (a bool is none)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-
-
 def _orthogonalize_against(v: np.ndarray, basis_cols: list[np.ndarray]) -> np.ndarray:
     for _ in range(2):
         for q in basis_cols:
@@ -66,16 +62,16 @@ def build_subspace_eps(x_star, m: int, eps: float, seed: int) -> Subspace:
     orthogonal to x_star; remaining vectors are seeded and orthogonalized
     against both x_star and the basis so the deviation stays exactly eps.
     x_star must be unit (dense_kernels.as_unit_vector): a zero, non-finite
-    or otherwise non-unit one raises ValueError.  So does an m that is not
-    an integer (a bool is none; a numpy integer is one) with 1 <= m < n.
+    or otherwise non-unit one raises ValueError.  So do an eps outside
+    (0, 1), an m that is not an integer (a bool is none; a numpy integer is
+    one) with 1 <= m < n, and a seed that is not an integer >= 0.
     """
     x = as_unit_vector(x_star, "x_star")
     x = x / np.linalg.norm(x)
     n = x.size
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must be in (0, 1)")
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m < n:
-        raise ValueError(f"m must be an integer with 1 <= m < n = {n}, not {m!r}")
+    eps = as_deviation(eps, "eps")
+    require_integer("m", m, 1, n - 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     q = _orthogonalize_against(_complex_randn(rng, n), [x])
     q = q / np.linalg.norm(q)
@@ -105,13 +101,14 @@ def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
     The noisy columns go through build_subspace_eps's Gram-Schmidt, two
     modified passes against the columns before them, in order; each is
     divided by its norm, and the basis is put in the phase convention.
-    Raises ValueError for a negative, NaN or infinite sigma, and
-    ConstructionFailed when the noisy basis is not finite or its
-    Gram-Schmidt result is not orthonormal, as happens from about
-    sigma = 1e155 up, where the squared column norms overflow.
+    Raises ValueError for a negative, NaN or infinite sigma or a seed that
+    is not an integer >= 0, and ConstructionFailed when the noisy basis is
+    not finite or its Gram-Schmidt result is not orthonormal, as happens
+    from about sigma = 1e155 up, where the squared column norms overflow.
     """
     if not 0 <= sigma < math.inf:  # a comparison that NaN fails
         raise ValueError("sigma must be finite and nonnegative")
+    require_integer("seed", seed, 0)
     if sigma == 0.0:
         return s
     rng = np.random.default_rng(seed)
@@ -378,8 +375,8 @@ def run_example2(
     if not seeds:
         raise ValueError("seeds must be nonempty")
     for i, k in enumerate(seeds):
-        _require_integer(f"seeds[{i}]", k, 0)
-    _require_integer("seed_base", seed_base, 0)
+        require_integer(f"seeds[{i}]", k, 0)
+    require_integer("seed_base", seed_base, 0)
     t, ref, w = fixture_problem()
     s0 = Subspace.from_basis(w)
     records: list[dict] = []
@@ -442,18 +439,18 @@ def random_planted_nep(
     by a rank-one update so the chosen unit vector is an exact eigenvector.
     Genericity of the planted pair (rank n-1 and nonvanishing eigenvalue
     derivative) is asserted, so a bad seed fails loudly instead of producing
-    a defective reference.  n < 2, where T(lambda_star) is 0 after planting,
-    degree < 1, where T is constant, or a non-finite lambda_star or
-    rational_pole raises ValueError.
+    a defective reference.  A non-finite lambda_star or rational_pole
+    raises ValueError, as do an n, degree or seed outside its integer range
+    (a bool is none): n >= 2, as planting leaves a 1 x 1 T(lambda_star) = 0;
+    1 <= degree <= MAX_POLY_DEGREE, as a constant T has no eigenvalue
+    derivative; seed >= 0.
     """
-    if not cmath.isfinite(complex(lambda_star)):
-        raise ValueError(f"lambda_star must be finite, not {lambda_star}")
-    if rational_pole is not None and not cmath.isfinite(complex(rational_pole)):
-        raise ValueError(f"rational_pole must be finite, not {rational_pole}")
-    if n < 2:
-        raise ValueError(f"n must be at least 2, not {n}")
-    if degree < 1:
-        raise ValueError(f"degree must be at least 1, not {degree}")
+    as_finite_scalar(lambda_star, "lambda_star")
+    if rational_pole is not None:
+        as_finite_scalar(rational_pole, "rational_pole")
+    require_integer("n", n, 2)
+    require_integer("degree", degree, 1, MAX_POLY_DEGREE)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(n)
     terms: list[tuple] = [(Polynomial([1]), _complex_randn(rng, n, n) * scale)]
@@ -514,7 +511,8 @@ def defective_rate_instance() -> tuple[MatrixFunction, ReferencePair]:
 
 
 def defective_rate_subspace(eps: float) -> Subspace:
-    """Deviation-eps basis aligned with the defective projected structure."""
+    """Deviation-eps basis aligned with the defective projected structure; eps in (0, 1)."""
+    eps = as_deviation(eps, "eps")
     w = np.zeros((3, 2), dtype=complex)
     w[0, 0] = math.sqrt(1.0 - eps**2)
     w[1, 0] = eps
@@ -534,9 +532,8 @@ def sweep_deviations(eps_list) -> list[float]:
 
     ValueError unless each lies in (0, 1) and together they span 4 decades.
     """
-    eps_arr = sorted(set(float(e) for e in eps_list), reverse=True)
-    if not all(0.0 < e < 1.0 for e in eps_arr):  # a comparison that NaN fails
-        raise ValueError("epsilon values must lie in (0, 1)")
+    eps_arr = sorted({as_deviation(e, f"eps_list[{i}]") for i, e in enumerate(eps_list)},
+                     reverse=True)
     if len(eps_arr) < 2 or eps_arr[0] / eps_arr[-1] < 1e4:
         raise ValueError("eps_list must cover at least 4 decades")
     return eps_arr
@@ -562,8 +559,8 @@ def run_sweep(
     fixed shift.  trials must be an integer >= 1 and seed_base an integer
     >= 0, or ValueError names the argument.
     """
-    _require_integer("trials", trials, 1)
-    _require_integer("seed_base", seed_base, 0)
+    require_integer("trials", trials, 1)
+    require_integer("seed_base", seed_base, 0)
     eps_arr = sweep_deviations(eps_list)
     records: list[dict] = []
     failures: list[str] = []

@@ -18,17 +18,17 @@ complex multiply and divide may fuse or reorder depending on the stack.
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from math import comb, factorial, inf
+from math import comb, factorial
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .dense_kernels import as_matrix, as_unit_vector, norm2
+from .dense_kernels import (
+    as_finite_scalar, as_length, as_matrix, as_unit_vector, norm2, require_integer)
 from .errors import PoleHit
 
 MAX_POLY_DEGREE = 32
@@ -165,9 +165,7 @@ class Exponential:
     scale: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", complex(self.scale))
-        if not np.isfinite(self.scale.real) or not np.isfinite(self.scale.imag):
-            raise ValueError("exponential scale must be finite")
+        object.__setattr__(self, "scale", as_finite_scalar(self.scale, "scale"))
 
     def eval_many(self, lams: np.ndarray, order: int = 0) -> np.ndarray:
         """a^k exp(a lam), the derivative of order k, at each point of lams."""
@@ -270,10 +268,11 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dedupe_points(points: list[complex], tol: float = 1e-10) -> list[complex]:
+def _dedupe_points(points: list[complex]) -> list[complex]:
+    """points sorted, less each that lies within 1e-10 of the last one kept."""
     out: list[complex] = []
     for p in sorted(points, key=lambda z: (z.real, z.imag)):
-        if not out or abs(p - out[-1]) > tol:
+        if not out or abs(p - out[-1]) > 1e-10:
             out.append(p)
     return out
 
@@ -356,9 +355,7 @@ def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
     PoleHit for the whole stack.  order must be an integer (a bool is none)
     in [0, MAX_DERIV_ORDER], or ValueError names it.
     """
-    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
-            or not 0 <= order <= MAX_DERIV_ORDER):
-        raise ValueError(f"order must be an integer in [0, {MAX_DERIV_ORDER}], not {order!r}")
+    require_integer("order", order, 0, MAX_DERIV_ORDER)
     lams = np.asarray(lams, dtype=complex).reshape(-1)
     out = np.zeros((lams.size, t.n * t.n), dtype=complex)
     for fn, a in t.terms:
@@ -397,11 +394,8 @@ def taylor_remainder_const(
 
     A non-finite lambda_star or a radius outside (0, inf) raises ValueError.
     """
-    if not 0 < radius < inf:
-        raise ValueError(f"radius must be in (0, inf), not {radius}")
-    lambda_star = complex(lambda_star)
-    if not cmath.isfinite(lambda_star):
-        raise ValueError(f"lambda_star must be finite, not {lambda_star}")
+    radius = as_length(radius, "radius")
+    lambda_star = as_finite_scalar(lambda_star, "lambda_star")
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
             raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
@@ -440,7 +434,7 @@ class ReferencePair:
 
     def __post_init__(self):
         x = as_unit_vector(self.x_star, "x_star")
-        object.__setattr__(self, "lambda_star", complex(self.lambda_star))
+        object.__setattr__(self, "lambda_star", as_finite_scalar(self.lambda_star, "lambda_star"))
         object.__setattr__(self, "x_star", x)
 
     def validate(self, t: MatrixFunction) -> None:
@@ -510,9 +504,7 @@ def problem_to_dict(t: MatrixFunction, ref: ReferencePair | None = None) -> dict
 
 
 def problem_from_dict(doc: dict) -> tuple[MatrixFunction, ReferencePair | None]:
-    n = doc["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, not {n!r}")
+    n = require_integer("n", doc["n"], 1)
     terms = []
     for i, entry in enumerate(doc["terms"]):
         flat = _from_json(entry["matrix"], False, f"terms[{i}].matrix")

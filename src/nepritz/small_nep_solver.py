@@ -25,7 +25,6 @@ get the stacked SVD that decides it exactly (screen_stop_test).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -35,6 +34,8 @@ from numpy.polynomial import polynomial as npoly
 
 from .dense_kernels import (
     NORM_ROUNDING,
+    as_finite_scalar,
+    as_length,
     near_singular,
     norms_within,
     singular_values,
@@ -458,14 +459,13 @@ def solve_projected(
     companion eigenvalues of polynomialize(b).  Then in-region filter ->
     Newton polish -> dedupe (algebraic multiplicity = cluster size) ->
     spurious filter (sigma_min test and b.domain_poles).  An empty result is
-    valid; a non-finite region or a radius <= 0 raises ValueError.  While a
-    pole of B lies within 1e-6 of the rim, the radius shrinks by 0.97, at
-    most 64 times; a pole still on the rim after that raises ValueError.
+    valid; a non-finite region_center or a region_radius outside (0, inf)
+    raises ValueError.  While a pole of B lies within 1e-6 of the rim, the
+    radius shrinks by 0.97, at most 64 times; a pole still on the rim after
+    that raises ValueError.
     """
-    center = complex(region_center)
-    radius = float(region_radius)
-    if not (cmath.isfinite(center) and 0 < radius < math.inf):
-        raise ValueError("the region needs a finite center and a finite positive radius")
+    center = as_finite_scalar(region_center, "region_center")
+    radius = as_length(region_radius, "region_radius")
     for shrinks in range(65):
         if all(abs(abs(p - center) - radius) > 1e-6 for p in b.domain_poles):
             break
@@ -530,9 +530,7 @@ def select_ritz_value(spec: SpectrumResult, point: complex) -> complex:
     mode, and must be finite.  Exact ties resolve to smaller |value|, then
     smaller argument.
     """
-    ref = complex(point)
-    if not cmath.isfinite(ref):
-        raise ValueError(f"the selection point must be finite, not {ref}")
+    ref = as_finite_scalar(point, "point")
     if not spec.eigenvalues:
         raise EmptySpectrum("projected problem has no eigenvalue in the region")
     return min(spec.eigenvalues, key=lambda z: (abs(z - ref), abs(z), np.angle(z)))

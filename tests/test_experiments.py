@@ -12,7 +12,8 @@ from nepritz.dense_kernels import complement_compress, norm2
 from nepritz.errors import ConstructionFailed
 from nepritz.extraction import sin_angle
 from nepritz.nep_model import ReferencePair, eval_T, eval_T_many
-from nepritz.projection import Subspace, deviation
+from nepritz.projection import Subspace, deviation, project
+from nepritz.small_nep_solver import select_ritz_value, solve_projected
 
 
 def unit(v):
@@ -413,7 +414,7 @@ class TestRandomPlantedNep:
     def test_unusable_size_or_degree_raises(self, n, degree, name):
         # planting leaves a 1 x 1 T(l*) = 0, so no n = 1 pair is simple, and a
         # constant T has no eigenvalue derivative
-        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             ex.random_planted_nep(n, degree, 0, 0.3)
 
 
@@ -443,7 +444,7 @@ class TestRunSweep:
     def test_deviation_outside_the_open_unit_interval_rejected(self, eps_list):
         # the rule of the command line's --eps: NaN used to sort into the
         # ladder, 2.0 passed, 0.0 divided by zero and -1.0 failed the span test
-        with pytest.raises(ValueError, match=r"^epsilon values must lie in \(0, 1\)$"):
+        with pytest.raises(ValueError, match=r"^eps_list\[\d\] must be in \(0, 1\), not "):
             ex.sweep_deviations(eps_list)
 
     def test_bad_ladder_rejected_before_any_case(self):
@@ -454,7 +455,7 @@ class TestRunSweep:
             built.append(eps)
             return ex.defective_rate_subspace(eps)
 
-        with pytest.raises(ValueError, match="epsilon values must lie in"):
+        with pytest.raises(ValueError, match=r"^eps_list\[2\] must be in \(0, 1\)"):
             ex.run_sweep(t, ref, [1e-4, 1e-8, 2.0], trials=1, subspace_factory=factory)
         assert built == []
 
@@ -469,6 +470,24 @@ class TestRunSweep:
         t, ref, m = ex.simple_rate_instance()
         with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
             ex.run_sweep(t, ref, eps_list=[1e-2, 1e-4, 1e-6], m=m, **kwargs)
+
+    def test_target_selects_within_the_disc_about_lambda_star(self):
+        # in target mode the solver disc stays the unit disc about lambda*, and
+        # only the selection follows the target: each projected problem's
+        # eigenvalue nearest the target lies outside that disc, so the
+        # selected value is the one inside it, as in oracle mode
+        t, ref, m = ex.simple_rate_instance()
+        target = -0.75 + 0.05j
+        eps_list = [1e-2, 1e-4, 1e-6]
+        res = ex.run_sweep(t, ref, eps_list, trials=2, m=m, target=target)
+        assert res["ok"]
+        assert res["records"] == ex.run_sweep(t, ref, eps_list, trials=2, m=m)["records"]
+        for r in res["records"]:
+            s = ex.build_subspace_eps(ref.x_star, m, r["epsilon"], r["seed"])
+            nearest = select_ritz_value(solve_projected(project(t, s), target, 1.0), target)
+            assert abs(nearest - target) < abs(ref.lambda_star - target)
+            assert abs(nearest - ref.lambda_star) > 1.0
+            assert r["mu_dist"] < r["epsilon"]
 
     def test_simple_instance_slopes(self):
         t, ref, m = ex.simple_rate_instance()

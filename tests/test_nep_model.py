@@ -952,7 +952,7 @@ class TestProblemFormat:
         # each n but 0 and -1 was read as int(n) == size, so the file loaded
         doc = problem_to_dict(MatrixFunction.from_terms([(Polynomial([1]), np.eye(size))]))
         doc["n"] = n
-        with pytest.raises(ValueError, match="n must be a positive integer"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
             problem_from_dict(doc)
 
     @pytest.mark.parametrize("length", [1, 3])

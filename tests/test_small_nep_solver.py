@@ -754,7 +754,7 @@ class TestSolveProjected:
         ])
         with pytest.raises(ValueError, match="after 64 shrinks"):
             solve_projected(b, 0.0, 5e-7)
-        with pytest.raises(ValueError, match="finite center and a finite positive radius"):
+        with pytest.raises(ValueError, match=r"^region_radius must be in \(0, inf\)"):
             solve_projected(b, 0.0, math.nan)
 
     @pytest.mark.parametrize("center,radius", [
@@ -770,7 +770,8 @@ class TestSolveProjected:
             (fn, np.array([[1.0]], dtype=complex)),
             (Polynomial([-2.0]), np.array([[1.0]], dtype=complex)),
         ])
-        with pytest.raises(ValueError, match="finite center and a finite positive radius"):
+        name = "region_radius" if center == 0.0 else "region_center"
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             solve_projected(b, center, radius)
 
     def test_one_acceptance_stack_keeps_spurious_order(self, monkeypatch):
