@@ -237,8 +237,9 @@ class CaseContext:
     W^H (T(mu) W).  L = X_perp^H T X_perp, the compression against the
     complement of x_star, is never formed as a function: L(l*), L'(l*) and
     L(mu) are the reflector blocks (dense_kernels.complement_compress) of
-    T(l*), T'(l*) and T(mu), one batched singular-value call per stack.  B
-    and L are linear images of T, so gamma, beta and gamma_b, the sampled
+    T(l*), T'(l*) and T(mu).  The values at l* depend on the target alone
+    and come from T's TargetValues (MatrixFunction.target_values).  B and L
+    are linear images of T, so gamma, beta and gamma_b, the sampled
     remainder constants of T, L and B, come from one pass over T's remainder
     directions.  W, u, x_out, W^H T(l*), B(l*), T(mu) W and B(mu) are kept
     whole because the perturbation witness, the angle sandwich and the Ritz
@@ -315,10 +316,12 @@ def build_case_context(
 
     x_star must be unit (dense_kernels.as_unit_vector); its split W u + x_out
     and eps = min(||x_out||, 1) are formed as projection.deviation forms them.
-    Only T is evaluated: T(l*) and T(mu) as one two-point stack, and T'(l*).
-    W^H T(l*), B(l*) and B(mu) are compressed from those matrices with
-    s.basis, as gamma_b compresses T's remainder directions.  The witness,
-    the angle sandwich and the extractions read them from the context.
+    Only T is evaluated.  The values at l* are t.target_values, measured on
+    a target's first case; per case, T(mu) alone (bit-equal to its slice of
+    any eval_T_many stack) gives ||T(mu)|| and sigma_min(L(mu)).  W^H T(l*),
+    B(l*) and B(mu) are compressed from T(l*) and T(mu) with s.basis, as
+    gamma_b compresses T's remainder directions.  The witness, the angle
+    sandwich and the extractions read them from the context.
     """
     lam, mu = complex(lambda_star), complex(mu)
     x = as_unit_vector(x_star, "x_star")
@@ -329,14 +332,11 @@ def build_case_context(
     radius = remainder_radius(t, lam, mu)
     gamma, beta, gamma_b = taylor_remainder_const(
         t, lam, radius, lambda d: complement_compress(x, d), lambda d: wh @ d @ w)
-    t_star, t_mu = eval_T_many(t, [lam, mu], 0)
+    target = t.target_values(lam, x)
+    t_mu = eval_T(t, mu, 0)
     tw = t_mu @ w
-    wh_t_star = wh @ t_star
+    wh_t_star = wh @ target.t_star
     b_star = wh_t_star @ w
-    # one batched call per matrix shape: T(l*), T'(l*), T(mu), then their L blocks
-    t_stack = np.stack([t_star, eval_T(t, lam, 1), t_mu])
-    t_svals = singular_values(t_stack)
-    l_svals = singular_values(complement_compress(x, t_stack))
     return CaseContext(
         x_star=x,
         lambda_star=lam,
@@ -346,16 +346,16 @@ def build_case_context(
         x_out=x_out,
         eps=min(float(np.linalg.norm(x_out)), 1.0),
         wh_t_star=wh_t_star,
-        t_star_svals=t_svals[0],
-        norm_T_prime=float(t_svals[1, 0]),
+        t_star_svals=target.t_star_svals,
+        norm_T_prime=target.norm_T_prime,
         tw=tw,
-        norm_T_mu=float(t_svals[2, 0]),
+        norm_T_mu=float(singular_values(t_mu)[0]),
         b_star=b_star,
         b_star_svals=singular_values(b_star),
         b_mu=wh @ tw,
-        sigma_min_L_star=float(l_svals[0, -1]),
-        norm_L_prime=float(l_svals[1, 0]),
-        sigma_min_L_mu=float(l_svals[2, -1]),
+        sigma_min_L_star=target.sigma_min_L_star,
+        norm_L_prime=target.norm_L_prime,
+        sigma_min_L_mu=float(singular_values(complement_compress(x, t_mu))[-1]),
         radius=radius,
         gamma=gamma,
         beta=beta,

@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import experiments as ex
-from .dense_kernels import as_finite_scalar, require_integer
+from .dense_kernels import as_finite_scalar, as_nonnegative, require_integer
 from .errors import NepRitzError
 from .nep_model import load_problem
 
@@ -61,9 +60,7 @@ def _parse_sigma(text: str) -> float:
         sigma = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"sigma must be a number, not {text!r}")
-    if not 0 <= sigma < math.inf:  # a comparison that NaN fails
-        raise argparse.ArgumentTypeError("sigma must be finite and nonnegative")
-    return sigma
+    return _by_library_rule(as_nonnegative, sigma, "sigma")
 
 
 def _integer_at_least(name: str, least: int):

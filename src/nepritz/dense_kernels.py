@@ -17,7 +17,8 @@ docstring derives its error bound.  Any other singular value comes from
 ``singular_values`` or ``svd``.
 
 Each scalar argument rule of the package is one function here:
-``as_finite_scalar``, ``require_integer``, ``as_length``, ``as_deviation``.
+``as_finite_scalar``, ``require_integer``, ``as_length``, ``as_deviation``,
+``as_nonnegative``.
 A violation raises ValueError naming the argument; a bool is no number.
 """
 
@@ -104,7 +105,8 @@ def require_integer(name: str, value, least: int, most: int | None = None):
 
 def _as_real_below(value, name: str, upper: float, interval: str) -> float:
     x = _as_number(value, numbers.Real, float)
-    if not 0.0 < x < upper:  # a comparison that NaN fails
+    above_zero = 0.0 <= x if interval[0] == "[" else 0.0 < x  # "[0, ..." admits 0
+    if not (above_zero and x < upper):  # comparisons that NaN fails
         raise ValueError(f"{name} must be in {interval}, not {value!r}")
     return x
 
@@ -117,6 +119,11 @@ def as_length(value, name: str) -> float:
 def as_deviation(value, name: str) -> float:
     """value as a float in (0, 1): a deviation epsilon of a subspace from x_star."""
     return _as_real_below(value, name, 1.0, "(0, 1)")
+
+
+def as_nonnegative(value, name: str) -> float:
+    """value as a float in [0, inf): a standard deviation sigma of a perturbation."""
+    return _as_real_below(value, name, math.inf, "[0, inf)")
 
 
 def norm2(m):

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import bounds_lab as bl
 from .dense_kernels import (
-    as_deviation, as_finite_scalar, as_unit_vector, norm2, phase_fix, require_integer,
-    singular_values, svd)
+    as_deviation, as_finite_scalar, as_nonnegative, as_unit_vector, norm2, phase_fix,
+    require_integer, singular_values, svd)
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
     RefinedExtraction,
@@ -101,13 +101,12 @@ def perturb_subspace(s: Subspace, sigma: float, seed: int) -> Subspace:
     The noisy columns go through build_subspace_eps's Gram-Schmidt, two
     modified passes against the columns before them, in order; each is
     divided by its norm, and the basis is put in the phase convention.
-    Raises ValueError for a negative, NaN or infinite sigma or a seed that
-    is not an integer >= 0, and ConstructionFailed when the noisy basis is
-    not finite or its Gram-Schmidt result is not orthonormal, as happens
-    from about sigma = 1e155 up, where the squared column norms overflow.
+    Raises ValueError for a sigma outside [0, inf) or a seed that is not an
+    integer >= 0, and ConstructionFailed when the noisy basis is not finite
+    or its Gram-Schmidt result is not orthonormal, as happens from about
+    sigma = 1e155 up, where the squared column norms overflow.
     """
-    if not 0 <= sigma < math.inf:  # a comparison that NaN fails
-        raise ValueError("sigma must be finite and nonnegative")
+    sigma = as_nonnegative(sigma, "sigma")
     require_integer("seed", seed, 0)
     if sigma == 0.0:
         return s
@@ -205,10 +204,12 @@ def analyze_case(
     region_center (the reference eigenvalue by default), which
     solve_projected shrinks while a pole lies on its rim.  Selection is
     oracle mode (closest to the reference eigenvalue) unless a target shift
-    is given.  Bounds whose hypotheses fail are recorded in
+    is given; a non-finite target raises ValueError before anything is
+    projected.  Bounds whose hypotheses fail are recorded in
     ``inapplicable`` with the exception class name, not raised.
     """
     lam_star = ref.lambda_star
+    target = None if target is None else as_finite_scalar(target, "target")
     center = lam_star if region_center is None else complex(region_center)
     b = project(t, s)
     spectrum = solve_projected(b, center, region_radius)

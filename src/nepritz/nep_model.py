@@ -28,7 +28,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .dense_kernels import (
-    as_finite_scalar, as_length, as_matrix, as_unit_vector, norm2, require_integer)
+    as_finite_scalar, as_length, as_matrix, as_unit_vector, as_vector, complement_compress,
+    norm2, require_integer, singular_values)
 from .errors import PoleHit
 
 MAX_POLY_DEGREE = 32
@@ -283,6 +284,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TargetValues:
+    """What bounds read of T at a target (lambda_star, x_star) for any subspace; read-only."""
+
+    lambda_star: complex
+    x_star: np.ndarray
+    t_star: np.ndarray
+    t_star_svals: np.ndarray    # singular values of T(l*), descending
+    norm_T_prime: float         # ||T'(l*)||
+    sigma_min_L_star: float     # sigma_min(L(l*))
+    norm_L_prime: float         # ||L'(l*)||
+
+
+@dataclass(frozen=True)
 class MatrixFunction:
     """T(lambda) = sum_i f_i(lambda) A_i with constant n x n coefficients.
 
@@ -336,6 +350,27 @@ class MatrixFunction:
         with its own norms).
         """
         return _read_only(norm2(np.stack([a for _, a in self.terms])))
+
+    def target_values(self, lambda_star: complex, x_star) -> TargetValues:
+        """T's TargetValues at (lambda_star, x_star), measured once while the target stays.
+
+        One singular_values call on [T(l*), T'(l*)] and one on its
+        complement_compress(x_star, .) blocks, L(l*) and L'(l*).  One slot
+        keeps the last target's record, keyed by lambda_star and x_star's
+        bytes, compared bit for bit; another target replaces it.  It cannot
+        go stale: the coefficients are read-only copies.
+        """
+        lam, x = complex(lambda_star), as_vector(x_star)
+        key = np.complex128(lam).tobytes() + x.tobytes()
+        kept = vars(self).get("_target")
+        if kept is None or kept[0] != key:
+            stack = np.stack([eval_T(self, lam, 0), eval_T(self, lam, 1)])
+            t_svals = singular_values(stack)
+            l_svals = singular_values(complement_compress(x, stack))
+            kept = vars(self)["_target"] = (key, TargetValues(
+                lam, _read_only(x.copy()), _read_only(stack[0].copy()), _read_only(t_svals[0]),
+                float(t_svals[1, 0]), float(l_svals[0, -1]), float(l_svals[1, 0])))
+        return kept[1]
 
 
 def eval_T(t: MatrixFunction, lam: complex, order: int = 0) -> np.ndarray:
@@ -427,13 +462,13 @@ def taylor_remainder_const(
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """A known simple eigenpair (lambda_star, x_star) used as ground truth."""
+    """A known simple eigenpair (lambda_star, x_star), ground truth; x_star a read-only copy."""
 
     lambda_star: complex
     x_star: np.ndarray
 
     def __post_init__(self):
-        x = as_unit_vector(self.x_star, "x_star")
+        x = _read_only(np.array(as_unit_vector(self.x_star, "x_star")))
         object.__setattr__(self, "lambda_star", as_finite_scalar(self.lambda_star, "lambda_star"))
         object.__setattr__(self, "x_star", x)
 

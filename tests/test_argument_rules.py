@@ -1,9 +1,10 @@
-"""The four scalar argument rules of dense_kernels and every argument they govern.
+"""The five scalar argument rules of dense_kernels and every argument they govern.
 
 as_finite_scalar (a finite complex), require_integer (an integer in a
-range), as_length (a float in (0, inf)) and as_deviation (a float in (0, 1))
-each raise ValueError naming the argument, and a bool is no number under any
-of them.  The command line parses its text, then applies the same rules.
+range), as_length (a float in (0, inf)), as_deviation (a float in (0, 1))
+and as_nonnegative (a float in [0, inf)) each raise ValueError naming the
+argument, and a bool is no number under any of them.  The command line
+parses its text, then applies the same rules.
 """
 
 import argparse
@@ -16,7 +17,8 @@ import pytest
 import nepritz.bounds_lab as bl
 from nepritz import cli
 from nepritz import experiments as ex
-from nepritz.dense_kernels import as_deviation, as_finite_scalar, as_length, require_integer
+from nepritz.dense_kernels import (
+    as_deviation, as_finite_scalar, as_length, as_nonnegative, require_integer)
 from nepritz.nep_model import (
     MAX_DERIV_ORDER,
     MAX_POLY_DEGREE,
@@ -38,6 +40,7 @@ BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_ONE = math.nextafter(1.0, 2.0)
 NON_NUMBERS = [True, np.True_, "0.5", None]
 NON_FINITE = [math.nan, math.inf, -math.inf]
+SIGMA_MESSAGE = r"^sigma must be in \[0, inf\), not "
 
 
 class TestRules:
@@ -89,6 +92,21 @@ class TestRules:
         with pytest.raises(ValueError, match=rf"^r must be in {interval}, not "):
             rule(value, "r")
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, TINY, 1, 2.5, 1e308, 10**300,
+                                       np.float64(1e-4), np.float32(0.5), np.int64(3),
+                                       np.float64(-0.0)])
+    def test_nonnegative_is_its_float(self, value):
+        got = as_nonnegative(value, "sigma")
+        assert type(got) is float and got == float(value)
+        assert math.copysign(1.0, got) == math.copysign(1.0, float(value))
+
+    @pytest.mark.parametrize("value", NON_NUMBERS + NON_FINITE + [
+        -TINY, -1.0, -1, 1j, 0j, 10**400, -(10**400), np.float64(math.nan),
+        np.float32(-1.0), np.float64(math.inf), np.int64(-2), np.bool_(False), False])
+    def test_nonnegative_rejects(self, value):
+        with pytest.raises(ValueError, match=SIGMA_MESSAGE):
+            as_nonnegative(value, "sigma")
+
 
 # ---------------------------------------------------------------------------
 # every argument the rules govern: (id, call with the value, name, bad values)
@@ -102,6 +120,11 @@ def _unit(n):
 
 def _planted():
     return ex.random_planted_nep(4, 2, 1, 0.3 + 0.2j)
+
+
+def _fixture_case():
+    t, ref, w = ex.fixture_problem()
+    return t, ref, Subspace.from_basis(w)
 
 
 def _fixture_projection():
@@ -126,6 +149,7 @@ def _integer_bad(least, most=None):
 SCALAR_BAD = [True, *NON_FINITE, complex(0.0, math.nan)]
 LENGTH_BAD = [True, *NON_FINITE, 0.0, -TINY]
 DEVIATION_BAD = [True, 2.5, *NON_FINITE, 0.0, -TINY, 1.0, ABOVE_ONE]
+NONNEGATIVE_BAD = [True, *NON_FINITE, -TINY, -1.0]
 SWEEP_EPS = [1e-2, 1e-4, 1e-6]
 
 GOVERNED = [
@@ -154,6 +178,11 @@ GOVERNED = [
      lambda v: solve_projected(_fixture_projection(), v, 1.0), "region_center", SCALAR_BAD),
     ("select_ritz_value.point", lambda v: select_ritz_value(_spectrum(), v), "point",
      SCALAR_BAD),
+    # a NaN target was reported as select_ritz_value's point
+    ("analyze_case.target", lambda v: ex.analyze_case(*_fixture_case(), target=v), "target",
+     SCALAR_BAD),
+    ("run_sweep.target", lambda v: ex.run_sweep(*_planted(), SWEEP_EPS, trials=1, target=v),
+     "target", SCALAR_BAD),
     # integers
     ("eval_T.order", lambda v: eval_T(_planted()[0], 0.0, v), "order",
      _integer_bad(0, MAX_DERIV_ORDER)),
@@ -193,6 +222,12 @@ GOVERNED = [
      "disc_radius", LENGTH_BAD),
     ("solve_projected.region_radius",
      lambda v: solve_projected(_fixture_projection(), 0.0, v), "region_radius", LENGTH_BAD),
+    # nonnegative floats
+    ("perturb_subspace.sigma",
+     lambda v: ex.perturb_subspace(Subspace.from_basis(np.eye(3, 2)), v, 0), "sigma",
+     NONNEGATIVE_BAD),
+    ("run_example2.sigma", lambda v: ex.run_example2(sigma=v, seeds=(0,)), "sigma",
+     NONNEGATIVE_BAD),
     # deviations
     ("build_subspace_eps.eps", lambda v: ex.build_subspace_eps(_unit(4), 2, v, 0), "eps",
      DEVIATION_BAD),
@@ -240,3 +275,16 @@ def test_selection_target_admits_what_as_finite_scalar_admits(value):
             cli._parse_selection(f"target={value}")
     else:
         assert cli._parse_selection(f"target={value}") == ("target", expected)
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "0.0", "1e-4", "1e308", "1e309", "-1e-4", "-0.5",
+                                  "nan", "inf", "-inf"])
+def test_sigma_flag_admits_what_as_nonnegative_admits(text):
+    try:
+        expected = as_nonnegative(float(text), "sigma")
+    except ValueError:
+        with pytest.raises(argparse.ArgumentTypeError, match=SIGMA_MESSAGE):
+            cli._parse_sigma(text)
+    else:
+        got = cli._parse_sigma(text)
+        assert got == expected and math.copysign(1.0, got) == math.copysign(1.0, expected)

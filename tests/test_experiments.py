@@ -128,9 +128,9 @@ class TestPerturbSubspace:
     def test_non_finite_or_negative_sigma_rejected(self, sigma):
         # NaN and inf reached the basis and came back as ConstructionFailed
         _, _, w = ex.fixture_problem()
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"^sigma must be in \[0, inf\), not "):
             ex.perturb_subspace(Subspace.from_basis(w), sigma, seed=0)
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"^sigma must be in \[0, inf\), not "):
             ex.run_example2(sigma=sigma, seeds=(0,))
 
 
@@ -323,11 +323,13 @@ class TestAnalyzeCase:
     def test_target_quantities_are_derived_once(self, monkeypatch):
         # T(l*), T'(l*) and the split of x* that gives eps live in the case
         # context; the witness and the bound evaluators read them from there,
-        # and projection.deviation, which forms that split, is never called
+        # and projection.deviation, which forms that split, is never called.
+        # T is evaluated at l* once per order for all subspaces of a target.
         import sys
 
-        inst = ex.builtin_suite()[0]
-        n, lam = inst.t.n, inst.ref.lambda_star
+        insts = ex.builtin_suite()[:3]  # poly3 at three deviations: one T, one ref
+        assert all(i.t is insts[0].t and i.ref is insts[0].ref for i in insts)
+        n, lam = insts[0].t.n, insts[0].ref.lambda_star
         t_at_star, deviations = [], []
 
         def counted_many(fn, zs, order=0):
@@ -345,10 +347,47 @@ class TestAnalyzeCase:
                                       ("deviation", counted_deviation)):
                     if hasattr(mod, attr):
                         monkeypatch.setattr(mod, attr, counted)
-        case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
-        assert case.all_hold
+        for inst in insts:
+            assert ex.analyze_case(inst.t, inst.ref, inst.subspace).all_hold
         assert sorted(t_at_star) == [0, 1]
         assert deviations == []
+
+    def test_reused_target_values_change_no_bit(self):
+        # forward order, reverse order, and each case cold on a fresh T give
+        # the same mu, reports, spectrum and vectors, bit for bit
+        def outputs(case):
+            return (case.mu.real.hex(), case.mu.imag.hex(),
+                    [(r.theorem_id, r.lhs.hex(), r.rhs.hex(),
+                      {k: v.hex() for k, v in r.intermediates.items()}) for r in case.reports],
+                    case.inapplicable, [z.hex() for e in case.spectrum.eigenvalues
+                                        for z in (e.real, e.imag)],
+                    [r.hex() for r in case.spectrum.residuals],
+                    case.spectrum.multiplicities, case.spectrum.method,
+                    case.ritz.x_tilde.tobytes(), case.refined.x_hat.tobytes())
+
+        def run(inst, t):
+            return outputs(ex.analyze_case(t, inst.ref, inst.subspace))
+
+        forward = [run(i, i.t) for i in ex.builtin_suite()]
+        reverse = [run(i, i.t) for i in reversed(ex.builtin_suite())][::-1]
+        cold = [run(i, dataclasses.replace(i.t)) for i in ex.builtin_suite()]
+        assert len(forward) == 38
+        assert forward == reverse == cold
+
+    def test_non_finite_target_is_named_before_anything_is_projected(self, monkeypatch):
+        # a NaN target was reported as select_ritz_value's "point", after the
+        # projection and the solve
+        def forbidden(*args):
+            raise AssertionError("projected with a non-finite target")
+
+        monkeypatch.setattr(ex, "project", forbidden)
+        t, ref, w = ex.fixture_problem()
+        for target in (math.nan, complex(0.0, math.inf)):
+            with pytest.raises(ValueError, match="^target must be finite, not "):
+                ex.analyze_case(t, ref, Subspace.from_basis(w), target=target)
+        t, ref = ex.random_planted_nep(4, 2, 1, 0.3 + 0.2j)
+        with pytest.raises(ValueError, match="^target must be finite, not "):
+            ex.run_sweep(t, ref, [1e-2, 1e-4, 1e-6], trials=1, target=math.nan)
 
     def test_each_angle_is_measured_once(self, monkeypatch):
         # sin(x*, x~), sin(x*, x^) and sin(x~, x^) are CaseResult fields, and

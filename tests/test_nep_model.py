@@ -14,7 +14,7 @@ from numpy.polynomial import polynomial as npoly
 import nepritz.dense_kernels as dense_kernels
 import nepritz.nep_model as nep_model
 from nepritz.bounds_lab import remainder_radius
-from nepritz.dense_kernels import complement_compress, norm2
+from nepritz.dense_kernels import complement_compress, norm2, singular_values
 from nepritz.errors import ConstructionFailed, PoleHit
 from nepritz.experiments import (
     analyze_case,
@@ -568,6 +568,66 @@ class TestCoefficientNorms:
             t.terms[0][1][0, 0] = 3.0
 
 
+class TestTargetValues:
+    """T's values at a target are measured once per (problem, target), keyed bit for bit."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        """The orders of every evaluation of T at any point, as a list filled in place."""
+        orders = []
+
+        def counted(fn, lams, order=0):
+            orders.extend(order for _ in np.atleast_1d(lams))
+            return eval_T_many(fn, lams, order)
+
+        monkeypatch.setattr(nep_model, "eval_T_many", counted)
+        return orders
+
+    def test_values_are_each_matrix_alone_bit_for_bit(self):
+        t, ref = random_planted_nep(6, 2, 3, 0.3 + 0.2j, rational_pole=2.0)
+        lam, x = ref.lambda_star, ref.x_star
+        got = t.target_values(lam, x)
+        t_star, t_prime = eval_T(t, lam, 0), eval_T(t, lam, 1)
+        assert got.lambda_star == lam and np.array_equal(got.x_star, x)
+        assert got.t_star.tobytes() == t_star.tobytes()
+        assert got.t_star_svals.tobytes() == singular_values(t_star).tobytes()
+        assert got.norm_T_prime == singular_values(t_prime)[0]
+        assert got.sigma_min_L_star == singular_values(complement_compress(x, t_star))[-1]
+        assert got.norm_L_prime == singular_values(complement_compress(x, t_prime))[0]
+        for a in (got.x_star, got.t_star, got.t_star_svals):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_an_equal_reference_reuses_the_entry(self, monkeypatch):
+        t, ref = random_planted_nep(6, 2, 3, 0.3 + 0.2j)
+        orders = self.counting(monkeypatch)
+        first = t.target_values(ref.lambda_star, ref.x_star)
+        equal = ReferencePair(ref.lambda_star, np.array(ref.x_star))
+        assert t.target_values(equal.lambda_star, equal.x_star) is first
+        assert sorted(orders) == [0, 1]
+
+    @pytest.mark.parametrize("change", ["x_star", "lambda_star", "signed_zero", "replaced_t"])
+    def test_another_target_or_function_recomputes(self, monkeypatch, change):
+        t, ref, _ = fixture_problem()  # lambda_star = 0.0
+        lam, x = ref.lambda_star, ref.x_star
+        first = t.target_values(lam, x)
+        orders = self.counting(monkeypatch)
+        if change == "x_star":
+            got = t.target_values(lam, 1j * x)  # equal up to phase, other bytes
+        elif change == "lambda_star":
+            got = t.target_values(lam + 1e-3, x)
+        elif change == "signed_zero":
+            got = t.target_values(complex(-0.0, 0.0), x)
+        else:
+            got = dataclasses.replace(t).target_values(lam, x)
+        assert got is not first and sorted(orders) == [0, 1]
+        # one slot: the first target was replaced and is measured again
+        if change != "replaced_t":
+            again = t.target_values(lam, x)
+            assert again is not first and sorted(orders) == [0, 0, 1, 1]
+            assert again.t_star.tobytes() == first.t_star.tobytes()
+
+
 class TestConstruction:
     """Every way of building a MatrixFunction checks its terms and derives n and the poles."""
 
@@ -851,6 +911,16 @@ class TestReferencePair:
         pair = ReferencePair(1.0, np.array([0, 0, 1], dtype=complex))
         with pytest.raises(PoleHit):
             pair.validate(t)
+
+    def test_x_star_is_a_read_only_copy(self):
+        # the caller's complex array was aliased, so a write to it moved the reference
+        source = np.array([0, 0, 1], dtype=complex)
+        ref = ReferencePair(0.0, source)
+        source[:] = [1, 0, 0]
+        assert ref.x_star.tolist() == [0, 0, 1]
+        assert not ref.x_star.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ref.x_star[0] = 1.0
 
     def test_x_star_of_another_length_rejected(self):
         # numpy's matmul shape error was the message before
