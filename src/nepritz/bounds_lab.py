@@ -15,8 +15,10 @@ complement function L = X_perp^H T X_perp at l* and mu, and the remainder
 constants gamma, beta, gamma_B.  build_case_context derives each of them
 once into a frozen CaseContext, the one place a product with the basis W is
 formed, and the evaluators read them from there; none takes the subspace.
-A test that needs hand-picked constants applies dataclasses.replace to a
-built context.  What only one bound reads, that bound builds itself:
+Those of the target alone sit in the context's target, T's TargetValues,
+shared by every case of one target.  A test that needs hand-picked
+constants applies dataclasses.replace to a built context (or to its
+target).  What only one bound reads, that bound builds itself:
 perturbation_norm_bound forms the rank-one perturbation witness E(l*), and
 ritz_value_bound takes the sigma_min profile of B along the ray from l* to
 mu.
@@ -39,7 +41,7 @@ from .dense_kernels import (
     as_finite_scalar, as_length, as_unit_vector, complement_compress, norm2, singular_values)
 from .errors import DegenerateDeviation, DegenerateRatio, DegenerateSigma, HypothesisFailed
 from .extraction import RefinedExtraction, RitzExtraction
-from .nep_model import MatrixFunction, eval_T, eval_T_many, taylor_remainder_const
+from .nep_model import MatrixFunction, TargetValues, eval_T, eval_T_many, taylor_remainder_const
 from .projection import Subspace
 
 DEFAULT_FLOOR = 1e-12
@@ -230,44 +232,40 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
 class CaseContext:
     """The quantities every bound is a formula over, for one case.
 
-    T is the full function and the only one evaluated.  x_star is split once
-    into W u + x_out with u = W^H x_star, and eps = ||x_out|| is its
-    deviation from the subspace.  B = W^H T W, the projection onto the
-    subspace, is read off T's matrices: B(l*) = (W^H T(l*)) W and B(mu) =
-    W^H (T(mu) W).  L = X_perp^H T X_perp, the compression against the
-    complement of x_star, is never formed as a function: L(l*), L'(l*) and
-    L(mu) are the reflector blocks (dense_kernels.complement_compress) of
-    T(l*), T'(l*) and T(mu).  The values at l* depend on the target alone
-    and come from T's TargetValues (MatrixFunction.target_values).  B and L
-    are linear images of T, so gamma, beta and gamma_b, the sampled
-    remainder constants of T, L and B, come from one pass over T's remainder
-    directions.  W, u, x_out, W^H T(l*), B(l*), T(mu) W and B(mu) are kept
-    whole because the perturbation witness, the angle sandwich and the Ritz
-    and refined extractions read them too; both extractions read the one
-    T(mu) W, so their residuals share its rounding.  The two points are kept
-    for the rate bound, which profiles B along the ray from lambda_star to
-    mu, and so is the radius of the disc about lambda_star on which the
-    remainder constants were sampled: a bound that reads them needs mu in
-    it (require_mu_in_disc).
+    A case has two read-only parts.  target, T's TargetValues at (l*, x*),
+    holds what depends on the target alone and is one object, held by
+    reference, for every case of that target; the other fields belong to
+    the subspace and mu.  T is the full function and the only one
+    evaluated.  x_star is split once into W u + x_out with u = W^H x_star,
+    and eps = ||x_out|| is its deviation from the subspace.  B = W^H T W is
+    read off T's matrices: B(l*) = (W^H T(l*)) W and B(mu) = W^H (T(mu) W).
+    L = X_perp^H T X_perp, the compression against the complement of
+    x_star, is never formed as a function: L(l*), L'(l*) and L(mu) are the
+    reflector blocks (dense_kernels.complement_compress) of T(l*), T'(l*)
+    and T(mu).  B and L are linear images of T, so gamma, beta and gamma_b,
+    the sampled remainder constants of T, L and B, come from one pass over
+    T's remainder directions.  W, u, x_out, W^H T(l*), B(l*), T(mu) W and
+    B(mu) are kept whole because the perturbation witness, the angle
+    sandwich and the Ritz and refined extractions read them too; both
+    extractions read the one T(mu) W, so their residuals share its
+    rounding.  mu is kept for the rate bound, which profiles B along the ray
+    from lambda_star to mu, and so is the radius of the disc about
+    lambda_star on which the remainder constants were sampled: a bound that
+    reads them needs mu in it (require_mu_in_disc).
     """
 
-    x_star: np.ndarray
-    lambda_star: complex
+    target: TargetValues
     mu: complex
     w: np.ndarray               # the subspace's basis W, n x m
     u: np.ndarray               # W^H x_star
     x_out: np.ndarray           # x_star - W u
     eps: float                  # ||x_out||, the deviation of x_star from the subspace
     wh_t_star: np.ndarray       # W^H T(l*), m x n
-    t_star_svals: np.ndarray    # singular values of T(l*), descending
-    norm_T_prime: float         # ||T'(l*)||
     tw: np.ndarray              # T(mu) W
     norm_T_mu: float            # ||T(mu)||
     b_star: np.ndarray          # B(l*)
     b_star_svals: np.ndarray    # singular values of B(l*), descending
     b_mu: np.ndarray            # B(mu)
-    sigma_min_L_star: float     # sigma_min(L(l*))
-    norm_L_prime: float         # ||L'(l*)||
     sigma_min_L_mu: float       # sigma_min(L(mu))
     radius: float               # of the disc about l* that gamma, beta, gamma_b cover
     gamma: float
@@ -277,7 +275,7 @@ class CaseContext:
     @property
     def mu_dist(self) -> float:
         """r = |mu - lambda_star|."""
-        return abs(self.mu - self.lambda_star)
+        return abs(self.mu - self.target.lambda_star)
 
     def require_mu_in_disc(self) -> None:
         """HypothesisFailed unless mu lies in the disc the remainder constants cover."""
@@ -297,10 +295,6 @@ class CaseContext:
         return self.eps / self.eps_cos
 
     @property
-    def norm_T_star(self) -> float:
-        return float(self.t_star_svals[0])
-
-    @property
     def norm_B_star(self) -> float:
         return float(self.b_star_svals[0])
 
@@ -316,8 +310,9 @@ def build_case_context(
 
     x_star must be unit (dense_kernels.as_unit_vector); its split W u + x_out
     and eps = min(||x_out||, 1) are formed as projection.deviation forms them.
-    Only T is evaluated.  The values at l* are t.target_values, measured on
-    a target's first case; per case, T(mu) alone (bit-equal to its slice of
+    Only T is evaluated.  The context's target is the object
+    t.target_values returns, measured on a target's first case and shared
+    by every later one; per case, T(mu) alone (bit-equal to its slice of
     any eval_T_many stack) gives ||T(mu)|| and sigma_min(L(mu)).  W^H T(l*),
     B(l*) and B(mu) are compressed from T(l*) and T(mu) with s.basis, as
     gamma_b compresses T's remainder directions.  The witness, the angle
@@ -338,23 +333,18 @@ def build_case_context(
     wh_t_star = wh @ target.t_star
     b_star = wh_t_star @ w
     return CaseContext(
-        x_star=x,
-        lambda_star=lam,
+        target=target,
         mu=mu,
         w=w,
         u=u,
         x_out=x_out,
         eps=min(float(np.linalg.norm(x_out)), 1.0),
         wh_t_star=wh_t_star,
-        t_star_svals=target.t_star_svals,
-        norm_T_prime=target.norm_T_prime,
         tw=tw,
         norm_T_mu=float(singular_values(t_mu)[0]),
         b_star=b_star,
         b_star_svals=singular_values(b_star),
         b_mu=wh @ tw,
-        sigma_min_L_star=target.sigma_min_L_star,
-        norm_L_prime=target.norm_L_prime,
         sigma_min_L_mu=float(singular_values(complement_compress(x, t_mu))[-1]),
         radius=radius,
         gamma=gamma,
@@ -385,25 +375,25 @@ def perturbation_norm_bound(ctx: CaseContext) -> BoundReport:
     u_hat = ctx.u / denom
     e_star = (ctx.wh_t_star @ ctx.x_out)[:, None] @ u_hat.conj()[None, :] / denom
     # the absolute term covers the B(l*) = 0 edge where rounding scales with ||T||
-    tol = 1e-10 * ctx.norm_B_star + 1e-13 * ctx.norm_T_star
+    tol = 1e-10 * ctx.norm_B_star + 1e-13 * ctx.target.norm_T_star
     if np.linalg.norm((ctx.b_star + e_star) @ u_hat) > tol:
         raise RuntimeError("witness does not annihilate u_hat; construction bug")
     norm_e = norm2(e_star)
-    rhs = ctx.eps_ratio * ctx.norm_T_star
+    rhs = ctx.eps_ratio * ctx.target.norm_T_star
     if norm_e > rhs + 1e-12:
         raise RuntimeError("witness norm exceeds its guaranteed bound")
     return _report(
         "perturbation_norm", norm_e, rhs, 1e-10, DEFAULT_FLOOR,
-        {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
+        {"epsilon": ctx.eps, "norm_T_star": ctx.target.norm_T_star},
     )
 
 
 def projected_sigma_bound(ctx: CaseContext) -> BoundReport:
     """sigma_min(B(l*)) <= eps/sqrt(1-eps^2) ||T(l*)||."""
-    rhs = ctx.eps_ratio * ctx.norm_T_star
+    rhs = ctx.eps_ratio * ctx.target.norm_T_star
     return _report(
         "projected_sigma_min", ctx.sigma_min_B_star, rhs, 1e-10, DEFAULT_FLOOR,
-        {"epsilon": ctx.eps, "norm_T_star": ctx.norm_T_star},
+        {"epsilon": ctx.eps, "norm_T_star": ctx.target.norm_T_star},
     )
 
 
@@ -415,14 +405,14 @@ def ritz_value_bound(ctx: CaseContext, b: MatrixFunction) -> BoundReport:
     of radius |mu - l*|; when mu coincides with lambda_star the bound is a
     trivial 0 <= 0 and B is not profiled.
     """
-    r, t_norm, eps = ctx.mu_dist, ctx.norm_T_star, ctx.eps
+    r, t_norm, eps = ctx.mu_dist, ctx.target.norm_T_star, ctx.eps
     if r < MU_AT_LAMBDA_TOL:
         return _report(
             "ritz_value_rate", r, 0.0, 0.0, DEFAULT_FLOOR,
             {"epsilon": eps, "norm_T_star": t_norm, "m_mu": 0, "alpha": 0.0},
         )
-    profile = sigma_min_profile(
-        b, ctx.lambda_star, direction=(ctx.mu - ctx.lambda_star) / r, disc_radius=r)
+    lam = ctx.target.lambda_star
+    profile = sigma_min_profile(b, lam, direction=(ctx.mu - lam) / r, disc_radius=r)
     m = profile.detected_m_mu
     if m is None:
         raise DegenerateSigma("no usable derivative signature at lambda_star")
@@ -456,7 +446,7 @@ def residual_angle_bound(
     if sig_l <= 1e-12:
         raise HypothesisFailed("sigma_min(L(mu)) is not positive")
     ctx.require_mu_in_disc()
-    r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
+    r, tprime, gamma = ctx.mu_dist, ctx.target.norm_T_prime, ctx.gamma
     rhs = (rho + tprime * r) / sig_l
     rel = 10.0 * gamma * r**2 / (sig_l * max(rhs, 1e-30))
     return _report(
@@ -507,7 +497,8 @@ def ritz_vector_angle_bound(
     if sig_c <= 1e-12:
         raise HypothesisFailed("sigma_min(C(lambda_star)) is not positive")
     ctx.require_mu_in_disc()
-    r, t_norm, tprime, eps = ctx.mu_dist, ctx.norm_T_star, ctx.norm_T_prime, ctx.eps
+    r, eps = ctx.mu_dist, ctx.eps
+    t_norm, tprime = ctx.target.norm_T_star, ctx.target.norm_T_prime
     rhs = (1.0 + t_norm / (ctx.eps_cos * sig_c)) * eps + tprime * r / sig_c
     rel = 10.0 * ctx.gamma_b * r**2 / (sig_c * max(rhs, 1e-30))
     return _report(
@@ -533,21 +524,21 @@ def refined_bounds(
     a ||T(mu) x*||-sized term the stated bound folds away; the slack
     (||T'(l*)|| r + 10 gamma r^2) / lower-estimate absorbs it.
     """
-    r, gamma, beta, eps = ctx.mu_dist, ctx.gamma, ctx.beta, ctx.eps
+    r, gamma, beta, eps, tv = ctx.mu_dist, ctx.gamma, ctx.beta, ctx.eps, ctx.target
     denom = ctx.eps_cos
-    lower_est = ctx.sigma_min_L_star - ctx.norm_L_prime * r - beta * r**2
+    lower_est = tv.sigma_min_L_star - tv.norm_L_prime * r - beta * r**2
     if lower_est <= 0.0:
         raise HypothesisFailed(
             "sigma_min(L(l*)) - ||L'(l*)|| r - beta r^2 <= 0; refined-vector "
             "hypothesis fails at this distance"
         )
     ctx.require_mu_in_disc()
-    tprime = ctx.norm_T_prime
+    tprime = tv.norm_T_prime
     numerator = ctx.norm_T_mu * eps + tprime * r + gamma * r**2
     inter = {
         "epsilon": eps, "mu_dist": r, "norm_T_mu": ctx.norm_T_mu,
         "norm_T_prime": tprime, "gamma": gamma, "beta": beta,
-        "sigma_min_L_star": ctx.sigma_min_L_star, "norm_L_prime": ctx.norm_L_prime,
+        "sigma_min_L_star": tv.sigma_min_L_star, "norm_L_prime": tv.norm_L_prime,
         "sigma_min_L_lower_est": lower_est,
     }
     residual_report = _report(
@@ -574,8 +565,8 @@ def refined_uniqueness_check(ctx: CaseContext, refined: RefinedExtraction) -> Bo
     outside the remainder disc makes it inapplicable.
     """
     ctx.require_mu_in_disc()
-    r, tprime, gamma = ctx.mu_dist, ctx.norm_T_prime, ctx.gamma
-    svals = ctx.t_star_svals
+    r, tprime, gamma = ctx.mu_dist, ctx.target.norm_T_prime, ctx.gamma
+    svals = ctx.target.t_star_svals
     sigma2 = float(svals[-2]) if svals.size >= 2 else float(svals[-1])
     hyp1 = refined.sigma_hat_1 < 0.5 * sigma2 - tprime * r
     hyp2 = sigma2 > 2.0 * gamma * r**2

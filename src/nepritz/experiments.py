@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bounds_lab as bl
 from .dense_kernels import (
-    as_deviation, as_finite_scalar, as_nonnegative, as_unit_vector, norm2, phase_fix,
+    as_deviation, as_finite_scalar, as_length, as_nonnegative, as_unit_vector, norm2, phase_fix,
     require_integer, singular_values, svd)
 from .errors import ConstructionFailed, InapplicableBound, NepRitzError
 from .extraction import (
@@ -204,13 +204,16 @@ def analyze_case(
     region_center (the reference eigenvalue by default), which
     solve_projected shrinks while a pole lies on its rim.  Selection is
     oracle mode (closest to the reference eigenvalue) unless a target shift
-    is given; a non-finite target raises ValueError before anything is
+    is given.  A region_center or target that is not a finite number, or a
+    region_radius outside (0, inf), raises ValueError before anything is
     projected.  Bounds whose hypotheses fail are recorded in
     ``inapplicable`` with the exception class name, not raised.
     """
     lam_star = ref.lambda_star
     target = None if target is None else as_finite_scalar(target, "target")
-    center = lam_star if region_center is None else complex(region_center)
+    center = lam_star if region_center is None else as_finite_scalar(
+        region_center, "region_center")
+    region_radius = as_length(region_radius, "region_radius")
     b = project(t, s)
     spectrum = solve_projected(b, center, region_radius)
     mu = select_ritz_value(spectrum, lam_star if target is None else target)
@@ -218,8 +221,8 @@ def analyze_case(
     ritz = ritz_vector(ctx.tw, ctx.b_mu, mu, s)
     refined = refined_vector(ctx.tw, mu, s)
     # the three angles and C(l*), C(mu) that the evaluators read, each once
-    sin_ritz = sin_angle(ctx.x_star, ritz.x_tilde)
-    sin_refined = sin_angle(ctx.x_star, refined.x_hat)
+    sin_ritz = sin_angle(ctx.target.x_star, ritz.x_tilde)
+    sin_refined = sin_angle(ctx.target.x_star, refined.x_hat)
     sin_between = sin_angle(ritz.x_tilde, refined.x_hat)
     complements = bl.ritz_complements(ctx, ritz.z)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_kernels import UNIT_TOL, as_matrix, as_unit_vector, svd
+from .dense_kernels import UNIT_TOL, as_finite_scalar, as_matrix, as_unit_vector, svd
 from .errors import NotAnEigenvalue
 # unused here; perfbench's tracer test checks every layer's alias of eval_T
 from .nep_model import eval_T  # noqa: F401
@@ -75,8 +75,13 @@ def ritz_vector(tw, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
     convention, and the geometric multiplicity counts singular values below
     GEOM_MULT_TOL * max(1, ||B(mu)||).  The residual is read from tw, the
     product refined_vector decomposes, so both residuals carry the same
-    rounding: at m = 1 they are equal.
+    rounding: at m = 1 they are equal.  mu must be a finite number and b_mu
+    m x m, or ValueError names the argument.
     """
+    mu = as_finite_scalar(mu, "mu")
+    b_mu = as_matrix(b_mu)
+    if b_mu.shape != (s.dim, s.dim):
+        raise ValueError(f"b_mu must be {s.dim} x {s.dim}, not {b_mu.shape}")
     dec = svd(b_mu)
     scale = max(1.0, dec.sigma_max)
     if dec.sigma_min > RITZ_SIGMA_PRE * scale:
@@ -88,7 +93,7 @@ def ritz_vector(tw, b_mu, mu: complex, s: Subspace) -> RitzExtraction:
     gm = int(np.sum(dec.singular_values < GEOM_MULT_TOL * scale))
     gm = max(gm, 1)
     return RitzExtraction(
-        mu=complex(mu),
+        mu=mu,
         z=z,
         x_tilde=x_tilde / np.linalg.norm(x_tilde),
         residual_norm=ritz_residual_for(tw, s, z),
@@ -101,9 +106,11 @@ def ritz_residual_for(tw, s: Subspace, z_custom) -> float:
     """||T(mu) W z|| / ||W z|| for a unit coefficient vector z; tw is T(mu) W.
 
     Lets experiments demonstrate how arbitrary the residual becomes when the
-    projected null space has dimension > 1.
+    projected null space has dimension > 1.  z_custom must have m entries.
     """
     z = as_unit_vector(z_custom, "z_custom")
+    if z.size != s.dim:
+        raise ValueError(f"z_custom must be of length m = {s.dim}, not {z.size}")
     return float(np.linalg.norm(_product(tw, s) @ z) / np.linalg.norm(s.basis @ z))
 
 
@@ -112,8 +119,10 @@ def refined_vector(tw, mu: complex, s: Subspace) -> RefinedExtraction:
 
     tw is T(mu) W, formed by the caller.  Always well defined;
     near-nonuniqueness surfaces as a revoked gap certificate
-    (sigma_hat_2 - sigma_hat_1 <= 1e-10) instead of an error.
+    (sigma_hat_2 - sigma_hat_1 <= 1e-10) instead of an error.  A mu that is
+    not a finite number raises ValueError.
     """
+    mu = as_finite_scalar(mu, "mu")
     dec = svd(_product(tw, s))
     m = s.dim
     ascending = dec.singular_values[::-1].copy()
@@ -124,7 +133,7 @@ def refined_vector(tw, mu: complex, s: Subspace) -> RefinedExtraction:
     sigma2 = float(ascending[1]) if m > 1 else None
     gap_ok = True if m == 1 else (sigma2 - float(ascending[0]) > 1e-10)
     return RefinedExtraction(
-        mu=complex(mu),
+        mu=mu,
         y=y,
         x_hat=x_hat,
         sigma_hat_1=float(ascending[0]),

@@ -295,6 +295,10 @@ class TargetValues:
     sigma_min_L_star: float     # sigma_min(L(l*))
     norm_L_prime: float         # ||L'(l*)||
 
+    @property
+    def norm_T_star(self) -> float:
+        return float(self.t_star_svals[0])
+
 
 @dataclass(frozen=True)
 class MatrixFunction:

@@ -1,5 +1,9 @@
 """Subspace machinery: the projection subspace, deviation, projected functions.
 
+A Subspace is built one way, by the constructor, from_basis or
+dataclasses.replace alike: it stores a read-only complex copy of the basis,
+which a write into the caller's array does not reach, and checks it.
+
 The deviation eps = sin of the angle between the target eigenvector and the
 projection subspace is the convergence parameter of the whole theory.  It
 needs only the component of x_star outside the subspace, x - W W^H x, so no
@@ -19,19 +23,22 @@ from .nep_model import MatrixFunction, eval_T  # noqa: F401
 
 @dataclass(frozen=True)
 class Subspace:
-    """Orthonormal basis W (n x m) of the projection subspace."""
+    """Orthonormal basis W (n x m) of the projection subspace, stored read-only."""
 
     basis: np.ndarray        # n x m
 
     @classmethod
     def from_basis(cls, w) -> "Subspace":
-        return cls(basis=as_matrix(w))
+        return cls(w)
 
     def __post_init__(self):
-        n, m = self.basis.shape
+        w = as_matrix(np.array(self.basis, dtype=complex))  # a copy, whatever the caller passed
+        w.flags.writeable = False
+        object.__setattr__(self, "basis", w)
+        n, m = w.shape
         if m > n:
             raise ValueError("subspace dimension exceeds ambient dimension")
-        if not norms_within(self.basis.conj().T @ self.basis - np.eye(m), 1e-12):
+        if not norms_within(w.conj().T @ w - np.eye(m), 1e-12):
             raise ValueError("basis columns are not orthonormal to 1e-12")
 
     @property
@@ -54,8 +61,6 @@ def project(t: MatrixFunction, s: Subspace) -> MatrixFunction:
 
     Scalar functions (and hence analyticity and poles) carry over unchanged;
     returning a MatrixFunction rather than a closure lets projected problems
-    round-trip through the JSON problem format.
+    round-trip through the JSON problem format.  compress checks the dimensions.
     """
-    if t.n != s.ambient_dim:
-        raise ValueError("function dimension does not match subspace")
     return t.compress(s.basis)

@@ -19,6 +19,7 @@ from nepritz import cli
 from nepritz import experiments as ex
 from nepritz.dense_kernels import (
     as_deviation, as_finite_scalar, as_length, as_nonnegative, require_integer)
+from nepritz.extraction import refined_vector, ritz_residual_for, ritz_vector
 from nepritz.nep_model import (
     MAX_DERIV_ORDER,
     MAX_POLY_DEGREE,
@@ -138,6 +139,13 @@ def _problem_doc(n):
     return doc
 
 
+def _fixture_products():
+    """(T(0) W, B(0), fixture subspace): the products extraction reads at mu = 0."""
+    t, _, s = _fixture_case()
+    tw = eval_T(t, 0.0, 0) @ s.basis
+    return tw, s.basis.conj().T @ tw, s
+
+
 def _spectrum():
     return SpectrumResult([0.5 + 0j], [0.0], [1], "companion-polynomial")
 
@@ -183,6 +191,12 @@ GOVERNED = [
      SCALAR_BAD),
     ("run_sweep.target", lambda v: ex.run_sweep(*_planted(), SWEEP_EPS, trials=1, target=v),
      "target", SCALAR_BAD),
+    # extraction recorded a NaN or True mu as its mu
+    ("ritz_vector.mu", lambda v: ritz_vector(*_fixture_products()[:2], v, _fixture_case()[2]),
+     "mu", SCALAR_BAD),
+    ("refined_vector.mu",
+     lambda v: refined_vector(_fixture_products()[0], v, _fixture_case()[2]), "mu",
+     SCALAR_BAD),
     # integers
     ("eval_T.order", lambda v: eval_T(_planted()[0], 0.0, v), "order",
      _integer_bad(0, MAX_DERIV_ORDER)),
@@ -246,6 +260,39 @@ GOVERNED = [
 def test_bad_argument_raises_value_error_naming_it(call, name, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be "):
         call(value)
+
+
+@pytest.mark.parametrize("name,value", [
+    pytest.param(name, value, id=f"{name}-{value!r}")
+    for name, bad in (("region_center", SCALAR_BAD + ["0.0", np.False_]),
+                      ("region_radius", LENGTH_BAD + ["1.0", np.False_]))
+    for value in bad
+])
+def test_analyze_case_checks_its_region_before_projecting(monkeypatch, name, value):
+    # True was read as 1+0j and the string "0.0" as 0, after projecting
+    def no_projection(*args):
+        raise AssertionError("projected before the region was checked")
+
+    monkeypatch.setattr(ex, "project", no_projection)
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        ex.analyze_case(*_fixture_case(), **{name: value})
+
+
+@pytest.mark.parametrize("b_mu", [np.eye(3), np.zeros((2, 3)), np.zeros(2)],
+                         ids=["3x3", "2x3", "vector"])
+def test_ritz_vector_needs_an_m_by_m_b_mu(b_mu):
+    # a 3 x 3 B(mu) on the m = 2 subspace was reported as NotAnEigenvalue
+    tw, _, s = _fixture_products()
+    with pytest.raises(ValueError, match=r"^b_mu must be 2 x 2, not "):
+        ritz_vector(tw, b_mu, 0.0, s)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_ritz_residual_needs_a_z_of_length_m(n):
+    # a z of another length surfaced numpy's matmul message
+    tw, _, s = _fixture_products()
+    with pytest.raises(ValueError, match=rf"^z_custom must be of length m = 2, not {n}$"):
+        ritz_residual_for(tw, s, _unit(n))
 
 
 # ---------------------------------------------------------------------------

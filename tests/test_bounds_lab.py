@@ -28,6 +28,7 @@ from nepritz.extraction import refined_vector, ritz_vector, sin_angle
 from nepritz.nep_model import (
     MatrixFunction,
     Polynomial,
+    TargetValues,
     eval_T,
     eval_T_many,
     taylor_remainder_const,
@@ -277,7 +278,7 @@ class TestSchurComplement:
         lmat = complement_compress(ref.x_star, eval_T(t, 0.0, 0))
         assert np.allclose(lmat, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-14)
         assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
-        assert ctx.sigma_min_L_star == ctx.sigma_min_L_mu
+        assert ctx.target.sigma_min_L_star == ctx.sigma_min_L_mu
 
     def test_linear_diagonal(self):
         t = linear_fn(np.diag([1.0, 2.0, 3.0]).astype(complex))
@@ -287,16 +288,32 @@ class TestSchurComplement:
         lmat = complement_compress(x, eval_T(t, 1.0, 0))
         assert np.allclose(sorted(np.abs(np.diag(lmat))), [1.0, 2.0], atol=1e-12)
         assert ctx.sigma_min_L_mu == pytest.approx(1.0, abs=1e-12)
-        assert ctx.norm_L_prime == pytest.approx(1.0, abs=1e-12)
+        assert ctx.target.norm_L_prime == pytest.approx(1.0, abs=1e-12)
 
     def test_continuity_toward_target(self):
-        sig_star = fixture_context().sigma_min_L_star
+        sig_star = fixture_context().target.sigma_min_L_star
         sigs = [fixture_context(mu=m).sigma_min_L_mu for m in (1e-2, 1e-3, 1e-4, 1e-5)]
         errs = [abs(s - sig_star) for s in sigs]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
 class TestCaseContext:
+    def test_target_values_have_one_home(self):
+        target_fields = {f.name for f in fields(TargetValues)}
+        assert not {f.name for f in fields(bl.CaseContext)} & target_fields
+
+    def test_every_case_of_one_target_holds_one_target_values(self):
+        # every case of a target holds T's own record, so they share one object
+        by_target: dict[int, list[bl.CaseContext]] = {}
+        for inst in builtin_suite():
+            t, x, lam = inst.t, inst.ref.x_star, inst.ref.lambda_star
+            ctx = bl.build_case_context(t, inst.subspace, x, lam, lam + 1e-3)
+            assert ctx.target is t.target_values(lam, x)
+            by_target.setdefault(id(t), []).append(ctx)
+        assert len(by_target) == 6
+        for ctxs in by_target.values():
+            assert len(ctxs) >= 3 and all(c.target is ctxs[0].target for c in ctxs)
+
     def test_stacked_values_equal_one_matrix_at_a_time(self):
         # the T and L stacks give each matrix's values bit for bit
         for inst in builtin_suite()[::5]:
@@ -307,11 +324,12 @@ class TestCaseContext:
             def l_at(z, order):
                 return complement_compress(x, eval_T(t, z, order))
 
-            assert ctx.t_star_svals.tobytes() == singular_values(eval_T(t, lam, 0)).tobytes()
-            assert ctx.norm_T_prime == singular_values(eval_T(t, lam, 1))[0]
+            tv = ctx.target
+            assert tv.t_star_svals.tobytes() == singular_values(eval_T(t, lam, 0)).tobytes()
+            assert tv.norm_T_prime == singular_values(eval_T(t, lam, 1))[0]
             assert ctx.norm_T_mu == singular_values(eval_T(t, mu, 0))[0]
-            assert ctx.sigma_min_L_star == singular_values(l_at(lam, 0))[-1]
-            assert ctx.norm_L_prime == singular_values(l_at(lam, 1))[0]
+            assert tv.sigma_min_L_star == singular_values(l_at(lam, 0))[-1]
+            assert tv.norm_L_prime == singular_values(l_at(lam, 1))[0]
             assert ctx.sigma_min_L_mu == singular_values(l_at(mu, 0))[-1]
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -334,8 +352,8 @@ class TestCaseContext:
         want = singular_values(np.stack(
             [eval_T(lfn, lam, 0), eval_T(lfn, lam, 1), eval_T(lfn, mu, 0)]))
         (beta,) = taylor_remainder_const(lfn, lam, bl.remainder_radius(t, lam, mu))
-        for got, ref_value in ((ctx.sigma_min_L_star, want[0, -1]),
-                               (ctx.norm_L_prime, want[1, 0]),
+        for got, ref_value in ((ctx.target.sigma_min_L_star, want[0, -1]),
+                               (ctx.target.norm_L_prime, want[1, 0]),
                                (ctx.sigma_min_L_mu, want[2, -1]),
                                (ctx.beta, beta)):
             assert math.isclose(got, ref_value, rel_tol=1e-12, abs_tol=0.0), (got, ref_value)
@@ -353,7 +371,8 @@ class TestRemainderDisc:
         ctx = bl.build_case_context(t, s, ref.x_star, ref.lambda_star, case.mu)
         ritz = ritz_vector(ctx.tw, ctx.b_mu, ctx.mu, s)
         refined = refined_vector(ctx.tw, ctx.mu, s)
-        sin_ritz, sin_refined = (sin_angle(ctx.x_star, v) for v in (ritz.x_tilde, refined.x_hat))
+        sin_ritz, sin_refined = (sin_angle(ctx.target.x_star, v)
+                                 for v in (ritz.x_tilde, refined.x_hat))
         evaluators = [
             lambda c: bl.residual_angle_bound(c, sin_ritz, ritz.residual_norm, theorem_id="r"),
             lambda c: bl.ritz_vector_angle_bound(c, ritz, sin_ritz, bl.ritz_complements(c, ritz.z)),
@@ -425,7 +444,7 @@ class TestResidualAngleBound:
     def test_exact_pair_trivially_holds(self):
         _, ref, _ = fixture_problem()
         ctx = replace(fixture_context(), gamma=1.0)
-        rep = bl.residual_angle_bound(ctx, sin_angle(ctx.x_star, ref.x_star), rho=0.0,
+        rep = bl.residual_angle_bound(ctx, sin_angle(ctx.target.x_star, ref.x_star), rho=0.0,
                                       theorem_id="residual_to_angle_ritz")
         assert rep.holds and rep.lhs <= 1e-12 and rep.rhs <= 1e-12
 
@@ -461,7 +480,7 @@ class TestRitzVectorAngleBound:
         ritz = ritz_vector(eval_T(t, 0.0) @ s.basis, eval_T(b, 0.0), 0.0, s)
         ctx = fixture_context()
         with pytest.raises(HypothesisFailed, match="geometric multiplicity 2"):
-            bl.ritz_vector_angle_bound(ctx, ritz, sin_angle(ctx.x_star, ritz.x_tilde),
+            bl.ritz_vector_angle_bound(ctx, ritz, sin_angle(ctx.target.x_star, ritz.x_tilde),
                                        bl.ritz_complements(ctx, ritz.z))
 
     def test_perturbed_fixture_holds_and_explains(self):
@@ -491,7 +510,7 @@ class TestRefinedBounds:
         s = Subspace.from_basis(w)
         refined = refined_vector(eval_T(t, 0.0) @ s.basis, 0.0, s)
         ctx = replace(fixture_context(), gamma=1.0, beta=1.0)
-        reports = bl.refined_bounds(ctx, refined, sin_angle(ctx.x_star, refined.x_hat))
+        reports = bl.refined_bounds(ctx, refined, sin_angle(ctx.target.x_star, refined.x_hat))
         assert all(r.holds for r in reports)
         res = next(r for r in reports if r.theorem_id == "refined_residual")
         ang = next(r for r in reports if r.theorem_id == "refined_angle")
@@ -513,7 +532,7 @@ class TestRefinedBounds:
         ctx = replace(fixture_context(mu=0.9), gamma=1.0, beta=10.0)
         with pytest.raises(HypothesisFailed):
             # |mu - l*| approx 0.9 with beta large: lower estimate goes negative
-            bl.refined_bounds(ctx, refined, sin_angle(ctx.x_star, refined.x_hat))
+            bl.refined_bounds(ctx, refined, sin_angle(ctx.target.x_star, refined.x_hat))
 
 
 class TestUniquenessCheck:

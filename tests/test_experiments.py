@@ -245,7 +245,9 @@ class TestAnalyzeCase:
         real = bl.build_case_context
 
         def no_gap(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), sigma_min_L_star=0.0)
+            ctx = real(*args, **kwargs)
+            return dataclasses.replace(
+                ctx, target=dataclasses.replace(ctx.target, sigma_min_L_star=0.0))
 
         monkeypatch.setattr(bl, "build_case_context", no_gap)
         inst = ex.builtin_suite()[0]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,33 @@ class TestSubspace:
     def test_rejects_too_many_columns(self):
         with pytest.raises(ValueError, match="exceeds ambient"):
             Subspace.from_basis(np.ones((2, 3), dtype=complex))
+
+    @pytest.mark.parametrize("w", [
+        np.eye(4, 2),
+        [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        np.eye(4, 2, k=-1, dtype=np.int64),
+        np.eye(4, 2, dtype=complex),
+    ], ids=["float", "list", "integer", "complex"])
+    def test_one_construction_path(self, w):
+        # the constructor and from_basis store the same read-only complex copy
+        direct, named = Subspace(w), Subspace.from_basis(w)
+        for s in (direct, named):
+            assert s.basis.dtype == np.complex128 and not s.basis.flags.writeable
+            assert s.basis.tobytes() == np.array(w, dtype=complex).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                s.basis[0, 0] = 2.0
+
+    def test_caller_write_does_not_reach_the_basis(self):
+        w = np.eye(4, 2, dtype=complex)
+        made = [Subspace(w), Subspace.from_basis(w), replace(random_subspace(4, 2, 5), basis=w)]
+        w[0, 0] = 3.0
+        for s in made:
+            assert s.basis[0, 0] == 1.0 and not s.basis.flags.writeable
+
+    def test_project_needs_the_function_dimension(self):
+        t, _, _ = fixture_problem()
+        with pytest.raises(ValueError, match="wrong row dimension"):
+            project(t, random_subspace(4, 2, 6))
 
     def test_full_space_allowed(self):
         s = Subspace.from_basis(np.eye(3, dtype=complex))
@@ -197,11 +225,10 @@ class TestPerturbationWitness:
     def test_understated_norm_fails_the_norm_check(self):
         # ||E(l*)|| is about eps ||T(l*)||; a context claiming a thousandth of
         # that ||T(l*)|| puts the witness above its guaranteed bound
-        from dataclasses import replace
-
         t, ref, _ = fixture_problem()
         s = build_subspace_eps(ref.x_star, 2, 1e-3, seed=7)
         ctx = build_case_context(t, s, ref.x_star, 0.0, 0.0)
         assert perturbation_norm_bound(ctx).holds
         with pytest.raises(RuntimeError, match="exceeds its guaranteed bound"):
-            perturbation_norm_bound(replace(ctx, t_star_svals=ctx.t_star_svals * 1e-3))
+            understated = replace(ctx.target, t_star_svals=ctx.target.t_star_svals * 1e-3)
+            perturbation_norm_bound(replace(ctx, target=understated))
