@@ -228,7 +228,7 @@ def remainder_radius(t: MatrixFunction, lambda_star: complex, mu: complex) -> fl
     return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaseContext:
     """The quantities every bound is a formula over, for one case.
 

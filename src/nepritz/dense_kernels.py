@@ -240,7 +240,7 @@ def complement_compress(x, a) -> np.ndarray:
     return np.subtract(rows[..., 1:], block, out=block)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Thin SVD with singular values sorted descending, p = min(rows, cols).
 

@@ -163,7 +163,7 @@ def fixture_problem() -> tuple[MatrixFunction, ReferencePair, np.ndarray]:
 # one full extraction-and-bounds pass
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class CaseResult:
     """Everything one instance produces: extractions, angles, bound reports."""
 
@@ -610,7 +610,7 @@ def run_sweep(
 # built-in verification suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuiteInstance:
     instance_id: str
     t: MatrixFunction

@@ -23,7 +23,7 @@ GEOM_MULT_TOL = 1e-8
 RITZ_SIGMA_PRE = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzExtraction:
     """Output of the classical extraction at mu."""
 
@@ -35,7 +35,7 @@ class RitzExtraction:
     nonunique_flag: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedExtraction:
     """Output of the residual-minimizing extraction at mu.
 
@@ -61,7 +61,7 @@ def _product(tw, s: Subspace) -> np.ndarray:
     """tw as a matrix, checked to have the shape of T(mu) W rather than T(mu)."""
     tw = as_matrix(tw)
     if tw.shape != s.basis.shape:
-        raise ValueError(f"T(mu) W must be {s.basis.shape}, got {tw.shape}")
+        raise ValueError(f"tw must be T(mu) W, of shape {s.basis.shape}, not {tw.shape}")
     return tw
 
 

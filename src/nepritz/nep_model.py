@@ -54,7 +54,7 @@ def _as_coeffs(c) -> np.ndarray:
     return a[: nz[-1] + 1] if nz.size else a[:1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
     """c_0 + c_1 lam + ... + c_d lam^d, coefficients ascending."""
 
@@ -84,7 +84,7 @@ class Polynomial:
         return []
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rational:
     """p(lam)/q(lam) with polynomial coefficient arrays, ascending."""
 
@@ -283,7 +283,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetValues:
     """What bounds read of T at a target (lambda_star, x_star) for any subspace; read-only."""
 
@@ -300,7 +300,7 @@ class TargetValues:
         return float(self.t_star_svals[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixFunction:
     """T(lambda) = sum_i f_i(lambda) A_i with constant n x n coefficients.
 
@@ -464,7 +464,7 @@ def taylor_remainder_const(
                  for norms in (own, *(norm2(f(stack)) for f in maps)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferencePair:
     """A known simple eigenpair (lambda_star, x_star), ground truth; x_star a read-only copy."""
 

@@ -21,7 +21,7 @@ from .dense_kernels import as_matrix, as_unit_vector, norms_within
 from .nep_model import MatrixFunction, eval_T  # noqa: F401
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subspace:
     """Orthonormal basis W (n x m) of the projection subspace, stored read-only."""
 

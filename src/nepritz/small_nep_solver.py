@@ -17,7 +17,8 @@ exponential term skips linearization and runs the Newton iteration from a
 coarse grid of starting points instead.  Either way, all starts of a solve
 are polished in lockstep: each Newton step is one stacked evaluation and
 one stacked solve over the starts still running, and each start ends
-exactly as a lone run from it would.  The stop test of a step is screened:
+exactly as a lone run from it would; a non-finite B or B' ends only its
+own start, as NonConverged.  The stop test of a step is screened:
 a batched LU determinant certifies, through sigma_min >= |det B| /
 ||B||_F^(m-1), the iterates that are far from a root, and only the others
 get the stacked SVD that decides it exactly (screen_stop_test).
@@ -307,18 +308,18 @@ def newton_trace_refine(
     certified nonsingular.  Each start keeps the rules of a lone run: it
     stops at the first of its start and NEWTON_MAX_ITER iterates that
     passes the test, and gets NonConverged when the last one fails, when B
-    is singular but off-target, or when the trace vanishes, and PoleHit
-    when an iterate lands on a pole.  The update divides Python complex
-    scalars, since numpy's vectorized complex division can differ in the
-    last bit, so a start's outcome does not depend on the starts that share
-    its stack.
-    The active set is re-indexed only on a step where a start leaves it.
+    or B' has a NaN or Inf entry (named with the iterate, and numpy does
+    not warn), when B is singular but off-target, or when the trace
+    vanishes, and PoleHit when an iterate lands on a pole.  The update
+    divides Python complex scalars, since numpy's vectorized complex
+    division can differ in the last bit, so a start's outcome does not
+    depend on the starts that share its stack.  The active set is
+    re-indexed only on a step where a start leaves it.
 
     Returns one outcome per start, in order: the root, or the NonConverged
     or PoleHit instance; and, per start, the singular values of B at its
     root that the passing stop test computed (None where there is no root).
-    A non-finite B or B' (ValueError) or a failed residual check
-    (ConvergenceFailure) is raised, for the first start that meets one.
+    A failed residual check (a kernel fault) raises ConvergenceFailure at once.
     """
     max_iter, tol = NEWTON_MAX_ITER, NEWTON_TOL
     first = np.array([complex(z) for z in starts], dtype=complex)
@@ -329,11 +330,12 @@ def newton_trace_refine(
     for step in range(max_iter + 1):
         if not idx.size:
             break
-        bk, idx = _eval_at_iterates(b, lams, idx, out)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            bk, idx = _eval_at_iterates(b, lams, idx, out)
         bad = ~np.isfinite(bk).all(axis=(1, 2))
         if bad.any():
             for i in idx[bad]:
-                out[i] = ValueError(f"B({lams[i]}) has NaN/Inf entries")
+                out[i] = NonConverged(f"B has NaN/Inf entries at {lams[i]}")
             bk, idx = bk[~bad], idx[~bad]
         if not idx.size:
             break
@@ -362,16 +364,16 @@ def newton_trace_refine(
             bk, idx, far, singular, norm_b = bk[keep], idx[keep], far[keep], singular[keep], norm_b[keep]
             if not idx.size:
                 break
-        dk = eval_T_many(b, lams[idx], 1)
-        # a lone run checks B' for NaN/Inf before B for singularity
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            dk = eval_T_many(b, lams[idx], 1)
         bad = ~np.isfinite(dk).all(axis=(1, 2))
         if bad.any() or singular.any():
-            singular &= ~bad
-            for i in idx[bad]:
-                out[i] = ValueError(f"B'({lams[i]}) has NaN/Inf entries")
             for i in idx[singular]:
                 # numerically singular but above the sigma target: no usable step
                 out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
+            # written last: a lone run checks B' for NaN/Inf before B for singularity
+            for i in idx[bad]:
+                out[i] = NonConverged(f"B' has NaN/Inf entries at {lams[i]}")
             go = ~(bad | singular)
             bk, dk, far, norm_b, idx = bk[go], dk[go], far[go], norm_b[go], idx[go]
         x, ok = solve_with_norm(bk, dk, norm_b)
@@ -380,9 +382,7 @@ def newton_trace_refine(
             ok[again] = solve_with_norm(
                 bk[again], dk[again], singular_values(bk[again])[:, 0])[1]
         if not ok.all():
-            for i in idx[~ok]:
-                out[i] = ConvergenceFailure("linear solve residual check failed")
-            x, idx = x[ok], idx[ok]
+            raise ConvergenceFailure("linear solve residual check failed")
         # sum(np.diagonal(x)) of a lone run, term by term from 0
         diag = np.diagonal(x, axis1=1, axis2=2)
         tr = np.zeros(diag.shape[0], dtype=complex)
@@ -396,9 +396,6 @@ def newton_trace_refine(
                 lams[i] = lam - 1.0 / t
                 moved.append(i)
         idx = np.array(moved, dtype=int)
-    for o in out:
-        if isinstance(o, (ValueError, ConvergenceFailure)):
-            raise o
     return out, stop_svals
 
 
@@ -458,11 +455,13 @@ def solve_projected(
     Starts: a grid over the disc if B has an exponential term, else the
     companion eigenvalues of polynomialize(b).  Then in-region filter ->
     Newton polish -> dedupe (algebraic multiplicity = cluster size) ->
-    spurious filter (sigma_min test and b.domain_poles).  An empty result is
-    valid; a non-finite region_center or a region_radius outside (0, inf)
-    raises ValueError.  While a pole of B lies within 1e-6 of the rim, the
-    radius shrinks by 0.97, at most 64 times; a pole still on the rim after
-    that raises ValueError.
+    spurious filter (sigma_min test and b.domain_poles; a start that ends
+    as NonConverged, as at a non-finite B or B', or as PoleHit is spurious
+    and the others go on).  An empty result is valid; a non-finite
+    region_center or a region_radius outside (0, inf) raises ValueError.
+    While a pole of B lies within 1e-6 of the rim, the radius shrinks by
+    0.97, at most 64 times; a pole still on the rim after that raises
+    ValueError.
     """
     center = as_finite_scalar(region_center, "region_center")
     radius = as_length(region_radius, "region_radius")

@@ -16,7 +16,14 @@ import numpy as np
 
 from nepritz.errors import NotAnEigenvalue
 from nepritz.experiments import build_subspace_eps
-from nepritz.nep_model import MatrixFunction, Polynomial, Rational, ReferencePair, eval_T
+from nepritz.nep_model import (
+    Exponential,
+    MatrixFunction,
+    Polynomial,
+    Rational,
+    ReferencePair,
+    eval_T,
+)
 
 
 def complex_randn(rng, *shape) -> np.ndarray:
@@ -205,3 +212,25 @@ def adversarial_case(seed: int):
     ref = ReferencePair(lam, x)
     ref.validate(t)
     return t, ref, build_subspace_eps(x, m, eps, seed)
+
+
+def seeded_delay_problem(a: float, seed: int):
+    """(t, ref): T(lam) = A0 + lam A1 + e^(a lam) A2 at n = 5 with the planted pair (0, x).
+
+    A0, A1 and A2 are (randn + i randn) / sqrt(5), drawn in that order from
+    default_rng(seed), then x = randn(5) normalized; A0 takes the rank-one
+    correction -(T(0) x) x^H, so T(0) x = 0.  A large |a| sends Newton
+    starts of the projected problem where e^(a lam) overflows.
+    """
+    rng = np.random.default_rng(seed)
+    a0, a1, a2 = ((rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))) / math.sqrt(5)
+                  for _ in range(3))
+    x = rng.standard_normal(5)
+    x = x / np.linalg.norm(x)
+    terms = [(Polynomial([1]), a0), (Polynomial([0, 1]), a1), (Exponential(a), a2)]
+    defect = eval_T(MatrixFunction.from_terms(terms), 0.0, 0) @ x
+    terms[0] = (Polynomial([1]), a0 - np.outer(defect, x.conj()))
+    t = MatrixFunction.from_terms(terms)
+    ref = ReferencePair(0.0, x)
+    ref.validate(t)
+    return t, ref

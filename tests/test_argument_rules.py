@@ -287,6 +287,18 @@ def test_ritz_vector_needs_an_m_by_m_b_mu(b_mu):
         ritz_vector(tw, b_mu, 0.0, s)
 
 
+@pytest.mark.parametrize("call", [
+    lambda tw, b_mu, s: ritz_vector(tw, b_mu, 0.0, s),
+    lambda tw, b_mu, s: refined_vector(tw, 0.0, s),
+    lambda tw, b_mu, s: ritz_residual_for(tw, s, _unit(2)),
+], ids=["ritz_vector", "refined_vector", "ritz_residual_for"])
+def test_extraction_needs_a_tw_of_the_basis_shape(call):
+    # the message read 'T(mu) W must be (3, 2), got (4, 2)', naming no argument
+    tw, b_mu, s = _fixture_products()
+    with pytest.raises(ValueError, match=r"^tw must be T\(mu\) W, of shape \(3, 2\), not \(4, 2\)$"):
+        call(np.vstack([tw, tw[:1]]), b_mu, s)
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_ritz_residual_needs_a_z_of_length_m(n):
     # a z of another length surfaced numpy's matmul message

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from helpers import seeded_delay_problem
 
 import nepritz.experiments as ex
 from nepritz.cli import build_parser, main
@@ -112,6 +113,17 @@ class TestSweepCommand:
         assert "slope" in capsys.readouterr().out
         lines = cpath.read_text().splitlines()
         assert "sin_refined" in lines[0] and len(lines) == 1 + 5 * 2
+
+    def test_sweep_runs_where_a_newton_start_overflows(self, tmp_path):
+        # at eps = 1e-4 one grid start's iterate reaches 16.3 - 7.3i, where
+        # e^(50 lam) overflows; its ValueError escaped main as a traceback
+        t, ref = seeded_delay_problem(50.0, 2)
+        problem, jpath = tmp_path / "delay50.json", tmp_path / "sweep.json"
+        save_problem(problem, t, ref)
+        code = main(["sweep", "--problem", str(problem), "--seed-base", "0", "--trials", "1",
+                     "--eps", "1e-2,1e-4,1e-6", "--json", str(jpath)])
+        assert code in (0, 1)
+        assert json.loads(jpath.read_text())["records"]
 
     def test_csv_rows_sort_by_value_of_epsilon(self, tmp_path):
         # a sort on the text of epsilon put 0.0001, 0.001, 0.01 before 1e-05

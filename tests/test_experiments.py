@@ -4,16 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import complex_randn, qr_complement
+from helpers import complex_randn, qr_complement, seeded_delay_problem
 
 import nepritz.experiments as ex
+import nepritz.small_nep_solver as sns
 from nepritz.cli import _write_reports
 from nepritz.dense_kernels import complement_compress, norm2
-from nepritz.errors import ConstructionFailed
+from nepritz.errors import ConstructionFailed, NonConverged
 from nepritz.extraction import sin_angle
 from nepritz.nep_model import ReferencePair, eval_T, eval_T_many
 from nepritz.projection import Subspace, deviation, project
-from nepritz.small_nep_solver import select_ritz_value, solve_projected
+from nepritz.small_nep_solver import newton_trace_refine, select_ritz_value, solve_projected
 
 
 def unit(v):
@@ -254,6 +255,37 @@ class TestAnalyzeCase:
         case = ex.analyze_case(inst.t, inst.ref, inst.subspace)
         assert "refined_residual" in {r.theorem_id for r in case.reports}
         assert [tid for tid, _ in case.inapplicable] == ["refined_angle"]
+
+    def test_a_start_where_b_overflows_ends_alone(self):
+        # one of the 88 grid starts wanders to 16.3 - 7.3i, where e^(50 lam)
+        # overflows: that start is spurious and the case runs on, with no
+        # RuntimeWarning (pytest turns one into an error)
+        t, ref = seeded_delay_problem(50.0, 2)
+        s = ex.build_subspace_eps(ref.x_star, 2, 1e-4, 0)
+        case = ex.analyze_case(t, ref, s)
+        starts = sns._grid_seeds(0.0, 1.0)
+        outcomes, _ = newton_trace_refine(project(t, s), starts)
+        diverged = [z for z, r in zip(starts, outcomes)
+                    if isinstance(r, NonConverged) and "NaN/Inf" in str(r)]
+        assert len(diverged) == 1
+        assert set(diverged) <= set(case.spectrum.filtered_spurious)
+
+    def test_a_finer_grid_finds_the_ritz_value_that_the_pin_below_misses(self, monkeypatch):
+        t, ref = seeded_delay_problem(-20.0, 2)
+        b = project(t, ex.build_subspace_eps(ref.x_star, 2, 1e-4, 1))
+        coarse = solve_projected(b, 0.0, 1.0)
+        monkeypatch.setattr(sns, "GRID_DENSITY", 80)
+        fine = solve_projected(b, 0.0, 1.0)
+        assert min(abs(z) for z in coarse.eigenvalues) > 0.1
+        assert min(abs(z) for z in fine.eigenvalues) < 1e-4
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: the 12 x 12 Newton grid misses the Ritz value 1.5e-5 from "
+        "lambda*, so a Ritz value 0.119 away is selected and ritz_value_rate is violated"))
+    def test_the_grid_finds_the_ritz_value_near_lambda_star(self):
+        t, ref = seeded_delay_problem(-20.0, 2)
+        case = ex.analyze_case(t, ref, ex.build_subspace_eps(ref.x_star, 2, 1e-4, 1))
+        assert case.mu_dist < 1e-3
 
     def test_each_case_quantity_is_derived_once(self, monkeypatch):
         # only B is compressed into a function; L's values come from T's

@@ -24,6 +24,7 @@ import nepritz.small_nep_solver as sns
 from nepritz.dense_kernels import near_singular, singular_values, solve_linear, solve_with_norm
 from nepritz.errors import (
     ConstructionFailed,
+    ConvergenceFailure,
     DimensionGuard,
     EmptySpectrum,
     NearSingular,
@@ -272,18 +273,26 @@ class TestCompanionEigs:
 def lone_newton(b, lam0, max_iter=50, tol=1e-10):
     """The per-start Newton-trace loop the lockstep kernel replaced: its oracle.
 
-    Returns the root and the singular values of B there that its stop test read.
+    Returns the root and the singular values of B there that its stop test
+    read.  A B or B' with a NaN or Inf entry ends the run as NonConverged.
     """
     lam = complex(lam0)
     for step in range(max_iter + 1):
-        bk = eval_T(b, lam, 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bk = eval_T(b, lam, 0)
+        if not np.isfinite(bk).all():
+            raise NonConverged(f"B has NaN/Inf entries at {lam}")
         s = singular_values(bk)
         if s[-1] <= tol * max(1.0, s[0]):
             return lam, s
         if step == max_iter:
             break
+        with np.errstate(over="ignore", invalid="ignore"):
+            dk = eval_T(b, lam, 1)
+        if not np.isfinite(dk).all():
+            raise NonConverged(f"B' has NaN/Inf entries at {lam}")
         try:
-            x = solve_linear(bk, eval_T(b, lam, 1))
+            x = solve_linear(bk, dk)
         except NearSingular:
             raise NonConverged(f"B({lam}) is singular but off-target") from None
         tr = complex(sum(np.diagonal(x)))
@@ -456,16 +465,43 @@ class TestLockstepMatchesLoneRuns:
         assert_same_outcomes(got, lone_outcomes(b, starts))
         assert [isinstance(r, PoleHit) for r in got[0]] == [False, True, False, False]
 
-    def test_non_finite_b_raises_like_a_lone_run(self):
+    def test_only_the_overflowing_starts_end(self):
+        # B = e^(800 lam) - 2 overflows at lam = 1, and B' = 800 e^(800 lam)
+        # alone at lam = 0.88; pytest turns a RuntimeWarning into an error
         b = MatrixFunction.from_terms([
             (Exponential(800.0), np.array([[1.0]], dtype=complex)),
             (Polynomial([-2.0]), np.array([[1.0]], dtype=complex)),
         ])
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="NaN/Inf"):
-                lone_newton(b, 1.0)
-            with pytest.raises(ValueError, match="NaN/Inf"):
-                newton_trace_refine(b, [0.0, 1.0])
+        starts = [0.0, 1.0, 0.88]
+        got = newton_trace_refine(b, starts)
+        assert_same_outcomes(got, lone_outcomes(b, starts))
+        root, at_one, at_088 = got[0]
+        assert root == pytest.approx(math.log(2.0) / 800.0, rel=1e-12)
+        assert isinstance(at_one, NonConverged)
+        assert str(at_one) == "B has NaN/Inf entries at (1+0j)"
+        assert isinstance(at_088, NonConverged)
+        assert str(at_088) == "B' has NaN/Inf entries at (0.88+0j)"
+
+    def test_failed_residual_check_raises_at_its_step(self, monkeypatch):
+        # a kernel fault: no later step runs, and no start's outcome is parked
+        b, lam_star = planted_delay_projection()
+        orders = []
+
+        def counted_eval(fn, lams, order):
+            orders.append(order)
+            return eval_T_many(fn, lams, order)
+
+        def failing_solve(m, rhs, s):
+            # the first system of each stack fails the check, the others pass
+            x, ok = solve_with_norm(m, rhs, s)
+            ok[0] = False
+            return x, ok
+
+        monkeypatch.setattr(sns, "eval_T_many", counted_eval)
+        monkeypatch.setattr(sns, "solve_with_norm", failing_solve)
+        with pytest.raises(ConvergenceFailure, match="residual check"):
+            newton_trace_refine(b, [lam_star + 0.3, lam_star - 0.3j])
+        assert orders == [0, 1]
 
     @pytest.mark.parametrize("center,radius", [(0.2 + 0.1j, 1.0), (-0.5, 2.0)])
     def test_spectrum_equals_oracle_run(self, monkeypatch, center, radius):
