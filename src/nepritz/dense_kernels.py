@@ -332,16 +332,6 @@ def norms_within(a, limit) -> bool:
     return not np.any(singular_values(a)[..., 0] > limit)
 
 
-def near_singular(s) -> np.ndarray:
-    """solve_linear's singularity test, sigma_min <= 1e-14 * sigma_max.
-
-    s holds descending singular values along its last axis, so a stack of
-    them gets one flag per matrix.
-    """
-    s = np.asarray(s)
-    return s[..., -1] <= 1e-14 * s[..., 0]
-
-
 def solve_with_norm(a: np.ndarray, rhs: np.ndarray, norm_a) -> tuple[np.ndarray, np.ndarray]:
     """Solve A X = B and run solve_linear's residual check with a given ||A||.
 
@@ -352,14 +342,32 @@ def solve_with_norm(a: np.ndarray, rhs: np.ndarray, norm_a) -> tuple[np.ndarray,
     decomposition here; a lower bound on it gives a check that is never
     looser.  Returns X and, per system, whether every column passes
     ||A x - b|| <= 1e-10 (||A|| ||x|| + ||b||), the three column norms
-    taken in one pass over the stack [A X - B, X, B].  The caller has
-    already ruled out a singular A.
+    taken in one pass over the stack [A X - B, X, B].  A NaN, or an Inf in
+    X or the residual, fails; a column whose norms or right side overflow
+    is decided again on entries scaled by powers of two, as in norm2.  The
+    caller has already ruled out a singular A.
     """
     x = np.linalg.solve(a, rhs)
     axis = -1 if rhs.ndim < a.ndim else -2
-    res, norm_x, norm_rhs = np.linalg.norm(np.stack([a @ x - rhs, x, rhs]), axis=axis)
-    tol = 1e-10 * (np.asarray(norm_a, dtype=float)[..., None] * norm_x + norm_rhs)
-    return x, ~np.any(res > tol, axis=-1)
+    norm_a = np.asarray(norm_a, dtype=float)[..., None]
+    with np.errstate(over="ignore", invalid="ignore"):  # decided below
+        cols = np.stack([a @ x - rhs, x, rhs])
+        res, norm_x, norm_rhs = np.linalg.norm(cols, axis=axis)
+        tol = 1e-10 * (norm_a * norm_x + norm_rhs)
+        passed = res <= tol
+        redo = ~np.isfinite(res + tol)
+        if redo.any():
+            # columns times 2^-e, 2^e just above their largest part, as in
+            # norm2: exact, and no square overflows; both sides meet at 2^top
+            parts = np.moveaxis(cols, axis, -1).reshape((3, *redo.shape, -1))[:, redo].view(float)
+            _, e = np.frexp(np.abs(parts).max(axis=-1))
+            r, nx, nb = np.linalg.norm(np.ldexp(parts, -e[..., None]).view(complex), axis=-1)
+            frac_a, e_a = np.frexp(np.broadcast_to(norm_a, redo.shape)[redo])
+            top = np.maximum(np.maximum(e[0], e_a + e[1]), e[2])
+            scaled_tol = np.ldexp(frac_a * nx, e_a + e[1] - top) + np.ldexp(nb, e[2] - top)
+            passed[redo] = (np.isfinite(parts).all(axis=(0, -1))
+                            & (np.ldexp(r, e[0] - top) <= 1e-10 * scaled_tol))
+    return x, passed.all(axis=-1)
 
 
 def solve_linear(m, b) -> np.ndarray:
@@ -367,8 +375,8 @@ def solve_linear(m, b) -> np.ndarray:
 
     B is one right-hand side (a vector) or several (the columns of a matrix);
     the result has B's shape.  One set of singular values serves both the
-    singularity test, which raises NearSingular when near_singular holds,
-    and the residual check of solve_with_norm, which raises
+    singularity test, which raises NearSingular when sigma_min <= 1e-14
+    sigma_max, and the residual check of solve_with_norm, which raises
     ConvergenceFailure.  small_nep_solver.companion_eigs calls it for the
     shift-and-invert solve of the companion pencil.
     """
@@ -377,7 +385,7 @@ def solve_linear(m, b) -> np.ndarray:
     if a.shape[0] != a.shape[1] or a.shape[0] != rhs.shape[0]:
         raise ValueError("incompatible shapes in solve_linear")
     s = singular_values(a)
-    if near_singular(s):
+    if s[-1] <= 1e-14 * s[0]:
         raise NearSingular(f"sigma_min/sigma_max = {s[-1]:.3e}/{s[0]:.3e}")
     x, ok = solve_with_norm(a, rhs, s[0])
     if not ok:

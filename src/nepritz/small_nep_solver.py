@@ -17,11 +17,13 @@ exponential term skips linearization and runs the Newton iteration from a
 coarse grid of starting points instead.  Either way, all starts of a solve
 are polished in lockstep: each Newton step is one stacked evaluation and
 one stacked solve over the starts still running, and each start ends
-exactly as a lone run from it would; a non-finite B or B' ends only its
-own start, as NonConverged.  The stop test of a step is screened:
-a batched LU determinant certifies, through sigma_min >= |det B| /
-||B||_F^(m-1), the iterates that are far from a root, and only the others
-get the stacked SVD that decides it exactly (screen_stop_test).
+exactly as a lone run from it would: at a root, or as NonConverged (no
+root in NEWTON_MAX_ITER steps, a non-finite B or B', a vanishing trace)
+or PoleHit, ending only its own start.  The stop test of a step is
+screened: a batched LU determinant certifies, through sigma_min >=
+|det B| / ||B||_F^(m-1), the iterates far from a root, and only the others
+get the stacked SVD that decides it exactly (screen_stop_test).  An
+iterate that fails it is not singular by the solve's test, so none is run.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .dense_kernels import (
     NORM_ROUNDING,
     as_finite_scalar,
     as_length,
-    near_singular,
     norms_within,
     singular_values,
     solve_linear,
@@ -226,11 +227,10 @@ def screen_stop_test(bk: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     """Which matrices of a square stack certainly fail the Newton stop test, from one LU each.
 
     The stop test is s[-1] <= tol * max(1, s[0]) on the computed singular
-    values s of B, and a row that fails it is then tested for
-    near_singular(s), s[-1] <= 1e-14 s[0].  A row this screen returns as
-    True fails both, so it needs no decomposition.  Returns the mask and the
-    Frobenius norms F = ||B||_F, which bound ||B||_2 from above and
-    F / sqrt(m) from below.
+    values s of B, for a tol > 0.  A row this screen returns as True fails
+    it, so it needs no decomposition.  Returns the mask and the Frobenius
+    norms F = ||B||_F, which bound ||B||_2 from above and F / sqrt(m) from
+    below.
 
     The certificate: |det B| = prod_i sigma_i <= sigma_min F^(m-1), so
     sigma_min >= |det B| / F^(m-1), and np.linalg.slogdet gives log |det B|
@@ -247,11 +247,10 @@ def screen_stop_test(bk: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
     - With eta = 2 sqrt 2 m^2 (1 + sqrt 2)^(m-1) gamma_4m covering both,
       Weyl's inequality gives s[-1] >= |det(B + dB)| / ||B + dB||_F^(m-1)
       - eta F, and ||B + dB||_F <= (1 + eta) F.
-    - The two thresholds, tol max(1, s[0]) and 1e-14 s[0], are at most
-      (1 + eta) C with C = F max(r, tol / F), r = max(tol, 1e-14), and
-      eta F <= (eta / r) C.
+    - The threshold tol max(1, s[0]) is at most (1 + eta) C with
+      C = tol max(1, F), and eta F <= (eta / tol) C.
     So a row whose computed |det B| / F^(m-1) exceeds M C with the margin
-    M = 2 (1 + eta)^m (1 + eta / r) fails both tests: the factor 2 leaves
+    M = 2 (1 + eta)^m (1 + eta / tol) fails the test: the factor 2 leaves
     room for the relative rounding of the logarithms and of F, below 1e-12.
     M is about 2.0 for m = 3, 2.4 for m = 6 and 5.7e4 for m = 16 at
     tol = 1e-10.  The test runs on logarithms, so no determinant overflows;
@@ -266,25 +265,22 @@ def screen_stop_test(bk: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray
         fro = np.linalg.norm(bk, axis=(-2, -1))
     ok = np.isfinite(logdet) & np.isfinite(fro) & (fro > 0)
     log_fro = np.log(np.where(ok, fro, 1.0))
-    log_margin, log_r = _log_screen_margin(bk.shape[-1], tol)
-    log_tol = math.log(tol) if tol > 0 else -math.inf
+    log_margin, log_tol = _log_screen_margin(bk.shape[-1], tol), math.log(tol)
     # log(|det B| / F^(m-1)) > log(M C), both sides less log F
     far = ok & (logdet - bk.shape[-1] * log_fro
-                > log_margin + np.maximum(log_r, log_tol - log_fro))
+                > log_margin + np.maximum(log_tol, log_tol - log_fro))
     return far, fro
 
 
 @functools.lru_cache(maxsize=None)
-def _log_screen_margin(m: int, tol: float) -> tuple[float, float]:
-    """log M and log r of screen_stop_test for m x m matrices and this tol."""
-    r = max(tol, 1e-14)
+def _log_screen_margin(m: int, tol: float) -> float:
+    """log M of screen_stop_test for m x m matrices and this tol."""
     u = np.finfo(float).eps / 2
     gamma = 4 * m * u / (1 - 4 * m * u)
     log_eta = math.log(2 * math.sqrt(2) * m * m * gamma) + (m - 1) * math.log(1 + math.sqrt(2))
     # log(1 + e^x) as logaddexp(0, x), so a huge eta cannot overflow
-    log_margin = (math.log(2.0) + m * np.logaddexp(0.0, log_eta)
-                  + np.logaddexp(0.0, log_eta - math.log(r)))
-    return float(log_margin), math.log(r)
+    return float(math.log(2.0) + m * np.logaddexp(0.0, log_eta)
+                 + np.logaddexp(0.0, log_eta - math.log(tol)))
 
 
 def newton_trace_refine(
@@ -303,18 +299,21 @@ def newton_trace_refine(
     of B X = B'.  Its residual check reads ||B||: the largest singular value
     where the test computed them, else the lower bound ||B||_F / sqrt(m),
     which makes the check never looser; an iterate that fails it with the
-    bound is checked again with its exact ||B||_2.  The singularity test of
-    the solve reuses the singular values, and a screened iterate is
-    certified nonsingular.  Each start keeps the rules of a lone run: it
-    stops at the first of its start and NEWTON_MAX_ITER iterates that
-    passes the test, and gets NonConverged when the last one fails, when B
-    or B' has a NaN or Inf entry (named with the iterate, and numpy does
-    not warn), when B is singular but off-target, or when the trace
-    vanishes, and PoleHit when an iterate lands on a pole.  The update
-    divides Python complex scalars, since numpy's vectorized complex
-    division can differ in the last bit, so a start's outcome does not
-    depend on the starts that share its stack.  The active set is
-    re-indexed only on a step where a start leaves it.
+    bound is checked again with its exact ||B||_2.  The solve needs no
+    singularity test: an iterate failing the stop test, screened or not,
+    fails solve_linear's s[-1] <= 1e-14 s[0] on the same computed s.  As
+    1e-14 <= NEWTON_TOL (doubles), 1e-14 s[0] <= NEWTON_TOL max(1, s[0]) for
+    finite s[0] >= 0, and rounding is monotone; so too for tol nu(lam) with
+    nu(lam) = sum_i |f_i(lam)| ||W^H A_i W|| >= ||B(lam)||.  Each start
+    keeps the rules of a lone run: it stops at the first of its start and
+    NEWTON_MAX_ITER iterates that passes the test, and gets NonConverged
+    when the last one fails, when B or B' has a NaN or Inf entry (named
+    with the iterate, and numpy does not warn), or when the trace vanishes,
+    and PoleHit when an iterate lands on a pole.  The update divides Python
+    complex scalars, since numpy's vectorized complex division can differ
+    in the last bit, so a start's outcome does not depend on the starts
+    that share its stack.  The active set is re-indexed only on a step
+    where a start leaves it.
 
     Returns one outcome per start, in order: the root, or the NonConverged
     or PoleHit instance; and, per start, the singular values of B at its
@@ -346,9 +345,7 @@ def newton_trace_refine(
         else:
             s = singular_values(bk[near] if far.any() else bk)
         done = np.zeros(idx.size, dtype=bool)
-        singular = np.zeros(idx.size, dtype=bool)
         done[near] = s[:, -1] <= tol * np.maximum(1.0, s[:, 0])
-        singular[near] = near_singular(s)
         norm_b = fro * ((1 - NORM_ROUNDING) / math.sqrt(b.n))
         norm_b[near] = s[:, 0]
         if done.any():
@@ -360,22 +357,16 @@ def newton_trace_refine(
                     f"no convergence after {max_iter} Newton steps (from {first[i]})")
             break
         if done.any():
-            keep = ~done
-            bk, idx, far, singular, norm_b = bk[keep], idx[keep], far[keep], singular[keep], norm_b[keep]
+            bk, idx, far, norm_b = bk[~done], idx[~done], far[~done], norm_b[~done]
             if not idx.size:
                 break
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             dk = eval_T_many(b, lams[idx], 1)
         bad = ~np.isfinite(dk).all(axis=(1, 2))
-        if bad.any() or singular.any():
-            for i in idx[singular]:
-                # numerically singular but above the sigma target: no usable step
-                out[i] = NonConverged(f"B({lams[i]}) is singular but off-target")
-            # written last: a lone run checks B' for NaN/Inf before B for singularity
+        if bad.any():
             for i in idx[bad]:
                 out[i] = NonConverged(f"B' has NaN/Inf entries at {lams[i]}")
-            go = ~(bad | singular)
-            bk, dk, far, norm_b, idx = bk[go], dk[go], far[go], norm_b[go], idx[go]
+            bk, dk, far, norm_b, idx = bk[~bad], dk[~bad], far[~bad], norm_b[~bad], idx[~bad]
         x, ok = solve_with_norm(bk, dk, norm_b)
         again = far & ~ok
         if again.any():

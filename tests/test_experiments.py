@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import complex_randn, qr_complement, seeded_delay_problem
+from helpers import adversarial_case, complex_randn, qr_complement, seeded_delay_problem
 
 import nepritz.experiments as ex
 import nepritz.small_nep_solver as sns
@@ -269,6 +269,15 @@ class TestAnalyzeCase:
                     if isinstance(r, NonConverged) and "NaN/Inf" in str(r)]
         assert len(diverged) == 1
         assert set(diverged) <= set(case.spectrum.filtered_spurious)
+
+    @pytest.mark.parametrize("a,seed", [(-20.0, 19), (-20.0, 29), (50.0, 26), (50.0, 48)])
+    def test_newton_solves_with_entries_above_1e154_are_checked(self, a, seed):
+        # B reaches entries of about 1e260 at some grid iterates, so the
+        # residual check's column norms overflow; it must decide them without
+        # a RuntimeWarning (pytest turns one into an error)
+        t, ref = seeded_delay_problem(a, seed)
+        case = ex.analyze_case(t, ref, ex.build_subspace_eps(ref.x_star, 2, 1e-4, 0))
+        assert isinstance(case, ex.CaseResult)
 
     def test_a_finer_grid_finds_the_ritz_value_that_the_pin_below_misses(self, monkeypatch):
         t, ref = seeded_delay_problem(-20.0, 2)
@@ -664,6 +673,37 @@ class TestVerifyAll:
                                       theorem_id="residual_to_angle_refined")
         assert rep.lhs > rep.rhs + rep.intermediates["slack_floor"]
         assert rep.holds
+
+    def test_errors_failures_and_inapplicable_bounds_are_recorded(self, monkeypatch):
+        # the fixture's exact-capture basis makes three bounds inapplicable,
+        # adversarial seed 658 raises EmptySpectrum, and a patched
+        # residual_ratio_lower verdict fails on the suite case, the one of
+        # the three where that bound applies
+        import nepritz.bounds_lab as bl
+
+        t, ref, w = ex.fixture_problem()
+        fixture = ex.SuiteInstance("fixture", t, ref, Subspace.from_basis(w))
+        empty = ex.SuiteInstance("adversarial-658", *adversarial_case(658))
+        suite_case = ex.builtin_suite()[0]
+        real = bl.residual_ratio_sandwich
+
+        def failing_lower(*args):
+            lower, *rest = real(*args)
+            return [dataclasses.replace(lower, holds=False), *rest]
+
+        monkeypatch.setattr(bl, "residual_ratio_sandwich", failing_lower)
+        res = ex.verify_all(suite=[fixture, empty, suite_case])
+        assert not res["ok"]
+        assert res["n_instances"] == 3
+        assert res["failures"] == [[suite_case.instance_id, "residual_ratio_lower"]]
+        [(name, error)] = res["errors"]
+        assert name == "adversarial-658" and error.startswith("EmptySpectrum: ")
+        assert [row[:2] for row in res["inapplicable"]] == [
+            ["fixture", "ritz_vector_angle"], ["fixture", "angle_sandwich"],
+            ["fixture", "residual_ratio"]]
+        assert res["n_inapplicable"] == 3
+        assert res["n_reports"] == len(res["reports"])
+        assert {i for i, _ in res["reports"]} == {"fixture", suite_case.instance_id}
 
     def test_builtin_suite_size(self):
         suite = ex.builtin_suite()
