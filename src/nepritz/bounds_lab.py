@@ -312,11 +312,14 @@ def build_case_context(
     and eps = min(||x_out||, 1) are formed as projection.deviation forms them.
     Only T is evaluated.  The context's target is the object
     t.target_values returns, measured on a target's first case and shared
-    by every later one; per case, T(mu) alone (bit-equal to its slice of
-    any eval_T_many stack) gives ||T(mu)|| and sigma_min(L(mu)).  W^H T(l*),
-    B(l*) and B(mu) are compressed from T(l*) and T(mu) with s.basis, as
-    gamma_b compresses T's remainder directions.  The witness, the angle
-    sandwich and the extractions read them from the context.
+    by every later one, and taylor_remainder_const gets L's map paired with
+    its complement_norms, so with one nonlinear term beta reads them and
+    only gamma_b takes a 2-norm per case.  Per case, T(mu) alone (bit-equal
+    to its slice of any eval_T_many stack) gives ||T(mu)|| and
+    sigma_min(L(mu)).  W^H T(l*), B(l*) and B(mu) are compressed from
+    T(l*) and T(mu) with s.basis, as gamma_b compresses T's remainder
+    directions.  The witness, the angle sandwich and the extractions read
+    them from the context.
     """
     lam, mu = complex(lambda_star), complex(mu)
     x = as_unit_vector(x_star, "x_star")
@@ -325,9 +328,10 @@ def build_case_context(
     u = wh @ x
     x_out = x - w @ u
     radius = remainder_radius(t, lam, mu)
-    gamma, beta, gamma_b = taylor_remainder_const(
-        t, lam, radius, lambda d: complement_compress(x, d), lambda d: wh @ d @ w)
     target = t.target_values(lam, x)
+    gamma, beta, gamma_b = taylor_remainder_const(
+        t, lam, radius, (lambda d: complement_compress(x, d), target.complement_norms),
+        lambda d: wh @ d @ w)
     t_mu = eval_T(t, mu, 0)
     tw = t_mu @ w
     wh_t_star = wh @ target.t_star

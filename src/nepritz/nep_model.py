@@ -285,7 +285,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TargetValues:
-    """What bounds read of T at a target (lambda_star, x_star) for any subspace; read-only."""
+    """What bounds read of T at a target (lambda_star, x_star) for any subspace; read-only.
+
+    L = X_perp^H T X_perp is T compressed against x_star's complement
+    (dense_kernels.complement_compress); complement_norms holds each term's
+    coefficient so compressed, in 2-norm, which beta reads when one term is
+    nonlinear (taylor_remainder_const).
+    """
 
     lambda_star: complex
     x_star: np.ndarray
@@ -294,6 +300,7 @@ class TargetValues:
     norm_T_prime: float         # ||T'(l*)||
     sigma_min_L_star: float     # sigma_min(L(l*))
     norm_L_prime: float         # ||L'(l*)||
+    complement_norms: np.ndarray  # ||(H A_i H)[1:, 1:]||_2 of every term
 
     @property
     def norm_T_star(self) -> float:
@@ -359,10 +366,13 @@ class MatrixFunction:
         """T's TargetValues at (lambda_star, x_star), measured once while the target stays.
 
         One singular_values call on [T(l*), T'(l*)] and one on its
-        complement_compress(x_star, .) blocks, L(l*) and L'(l*).  One slot
-        keeps the last target's record, keyed by lambda_star and x_star's
-        bytes, compared bit for bit; another target replaces it.  It cannot
-        go stale: the coefficients are read-only copies.
+        complement_compress(x_star, .) blocks, L(l*) and L'(l*), and one
+        norm2 of each coefficient's block, complement_norms[i] =
+        norm2(complement_compress(x_star, A_i)); a term at a time, so a large
+        T's blocks are not all held at once.  One slot keeps the last
+        target's record, keyed by lambda_star and x_star's bytes, compared
+        bit for bit; another target replaces it.  It cannot go stale: the
+        coefficients are read-only copies.
         """
         lam, x = complex(lambda_star), as_vector(x_star)
         key = np.complex128(lam).tobytes() + x.tobytes()
@@ -373,7 +383,8 @@ class MatrixFunction:
             l_svals = singular_values(complement_compress(x, stack))
             kept = vars(self)["_target"] = (key, TargetValues(
                 lam, _read_only(x.copy()), _read_only(stack[0].copy()), _read_only(t_svals[0]),
-                float(t_svals[1, 0]), float(l_svals[0, -1]), float(l_svals[1, 0])))
+                float(t_svals[1, 0]), float(l_svals[0, -1]), float(l_svals[1, 0]),
+                _read_only(np.array([norm2(complement_compress(x, a)) for _, a in self.terms]))))
         return kept[1]
 
 
@@ -414,8 +425,11 @@ def taylor_remainder_const(
     recorded by callers in their reports.  Each map is a linear map of
     n x n matrices that takes a stack (k, n, n) to a stack of its images,
     such as the compression M -> W^H M W; it gets the same estimate for the
-    function lam -> map(T(lam)), whose remainder is the map of T's.  The
-    result holds one constant for t, then one per map, in that order.
+    function lam -> map(T(lam)), whose remainder is the map of T's.  A map
+    may come as a pair (map, norms) whose norms[i] is norm2(map(A_i)) for
+    every term i, measured once elsewhere, as TargetValues.complement_norms
+    is for L.  The result holds one constant for t, then one per map, in
+    that order.
 
     The remainder over h^2 is sum_i rho_i(h) A_i with rho_i the scalar
     remainders of the terms, which are exact rather than differences of
@@ -425,11 +439,12 @@ def taylor_remainder_const(
     row c = (rho_i(h)) is written as piv * d with piv its entry of largest
     modulus, so ||sum c_i A_i|| = |piv| ||sum d_i A_i||.  With one
     nonlinear term A_k every d is exactly (1): the stack is A_k alone, t's
-    norm is t.coefficient_norms[k], measured once per problem, and each map
-    costs a single 2-norm.  With more, each live sample (piv != 0) puts its
-    direction sum_i d_i A_i into one stack, and t and each map cost one
-    batched norm2 over it or its image.  Equal directions give equal
-    matrices and so equal norms, so nothing is deduplicated.
+    norm is t.coefficient_norms[k], measured once per problem, a pair's is
+    its norms[k], and any other map costs a single 2-norm.  With more, each
+    live sample (piv != 0) puts its direction sum_i d_i A_i into one stack,
+    and t and each map, a pair's included, cost one batched norm2 over it
+    or its image.  Equal directions give equal matrices and so equal norms,
+    so nothing is deduplicated.
 
     A non-finite lambda_star or a radius outside (0, inf) raises ValueError.
     """
@@ -443,13 +458,15 @@ def taylor_remainder_const(
     kept = np.flatnonzero(np.any(rho != 0, axis=0))
     if kept.size == 0:
         return (0.0,) * (1 + len(maps))
+    maps = [m if isinstance(m, tuple) else (m, None) for m in maps]
     # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
     if kept.size == 1:
         k = kept[0]
         piv = rho[:, k]
         scale = np.hypot(piv.real, piv.imag).max()
         stack = t.terms[k][1][None]
-        own = t.coefficient_norms[k:k + 1]
+        norms = [t.coefficient_norms[k:k + 1], *(
+            norm2(f(stack)) if known is None else known[k:k + 1] for f, known in maps)]
     else:
         rho = rho[:, kept]
         rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
@@ -459,9 +476,8 @@ def taylor_remainder_const(
         live = piv != 0
         scale = np.hypot(piv.real, piv.imag)[live]
         stack = np.tensordot(dirs[live], np.stack([t.terms[i][1] for i in kept]), axes=1)
-        own = norm2(stack)
-    return tuple(1.5 * np.max(scale * norms)
-                 for norms in (own, *(norm2(f(stack)) for f in maps)))
+        norms = [norm2(stack), *(norm2(f(stack)) for f, _ in maps)]
+    return tuple(1.5 * np.max(scale * nrm) for nrm in norms)
 
 
 @dataclass(frozen=True, eq=False)

@@ -397,7 +397,10 @@ class TestAnalyzeCase:
 
     def test_reused_target_values_change_no_bit(self):
         # forward order, reverse order, and each case cold on a fresh T give
-        # the same mu, reports, spectrum and vectors, bit for bit
+        # the same mu, reports, spectrum and vectors, bit for bit, on the
+        # suite, a planted degree-2 problem at n = 128, m = 16 (the large_n
+        # family) and a delay problem with an exp term; the last two have one
+        # nonlinear term, so beta reads the target's complement_norms
         def outputs(case):
             return (case.mu.real.hex(), case.mu.imag.hex(),
                     [(r.theorem_id, r.lhs.hex(), r.rhs.hex(),
@@ -408,13 +411,23 @@ class TestAnalyzeCase:
                     case.spectrum.multiplicities, case.spectrum.method,
                     case.ritz.x_tilde.tobytes(), case.refined.x_hat.tobytes())
 
-        def run(inst, t):
-            return outputs(ex.analyze_case(t, inst.ref, inst.subspace))
+        def cases():
+            out = [(i.t, i.ref, i.subspace) for i in ex.builtin_suite()]
+            t, ref = ex.random_planted_nep(128, 2, 7000, 0.3 + 0.2j)
+            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 16, eps, 7000 + 7 * k))
+                    for k, eps in enumerate((1e-2, 1e-6))]
+            t, ref = seeded_delay_problem(-1.0, 0)
+            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 2, eps, k))
+                    for k, eps in enumerate((1e-2, 1e-5))]
+            return out
 
-        forward = [run(i, i.t) for i in ex.builtin_suite()]
-        reverse = [run(i, i.t) for i in reversed(ex.builtin_suite())][::-1]
-        cold = [run(i, dataclasses.replace(i.t)) for i in ex.builtin_suite()]
-        assert len(forward) == 38
+        def run(t, ref, s):
+            return outputs(ex.analyze_case(t, ref, s))
+
+        forward = [run(*c) for c in cases()]
+        reverse = [run(*c) for c in reversed(cases())][::-1]
+        cold = [run(dataclasses.replace(t), ref, s) for t, ref, s in cases()]
+        assert len(forward) == 38 + 2 + 2
         assert forward == reverse == cold
 
     def test_non_finite_target_is_named_before_anything_is_projected(self, monkeypatch):

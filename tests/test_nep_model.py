@@ -514,8 +514,10 @@ class TestCoefficientNorms:
         assert [g.hex() for g in got] == [norm2(a).hex() for _, a in t.terms]
 
     def test_measured_once_per_problem(self, monkeypatch):
-        # one nonlinear term, so gamma reads t's norms; each case adds one
-        # norm2 per map (beta's and gamma_B's) and measures nothing of t again
+        # one nonlinear term, so gamma reads t's norms and beta the target's
+        # complement_norms (one norm2 per term), each measured once; each
+        # case adds one norm2 (gamma_B's) and measures nothing of t or of the
+        # target again
         t, ref = random_planted_nep(6, 2, 3, 0.3 + 0.2j)
         shapes = []
 
@@ -527,7 +529,8 @@ class TestCoefficientNorms:
         assert "coefficient_norms" not in vars(t)  # construction measured nothing
         for eps, seed in [(1e-3, 1), (1e-5, 2), (1e-3, 1)]:
             analyze_case(t, ref, build_subspace_eps(ref.x_star, 3, eps, seed))
-        assert shapes.count((3, 6, 6)) == 1 and len(shapes) == 1 + 3 * 2
+        assert shapes.count((3, 6, 6)) == 1 and shapes.count((5, 5)) == 3
+        assert shapes.count((1, 3, 3)) == 3 and len(shapes) == 1 + 3 + 3
         assert "coefficient_norms" in vars(t)
 
     def test_compressed_function_measures_its_own(self):
@@ -594,7 +597,9 @@ class TestTargetValues:
         assert got.norm_T_prime == singular_values(t_prime)[0]
         assert got.sigma_min_L_star == singular_values(complement_compress(x, t_star))[-1]
         assert got.norm_L_prime == singular_values(complement_compress(x, t_prime))[0]
-        for a in (got.x_star, got.t_star, got.t_star_svals):
+        assert [g.hex() for g in got.complement_norms] == \
+            [norm2(complement_compress(x, a)).hex() for _, a in t.terms]
+        for a in (got.x_star, got.t_star, got.t_star_svals, got.complement_norms):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
 
@@ -826,6 +831,41 @@ class TestSharedRemainderPass:
             == (1.5 * norm2(c), 1.5 * norm2(c[:2, :2]))
         assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
         assert np.array_equal(seen[0][0], c)
+
+    def test_a_pairs_norms_are_read_with_one_nonlinear_term(self):
+        rng = np.random.default_rng(14)
+        a, b, c = (complex_randn(rng, 3, 3) for _ in range(3))
+        seen = []
+
+        def leading_block(d):
+            seen.append(d)
+            return d[:, :2, :2]
+
+        # one nonlinear term: its entry of the norms is read, the map not called
+        t = MatrixFunction.from_terms([(Polynomial([1]), a), (Polynomial([0, 0, 1]), c)])
+        assert taylor_remainder_const(t, 0.0, 0.1, (leading_block, np.array([7.0, 3.0]))) \
+            == (1.5 * norm2(c), 4.5)
+        assert seen == []
+        # two: the norms are not used and the map takes the direction stack
+        t = MatrixFunction.from_terms([(Polynomial([0, 0, 1]), b), (Polynomial([0, 0, 1]), c)])
+        assert taylor_remainder_const(t, 0.0, 0.1, (leading_block, np.array([7.0, 3.0]))) \
+            == taylor_remainder_const(t, 0.0, 0.1, leading_block)
+        assert len(seen) == 2
+
+    @pytest.mark.parametrize("inst", builtin_suite()[::7], ids=lambda inst: inst.instance_id)
+    def test_target_complement_norms_give_the_maps_bits(self, inst):
+        # beta from the target's complement_norms, read or not, equals beta
+        # from the map's own 2-norm bit for bit
+        lam, x = inst.ref.lambda_star, inst.ref.x_star
+        radius = remainder_radius(inst.t, lam, lam + 0.05)
+
+        def complement(d):
+            return complement_compress(x, d)
+
+        known = inst.t.target_values(lam, x).complement_norms
+        got = taylor_remainder_const(inst.t, lam, radius, (complement, known))
+        want = taylor_remainder_const(inst.t, lam, radius, complement)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 LAM_STAR = 0.2 + 0.1j
