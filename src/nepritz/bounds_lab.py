@@ -314,12 +314,16 @@ def build_case_context(
     t.target_values returns, measured on a target's first case and shared
     by every later one, and taylor_remainder_const gets L's map paired with
     its complement_norms, so with one nonlinear term beta reads them and
-    only gamma_b takes a 2-norm per case.  Per case, T(mu) alone (bit-equal
-    to its slice of any eval_T_many stack) gives ||T(mu)|| and
-    sigma_min(L(mu)).  W^H T(l*), B(l*) and B(mu) are compressed from
-    T(l*) and T(mu) with s.basis, as gamma_b compresses T's remainder
-    directions.  The witness, the angle sandwich and the extractions read
-    them from the context.
+    only gamma_b takes a 2-norm per case.  With more, T keeps its last
+    remainder sampling, keyed by lambda_star and the radius, in which that
+    complement_norms array names L's map; remainder_radius's floor gives a
+    target's cases with mu near lambda_star one radius, so each of them
+    after the first reads gamma and beta from it and takes gamma_b's norms
+    alone.  Per case, T(mu) alone (bit-equal to its slice of any
+    eval_T_many stack) gives ||T(mu)|| and sigma_min(L(mu)).  W^H T(l*),
+    B(l*) and B(mu) are compressed from T(l*) and T(mu) with s.basis, as
+    gamma_b compresses T's remainder directions.  The witness, the angle
+    sandwich and the extractions read them from the context.
     """
     lam, mu = complex(lambda_star), complex(mu)
     x = as_unit_vector(x_star, "x_star")

@@ -290,7 +290,9 @@ class TargetValues:
     L = X_perp^H T X_perp is T compressed against x_star's complement
     (dense_kernels.complement_compress); complement_norms holds each term's
     coefficient so compressed, in 2-norm, which beta reads when one term is
-    nonlinear (taylor_remainder_const).
+    nonlinear (taylor_remainder_const).  A Polynomial term of degree <= 1
+    has an identically zero remainder, so no remainder constant reads its
+    entry and it is not measured: it holds nan.
     """
 
     lambda_star: complex
@@ -300,7 +302,7 @@ class TargetValues:
     norm_T_prime: float         # ||T'(l*)||
     sigma_min_L_star: float     # sigma_min(L(l*))
     norm_L_prime: float         # ||L'(l*)||
-    complement_norms: np.ndarray  # ||(H A_i H)[1:, 1:]||_2 of every term
+    complement_norms: np.ndarray  # ||(H A_i H)[1:, 1:]||_2 of every term, nan if affine
 
     @property
     def norm_T_star(self) -> float:
@@ -368,7 +370,8 @@ class MatrixFunction:
         One singular_values call on [T(l*), T'(l*)] and one on its
         complement_compress(x_star, .) blocks, L(l*) and L'(l*), and one
         norm2 of each coefficient's block, complement_norms[i] =
-        norm2(complement_compress(x_star, A_i)); a term at a time, so a large
+        norm2(complement_compress(x_star, A_i)), for every term but the
+        affine polynomials, whose entry is nan; a term at a time, so a large
         T's blocks are not all held at once.  One slot keeps the last
         target's record, keyed by lambda_star and x_star's bytes, compared
         bit for bit; another target replaces it.  It cannot go stale: the
@@ -381,10 +384,13 @@ class MatrixFunction:
             stack = np.stack([eval_T(self, lam, 0), eval_T(self, lam, 1)])
             t_svals = singular_values(stack)
             l_svals = singular_values(complement_compress(x, stack))
+            # an affine polynomial's remainder is identically 0, so no constant reads its entry
+            l_norms = [np.nan if isinstance(fn, Polynomial) and fn.degree <= 1
+                       else norm2(complement_compress(x, a)) for fn, a in self.terms]
             kept = vars(self)["_target"] = (key, TargetValues(
                 lam, _read_only(x.copy()), _read_only(stack[0].copy()), _read_only(t_svals[0]),
                 float(t_svals[1, 0]), float(l_svals[0, -1]), float(l_svals[1, 0]),
-                _read_only(np.array([norm2(complement_compress(x, a)) for _, a in self.terms]))))
+                _read_only(np.array(l_norms))))
         return kept[1]
 
 
@@ -413,6 +419,27 @@ def eval_T_many(t: MatrixFunction, lams, order: int = 0) -> np.ndarray:
     return out.reshape(lams.size, t.n, t.n)
 
 
+@dataclass(frozen=True, eq=False)
+class _Sampling:
+    """taylor_remainder_const's last sampling of a T with two or more nonlinear terms.
+
+    key holds the bytes of lambda_star and radius.  kept lists the nonlinear
+    terms, scale and dirs each live sample's |piv| and direction row d, and
+    norms T's norm over each direction.  pairs holds, for each (map, norms)
+    pair of the call in order, that pair's norms array, by reference, and
+    its map's norm over each direction.  Every array is read-only, and none
+    is the stack of directions: none has more than 3 * REMAINDER_SAMPLES
+    entries per term.
+    """
+
+    key: bytes
+    kept: np.ndarray
+    scale: np.ndarray
+    dirs: np.ndarray
+    norms: np.ndarray
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
 def taylor_remainder_const(
     t: MatrixFunction, lambda_star: complex, radius: float, *maps,
 ) -> tuple[float, ...]:
@@ -427,9 +454,10 @@ def taylor_remainder_const(
     such as the compression M -> W^H M W; it gets the same estimate for the
     function lam -> map(T(lam)), whose remainder is the map of T's.  A map
     may come as a pair (map, norms) whose norms[i] is norm2(map(A_i)) for
-    every term i, measured once elsewhere, as TargetValues.complement_norms
-    is for L.  The result holds one constant for t, then one per map, in
-    that order.
+    every term i whose remainder is not identically zero, measured once
+    elsewhere, as TargetValues.complement_norms is for L; the norms array
+    names its map, so a pair must not bring one array with another map.
+    The result holds one constant for t, then one per map, in that order.
 
     The remainder over h^2 is sum_i rho_i(h) A_i with rho_i the scalar
     remainders of the terms, which are exact rather than differences of
@@ -446,6 +474,17 @@ def taylor_remainder_const(
     or its image.  Equal directions give equal matrices and so equal norms,
     so nothing is deduplicated.
 
+    With more than one nonlinear term, t keeps its last sampling in one
+    slot (_Sampling), keyed by the bytes of lambda_star and radius: the
+    kept terms, each live sample's |piv| and direction row, t's norms and
+    each pair's norms over the directions.  A call with the same key and
+    the same pairs' norms arrays (compared with is) reads them, forms the
+    stack with the same tensordot only for its bare maps and runs those,
+    so every constant is bit-equal to a fresh sampling; any other call
+    samples afresh and replaces the slot.  A bare map's norms are never
+    kept.  Nothing in the slot can go stale: t's coefficients are
+    read-only copies, and a pair's norms array is held by reference.
+
     A non-finite lambda_star or a radius outside (0, inf) raises ValueError.
     """
     radius = as_length(radius, "radius")
@@ -453,31 +492,50 @@ def taylor_remainder_const(
     for pole in t.domain_poles:
         if abs(pole - lambda_star) <= radius * (1 + 1e-12):
             raise PoleHit(f"pole {pole} inside sampling disc of radius {radius}")
-    h = np.concatenate([r * _UNIT_CIRCLE for r in (radius / 4.0, radius / 2.0, radius)])
-    rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
-    kept = np.flatnonzero(np.any(rho != 0, axis=0))
-    if kept.size == 0:
-        return (0.0,) * (1 + len(maps))
     maps = [m if isinstance(m, tuple) else (m, None) for m in maps]
-    # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
-    if kept.size == 1:
-        k = kept[0]
-        piv = rho[:, k]
-        scale = np.hypot(piv.real, piv.imag).max()
-        stack = t.terms[k][1][None]
-        norms = [t.coefficient_norms[k:k + 1], *(
-            norm2(f(stack)) if known is None else known[k:k + 1] for f, known in maps)]
-    else:
+    given = [known for _, known in maps if known is not None]
+    key = np.complex128(lambda_star).tobytes() + np.float64(radius).tobytes()
+    last = vars(t).get("_remainder")
+    stack = None
+    if (last is None or last.key != key or len(last.pairs) != len(given)
+            or any(a is not b for a, (b, _) in zip(given, last.pairs))):
+        h = np.concatenate([r * _UNIT_CIRCLE for r in (radius / 4.0, radius / 2.0, radius)])
+        rho = np.column_stack([fn.remainder(lambda_star, h) for fn, _ in t.terms])
+        kept = np.flatnonzero(np.any(rho != 0, axis=0))
+        if kept.size == 0:
+            return (0.0,) * (1 + len(maps))
+        # |piv| as abs() of a scalar rounds it: np.abs of a complex array may not
+        if kept.size == 1:
+            k = kept[0]
+            piv = rho[:, k]
+            scale = np.hypot(piv.real, piv.imag).max()
+            stack = t.terms[k][1][None]
+            norms = [t.coefficient_norms[k:k + 1], *(
+                norm2(f(stack)) if known is None else known[k:k + 1] for f, known in maps)]
+            return tuple(1.5 * np.max(scale * nrm) for nrm in norms)
         rho = rho[:, kept]
         rows, big = np.arange(h.size), np.argmax(np.abs(rho), axis=1)
         piv = rho[rows, big]
         dirs = rho / np.where(piv == 0, 1.0, piv)[:, None]
         dirs[rows, big] = 1.0  # exactly: a complex x / x can round away from 1
         live = piv != 0
-        scale = np.hypot(piv.real, piv.imag)[live]
-        stack = np.tensordot(dirs[live], np.stack([t.terms[i][1] for i in kept]), axes=1)
-        norms = [norm2(stack), *(norm2(f(stack)) for f, _ in maps)]
-    return tuple(1.5 * np.max(scale * nrm) for nrm in norms)
+        dirs = dirs[live]
+        stack = _direction_stack(t, kept, dirs)
+        last = vars(t)["_remainder"] = _Sampling(
+            key, _read_only(kept), _read_only(np.hypot(piv.real, piv.imag)[live]),
+            _read_only(dirs), _read_only(norm2(stack)), tuple(
+                (known, _read_only(norm2(f(stack)))) for f, known in maps if known is not None))
+    elif len(given) < len(maps):
+        stack = _direction_stack(t, last.kept, last.dirs)
+    kept_norms = iter(nrm for _, nrm in last.pairs)
+    norms = [last.norms, *(
+        norm2(f(stack)) if known is None else next(kept_norms) for f, known in maps)]
+    return tuple(1.5 * np.max(last.scale * nrm) for nrm in norms)
+
+
+def _direction_stack(t: MatrixFunction, kept: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """sum_i d_i A_i over the kept terms for each row d of dirs, as a (rows, n, n) stack."""
+    return np.tensordot(dirs, np.stack([t.terms[i][1] for i in kept]), axes=1)
 
 
 @dataclass(frozen=True, eq=False)

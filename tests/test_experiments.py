@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from nepritz.cli import _write_reports
 from nepritz.dense_kernels import complement_compress, norm2
 from nepritz.errors import ConstructionFailed, NonConverged
 from nepritz.extraction import sin_angle
-from nepritz.nep_model import ReferencePair, eval_T, eval_T_many
+from nepritz.nep_model import ReferencePair, eval_T, eval_T_many, load_problem
 from nepritz.projection import Subspace, deviation, project
 from nepritz.small_nep_solver import newton_trace_refine, select_ritz_value, solve_projected
+
+
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 
 def unit(v):
@@ -399,8 +403,11 @@ class TestAnalyzeCase:
         # forward order, reverse order, and each case cold on a fresh T give
         # the same mu, reports, spectrum and vectors, bit for bit, on the
         # suite, a planted degree-2 problem at n = 128, m = 16 (the large_n
-        # family) and a delay problem with an exp term; the last two have one
-        # nonlinear term, so beta reads the target's complement_norms
+        # family), a delay problem with an exp term, example2's fixture and
+        # the rational3 problem file.  The n = 128 and delay problems have
+        # one nonlinear term, so beta reads the target's complement_norms;
+        # poly6, rat4, rat5, the fixture and rational3 have two, so a case
+        # at the radius of the one before it reads T's remainder sampling
         def outputs(case):
             return (case.mu.real.hex(), case.mu.imag.hex(),
                     [(r.theorem_id, r.lhs.hex(), r.rhs.hex(),
@@ -412,23 +419,44 @@ class TestAnalyzeCase:
                     case.ritz.x_tilde.tobytes(), case.refined.x_hat.tobytes())
 
         def cases():
-            out = [(i.t, i.ref, i.subspace) for i in ex.builtin_suite()]
+            out = [(i.t, i.ref, i.subspace, {}) for i in ex.builtin_suite()]
             t, ref = ex.random_planted_nep(128, 2, 7000, 0.3 + 0.2j)
-            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 16, eps, 7000 + 7 * k))
+            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 16, eps, 7000 + 7 * k), {})
                     for k, eps in enumerate((1e-2, 1e-6))]
             t, ref = seeded_delay_problem(-1.0, 0)
-            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 2, eps, k))
+            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 2, eps, k), {})
                     for k, eps in enumerate((1e-2, 1e-5))]
+            t, ref, w = ex.fixture_problem()  # as run_example2 analyses it
+            out += [(t, ref, ex.perturb_subspace(Subspace.from_basis(w), 1e-4, seed),
+                     {"region_center": 0.0, "region_radius": 1e6}) for seed in range(3)]
+            t, ref = load_problem(DEMO_PROBLEMS / "rational3.json")
+            out += [(t, ref, ex.build_subspace_eps(ref.x_star, 2, eps, 42 + k), {})
+                    for k, eps in enumerate((1e-2, 1e-5, 1e-8))]
             return out
 
-        def run(t, ref, s):
-            return outputs(ex.analyze_case(t, ref, s))
+        def run(t, ref, s, kwargs):
+            return outputs(ex.analyze_case(t, ref, s, **kwargs))
 
         forward = [run(*c) for c in cases()]
         reverse = [run(*c) for c in reversed(cases())][::-1]
-        cold = [run(dataclasses.replace(t), ref, s) for t, ref, s in cases()]
-        assert len(forward) == 38 + 2 + 2
+        cold = [run(dataclasses.replace(t), ref, s, kw) for t, ref, s, kw in cases()]
+        assert len(forward) == 38 + 2 + 2 + 3 + 3
         assert forward == reverse == cold
+
+        # one target, radii alternating: the floor radius of eps <= 1e-4,
+        # then one eps = 1e-2 case's own, then the floor again; each case
+        # that follows one at its radius reads the kept sampling
+        poly6 = {i.instance_id: i for i in ex.builtin_suite() if i.instance_id[:5] == "poly6"}
+        order = ["eps1e-04", "eps1e-05", "eps1e-02", "eps1e-02", "eps1e-06", "eps1e-07"]
+        t = poly6["poly6-eps1e-04"].t
+        hits = []
+        for name in order:
+            inst = poly6[f"poly6-{name}"]
+            before = vars(t).get("_remainder")
+            warm = run(t, inst.ref, inst.subspace, {})
+            hits.append(vars(t)["_remainder"] is before)
+            assert warm == run(dataclasses.replace(t), inst.ref, inst.subspace, {})
+        assert hits == [False, True, False, True, False, True]
 
     def test_non_finite_target_is_named_before_anything_is_projected(self, monkeypatch):
         # a NaN target was reported as select_ritz_value's "point", after the

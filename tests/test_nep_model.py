@@ -515,9 +515,9 @@ class TestCoefficientNorms:
 
     def test_measured_once_per_problem(self, monkeypatch):
         # one nonlinear term, so gamma reads t's norms and beta the target's
-        # complement_norms (one norm2 per term), each measured once; each
-        # case adds one norm2 (gamma_B's) and measures nothing of t or of the
-        # target again
+        # complement_norms (one norm2 per term that is not affine, here the
+        # lambda^2 term), each measured once; each case adds one norm2
+        # (gamma_B's) and measures nothing of t or of the target again
         t, ref = random_planted_nep(6, 2, 3, 0.3 + 0.2j)
         shapes = []
 
@@ -529,8 +529,8 @@ class TestCoefficientNorms:
         assert "coefficient_norms" not in vars(t)  # construction measured nothing
         for eps, seed in [(1e-3, 1), (1e-5, 2), (1e-3, 1)]:
             analyze_case(t, ref, build_subspace_eps(ref.x_star, 3, eps, seed))
-        assert shapes.count((3, 6, 6)) == 1 and shapes.count((5, 5)) == 3
-        assert shapes.count((1, 3, 3)) == 3 and len(shapes) == 1 + 3 + 3
+        assert shapes.count((3, 6, 6)) == 1 and shapes.count((5, 5)) == 1
+        assert shapes.count((1, 3, 3)) == 3 and len(shapes) == 1 + 1 + 3
         assert "coefficient_norms" in vars(t)
 
     def test_compressed_function_measures_its_own(self):
@@ -597,8 +597,10 @@ class TestTargetValues:
         assert got.norm_T_prime == singular_values(t_prime)[0]
         assert got.sigma_min_L_star == singular_values(complement_compress(x, t_star))[-1]
         assert got.norm_L_prime == singular_values(complement_compress(x, t_prime))[0]
+        # the constant and linear terms' remainder is identically zero, so
+        # their entries are not measured
         assert [g.hex() for g in got.complement_norms] == \
-            [norm2(complement_compress(x, a)).hex() for _, a in t.terms]
+            ["nan", "nan", *(norm2(complement_compress(x, a)).hex() for _, a in t.terms[2:])]
         for a in (got.x_star, got.t_star, got.t_star_svals, got.complement_norms):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -866,6 +868,121 @@ class TestSharedRemainderPass:
         got = taylor_remainder_const(inst.t, lam, radius, (complement, known))
         want = taylor_remainder_const(inst.t, lam, radius, complement)
         assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
+
+class TestRemainderSlot:
+    """With two or more nonlinear terms, T keeps its last remainder sampling, keyed bit for bit."""
+
+    @staticmethod
+    def two_term(n=16, seed=15):
+        rng = np.random.default_rng(seed)
+        return MatrixFunction.from_terms([
+            (Polynomial([1]), complex_randn(rng, n, n)),
+            (Polynomial([0, 0, 1]), complex_randn(rng, n, n)),
+            (Rational([1.0], [-2.0, 1.0]), complex_randn(rng, n, n)),
+        ])
+
+    @staticmethod
+    def block(d):
+        return d[:, :3, :3]
+
+    @staticmethod
+    def counted(seen, name, f):
+        def wrapper(d):
+            seen.append(name)
+            return f(d)
+        return wrapper
+
+    def test_k_cases_at_one_radius_sample_t_and_l_once(self, monkeypatch):
+        # poly6 (n = 6, m = 3) has two nonlinear terms, lambda^2 and
+        # lambda^3, and the lambda^2 remainder is 1, so all 48 samples are
+        # live; over its cases at the floor radius norm2 sees T's direction
+        # stack and L's once each and B's once per case
+        insts = [i for i in builtin_suite() if i.instance_id.startswith("poly6")]
+        shapes = []
+
+        def counted_norm2(m):
+            shapes.append(np.shape(m))
+            return norm2(m)
+
+        monkeypatch.setattr(nep_model, "norm2", counted_norm2)
+        floor = []
+        for inst in insts:
+            mu = analyze_case(inst.t, inst.ref, inst.subspace).mu
+            if remainder_radius(inst.t, inst.ref.lambda_star, mu) == 1e-3:
+                floor.append(inst)
+        assert len(floor) >= 4 and insts[-len(floor):] == floor
+        shapes.clear()
+        t = dataclasses.replace(floor[0].t)
+        for inst in floor:
+            analyze_case(t, inst.ref, inst.subspace)
+        assert shapes.count((48, 6, 6)) == 1 and shapes.count((48, 5, 5)) == 1
+        assert shapes.count((48, 3, 3)) == len(floor)
+
+    def test_a_hit_runs_only_the_bare_maps(self):
+        t = self.two_term()
+        seen = []
+        known = np.array([1.0, 2.0, 3.0])
+        pair = (self.counted(seen, "pair", self.block), known)
+        bare = self.counted(seen, "bare", self.block)
+        first = taylor_remainder_const(t, 0.1, 0.2, pair, bare)
+        slot = vars(t)["_remainder"]
+        assert taylor_remainder_const(t, 0.1, 0.2, pair, bare) == first
+        assert vars(t)["_remainder"] is slot
+        assert sorted(seen) == ["bare", "bare", "pair"]
+        # a pair's map and a bare map of the same function agree bit for bit
+        assert first[1] == first[2]
+        assert len(slot.pairs) == 1 and slot.pairs[0][0] is known
+
+    def test_a_bare_map_is_never_kept(self):
+        t = self.two_term()
+        seen = []
+        bare = self.counted(seen, "bare", self.block)
+        assert taylor_remainder_const(t, 0.1, 0.2, bare) \
+            == taylor_remainder_const(t, 0.1, 0.2, bare)
+        assert seen == ["bare", "bare"] and vars(t)["_remainder"].pairs == ()
+
+    @pytest.mark.parametrize("change", ["radius", "lambda_star", "pair_array"])
+    def test_another_key_or_pair_array_replaces_the_slot(self, change):
+        t = self.two_term()
+        known = np.array([1.0, 2.0, 3.0])
+        args = [0.1, 0.2, (self.block, known), self.block]
+        taylor_remainder_const(t, *args)
+        slot = vars(t)["_remainder"]
+        if change == "radius":
+            args[1] = np.nextafter(0.2, 1.0)
+        elif change == "lambda_star":
+            args[0] = 0.1 + 1e-17j
+        else:
+            args[2] = (self.block, known.copy())  # equal values, another array
+        got = taylor_remainder_const(t, *args)
+        assert vars(t)["_remainder"] is not slot
+        want = taylor_remainder_const(dataclasses.replace(t), *args)
+        assert [g.hex() for g in got] == [w.hex() for w in want]
+
+    def test_one_nonlinear_term_keeps_nothing(self):
+        rng = np.random.default_rng(16)
+        t = MatrixFunction.from_terms([(Polynomial([1]), complex_randn(rng, 4, 4)),
+                                       (Polynomial([0, 0, 1]), complex_randn(rng, 4, 4))])
+        taylor_remainder_const(t, 0.1, 0.2, self.block)
+        assert "_remainder" not in vars(t)
+
+    def test_the_slot_is_small_and_read_only(self):
+        t = self.two_term()
+        known = np.array([1.0, 2.0, 3.0])
+        taylor_remainder_const(t, 0.1, 0.2, (self.block, known), self.block)
+        slot = vars(t)["_remainder"]
+        arrays = [getattr(slot, f.name) for f in dataclasses.fields(slot)
+                  if isinstance(getattr(slot, f.name), np.ndarray)]
+        arrays += [nrm for _, nrm in slot.pairs]
+        assert len(arrays) == 5 and slot.dirs.shape == (48, 2)
+        for a in arrays:
+            assert a.size <= 48 * len(t.terms)
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+        # the caller's norms array is held, not copied or frozen
+        assert slot.pairs[0][0] is known and known.flags.writeable
 
 
 LAM_STAR = 0.2 + 0.1j
